@@ -23,9 +23,9 @@ import numpy as np
 
 DEFAULT_N_MAX = 10
 
-# Batched products gather rows of the right factor into a (rows, 2^n, 2^n)
-# workspace; chunk the right factor so that workspace stays modest at n=9,10.
-# Max complex entries in one gathered (rows, dim, dim) product intermediate.
+# Batched products gather the multiplication matrices of the operand with
+# fewer rows; that operand is chunked so one gathered (rows, 2^n, 2^n) block
+# holds at most this many complex entries (15 rows at n = 9, 3 at n = 10).
 _BATCH_BUDGET = 4_000_000
 
 
@@ -122,38 +122,58 @@ class _Tables:
             neg_mask |= 1 << a
         negs = _popcount(i & j & neg_mask)
         # sign_ij[i, j] is the scalar in  blade_i * blade_j = sign * blade_{i^j}
-        self.sign_ij = np.where((swaps + negs) % 2 == 0, 1.0, -1.0)
+        sign_ij = np.where((swaps + negs) % 2 == 0, 1.0, -1.0)
         self.xor = i ^ j
         # Gather form: result[k] = sum_i u[i] * sign_k[i, k] * v[i ^ k]
-        self.sign_k = self.sign_ij[i, i ^ j]
+        self.sign_k = sign_ij[i, self.xor]
+        sign_l = sign_ij[self.xor, j]
+        # Multiplication matrices are gathered from the concatenation (u, -u),
+        # so an index past dim picks up the sign without a separate multiply.
+        self._left_index = self.xor + dim * (sign_l < 0)
+        self._right_index = self.xor + dim * (self.sign_k < 0)
         self.grades = _popcount(idx)
         self.reversion_signs = np.where((self.grades * (self.grades - 1) // 2) % 2 == 0, 1.0, -1.0)
 
+    @staticmethod
+    def _signed_take(u: np.ndarray, index: np.ndarray) -> np.ndarray:
+        return np.concatenate((u, -u), axis=-1).take(index, axis=-1)
+
+    def left_mult_matrix(self, u: np.ndarray) -> np.ndarray:
+        """Matrix L with L @ v = u * v, for u of shape (dim,) or (rows, dim).
+
+        L[..., k, j] = u[..., k ^ j] times the sign of blade_{k^j} * blade_j.
+        """
+        return self._signed_take(u, self._left_index)
+
+    def right_mult_matrix(self, v: np.ndarray) -> np.ndarray:
+        """Matrix R with u @ R = u * v, for v of shape (dim,) or (rows, dim).
+
+        R[..., i, k] = v[..., i ^ k] * sign_k[i, k], the sign of blade_i * blade_{i^k}.
+        """
+        return self._signed_take(v, self._right_index)
+
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # result[k] = sum_i u[i] * sign_k[i, k] * v[i ^ k]
-        return ((u[:, None] * self.sign_k) * v[self.xor]).sum(axis=0)
+        return self.left_mult_matrix(u) @ v
 
     def batch_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """All pairwise products of the rows of a and b, shape (ma, mb, dim).
 
-        out[r,s,k] = sum_i a[r,i] * sign_k[i,k] * b[s, i^k], contracted by
-        BLAS through tensordot. b rows are chunked so the gathered
-        (rows, dim, dim) intermediate stays within a fixed memory budget.
+        Gathers the multiplication matrices of whichever operand has fewer
+        rows, chunked so a gathered (rows, dim, dim) block stays within
+        _BATCH_BUDGET entries, and contracts each chunk with one matmul.
         """
-        dim = self.sig.dim
-        out = np.empty((a.shape[0], b.shape[0], dim), dtype=np.complex128)
-        chunk_rows = max(1, _BATCH_BUDGET // (dim * dim))
-        for lo in range(0, b.shape[0], chunk_rows):
-            chunk = b[lo:lo + chunk_rows]
-            gathered = chunk[:, self.xor] * self.sign_k
-            out[:, lo:lo + chunk_rows] = np.tensordot(a, gathered, axes=([1], [1]))
-        return out
-
-    def left_mult_matrix(self, u: np.ndarray) -> np.ndarray:
-        """Matrix L with L @ coeffs(v) = coeffs(u * v)."""
-        k = np.arange(self.sig.dim, dtype=np.int64)[:, None]
-        j = np.arange(self.sig.dim, dtype=np.int64)[None, :]
-        return u[k ^ j] * self.sign_ij[k ^ j, j]
+        rows = max(1, _BATCH_BUDGET // self._left_index.size)
+        if a.shape[0] <= b.shape[0]:
+            # out[r, s] = L(a[r]) @ b[s], i.e. b @ L(a[r]).T for every r.
+            parts = [b @ self.left_mult_matrix(a[lo:lo + rows]).swapaxes(-1, -2)
+                     for lo in range(0, max(a.shape[0], 1), rows)]
+            axis = 0
+        else:
+            # out[r, s] = a[r] @ R(b[s]); the matmul stacks over s.
+            parts = [(a @ self.right_mult_matrix(b[lo:lo + rows])).swapaxes(0, 1)
+                     for lo in range(0, b.shape[0], rows)]
+            axis = 1
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
 @lru_cache(maxsize=64)

@@ -166,6 +166,13 @@ def _hess_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i, n))
 
 
+@lru_cache(maxsize=None)
+def _hess_axes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of _hess_pairs(n), in Hessian row order."""
+    pairs = np.array(_hess_pairs(n), dtype=np.intp).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
 def _nrows(order: int, n: int) -> int:
     if order == 0:
         return 1
@@ -337,14 +344,13 @@ def _jet_mul(a: MvJet, b: MvJet) -> MvJet:
     p_row = t.batch_product(ca[0:1], cb)[0]
     p_col = t.batch_product(ca, cb[0:1])[:, 0]
     gg = t.batch_product(ca[1:1 + n], cb[1:1 + n]) if order == 2 else None
-    out = np.empty((rows, sig.dim), dtype=np.complex128)
+    out = p_row + p_col
     out[0] = p_row[0]
-    for mu in range(n):
-        out[1 + mu] = p_row[1 + mu] + p_col[1 + mu]
     if order == 2:
-        for i, j in _hess_pairs(n):
-            r = _hidx(n, i, j)
-            out[r] = p_row[r] + p_col[r] + gg[i, j] + gg[j, i]
+        # Hessian rows follow _hess_pairs order, right after the gradient rows.
+        i, j = _hess_axes(n)
+        out[1 + n:] += gg[i, j]
+        out[1 + n:] += gg[j, i]
     return MvJet(sig, order, out)
 
 

@@ -344,10 +344,15 @@ class PrimitiveSolution:
     """A field vector with its derived connection and residual reporting."""
 
     def __init__(self, h: CliffordFieldVector, table: ContractionTable | None = None,
-                 form: str = "projection"):
+                 form: str = "projection", conn: DerivedConnection | None = None):
+        """Derive the connection of h, or report on conn, an existing derivation from h."""
+        if conn is None:
+            conn = DerivedConnection(h, table, form)
+        elif conn.h is not h:
+            raise CliffordError("conn was derived from a different field vector")
         self.h = h
-        self.table = table if table is not None else build_table(h.sig.n)
-        self.c = DerivedConnection(h, self.table, form)
+        self.table = conn.table
+        self.c = conn
 
     def point_report(self, x) -> dict:
         x = _as_point(x, self.h.sig.n)

@@ -226,7 +226,7 @@ def _pairwise_product(table, a, b, chunk=64):
     out = np.empty_like(a)
     for lo in range(0, a.shape[0], chunk):
         hi = lo + chunk
-        gathered = b[lo:hi][:, table.xor] * table.sign_k
+        gathered = np.take(b[lo:hi], table.xor, axis=1) * table.sign_k
         out[lo:hi] = np.einsum("ci,cik->ck", a[lo:hi], gathered)
     return out
 

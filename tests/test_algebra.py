@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from clifford_ym import algebra
 from clifford_ym.algebra import (
     CliffordError,
     DimensionLimitError,
@@ -139,6 +140,121 @@ def test_batch_product_matches_single(rng):
             for j in (0, 7, 10):
                 ref = T.product(a[i], b[j])
                 assert np.max(np.abs(out[i, j] - ref)) < 1e-13
+
+
+def _dense_product(table, u, v):
+    """Gather-sum oracle: result[k] = sum_i u[i] * sign_k[i, k] * v[i ^ k]."""
+    return ((u[:, None] * table.sign_k) * v[table.xor]).sum(axis=0)
+
+
+def _blade_product_by_definition(sig, i, j):
+    """(sign, mask) of blade_i * blade_j from the generator rules alone.
+
+    Concatenate the generator lists of both blades, sort them by adjacent
+    swaps (each swap of distinct generators flips the sign), then cancel
+    each adjacent repeated pair e^a e^a against its metric factor.
+    """
+    gens = [a for a in range(sig.n) if i >> a & 1] + [a for a in range(sig.n) if j >> a & 1]
+    sign = 1
+    for end in range(len(gens) - 1, 0, -1):
+        for k in range(end):
+            if gens[k] > gens[k + 1]:
+                gens[k], gens[k + 1] = gens[k + 1], gens[k]
+                sign = -sign
+    metric = sig.metric()
+    kept = []
+    for a in gens:
+        if kept and kept[-1] == a:
+            kept.pop()
+            sign *= metric[a]
+        else:
+            kept.append(a)
+    return sign, sum(1 << a for a in kept)
+
+
+def _random_rows(sig, rng, rows):
+    return rng.standard_normal((rows, sig.dim)) + 1j * rng.standard_normal((rows, sig.dim))
+
+
+# n = 2, 3, 4, 5 and 7: even and odd n, with and without negative generators.
+ORACLE_SIGNATURES = [(2, 0), (2, 1), (3, 1), (3, 2), (4, 3)]
+
+
+@pytest.mark.parametrize("p,q", [(p, n - p) for n in range(1, 5) for p in range(n + 1)])
+def test_blade_products_match_definition(p, q):
+    sig = Signature(p, q)
+    T = tables(sig)
+    want = np.zeros((sig.dim, sig.dim, sig.dim))
+    for i in range(sig.dim):
+        for j in range(sig.dim):
+            sign, mask = _blade_product_by_definition(sig, i, j)
+            want[i, j, mask] = sign
+    eye = np.eye(sig.dim, dtype=np.complex128)
+    assert np.array_equal(T.batch_product(eye, eye), want)
+    for i in range(sig.dim):
+        for j in range(sig.dim):
+            assert np.array_equal(T.product(eye[i], eye[j]), want[i, j])
+            assert np.array_equal(_dense_product(T, eye[i], eye[j]), want[i, j])
+
+
+@pytest.mark.parametrize("p,q", ORACLE_SIGNATURES)
+def test_product_and_mult_matrices_match_dense_oracle(p, q, rng):
+    sig = Signature(p, q)
+    T = tables(sig)
+    a = _random_rows(sig, rng, 3)
+    v = _random_rows(sig, rng, 1)[0]
+    left = T.left_mult_matrix(a)
+    right = T.right_mult_matrix(a)
+    assert left.shape == right.shape == (3, sig.dim, sig.dim)
+    for r in range(3):
+        assert np.array_equal(left[r], T.left_mult_matrix(a[r]))
+        assert np.array_equal(right[r], T.right_mult_matrix(a[r]))
+        want = _dense_product(T, a[r], v)
+        assert np.max(np.abs(T.product(a[r], v) - want)) < 1e-12
+        assert np.max(np.abs(left[r] @ v - want)) < 1e-12
+        assert np.max(np.abs(v @ right[r] - _dense_product(T, v, a[r]))) < 1e-12
+
+
+@pytest.mark.parametrize("p,q", ORACLE_SIGNATURES)
+@pytest.mark.parametrize("ma,mb", [(2, 5), (5, 2), (3, 3), (1, 1)])
+def test_batch_product_matches_dense_oracle(p, q, ma, mb, rng):
+    sig = Signature(p, q)
+    T = tables(sig)
+    a = _random_rows(sig, rng, ma)
+    b = _random_rows(sig, rng, mb)
+    out = T.batch_product(a, b)
+    assert out.shape == (ma, mb, sig.dim)
+    for r in range(ma):
+        for s in range(mb):
+            assert np.max(np.abs(out[r, s] - _dense_product(T, a[r], b[s]))) < 1e-12
+
+
+def test_batch_product_chunks_within_budget_at_n9(rng):
+    sig = Signature(5, 4)
+    T = algebra._Tables(sig)  # a private instance, so the recorders below stay local
+    assert algebra._BATCH_BUDGET // sig.dim ** 2 == 15  # one chunk holds 15 rows
+    gathered = []
+    for name in ("left_mult_matrix", "right_mult_matrix"):
+        def record(rows, build=getattr(T, name), side=name[0]):
+            mat = build(rows)
+            gathered.append((side, mat.shape[0]))
+            assert mat.size <= algebra._BATCH_BUDGET
+            return mat
+        setattr(T, name, record)
+
+    one, many, some = (_random_rows(sig, rng, m) for m in (1, 40, 20))
+    cases = [(one, many, [("l", 1)]), (many, one, [("r", 1)]),
+             (some, many, [("l", 15), ("l", 5)]), (many, some, [("r", 15), ("r", 5)])]
+    for a, b, chunks in cases:
+        gathered.clear()
+        out = T.batch_product(a, b)
+        assert gathered == chunks
+        assert out.shape == (a.shape[0], b.shape[0], sig.dim)
+        for r in {0, 14, 15, a.shape[0] - 1}:
+            for s in {0, 14, 15, b.shape[0] - 1}:
+                if r < a.shape[0] and s < b.shape[0]:
+                    want = _dense_product(T, a[r], b[s])
+                    assert np.max(np.abs(out[r, s] - want)) < 1e-11
 
 
 def test_grade_projection_partitions(rng):

@@ -119,6 +119,22 @@ def test_verify_runs_and_passes(config_file):
     assert len(report["per_point"]) == report["samples"]
 
 
+def test_verify_derives_connection_once_per_point(config_file, monkeypatch):
+    from clifford_ym import primitive
+
+    calls = []
+    derive = primitive.compute_C_jets
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return derive(*args, **kwargs)
+
+    monkeypatch.setattr(primitive, "compute_C_jets", counted)
+    code, out, _ = run_cli(["verify", "--config", config_file])
+    assert code == EXIT_OK
+    assert len(calls) == json.loads(out)["samples"]
+
+
 def test_verify_deterministic_output(config_file):
     _, out1, _ = run_cli(["verify", "--config", config_file])
     _, out2, _ = run_cli(["verify", "--config", config_file])

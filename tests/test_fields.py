@@ -21,6 +21,7 @@ from clifford_ym.fields import (
     FrameField,
     GaugeElement,
     GaugeMembershipError,
+    MvJet,
     PolyField,
     Polynomial,
     evaluate,
@@ -80,6 +81,31 @@ def test_mvjet_product_rule_matches_finite_differences(rng):
         assert (got.grad(mu) - ref.grad(mu)).max_norm() < 1e-6
         for nu in range(mu, 3):
             assert (got.hess(mu, nu) - ref.hess(mu, nu)).max_norm() < 1e-4
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (2, 2)])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_mvjet_product_rule_matches_pointwise_products(p, q, order, rng):
+    sig = Signature(p, q)
+    n = sig.n
+    rows = {0: 1, 1: 1 + n, 2: 1 + n + n * (n + 1) // 2}[order]
+
+    def draw():
+        return MvJet(sig, order, rng.standard_normal((rows, sig.dim))
+                     + 1j * rng.standard_normal((rows, sig.dim)))
+
+    a, b = draw(), draw()
+    got = a * b
+    gp = geometric_product
+    assert got.order == order
+    assert (got.value - gp(a.value, b.value)).max_norm() < 1e-12
+    for mu in range(n if order >= 1 else 0):
+        want = gp(a.grad(mu), b.value) + gp(a.value, b.grad(mu))
+        assert (got.grad(mu) - want).max_norm() < 1e-12
+        for nu in range(mu, n if order == 2 else mu):
+            want = (gp(a.hess(mu, nu), b.value) + gp(a.grad(mu), b.grad(nu))
+                    + gp(a.grad(nu), b.grad(mu)) + gp(a.value, b.hess(mu, nu)))
+            assert (got.hess(mu, nu) - want).max_norm() < 1e-12
 
 
 def test_polyfield_partial_is_exact_derivative(rng):

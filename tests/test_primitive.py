@@ -222,6 +222,17 @@ def test_solution_reports(rng):
     assert camp["summary"]["primitive_max"]["max"] < 1e-10
 
 
+def test_solution_reports_on_a_given_connection():
+    sig, h, points = build_field_vector(2, 0, seed=67)
+    conn = DerivedConnection(h)
+    sol = PrimitiveSolution(h, conn=conn)
+    assert sol.c is conn and sol.table is conn.table
+    assert sol.campaign(points[:3]) == solve(h).campaign(points[:3])
+    _, other, _ = build_field_vector(2, 0, seed=68)
+    with pytest.raises(CliffordError):
+        PrimitiveSolution(other, conn=conn)
+
+
 def test_compute_c_validates_field_vector(rng):
     from clifford_ym.fields import ExplicitFieldVector, FieldVectorError
     sig = Signature(2, 0)
