@@ -50,7 +50,6 @@ from .yang_mills import (
     NotASolution,
     YMSolution,
     build_solution,
-    field_strength,
     gauge_transform_solution,
     verify_solution,
     ym_residuals,
@@ -83,7 +82,6 @@ __all__ = [
     "contract",
     "curvature_residual",
     "exponential",
-    "field_strength",
     "gauge_transform",
     "gauge_transform_solution",
     "geometric_product",

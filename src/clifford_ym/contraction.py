@@ -31,7 +31,6 @@ from functools import lru_cache
 from .algebra import (
     CliffordError,
     Multivector,
-    Signature,
     geometric_product,
     grade_project,
 )
@@ -46,36 +45,38 @@ def lambdas(n: int) -> tuple[int, ...]:
     return tuple((-1) ** k * (n - 2 * k) for k in range(n + 1))
 
 
-def contract(u: Multivector) -> Multivector:
-    """F(U) = sum_a e^a U e_a with e_a = eta_{ab} e^b."""
+def contract(u: Multivector, vectors=None) -> Multivector:
+    """F(U) = sum_a eta_a v^a U v^a over n vectors, the generators e^a by default.
+
+    The metric eta comes from u.sig. With the values of a Clifford field
+    vector h at a point this is the h-contraction F[h].
+    """
     sig = u.sig
-    metric = sig.metric()
+    if vectors is None:
+        vectors = [Multivector.generator(sig, a) for a in range(1, sig.n + 1)]
+    vectors = list(vectors)
+    if len(vectors) != sig.n:
+        raise CliffordError(f"need {sig.n} vectors to contract with, got {len(vectors)}")
     acc = Multivector.zero(sig)
-    for a in range(1, sig.n + 1):
-        ea = Multivector.generator(sig, a)
-        acc = acc + metric[a - 1] * geometric_product(geometric_product(ea, u), ea)
+    for eta, v in zip(sig.metric(), vectors):
+        acc = acc + eta * geometric_product(geometric_product(v, u), v)
     return acc
 
 
-def contract_power(u: Multivector, l: int) -> Multivector:
-    """l-fold contraction F^l(U); F^0 is the identity."""
-    if l < 0:
-        raise CliffordError(f"contraction power must be nonnegative, got {l}")
-    out = u
-    for _ in range(l):
-        out = contract(out)
-    return out
+def contraction_series(u, coeffs, step):
+    """sum_l c_l F^l(u) with F = step, skipping zero c_l; None if every c_l is 0.
 
-
-def frame_contract(u: Multivector, vectors, metric) -> Multivector:
-    """Contraction with an arbitrary vector set: sum_rho eta_rho v^rho U v^rho.
-
-    With vectors = generators and the algebra metric this is contract(u);
-    with the values of a Clifford field vector it is the h-contraction F[h].
+    Needs only scalar multiplication and addition, so the one loop serves
+    multivectors (project) and jets (the connection) alike.
     """
-    acc = Multivector.zero(u.sig)
-    for eta, v in zip(metric, vectors):
-        acc = acc + eta * geometric_product(geometric_product(v, u), v)
+    acc = None
+    power = u
+    for l, c in enumerate(coeffs):
+        if l > 0:
+            power = step(power)
+        if c != 0:
+            term = float(c) * power
+            acc = term if acc is None else acc + term
     return acc
 
 
@@ -184,26 +185,22 @@ def build_table(n: int) -> ContractionTable:
     )
 
 
-def project_via_contractions(u: Multivector, k: int, table: ContractionTable | None = None) -> Multivector:
+def project(u: Multivector, k: int, vectors=None,
+            table: ContractionTable | None = None) -> Multivector:
     """Grade projection through contraction powers alone.
 
-    Even n: equals grade_project(u, k). Odd n: equals the paired projection
-    grade_project(u, k) + grade_project(u, n - k), for k up to (n-1)/2.
+    With the generators (the default), even n gives grade_project(u, k) and
+    odd n the paired grade_project_paired(u, k) for k up to (n-1)/2. With
+    the values of a field vector h it gives the h-grade projection pi[h]_k
+    (paired likewise for odd n).
     """
     n = u.sig.n
     if table is None:
         table = build_table(n)
     if table.n != n:
         raise CliffordError(f"table is for n={table.n}, element lives in n={n}")
-    row = table.projector_row(k)
-    acc = Multivector.zero(u.sig)
-    power = u
-    for l, coeff in enumerate(row):
-        if l > 0:
-            power = contract(power)
-        if coeff != 0:
-            acc = acc + float(coeff) * power
-    return acc
+    acc = contraction_series(u, table.projector_row(k), lambda v: contract(v, vectors))
+    return Multivector.zero(u.sig) if acc is None else acc
 
 
 def grade_project_paired(u: Multivector, k: int) -> Multivector:

@@ -16,6 +16,7 @@ out to machine precision, which the residual tolerances need.
 
 from __future__ import annotations
 
+import cmath
 from functools import lru_cache
 
 import numpy as np
@@ -155,7 +156,10 @@ class Polynomial:
         for mono in data["monomials"]:
             exps = tuple(int(e) for e in mono["exps"])
             re, im = mono["coeff"]
-            terms[exps] = terms.get(exps, 0) + complex(float(re), float(im))
+            coeff = complex(float(re), float(im))
+            if not cmath.isfinite(coeff):
+                raise ValueError(f"non-finite coefficient {mono['coeff']!r}")
+            terms[exps] = terms.get(exps, 0) + coeff
         return cls(nvars, terms)
 
 
@@ -309,23 +313,6 @@ class MvJet:
         t = tables(self.sig)
         return MvJet(self.sig, self.order, t.batch_product(c.coeffs[None], self.comps)[0])
 
-    def mul_scalar_jet(self, s: ScalarJet) -> "MvJet":
-        """Product with a scalar-valued jet (product rule on coefficients)."""
-        order = min(self.order, s.order)
-        n = self.sig.n
-        v = self.comps
-        out = np.empty((_nrows(order, n), self.sig.dim), dtype=np.complex128)
-        out[0] = s.value * v[0]
-        if order >= 1:
-            for mu in range(n):
-                out[1 + mu] = s.value * v[1 + mu] + s.grad[mu] * v[0]
-        if order == 2:
-            for i, j in _hess_pairs(n):
-                r = _hidx(n, i, j)
-                out[r] = (s.value * v[r] + s.grad[i] * v[1 + j]
-                          + s.grad[j] * v[1 + i] + s.hess[i, j] * v[0])
-        return MvJet(self.sig, order, out)
-
 
 def _jet_mul(a: MvJet, b: MvJet) -> MvJet:
     if a.sig != b.sig:
@@ -357,8 +344,6 @@ def _jet_mul(a: MvJet, b: MvJet) -> MvJet:
 class MultivectorField:
     """Base interface: a map from R^n to Cl(p,q) with a differentiation policy."""
 
-    kind = "closure"
-
     def __init__(self, sig: Signature):
         self.sig = sig
 
@@ -374,8 +359,6 @@ class MultivectorField:
 
 class PolyField(MultivectorField):
     """Field with polynomial blade coefficients; derivatives are exact."""
-
-    kind = "polynomial"
 
     def __init__(self, sig: Signature, blade_polys: dict):
         super().__init__(sig)
@@ -442,14 +425,11 @@ class PolyField(MultivectorField):
 class CallableField(MultivectorField):
     """Field defined by an arbitrary callable; derivatives via central differences."""
 
-    kind = "closure"
-
     def __init__(self, sig: Signature, fn, fd_step: float = 1e-5, fd_hess_step: float | None = None):
         super().__init__(sig)
         self.fn = fn
         self.fd_step = float(fd_step)
-        self.fd_hess_step = float(fd_hess_step) if fd_hess_step is not None else max(
-            self.fd_step, float(np.sqrt(self.fd_step)))
+        self.fd_hess_step = None if fd_hess_step is None else float(fd_hess_step)
 
     def value(self, x) -> Multivector:
         x = _as_point(x, self.sig.n)
@@ -468,8 +448,8 @@ def fd_jet(valuefn, sig: Signature, x: np.ndarray, order: int,
     """Finite-difference jet of a pointwise evaluator.
 
     Gradient rows use second-order central differences with the given step;
-    Hessian rows use a (typically larger) step because their roundoff grows
-    like eps / step^2.
+    Hessian rows use a larger step, max(step, sqrt(step)) unless hess_step
+    is given, because their roundoff grows like eps / step^2.
     """
     n = sig.n
     comps = np.zeros((_nrows(order, n), sig.dim), dtype=np.complex128)
@@ -508,7 +488,6 @@ class ScaledField(MultivectorField):
         super().__init__(base.sig)
         self.base = base
         self.factor = complex(factor)
-        self.kind = base.kind
 
     def value(self, x) -> Multivector:
         return self.factor * self.base.value(x)
@@ -523,8 +502,6 @@ class ExpField(MultivectorField):
     The jet of exp(A(x)) is the jet-series sum of A(x)-jet powers over k!,
     which is the same truncation as the value series, term by term.
     """
-
-    kind = "analytic"
 
     def __init__(self, generator: MultivectorField, tol: float = 1e-14, max_terms: int = 64):
         super().__init__(generator.sig)
@@ -615,7 +592,7 @@ class FrameField:
             raise FrameError(f"rotation generator must be {n}x{n}")
         eta = np.diag(np.array(sig.metric(), dtype=float))
         # exp(tM) stays pseudo-orthogonal iff M eta + eta M^T = 0
-        if np.max(np.abs(gen @ eta + eta @ gen.T)) > 1e-12:
+        if not np.max(np.abs(gen @ eta + eta @ gen.T)) <= 1e-12:
             raise FrameError("rotation generator is not in the pseudo-orthogonal Lie algebra")
         if poly.nvars != n:
             raise FrameError(f"rotation parameter has {poly.nvars} variables, need {n}")
@@ -681,7 +658,7 @@ def _check_pseudo_orthogonal(sig: Signature, mat: np.ndarray, tol: float):
         raise FrameError(f"frame matrix must be {n}x{n}, got {mat.shape}")
     eta = np.diag(np.array(sig.metric(), dtype=float))
     res = float(np.max(np.abs(mat @ eta @ mat.T - eta)))
-    if res > tol:
+    if not res <= tol:  # NaN entries fail too
         raise FrameError(f"matrix fails y eta y^T = eta by {res:.3e} (tol {tol:.1e})")
 
 
@@ -690,15 +667,22 @@ def make_frame_field(sig: Signature, spec: dict) -> FrameField:
     kind = spec.get("kind", "identity")
     if kind == "identity":
         return FrameField.identity(sig)
+    if kind not in ("constant", "rotation"):
+        raise FrameError(f"unknown frame kind {kind!r}")
+
+    def entry(key, parse=lambda v: np.asarray(v, dtype=float)):
+        if key not in spec:
+            raise FrameError(f"{kind} frame spec needs a {key!r} entry")
+        try:
+            return parse(spec[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FrameError(f"frame {key} is malformed: {exc}") from None
+
     if kind == "constant":
-        if "matrix" not in spec:
-            raise FrameError("constant frame spec needs a 'matrix' entry")
-        return FrameField.constant(sig, spec["matrix"])
-    if kind == "rotation":
-        poly = Polynomial.from_json(sig.n, spec["poly"])
-        base = spec.get("base")
-        return FrameField.rotation(sig, poly, spec["generator"], base)
-    raise FrameError(f"unknown frame kind {kind!r}")
+        return FrameField.constant(sig, entry("matrix"))
+    poly = entry("poly", lambda v: Polynomial.from_json(sig.n, v))
+    base = entry("base") if spec.get("base") is not None else None
+    return FrameField.rotation(sig, poly, entry("generator"), base)
 
 
 def random_frame(sig: Signature, rng: np.random.Generator, scale: float = 0.4) -> FrameField:
@@ -948,8 +932,6 @@ class CliffordFieldVector:
 class _FieldVectorComponent(MultivectorField):
     """View of one component of a field vector as a standalone field."""
 
-    kind = "analytic"
-
     def __init__(self, vec: CliffordFieldVector, index0: int):
         super().__init__(vec.sig)
         self.vec = vec
@@ -1056,8 +1038,7 @@ class FiniteDifferenceVector(CliffordFieldVector):
         super().__init__(base.sig)
         self.base = base
         self.step = float(step)
-        self.hess_step = float(hess_step) if hess_step is not None else max(
-            self.step, float(np.sqrt(self.step)))
+        self.hess_step = None if hess_step is None else float(hess_step)
 
     def values(self, x) -> list[Multivector]:
         return self.base.values(x)
@@ -1106,32 +1087,6 @@ def raise_index(fields, sig: Signature) -> tuple[MultivectorField, ...]:
     return tuple(ScaledField(f, metric[mu]) for mu, f in enumerate(fields))
 
 
-def hform_project(u: Multivector, k: int, h_at_x, table=None) -> Multivector:
-    """Projection onto h-grade k via contractions with the field vector values.
-
-    Even n gives pi[h]_k; odd n gives the paired pi[h]_{k, n-k} for
-    k up to (n-1)/2, mirroring the generator-contraction tables.
-    """
-    from .contraction import build_table, frame_contract
-
-    sig = u.sig
-    h_at_x = list(h_at_x)
-    if len(h_at_x) != sig.n:
-        raise CliffordError(f"need {sig.n} field-vector values")
-    if table is None:
-        table = build_table(sig.n)
-    row = table.projector_row(k)
-    metric = sig.metric()
-    acc = Multivector.zero(sig)
-    power = u
-    for l, coeff in enumerate(row):
-        if l > 0:
-            power = frame_contract(power, h_at_x, metric)
-        if coeff != 0:
-            acc = acc + float(coeff) * power
-    return acc
-
-
 def sample_points(n: int, count: int = 16, box=(-1.0, 1.0), seed: int = 0,
                   include_origin: bool = True) -> np.ndarray:
     """Deterministic quasi-random sample points in a box, origin first.
@@ -1148,25 +1103,3 @@ def sample_points(n: int, count: int = 16, box=(-1.0, 1.0), seed: int = 0,
         pts = np.vstack([np.zeros((1, n)), pts])
     return pts
 
-
-def evaluate(field: MultivectorField, x) -> Multivector:
-    """Pointwise evaluation with a dimension check."""
-    _as_point(x, field.sig.n)
-    return field.value(x)
-
-
-def partial_derivative(field: MultivectorField, mu: int, x, step: float = 1e-5) -> Multivector:
-    """d_mu of the field at x, mu 1-based.
-
-    Exact through jets for polynomial and analytic fields; second-order
-    central difference for closures.
-    """
-    n = field.sig.n
-    if not 1 <= mu <= n:
-        raise CliffordError(f"derivative index {mu} out of range 1..{n}")
-    x = _as_point(x, n)
-    if field.kind == "closure":
-        dx = np.zeros(n)
-        dx[mu - 1] = step
-        return (field.value(x + dx) - field.value(x - dx)) / (2 * step)
-    return field.jet(x, 1).grad(mu - 1)

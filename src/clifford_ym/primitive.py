@@ -12,8 +12,9 @@ W_mu = (d_mu h^rho) h_rho:
 summed over k = 1..n for even n and over the paired projections
 k = 1..(n-1)/2 for odd n. Expanding the projections through contraction
 powers collapses the same sum to C_mu = sum_l w_l F[h]^l(W_mu) with the
-table weights w (r for even n, s for odd n). Both evaluation orders are
-implemented and serve as mutual cross-checks.
+table weights w (r for even n, s for odd n). The solver evaluates this
+collapsed form only; the tests keep the mu_k-weighted projection sum as its
+oracle.
 
 The connection never touches the center (the k = 0 and paired (0, n)
 projections are excluded), and a solving C has zero curvature:
@@ -32,11 +33,10 @@ from .algebra import (
     commutator,
     geometric_product,
 )
-from .contraction import ContractionTable, build_table
+from .contraction import ContractionTable, build_table, contraction_series
 from .fields import (
     CliffordFieldVector,
     GaugeElement,
-    MultivectorField,
     MvJet,
     _as_point,
     _jet_mul,
@@ -66,24 +66,6 @@ class CovectorField:
 
     def jets(self, x, order: int = 1) -> list[MvJet]:
         raise NotImplementedError
-
-
-class ExplicitCovector(CovectorField):
-    """Covector given by explicit component fields."""
-
-    def __init__(self, fields):
-        fields = list(fields)
-        sig = fields[0].sig
-        if len(fields) != sig.n or any(f.sig != sig for f in fields):
-            raise CliffordError(f"need exactly {sig.n} covector components over {sig}")
-        super().__init__(sig)
-        self.fields = fields
-
-    def jets(self, x, order: int = 1) -> list[MvJet]:
-        return [f.jet(x, order) for f in self.fields]
-
-    def values(self, x) -> list[Multivector]:
-        return [f.value(x) for f in self.fields]
 
 
 class ZeroCovector(CovectorField):
@@ -134,61 +116,27 @@ def _w_jets(hjets: list[MvJet], metric, order: int) -> list[MvJet]:
     return out
 
 
-def compute_C_jets(hjets: list[MvJet], table: ContractionTable,
-                   form: str = "projection") -> list[MvJet]:
+def compute_C_jets(hjets: list[MvJet], table: ContractionTable) -> list[MvJet]:
     """Connection jets from field-vector jets (one order lower than the input).
 
-    form "projection" weights the reconstructed h-grade projections by mu_k;
-    form "contraction" applies the collapsed weights w_l to the contraction
-    powers directly. Identical mathematically, distinct evaluation orders.
+    C_mu = sum_l w_l F[h]^l(W_mu) with the collapsed table weights w.
     """
     sig = hjets[0].sig
-    n = sig.n
     metric = sig.metric()
     order = hjets[0].order - 1
     if order < 0:
         raise CliffordError("field-vector jets must carry at least first derivatives")
     htrunc = [hj.truncate(order) for hj in hjets]
-    wjets = _w_jets(hjets, metric, order)
-    depth = len(table.weights) - 1
     out = []
-    for mu in range(n):
-        chain = [wjets[mu]]
-        for _ in range(depth):
-            chain.append(_contract_jet(chain[-1], htrunc, metric))
-        if form == "contraction":
-            c = None
-            for l, w in enumerate(table.weights):
-                if w == 0:
-                    continue
-                term = chain[l].scale(float(w))
-                c = term if c is None else c + term
-        elif form == "projection":
-            c = None
-            upper = n if table.even else (n - 1) // 2
-            for k in range(1, upper + 1):
-                row = table.projector_row(k)
-                pk = None
-                for l, b in enumerate(row):
-                    if b == 0:
-                        continue
-                    term = chain[l].scale(float(b))
-                    pk = term if pk is None else pk + term
-                if pk is None:
-                    continue
-                term = pk.scale(float(table.mus[k]))
-                c = term if c is None else c + term
-        else:
-            raise CliffordError(f"unknown form {form!r}; use 'projection' or 'contraction'")
-        if c is None:
-            c = MvJet.constant(Multivector.zero(sig), order)
-        out.append(c)
+    for wjet in _w_jets(hjets, metric, order):
+        c = contraction_series(wjet, table.weights,
+                               lambda v: _contract_jet(v, htrunc, metric))
+        out.append(MvJet.constant(Multivector.zero(sig), order) if c is None else c)
     return out
 
 
 def compute_C(h: CliffordFieldVector, table: ContractionTable | None = None, x=None,
-              form: str = "projection", validate: bool = True,
-              validate_tol: float = 1e-8) -> list[Multivector]:
+              validate: bool = True, validate_tol: float = 1e-8) -> list[Multivector]:
     """Connection values C_mu(x) solving the primitive equation for h.
 
     Validates the anticommutation identity of h at x by default, since the
@@ -204,18 +152,16 @@ def compute_C(h: CliffordFieldVector, table: ContractionTable | None = None, x=N
     if validate:
         h.validate(x[None, :], tol=validate_tol)
     hjets = h.jets(x, 1)
-    return [j.value for j in compute_C_jets(hjets, table, form)]
+    return [j.value for j in compute_C_jets(hjets, table)]
 
 
 class DerivedConnection(CovectorField):
     """The closed-form connection of a field vector, as a lazy covector field."""
 
-    def __init__(self, h: CliffordFieldVector, table: ContractionTable | None = None,
-                 form: str = "projection"):
+    def __init__(self, h: CliffordFieldVector, table: ContractionTable | None = None):
         super().__init__(h.sig)
         self.h = h
         self.table = table if table is not None else build_table(h.sig.n)
-        self.form = form
         self._memo: dict[bytes, tuple[int, list[MvJet]]] = {}
 
     def jets(self, x, order: int = 1) -> list[MvJet]:
@@ -228,7 +174,7 @@ class DerivedConnection(CovectorField):
         # one pass at order 1 is cheaper than passes at 0 and then 1.
         eff = max(order, 1)
         hjets = self.h.jets(x, eff + 1)
-        cjets = compute_C_jets(hjets, self.table, self.form)
+        cjets = compute_C_jets(hjets, self.table)
         self._memo[key] = (eff, cjets)
         if len(self._memo) > 128:
             self._memo.pop(next(iter(self._memo)))
@@ -255,7 +201,11 @@ def primitive_residual(h: CliffordFieldVector, c: CovectorField, x) -> list[list
 
 
 def curvature_residual(c: CovectorField, x) -> list[list[Multivector]]:
-    """d_mu C_nu - d_nu C_mu - [C_mu, C_nu] as an antisymmetric n x n grid."""
+    """d_mu C_nu - d_nu C_mu - [C_mu, C_nu] as an antisymmetric n x n grid.
+
+    For any covector, such as the Yang-Mills potential B, this is its field
+    strength; a flat connection gives zero.
+    """
     x = _as_point(x, c.sig.n)
     cjets = c.jets(x, 1)
     vals = [j.value for j in cjets]
@@ -344,10 +294,10 @@ class PrimitiveSolution:
     """A field vector with its derived connection and residual reporting."""
 
     def __init__(self, h: CliffordFieldVector, table: ContractionTable | None = None,
-                 form: str = "projection", conn: DerivedConnection | None = None):
+                 conn: DerivedConnection | None = None):
         """Derive the connection of h, or report on conn, an existing derivation from h."""
         if conn is None:
-            conn = DerivedConnection(h, table, form)
+            conn = DerivedConnection(h, table)
         elif conn.h is not h:
             raise CliffordError("conn was derived from a different field vector")
         self.h = h
@@ -377,6 +327,5 @@ class PrimitiveSolution:
         return {"per_point": entries, "summary": summary}
 
 
-def solve(h: CliffordFieldVector, table: ContractionTable | None = None,
-          form: str = "projection") -> PrimitiveSolution:
-    return PrimitiveSolution(h, table, form)
+def solve(h: CliffordFieldVector, table: ContractionTable | None = None) -> PrimitiveSolution:
+    return PrimitiveSolution(h, table)

@@ -10,10 +10,10 @@ everything into one deterministic report.
 
 from __future__ import annotations
 
+import cmath
 import copy
-import json
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,10 +24,10 @@ from .algebra import (
     geometric_product,
     n_max,
 )
-from .contraction import build_table
+from . import golden
+from .contraction import build_table, contract, contraction_series
 from .fields import (
     FiniteDifferenceVector,
-    FrameField,
     GaugeElement,
     PolyField,
     Polynomial,
@@ -50,7 +50,6 @@ from .primitive import (
 from .yang_mills import (
     YMSolution,
     epsilon_from_residuals,
-    eq2_residual,
     verify_solution,
 )
 
@@ -64,7 +63,6 @@ __all__ = [
     "build_case",
     "run_verify",
     "run_demo",
-    "EXPLICIT_WEIGHTS",
     "explicit_connection",
 ]
 
@@ -150,28 +148,49 @@ def parse_blade(label: str, n: int) -> int:
     return mask
 
 
+def _integer(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _real(value, key: str, positive: bool = False) -> float:
+    """A finite number (and > 0 when positive) from a config entry."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if not math.isfinite(out) or (positive and out <= 0):
+        kind = "finite positive" if positive else "finite"
+        raise ConfigError(f"{key} must be a {kind} number, got {value!r}")
+    return out
+
+
 def _as_complex(value, what: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, complex):
+        return complex(_real(value[0], what), _real(value[1], what))
+    if isinstance(value, complex) and cmath.isfinite(value):
         return value
-    raise ConfigError(f"{what} must be a number or [re, im] pair, got {value!r}")
+    if isinstance(value, (int, float)):
+        return complex(_real(value, what))
+    raise ConfigError(f"{what} must be a finite number or [re, im] pair, got {value!r}")
 
 
 def parse_config(data: dict, sigma_override: complex | None = None,
                  seed_override: int | None = None, fd: bool = False) -> RunConfig:
-    """Resolve a config dict plus command-line overrides into a RunConfig."""
+    """Resolve a config dict plus command-line overrides into a RunConfig.
+
+    Every malformed, non-finite or out-of-range entry raises ConfigError
+    naming its key.
+    """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     sig_spec = data.get("signature")
     if not isinstance(sig_spec, dict) or "p" not in sig_spec or "q" not in sig_spec:
         raise ConfigError("config needs signature: {\"p\": .., \"q\": ..}")
-    try:
-        p, q = int(sig_spec["p"]), int(sig_spec["q"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"signature entries must be integers: {exc}") from None
+    p = _integer(sig_spec["p"], "signature.p")
+    q = _integer(sig_spec["q"], "signature.q")
     if p < 0 or q < 0:
         raise ConfigError("signature entries must be nonnegative")
     n = p + q
@@ -181,23 +200,26 @@ def parse_config(data: dict, sigma_override: complex | None = None,
     samples = data.get("samples", {})
     if not isinstance(samples, dict):
         raise ConfigError("samples must be an object")
-    count = int(samples.get("count", 16))
+    count = _integer(samples.get("count", 16), "samples.count")
     if count < 1:
         raise ConfigError("samples.count must be positive")
     box = samples.get("box", [-1.0, 1.0])
-    if (not isinstance(box, (list, tuple)) or len(box) != 2
-            or not float(box[0]) < float(box[1])):
+    if not isinstance(box, (list, tuple)) or len(box) != 2:
+        raise ConfigError("samples.box must be [lo, hi] with lo < hi")
+    box = (_real(box[0], "samples.box"), _real(box[1], "samples.box"))
+    if not box[0] < box[1]:
         raise ConfigError("samples.box must be [lo, hi] with lo < hi")
 
     if seed_override is not None:
-        seed = int(seed_override)
-        sample_seed = seed
+        seed = sample_seed = _integer(seed_override, "seed")
     else:
-        seed = int(data.get("seed", samples.get("seed", 0)))
-        sample_seed = int(samples.get("seed", seed))
+        seed = _integer(data.get("seed", samples.get("seed", 0)), "seed")
+        sample_seed = _integer(samples.get("seed", seed), "samples.seed")
+    if seed < 0 or sample_seed < 0:
+        raise ConfigError("seed and samples.seed must be nonnegative")
 
-    sigma = (_as_complex(data.get("sigma", 1.0), "sigma")
-             if sigma_override is None else complex(sigma_override))
+    sigma = _as_complex(data.get("sigma", 1.0) if sigma_override is None else sigma_override,
+                        "sigma")
 
     mode = str(data.get("mode", "exact"))
     if fd:
@@ -212,7 +234,7 @@ def parse_config(data: dict, sigma_override: complex | None = None,
     for key, val in extra.items():
         if key not in tolerances:
             raise ConfigError(f"unknown tolerance {key!r}")
-        tolerances[key] = float(val)
+        tolerances[key] = _real(val, f"tolerances.{key}", positive=True)
 
     epsilon_override = data.get("epsilon_override")
     if epsilon_override is not None:
@@ -222,20 +244,25 @@ def parse_config(data: dict, sigma_override: complex | None = None,
     gauge_spec = data.get("gauge", {"kind": "exp_bivector", "terms": []})
     if not isinstance(frame_spec, dict) or not isinstance(gauge_spec, dict):
         raise ConfigError("frame and gauge specs must be objects")
+    output = data.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError(f"output must be a file path, got {output!r}")
 
     return RunConfig(
         p=p, q=q, sigma=sigma, seed=seed, sample_seed=sample_seed,
-        count=count, box=(float(box[0]), float(box[1])), mode=mode,
-        fd_step=float(data.get("fd_step", 1e-5)), tolerances=tolerances,
+        count=count, box=box, mode=mode,
+        fd_step=_real(data.get("fd_step", 1e-5), "fd_step", positive=True),
+        tolerances=tolerances,
         frame_spec=copy.deepcopy(frame_spec), gauge_spec=copy.deepcopy(gauge_spec),
-        epsilon_override=epsilon_override, output=data.get("output"),
+        epsilon_override=epsilon_override, output=output,
     )
 
 
 def _gauge_generator(sig: Signature, spec: dict, rng: np.random.Generator) -> PolyField:
     kind = spec.get("kind", "exp_bivector")
     if kind == "random":
-        return random_bivector_poly_field(sig, rng, scale=float(spec.get("scale", 0.3)))
+        return random_bivector_poly_field(
+            sig, rng, scale=_real(spec.get("scale", 0.3), "gauge.scale"))
     if kind != "exp_bivector":
         raise ConfigError(f"unknown gauge kind {kind!r}")
     terms = spec.get("terms", [])
@@ -262,7 +289,8 @@ def build_case(cfg: RunConfig) -> dict:
         np.random.default_rng(s) for s in streams)
 
     if cfg.frame_spec.get("kind") == "random":
-        frame = random_frame(sig, rng_frame, scale=float(cfg.frame_spec.get("scale", 0.4)))
+        frame = random_frame(sig, rng_frame,
+                             scale=_real(cfg.frame_spec.get("scale", 0.4), "frame.scale"))
     else:
         frame = make_frame_field(sig, cfg.frame_spec)
     generator = _gauge_generator(sig, cfg.gauge_spec, rng_gauge)
@@ -405,23 +433,19 @@ def run_verify(cfg: RunConfig) -> tuple[dict, int]:
     return report, (0 if ok else 3)
 
 
-# Contraction weights printed for the small dimensions, as exact fractions.
-EXPLICIT_WEIGHTS = {
-    2: (Fraction(1, 2), Fraction(-1, 16), Fraction(-3, 32)),
-    3: (Fraction(3, 16), Fraction(-1, 16)),
-    4: (Fraction(1, 4), Fraction(67, 576), Fraction(73, 2304),
-        Fraction(-19, 2304), Fraction(-25, 9216)),
-}
+# The frozen small-n connection weights (r for even n, s for odd n).
+_GOLDEN_WEIGHTS = {2: golden.R_N2, 3: golden.S_N3, 4: golden.R_N4}
 
 
 def explicit_connection(h, x, n: int) -> list[Multivector]:
-    """C_mu from the literal small-n weights by nested products only.
+    """C_mu from the frozen small-n weights by nested products of values only.
 
-    Independent of the table machinery: contractions are written out as
-    loops over frame indices, and the weights are the hard-coded
-    fractions for n in {2, 3, 4}.
+    Independent of the table machinery and of the jet products: W_mu and
+    the contractions F[h] are built from the field vector's values and
+    first derivatives, and the weights are golden's fractions for n in
+    {2, 3, 4}.
     """
-    if n not in EXPLICIT_WEIGHTS:
+    if n not in _GOLDEN_WEIGHTS:
         raise ConfigError(f"explicit weights known only for n in (2, 3, 4), got {n}")
     sig = h.sig
     metric = sig.metric()
@@ -432,17 +456,7 @@ def explicit_connection(h, x, n: int) -> list[Multivector]:
         w = Multivector.zero(sig)
         for rho in range(n):
             w = w + metric[rho] * geometric_product(hj[rho].grad(mu), hv[rho])
-        acc = Multivector.zero(sig)
-        power = w
-        for l, weight in enumerate(EXPLICIT_WEIGHTS[n]):
-            if l > 0:
-                nxt = Multivector.zero(sig)
-                for alpha in range(n):
-                    nxt = nxt + metric[alpha] * geometric_product(
-                        geometric_product(hv[alpha], power), hv[alpha])
-                power = nxt
-            acc = acc + float(weight) * power
-        out.append(acc)
+        out.append(contraction_series(w, _GOLDEN_WEIGHTS[n], lambda u: contract(u, hv)))
     return out
 
 
@@ -470,7 +484,7 @@ def run_demo(n: int, seed: int = 12345) -> tuple[dict, int]:
 
     report, code = run_verify(cfg)
     report["explicit_weights"] = [
-        {"num": str(f.numerator), "den": str(f.denominator)} for f in EXPLICIT_WEIGHTS[n]]
+        {"num": str(f.numerator), "den": str(f.denominator)} for f in _GOLDEN_WEIGHTS[n]]
     report["explicit_formula_max_dev"] = explicit_dev
     report["lambdas"] = [int(v) for v in table.lambdas]
     if explicit_dev > cfg.tolerances["primitive"]:

@@ -32,6 +32,7 @@ from .fields import (
 )
 from .primitive import (
     CovectorField,
+    curvature_residual,
     gauge_transform,
     max_norm_grid,
     primitive_residual,
@@ -43,7 +44,6 @@ __all__ = [
     "YMSolution",
     "epsilon_value",
     "build_solution",
-    "field_strength",
     "eq1_residual",
     "eq2_residual",
     "conservation_residual",
@@ -163,24 +163,9 @@ def build_solution(h: CliffordFieldVector, c: CovectorField, sigma: complex,
     return YMSolution(h, c, sigma)
 
 
-def field_strength(b: CovectorField, x) -> list[list[Multivector]]:
-    """G_munu = d_mu B_nu - d_nu B_mu - [B_mu, B_nu] from any covector."""
-    bj = b.jets(x, 1)
-    vals = [j.value for j in bj]
-    n = b.n
-    grid = []
-    for mu in range(n):
-        row = []
-        for nu in range(n):
-            row.append(bj[nu].grad(mu) - bj[mu].grad(nu)
-                       - commutator(vals[mu], vals[nu]))
-        grid.append(row)
-    return grid
-
-
 def eq1_residual(sol: YMSolution, x) -> list[list[Multivector]]:
-    """field_strength(B) minus the claimed G_munu, as an n x n grid."""
-    fs = field_strength(sol.b, x)
+    """Field strength (curvature) of B minus the claimed G_munu, an n x n grid."""
+    fs = curvature_residual(sol.b, x)
     gl = sol.g_lower(x)
     n = sol.n
     return [[fs[mu][nu] - gl[mu][nu] for nu in range(n)] for mu in range(n)]

@@ -198,6 +198,37 @@ def test_verify_non_bivector_gauge(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("path,value,flags,key", [
+    pytest.param(("samples", "count"), "abc", [], "samples.count", id="count-text"),
+    pytest.param(("seed",), "x", [], "seed", id="seed-text"),
+    pytest.param(("fd_step",), "x", [], "fd_step", id="fd_step-text"),
+    pytest.param(("samples", "box"), ["a", 1], [], "samples.box", id="box-text"),
+    pytest.param(("tolerances",), {"eq1": "abc"}, [], "tolerances.eq1", id="tolerance-text"),
+    pytest.param(("frame",), {"kind": "constant", "matrix": "x"}, [], "matrix",
+                 id="frame-matrix-text"),
+    pytest.param(("sigma",), [float("nan"), 0.0], [], "sigma", id="sigma-nan"),
+    pytest.param(("tolerances",), {"eq1": "nan"}, [], "tolerances.eq1", id="tolerance-nan"),
+    pytest.param(("epsilon_override",), [float("nan"), 0.0], [], "epsilon_override",
+                 id="epsilon_override-nan"),
+    pytest.param(("samples", "box"), [0.0, float("inf")], [], "samples.box", id="box-inf"),
+    pytest.param(("fd_step",), 0, ["--fd"], "fd_step", id="fd_step-zero"),
+    pytest.param(("fd_step",), -1, ["--fd"], "fd_step", id="fd_step-negative"),
+])
+def test_verify_rejects_malformed_or_non_finite_entries(tmp_path, path, value, flags, key):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    target = cfg
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = value
+    config = tmp_path / "bad_entry.json"
+    config.write_text(json.dumps(cfg))  # NaN and Infinity as JSON literals
+    code, out, err = run_cli(["verify", "--config", str(config), *flags])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "Traceback" not in err
+    assert key in err
+
+
 def test_verify_epsilon_override_breaches_tolerance(tmp_path):
     cfg = dict(BASE_CONFIG, epsilon_override=[13.0, 0.0])
     path = tmp_path / "forced_eps.json"

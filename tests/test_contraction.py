@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from clifford_ym.algebra import (
+    CliffordError,
     Multivector,
     Signature,
     grade_project,
@@ -16,15 +17,14 @@ from clifford_ym.contraction import (
     SingularMatrixError,
     build_table,
     contract,
-    contract_power,
-    frame_contract,
     grade_project_paired,
     invert_rational_matrix,
     lambdas,
-    project_via_contractions,
+    project,
     table_to_json,
 )
 from clifford_ym import golden
+from clifford_ym.fields import generator_field_vector
 
 
 def test_lambda_values_small_n():
@@ -45,20 +45,13 @@ def test_contraction_eigenvalues_per_grade(p, q):
         assert res.max_norm() < 1e-12
 
 
-def test_contract_power_iterates(rng):
-    sig = Signature(2, 1)
-    u = random_multivector(sig, rng)
-    twice = contract(contract(u))
-    assert (contract_power(u, 2) - twice).max_norm() < 1e-13
-    assert (contract_power(u, 0) - u).max_norm() == 0.0
-
-
-def test_frame_contract_with_generators_matches(rng):
+def test_contract_with_explicit_generators_matches_default(rng):
     sig = Signature(2, 2)
     u = random_multivector(sig, rng)
     gens = [Multivector.generator(sig, a) for a in range(1, sig.n + 1)]
-    got = frame_contract(u, gens, sig.metric())
-    assert (got - contract(u)).max_norm() < 1e-13
+    assert (contract(u, gens) - contract(u)).max_norm() == 0.0
+    with pytest.raises(CliffordError):
+        contract(u, gens[:-1])
 
 
 def test_rational_inverse_exact():
@@ -117,11 +110,13 @@ def test_even_projectors_reproduce_grade_projection(rng):
         sig = Signature(p, q)
         table = build_table(sig.n)
         u = random_multivector(sig, rng)
+        gens = generator_field_vector(sig).values(np.zeros(sig.n))
         total = Multivector.zero(sig)
         for k in range(sig.n + 1):
-            pk = project_via_contractions(u, k, table)
+            pk = project(u, k, table=table)
             ref = grade_project(u, k)
             assert (pk - ref).max_norm() < 1e-12
+            assert (project(u, k, gens, table) - ref).max_norm() < 1e-12
             total = total + pk
         assert (total - u).max_norm() < 1e-12
 
@@ -131,11 +126,13 @@ def test_odd_projectors_reproduce_paired_projection(rng):
         sig = Signature(p, q)
         table = build_table(sig.n)
         u = random_multivector(sig, rng)
+        gens = generator_field_vector(sig).values(np.zeros(sig.n))
         total = Multivector.zero(sig)
         for k in range((sig.n + 1) // 2):
-            pk = project_via_contractions(u, k, table)
+            pk = project(u, k, table=table)
             ref = grade_project_paired(u, k)
             assert (pk - ref).max_norm() < 1e-12
+            assert (project(u, k, gens, table) - ref).max_norm() < 1e-12
             total = total + pk
         assert (total - u).max_norm() < 1e-12
 

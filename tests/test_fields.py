@@ -6,11 +6,13 @@ import pytest
 from clifford_ym.algebra import (
     Multivector,
     Signature,
+    exponential,
     geometric_product,
     grade_project,
+    inverse,
     random_multivector,
 )
-from clifford_ym.contraction import build_table, project_via_contractions
+from clifford_ym.contraction import build_table, grade_project_paired, project
 from clifford_ym.fields import (
     CallableField,
     ExpField,
@@ -24,16 +26,13 @@ from clifford_ym.fields import (
     MvJet,
     PolyField,
     Polynomial,
-    evaluate,
     fd_jet,
     generator_field_vector,
-    hform_project,
     invert_value_jet,
     lower_index,
     make_clifford_field_vector,
     make_frame_field,
     make_gauge_element,
-    partial_derivative,
     raise_index,
     random_bivector_poly_field,
     random_frame,
@@ -119,7 +118,7 @@ def test_polyfield_partial_is_exact_derivative(rng):
         exact = f.partial(mu).value(x)
         approx = (f.value(x + e) - f.value(x - e)) / (2 * step)
         assert (exact - approx).max_norm() < 1e-8
-        assert (exact - partial_derivative(f, mu + 1, x)).max_norm() < 1e-8
+        assert (exact - f.jet(x, 1).grad(mu)).max_norm() < 1e-8
 
 
 def test_expfield_jets_match_finite_differences(rng):
@@ -377,21 +376,41 @@ def test_lower_raise_index_round_trip(rng):
         assert (raised[mu].value(x) - vals[mu]).max_norm() < 1e-14
 
 
+def _h_blades(vals):
+    """Products of field-vector values, one per blade mask, with its h-grade."""
+    sig = vals[0].sig
+    blades = []
+    for mask in range(sig.dim):
+        blade = Multivector.unit(sig)
+        for a in range(sig.n):
+            if mask & (1 << a):
+                blade = geometric_product(blade, vals[a])
+        blades.append((bin(mask).count("1"), blade.coeffs))
+    return blades
+
+
 def test_hform_projection_matches_contraction_projection(rng):
     # With the generator field vector, projection through the field copies
-    # the plain generator-contraction projection.
-    for (p, q) in [(2, 0), (2, 1)]:
+    # the plain grade projection. With h^a = S^-1 e^a S for S = exp(vector),
+    # whose conjugation mixes grades (a bivector exponent would keep them,
+    # and with them the plain projection), it keeps exactly the h-grade-k
+    # part of the element's expansion in the h-blade basis.
+    for (p, q) in [(2, 0), (2, 1), (2, 2), (3, 2)]:
         sig = Signature(p, q)
-        h = generator_field_vector(sig)
-        x = np.zeros(sig.n)
-        h_at_x = h.values(x)
-        table = build_table(sig.n)
+        n = sig.n
+        table = build_table(n)
         u = random_multivector(sig, rng)
-        kmax = sig.n if sig.n % 2 == 0 else (sig.n + 1) // 2 - 1
-        for k in range(kmax + 1):
-            got = hform_project(u, k, h_at_x, table)
-            ref = project_via_contractions(u, k, table)
-            assert (got - ref).max_norm() < 1e-12
+        gens = generator_field_vector(sig).values(np.zeros(n))
+        s = exponential(0.3 * random_multivector(sig, rng, grades=(1,), real=True))
+        h_at_x = [inverse(s) * e * s for e in gens]
+        blades = _h_blades(h_at_x)
+        coeffs = np.linalg.solve(np.stack([b for _, b in blades], axis=1), u.coeffs)
+        for k in range(table.max_k + 1):
+            ref = grade_project(u, k) if sig.n % 2 == 0 else grade_project_paired(u, k)
+            assert (project(u, k, gens, table) - ref).max_norm() < 1e-12
+            grades = {k, n - k} if n % 2 else {k}
+            want = sum(c * b for c, (g, b) in zip(coeffs, blades) if g in grades)
+            assert np.abs(project(u, k, h_at_x, table).coeffs - want).max() < 1e-10
 
 
 def test_hblade_completeness_linear_solve(rng):
@@ -414,16 +433,6 @@ def test_hblade_completeness_linear_solve(rng):
     coeffs = np.linalg.solve(basis, u.coeffs)
     recon = basis @ coeffs
     assert np.abs(recon - u.coeffs).max() < 1e-10
-
-
-def test_evaluate_and_partial_derivative_helpers(rng):
-    sig = Signature(2, 0)
-    f = random_bivector_poly_field(sig, rng, scale=1.0, degree=2)
-    x = np.array([0.5, -0.5])
-    assert (evaluate(f, x) - f.value(x)).max_norm() == 0.0
-    for mu in range(2):
-        got = partial_derivative(f, mu + 1, x)
-        assert (got - f.partial(mu).value(x)).max_norm() < 1e-8
 
 
 def test_jets_memo_is_mutation_safe(rng):

@@ -13,6 +13,7 @@ from clifford_ym.algebra import (
 )
 from clifford_ym.contraction import build_table
 from clifford_ym.fields import (
+    MvJet,
     FrameField,
     GaugeElement,
     GaugeMembershipError,
@@ -29,7 +30,10 @@ from clifford_ym.primitive import (
     PrimitiveSolution,
     TransformedConnection,
     ZeroCovector,
+    _contract_jet,
+    _w_jets,
     compute_C,
+    compute_C_jets,
     connection_center_leak,
     curvature_residual,
     gauge_transform,
@@ -50,16 +54,39 @@ def test_primitive_equation_solved(p, q):
         assert max_norm_grid(curvature_residual(c, x)) < 1e-9
 
 
-def test_both_forms_agree(rng):
-    sig, h, points = build_field_vector(2, 1, seed=29)
-    table = build_table(sig.n)
-    for x in points[:3]:
-        proj = compute_C(h, table, x, form="projection")
-        wsum = compute_C(h, table, x, form="contraction")
-        for mu in range(sig.n):
-            assert (proj[mu] - wsum[mu]).max_norm() < 1e-12
-    with pytest.raises(CliffordError):
-        compute_C(h, table, points[0], form="weighted")
+def _projection_form_C_jets(hjets, table):
+    """Oracle: C_mu = sum_k mu_k pi[h]_k(W_mu), each h-grade projection rebuilt
+    from its projector row over the same contraction chain F[h]^l(W_mu)."""
+    sig = hjets[0].sig
+    metric = sig.metric()
+    order = hjets[0].order - 1
+    htrunc = [hj.truncate(order) for hj in hjets]
+    out = []
+    for w in _w_jets(hjets, metric, order):
+        chain = [w]
+        for _ in range(len(table.weights) - 1):
+            chain.append(_contract_jet(chain[-1], htrunc, metric))
+        c = MvJet.constant(Multivector.zero(sig), order)
+        for k in range(1, table.max_k + 1):
+            for l, b in enumerate(table.projector_row(k)):
+                c = c + chain[l].scale(float(table.mus[k] * b))
+        out.append(c)
+    return out
+
+
+def test_both_forms_agree():
+    # The collapsed weights w_l = sum_k mu_k b_kl against the mu_k-weighted
+    # projection sum they collapse, on the value and gradient rows.
+    for (p, q) in [(2, 0), (2, 1), (2, 2), (3, 2)]:
+        sig, h, points = build_field_vector(p, q, seed=29)
+        table = build_table(sig.n)
+        for x in points[:3]:
+            hjets = h.jets(x, 2)
+            got = compute_C_jets(hjets, table)
+            want = _projection_form_C_jets(hjets, table)
+            for mu in range(sig.n):
+                assert got[mu].order == want[mu].order == 1
+                assert np.abs(got[mu].comps - want[mu].comps).max() < 1e-12
 
 
 def test_constant_field_vector_yields_zero_connection():

@@ -22,6 +22,7 @@ from clifford_ym.primitive import (
     DerivedConnection,
     OffsetCovector,
     ZeroCovector,
+    curvature_residual,
     max_norm_grid,
 )
 from clifford_ym.fields import generator_field_vector
@@ -35,7 +36,6 @@ from clifford_ym.yang_mills import (
     epsilon_value,
     eq1_residual,
     eq2_residual,
-    field_strength,
     gauge_transform_solution,
     verify_solution,
     ym_residuals,
@@ -106,7 +106,7 @@ def test_field_strength_antisymmetric_and_center_free():
 def test_field_strength_matches_jet_formula():
     sig, sol, points = certified(2, 0, 1.0)
     x = points[1]
-    direct = field_strength(sol.b, x)
+    direct = curvature_residual(sol.b, x)
     expected = sol.g_lower(x)
     for mu in range(sig.n):
         for nu in range(sig.n):
@@ -118,7 +118,7 @@ def test_field_strength_of_flat_connection_vanishes(rng):
     c = DerivedConnection(h)
     sol = YMSolution(h, c, 0.0)
     for x in points[:3]:
-        for row in field_strength(sol.b, x):
+        for row in curvature_residual(sol.b, x):
             for v in row:
                 assert v.max_norm() < 1e-9
 
