@@ -29,6 +29,7 @@ from .algebra import (
     exponential,
     geometric_product,
     inverse,
+    reversion,
     tables,
     trace,
 )
@@ -191,6 +192,23 @@ def _hidx(n: int, i: int, j: int) -> int:
     return 1 + n + i * n - i * (i - 1) // 2 + (j - i)
 
 
+@lru_cache(maxsize=None)
+def _partial_rows(n: int, order: int) -> np.ndarray:
+    """Index array (n, rows): row r of the order-`order` jet of d_mu f is
+    row [mu, r] of the jet of f, one order higher."""
+    return np.array([[1 + mu] + [_hidx(n, mu, nu) for nu in range(n) if order == 1]
+                     for mu in range(n)], dtype=np.intp)
+
+
+@lru_cache(maxsize=None)
+def _derivative_rows(n: int, order: int) -> np.ndarray:
+    """Multi-index of the derivative each jet row holds, shape (rows, n)."""
+    eye = np.eye(n, dtype=np.int64)
+    i, j = _hess_axes(n)
+    blocks = (np.zeros((1, n), dtype=np.int64), eye, eye[i] + eye[j])
+    return np.vstack(blocks[:order + 1])
+
+
 class ScalarJet:
     """Value, gradient, and optional Hessian of a scalar function at a point."""
 
@@ -261,12 +279,8 @@ class MvJet:
         """The jet of the derivative field along axis mu, one order lower."""
         if self.order < 1:
             raise CliffordError("cannot differentiate an order-0 jet")
-        n = self.sig.n
-        if self.order == 1:
-            return MvJet(self.sig, 0, self.comps[1 + mu:2 + mu].copy())
-        rows = [self.comps[1 + mu]]
-        rows.extend(self.comps[_hidx(n, mu, nu)] for nu in range(n))
-        return MvJet(self.sig, 1, np.array(rows))
+        order = self.order - 1
+        return MvJet(self.sig, order, self.comps[_partial_rows(self.sig.n, order)[mu]])
 
     def truncate(self, order: int) -> "MvJet":
         if order >= self.order:
@@ -314,7 +328,17 @@ class MvJet:
         return MvJet(self.sig, self.order, t.batch_product(c.coeffs[None], self.comps)[0])
 
 
-def _jet_mul(a: MvJet, b: MvJet) -> MvJet:
+def _right_matrices(b: MvJet) -> tuple:
+    """R(b value) and, at order 2, R of each gradient row of b: the matrices
+    _jet_mul(a, b) gathers for b, for callers that multiply many jets by one b."""
+    t = tables(b.sig)
+    n = b.sig.n
+    return (t.right_mult_matrix(b.comps[0]),
+            t.right_mult_matrix(b.comps[1:1 + n]) if b.order == 2 else None)
+
+
+def _jet_mul(a: MvJet, b: MvJet, b_right: tuple | None = None) -> MvJet:
+    """Product jet a * b; b_right, if given, is _right_matrices(b)."""
     if a.sig != b.sig:
         raise CliffordError("jet signature mismatch")
     sig = a.sig
@@ -329,8 +353,13 @@ def _jet_mul(a: MvJet, b: MvJet) -> MvJet:
     # Only three blocks of pairwise products are needed:
     # value x everything, everything x value, gradient x gradient.
     p_row = t.batch_product(ca[0:1], cb)[0]
-    p_col = t.batch_product(ca, cb[0:1])[:, 0]
-    gg = t.batch_product(ca[1:1 + n], cb[1:1 + n]) if order == 2 else None
+    if b_right is None:
+        p_col = t.batch_product(ca, cb[0:1])[:, 0]
+        gg = t.batch_product(ca[1:1 + n], cb[1:1 + n]) if order == 2 else None
+    else:
+        p_col = ca @ b_right[0]
+        # gg[r, s] = a_r * b_s = a_r @ R(b_s); the matmul stacks over s.
+        gg = (ca[1:1 + n] @ b_right[1]).swapaxes(0, 1) if order == 2 else None
     out = p_row + p_col
     out[0] = p_row[0]
     if order == 2:
@@ -373,6 +402,42 @@ class PolyField(MultivectorField):
                 polys[mask] = poly
         self.blade_polys = polys
         self._diff_cache: dict[int, "PolyField"] = {}
+        self._evaluators: dict[int, tuple] = {}
+
+    def _evaluator(self, order: int) -> tuple:
+        """Stacked monomial tables for the jet rows up to order, built once per order.
+
+        Jet row r holds the derivative D^d (d = _derivative_rows(n, order)[r]),
+        and D^d x^E = c x^(E - d) with c the product over axes of the falling
+        factorials E_i (E_i - 1) ... (E_i - d_i + 1), which is 0 exactly when
+        some E_i < d_i. Returns (masks, coeffs (T, B), exponents (R, T, n),
+        factors (R, T)) over the T distinct monomials and B blades.
+        """
+        ev = self._evaluators.get(order)
+        if ev is None:
+            n = self.sig.n
+            masks = np.array(sorted(self.blade_polys), dtype=np.intp)
+            monos = sorted({e for p in self.blade_polys.values() for e in p.terms})
+            index = {e: t for t, e in enumerate(monos)}
+            coeffs = np.zeros((len(monos), len(masks)), dtype=np.complex128)
+            for b, mask in enumerate(masks):
+                for e, c in self.blade_polys[mask].terms.items():
+                    coeffs[index[e], b] = c
+            exps = np.array(monos, dtype=np.int64).reshape(len(monos), n)
+            d = _derivative_rows(n, order)[:, None, :]
+            falling = np.ones((d.shape[0], len(monos), n))
+            for j in range(order):
+                falling *= np.where(d > j, exps - j, 1)
+            # Clipped so that a vanishing term never evaluates 0 ** -1.
+            ev = (masks, coeffs, np.maximum(exps - d, 0), falling.prod(axis=-1))
+            self._evaluators[order] = ev
+        return ev
+
+    def _rows(self, x: np.ndarray, order: int) -> np.ndarray:
+        masks, coeffs, exps, factors = self._evaluator(order)
+        comps = np.zeros((_nrows(order, self.sig.n), self.sig.dim), dtype=np.complex128)
+        comps[:, masks] = (factors * np.prod(x ** exps, axis=-1)) @ coeffs
+        return comps
 
     @classmethod
     def constant(cls, sig: Signature, mv: Multivector) -> "PolyField":
@@ -386,11 +451,7 @@ class PolyField(MultivectorField):
         return cls(sig, {})
 
     def value(self, x) -> Multivector:
-        x = _as_point(x, self.sig.n)
-        coeffs = np.zeros(self.sig.dim, dtype=np.complex128)
-        for mask, poly in self.blade_polys.items():
-            coeffs[mask] = poly(x)
-        return Multivector(self.sig, coeffs, copy=False)
+        return Multivector(self.sig, self._rows(_as_point(x, self.sig.n), 0)[0], copy=False)
 
     def partial(self, mu: int) -> "PolyField":
         """Exact derivative field along axis mu (0-based)."""
@@ -401,18 +462,9 @@ class PolyField(MultivectorField):
         return self._diff_cache[mu]
 
     def jet(self, x, order: int = 1) -> MvJet:
-        x = _as_point(x, self.sig.n)
-        n = self.sig.n
-        comps = np.zeros((_nrows(order, n), self.sig.dim), dtype=np.complex128)
-        for mask, poly in self.blade_polys.items():
-            sj = ScalarJet.of_polynomial(poly, x, order)
-            comps[0, mask] = sj.value
-            if order >= 1:
-                comps[1:1 + n, mask] = sj.grad
-            if order == 2:
-                for i, j in _hess_pairs(n):
-                    comps[_hidx(n, i, j), mask] = sj.hess[i, j]
-        return MvJet(self.sig, order, comps)
+        if order not in (0, 1, 2):
+            raise CliffordError(f"jet order must be 0, 1, or 2, got {order}")
+        return MvJet(self.sig, order, self._rows(_as_point(x, self.sig.n), order))
 
     def scale(self, c: complex) -> "PolyField":
         return PolyField(self.sig, {m: p * c for m, p in self.blade_polys.items()})
@@ -500,7 +552,9 @@ class ExpField(MultivectorField):
     """Pointwise exponential of a generator field, with exact series jets.
 
     The jet of exp(A(x)) is the jet-series sum of A(x)-jet powers over k!,
-    which is the same truncation as the value series, term by term.
+    which is the same truncation as the value series, term by term. Every
+    term is multiplied on the right by the same jet of A, so its
+    multiplication matrices are gathered once per jet.
     """
 
     def __init__(self, generator: MultivectorField, tol: float = 1e-14, max_terms: int = 64):
@@ -516,11 +570,12 @@ class ExpField(MultivectorField):
         from .algebra import SeriesDivergence
 
         a = self.generator.jet(x, order)
+        a_right = _right_matrices(a) if order else None
         acc = MvJet.constant(Multivector.unit(self.sig), order)
         term = acc
         norm = np.inf
         for k in range(1, self.max_terms + 1):
-            term = _jet_mul(term, a).scale(1.0 / k)
+            term = _jet_mul(term, a, a_right).scale(1.0 / k)
             acc = acc + term
             norm = term.max_norm()
             if norm < self.tol:
@@ -563,14 +618,38 @@ class FrameField:
     rotation (exp(t(x) M) P for a pseudo-rotation generator M and a
     polynomial parameter t). Rotation derivatives are closed form:
     d_nu Y = (d_nu t) M Y.
+
+    The constructor checks the base matrix, and for rotations the generator
+    and the parameter, so every frame is pseudo-orthogonal at every point by
+    construction; field vectors rely on this for their contraction shortcut.
     """
 
     def __init__(self, sig: Signature, kind: str, base: np.ndarray,
-                 generator: np.ndarray | None = None, poly: Polynomial | None = None):
+                 generator: np.ndarray | None = None, poly: Polynomial | None = None,
+                 tol: float = 1e-10):
+        n = sig.n
+        if kind not in ("identity", "constant", "rotation"):
+            raise FrameError(f"unknown frame kind {kind!r}")
+        self.base = np.asarray(base, dtype=float)
+        _check_pseudo_orthogonal(sig, self.base, tol)
+        if kind == "rotation":
+            generator = np.asarray(generator, dtype=float)
+            if generator.shape != (n, n):
+                raise FrameError(f"rotation generator must be {n}x{n}")
+            eta = np.diag(np.array(sig.metric(), dtype=float))
+            # exp(tM) stays pseudo-orthogonal iff M eta + eta M^T = 0
+            if not np.max(np.abs(generator @ eta + eta @ generator.T)) <= 1e-12:
+                raise FrameError("rotation generator is not in the pseudo-orthogonal Lie algebra")
+            if not isinstance(poly, Polynomial) or poly.nvars != n:
+                raise FrameError(f"rotation parameter must be a polynomial in {n} variables")
+            # A real parameter keeps exp(tM) real, and its derivatives with it.
+            if any(c.imag != 0 for c in poly.terms.values()):
+                raise FrameError("rotation parameter must have real coefficients")
+        elif generator is not None or poly is not None:
+            raise FrameError(f"a {kind} frame takes no generator or parameter")
         self.sig = sig
         self.kind = kind
-        self.base = np.asarray(base, dtype=float)
-        self.generator = None if generator is None else np.asarray(generator, dtype=float)
+        self.generator = generator
         self.poly = poly
 
     @classmethod
@@ -579,26 +658,13 @@ class FrameField:
 
     @classmethod
     def constant(cls, sig: Signature, matrix, tol: float = 1e-10) -> "FrameField":
-        mat = np.asarray(matrix, dtype=float)
-        _check_pseudo_orthogonal(sig, mat, tol)
-        return cls(sig, "constant", mat)
+        return cls(sig, "constant", matrix, tol=tol)
 
     @classmethod
     def rotation(cls, sig: Signature, poly: Polynomial, generator, base=None,
                  tol: float = 1e-10) -> "FrameField":
-        n = sig.n
-        gen = np.asarray(generator, dtype=float)
-        if gen.shape != (n, n):
-            raise FrameError(f"rotation generator must be {n}x{n}")
-        eta = np.diag(np.array(sig.metric(), dtype=float))
-        # exp(tM) stays pseudo-orthogonal iff M eta + eta M^T = 0
-        if not np.max(np.abs(gen @ eta + eta @ gen.T)) <= 1e-12:
-            raise FrameError("rotation generator is not in the pseudo-orthogonal Lie algebra")
-        if poly.nvars != n:
-            raise FrameError(f"rotation parameter has {poly.nvars} variables, need {n}")
-        base_mat = np.eye(n) if base is None else np.asarray(base, dtype=float)
-        _check_pseudo_orthogonal(sig, base_mat, tol)
-        return cls(sig, "rotation", base_mat, gen, poly)
+        return cls(sig, "rotation", np.eye(sig.n) if base is None else base,
+                   generator, poly, tol=tol)
 
     def matrix(self, x) -> np.ndarray:
         x = _as_point(x, self.sig.n)
@@ -606,10 +672,7 @@ class FrameField:
             return self.base.copy()
         from scipy.linalg import expm
 
-        t = self.poly(x)
-        if abs(t.imag) > 1e-12:
-            raise FrameError("rotation parameter must be real-valued")
-        return expm(t.real * self.generator) @ self.base
+        return expm(self.poly(x).real * self.generator) @ self.base
 
     def coframe(self, x) -> np.ndarray:
         """Metric dual: coframe[a, nu] = eta^{ab} eta_{mu nu} y^mu_b."""
@@ -699,54 +762,59 @@ def random_frame(sig: Signature, rng: np.random.Generator, scale: float = 0.4) -
 class GaugeElement:
     """Invertible field S(x) whose logarithmic derivatives avoid the center.
 
-    When built as exp(A) the inverse field exp(-A) is carried along, so both
-    S and S^-1 have exact jets. Arbitrary invertible fields fall back to the
-    inverse-jet formula.
+    bivector_exp is set, from the type of the field alone, when S = exp(B)
+    for a PolyField B with no grade but 2. Reversion is an anti-automorphism
+    that negates bivectors, so reversion(exp B) = exp(-B) = S^-1: the
+    inverse value and jet are those of S with the per-grade reversion signs,
+    and conjugation by S keeps every grade. Any other invertible field
+    falls back to the linear solve and the inverse-jet formula.
     """
 
     _MEMO_CAP = 128
 
-    def __init__(self, s_field: MultivectorField, generator: MultivectorField | None = None,
-                 sinv_field: MultivectorField | None = None):
+    def __init__(self, s_field: MultivectorField):
         self.sig = s_field.sig
         self.s_field = s_field
-        self.generator = generator
-        self.sinv_field = sinv_field
+        gen = s_field.generator if isinstance(s_field, ExpField) else None
+        self.bivector_exp = isinstance(gen, PolyField) and set(gen.grades_present()) <= {2}
         self._jet_memo: dict[tuple[bytes, bool], tuple[int, MvJet]] = {}
 
     @classmethod
     def identity(cls, sig: Signature) -> "GaugeElement":
-        unit = PolyField.constant(sig, Multivector.unit(sig))
-        zero = PolyField.zero(sig)
-        return cls(unit, generator=zero, sinv_field=unit)
+        return cls(ExpField(PolyField.zero(sig)))
 
     def value(self, x) -> Multivector:
         return self.s_field.value(x)
 
     def inv_value(self, x) -> Multivector:
-        if self.sinv_field is not None:
-            return self.sinv_field.value(x)
+        if self.bivector_exp:
+            return reversion(self.s_field.value(x))
         return inverse(self.s_field.value(x))
 
     def _memo_jet(self, x, order: int, inverse_side: bool) -> MvJet:
         x = _as_point(x, self.sig.n)
-        key = (x.tobytes(), inverse_side)
+        # An exp(bivector) reverses the jet of S itself, so only the fallback
+        # inverse keeps memo entries of its own.
+        reverse = inverse_side and self.bivector_exp
+        key = (x.tobytes(), inverse_side and not reverse)
         hit = self._jet_memo.get(key)
         if hit is not None and hit[0] >= order:
-            return hit[1].truncate(order)
-        # Jets of S are always eventually needed to second order (transformed
-        # connections and curvature both reach it), so compute the full jet
-        # once instead of rebuilding the exponential series per order.
-        eff = max(order, 2)
-        if inverse_side:
-            jet = (self.sinv_field.jet(x, eff) if self.sinv_field is not None
-                   else invert_value_jet(self.s_field.jet(x, eff)))
+            jet = hit[1].truncate(order)
         else:
+            # Jets of S are always eventually needed to second order
+            # (transformed connections and curvature both reach it), so
+            # compute the full jet once instead of one series per order.
+            eff = max(order, 2)
             jet = self.s_field.jet(x, eff)
-        self._jet_memo[key] = (eff, jet)
-        if len(self._jet_memo) > self._MEMO_CAP:
-            self._jet_memo.pop(next(iter(self._jet_memo)))
-        return jet.truncate(order)
+            if key[1]:
+                jet = invert_value_jet(jet)
+            self._jet_memo[key] = (eff, jet)
+            if len(self._jet_memo) > self._MEMO_CAP:
+                self._jet_memo.pop(next(iter(self._jet_memo)))
+            jet = jet.truncate(order)
+        if reverse:
+            return MvJet(self.sig, jet.order, jet.comps * tables(self.sig).reversion_signs)
+        return jet
 
     def jet(self, x, order: int = 1) -> MvJet:
         return self._memo_jet(x, order, False)
@@ -755,11 +823,11 @@ class GaugeElement:
         return self._memo_jet(x, order, True)
 
     def inverse(self) -> "GaugeElement":
-        """The gauge element S^-1, swapping the forward and inverse fields."""
-        if self.sinv_field is None:
-            raise CliffordError("no explicit inverse field to swap in")
-        gen = self.generator.scale(-1) if self.generator is not None else None
-        return GaugeElement(self.sinv_field, generator=gen, sinv_field=self.s_field)
+        """The gauge element S^-1 = exp(-A) of an S = exp(A)."""
+        if not isinstance(self.s_field, ExpField):
+            raise CliffordError("only a gauge element exp(A) has an explicit inverse field")
+        s = self.s_field
+        return GaugeElement(ExpField(s.generator.scale(-1.0), tol=s.tol, max_terms=s.max_terms))
 
     def connection(self, x) -> list[Multivector]:
         """S^-1 d_mu S for each mu, 0-based list."""
@@ -820,9 +888,7 @@ def make_gauge_element(a_field: MultivectorField, tol: float = 1e-9,
                 if bad > tol:
                     raise GaugeMembershipError(
                         f"generator leaves grade 2 by {bad:.3e} at {list(x)}", point=x)
-    s_field = ExpField(a_field, tol=exp_tol, max_terms=max_terms)
-    sinv_field = ExpField(a_field.scale(-1.0), tol=exp_tol, max_terms=max_terms)
-    gauge = GaugeElement(s_field, generator=a_field, sinv_field=sinv_field)
+    gauge = GaugeElement(ExpField(a_field, tol=exp_tol, max_terms=max_terms))
     if sample_points_ is not None:
         gauge.validate_membership(sample_points_, tol=tol)
     return gauge
@@ -857,9 +923,16 @@ class CliffordFieldVector:
 
     Jets are memoized per point (all downstream consumers - the connection,
     the curvature, the gauge sector - hit the same points repeatedly).
+
+    grade_preserving is True only where the construction guarantees that
+    the h-contraction F[h](U) = sum_rho eta_rho h^rho U h^rho is the plain
+    generator contraction F at every point, so h-grades are blade grades;
+    the connection solver then skips the contraction chain. It is set from
+    types, never from a numerical probe, and defaults to False.
     """
 
     _MEMO_CAP = 128
+    grade_preserving = False
 
     def __init__(self, sig: Signature):
         self.sig = sig
@@ -972,7 +1045,12 @@ def generator_field_vector(sig: Signature) -> ExplicitFieldVector:
 
 
 class FrameGaugeFieldVector(CliffordFieldVector):
-    """h^mu(x) = y^mu_a(x) S(x)^-1 e^a S(x)."""
+    """h^mu(x) = y^mu_a(x) S(x)^-1 e^a S(x).
+
+    Every FrameField is pseudo-orthogonal, y^T eta y = eta, so F[h](U) =
+    S^-1 F(S U S^-1) S; when S = exp(bivector) conjugation keeps grades and
+    this is F(U), which makes the vector grade-preserving.
+    """
 
     def __init__(self, frame: FrameField, gauge: GaugeElement):
         if frame.sig != gauge.sig:
@@ -980,6 +1058,7 @@ class FrameGaugeFieldVector(CliffordFieldVector):
         super().__init__(frame.sig)
         self.frame = frame
         self.gauge = gauge
+        self.grade_preserving = gauge.bivector_exp
 
     def values(self, x) -> list[Multivector]:
         sig = self.sig

@@ -12,9 +12,19 @@ W_mu = (d_mu h^rho) h_rho:
 summed over k = 1..n for even n and over the paired projections
 k = 1..(n-1)/2 for odd n. Expanding the projections through contraction
 powers collapses the same sum to C_mu = sum_l w_l F[h]^l(W_mu) with the
-table weights w (r for even n, s for odd n). The solver evaluates this
-collapsed form only; the tests keep the mu_k-weighted projection sum as its
-oracle.
+table weights w (r for even n, s for odd n). The tests keep the
+mu_k-weighted projection sum as the oracle of this collapsed form.
+
+For the paper's family h^mu = y^mu_a S^-1 e^a S, with y pseudo-orthogonal
+and S = exp(B) for a bivector field B (and its gauge transforms by such S),
+F[h](U) = S^-1 F(S U S^-1) S = F(U): conjugation by exp(B) keeps grades,
+since ad_B does. Then pi[h]_k = pi_k and C_mu is mu_k times the grade-k
+part of W_mu, one scale per blade. Field vectors carry this as the
+structural flag grade_preserving, set from their types, never from a
+numerical probe; every other h (S = exp(vector), explicit or
+finite-difference field vectors) takes the contraction chain. The residuals
+are computed from C by the same code either way, so a wrong flag would
+breach a tolerance rather than pass.
 
 The connection never touches the center (the k = 0 and paired (0, n)
 projections are excluded), and a solving C has zero curvature:
@@ -32,6 +42,7 @@ from .algebra import (
     center_leak,
     commutator,
     geometric_product,
+    tables,
 )
 from .contraction import ContractionTable, build_table, contraction_series
 from .fields import (
@@ -40,6 +51,7 @@ from .fields import (
     MvJet,
     _as_point,
     _jet_mul,
+    _partial_rows,
     sample_points,
 )
 
@@ -104,31 +116,47 @@ def _contract_jet(vjet: MvJet, hjets: list[MvJet], metric) -> MvJet:
 
 
 def _w_jets(hjets: list[MvJet], metric, order: int) -> list[MvJet]:
-    """W_mu = (d_mu h^rho) h_rho as jets of the requested order."""
-    n = len(hjets)
-    out = []
-    for mu in range(n):
-        acc = None
-        for rho in range(n):
-            term = _jet_mul(hjets[rho].partial(mu), hjets[rho].truncate(order)).scale(metric[rho])
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    """W_mu = (d_mu h^rho) h_rho as jets of order 0 or 1, for every mu at once.
+
+    By the product rule, each row of the jet of d_mu h^rho times the value
+    of h^rho (one gathered matrix R(h^rho) per rho), plus at order 1 the
+    products (d_mu h^rho)(d_nu h^rho) in the gradient row nu.
+    """
+    sig = hjets[0].sig
+    n = sig.n
+    t = tables(sig)
+    rows = _partial_rows(n, order)
+    acc = 0
+    for eta, hj in zip(metric, hjets):
+        c = hj.comps
+        w = c[rows] @ t.right_mult_matrix(c[0])
+        if order == 1:
+            w[:, 1:] += t.batch_product(c[1:1 + n], c[1:1 + n])
+        acc = acc + eta * w
+    return [MvJet(sig, order, acc[mu]) for mu in range(n)]
 
 
-def compute_C_jets(hjets: list[MvJet], table: ContractionTable) -> list[MvJet]:
+def compute_C_jets(hjets: list[MvJet], table: ContractionTable,
+                   grade_preserving: bool = False) -> list[MvJet]:
     """Connection jets from field-vector jets (one order lower than the input).
 
-    C_mu = sum_l w_l F[h]^l(W_mu) with the collapsed table weights w.
+    C_mu = sum_l w_l F[h]^l(W_mu) with the collapsed table weights w. Pass
+    the field vector's grade_preserving flag: where it holds, F[h] = F, so
+    this is mu_k times the grade-k part of W_mu, one scale per blade.
     """
     sig = hjets[0].sig
     metric = sig.metric()
     order = hjets[0].order - 1
     if order < 0:
         raise CliffordError("field-vector jets must carry at least first derivatives")
+    wjets = _w_jets(hjets, metric, order)
+    if grade_preserving:
+        mus = np.array([0.0 if m is None else float(m) for m in table.mus])
+        scale = mus[tables(sig).grades]
+        return [MvJet(sig, order, w.comps * scale) for w in wjets]
     htrunc = [hj.truncate(order) for hj in hjets]
     out = []
-    for wjet in _w_jets(hjets, metric, order):
+    for wjet in wjets:
         c = contraction_series(wjet, table.weights,
                                lambda v: _contract_jet(v, htrunc, metric))
         out.append(MvJet.constant(Multivector.zero(sig), order) if c is None else c)
@@ -152,7 +180,7 @@ def compute_C(h: CliffordFieldVector, table: ContractionTable | None = None, x=N
     if validate:
         h.validate(x[None, :], tol=validate_tol)
     hjets = h.jets(x, 1)
-    return [j.value for j in compute_C_jets(hjets, table)]
+    return [j.value for j in compute_C_jets(hjets, table, h.grade_preserving)]
 
 
 class DerivedConnection(CovectorField):
@@ -174,7 +202,7 @@ class DerivedConnection(CovectorField):
         # one pass at order 1 is cheaper than passes at 0 and then 1.
         eff = max(order, 1)
         hjets = self.h.jets(x, eff + 1)
-        cjets = compute_C_jets(hjets, self.table)
+        cjets = compute_C_jets(hjets, self.table, self.h.grade_preserving)
         self._memo[key] = (eff, cjets)
         if len(self._memo) > 128:
             self._memo.pop(next(iter(self._memo)))
@@ -224,7 +252,10 @@ def connection_center_leak(c: CovectorField, x) -> float:
 
 
 class TransformedFieldVector(CliffordFieldVector):
-    """Conjugated field vector S^-1 h^mu S."""
+    """Conjugated field vector S^-1 h^mu S.
+
+    Grade-preserving when h is and conjugation by S keeps grades.
+    """
 
     def __init__(self, base: CliffordFieldVector, gauge: GaugeElement):
         if base.sig != gauge.sig:
@@ -232,6 +263,7 @@ class TransformedFieldVector(CliffordFieldVector):
         super().__init__(base.sig)
         self.base = base
         self.gauge = gauge
+        self.grade_preserving = base.grade_preserving and gauge.bivector_exp
 
     def values(self, x) -> list[Multivector]:
         s = self.gauge.value(x)

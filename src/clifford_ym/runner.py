@@ -96,6 +96,11 @@ FD_TOLERANCES = {
 }
 
 
+# Work cap of a run: sample points (count plus the origin) times the 2^n
+# blades of the algebra. It bounds the work any config can ask for.
+MAX_POINT_BLADES = 1 << 16
+
+
 @dataclass
 class RunConfig:
     """Fully resolved verification run parameters.
@@ -149,6 +154,9 @@ def parse_blade(label: str, n: int) -> int:
 
 
 def _integer(value, key: str) -> int:
+    """An integer config entry; booleans and fractional numbers are refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError):
@@ -203,6 +211,10 @@ def parse_config(data: dict, sigma_override: complex | None = None,
     count = _integer(samples.get("count", 16), "samples.count")
     if count < 1:
         raise ConfigError("samples.count must be positive")
+    if (count + 1) << n > MAX_POINT_BLADES:
+        raise ConfigError(
+            f"samples.count must be at most {(MAX_POINT_BLADES >> n) - 1} for n = {n}: "
+            f"(count + 1) points x 2^n blades may not exceed {MAX_POINT_BLADES}")
     box = samples.get("box", [-1.0, 1.0])
     if not isinstance(box, (list, tuple)) or len(box) != 2:
         raise ConfigError("samples.box must be [lo, hi] with lo < hi")

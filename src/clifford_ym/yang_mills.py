@@ -55,6 +55,12 @@ __all__ = [
 ]
 
 
+# epsilon_from_residuals refuses to solve when the summed |h|^2 is at most
+# this fraction of the projected flux: the roundoff of the sums is then too
+# large a share of it to leave a meaningful eps.
+_DEGENERATE_REL = 1e-12
+
+
 class NotASolution(CliffordError):
     """Candidate pair fails the flatness check required of a solution."""
 
@@ -249,7 +255,8 @@ def epsilon_from_residuals(sol: YMSolution, points) -> complex:
             norm = np.vdot(hv[nu].coeffs, hv[nu].coeffs)
             a += proj
             b += proj - norm
-    if a == b:
+    # a - b is the summed |h^nu|^2, the denominator of eps = a / (a - b).
+    if abs(a - b) <= _DEGENERATE_REL * max(abs(a), abs(b)):
         raise CliffordError("degenerate field vector: cannot solve for eps")
     return complex(a / (a - b))
 

@@ -213,6 +213,10 @@ def test_verify_non_bivector_gauge(tmp_path):
     pytest.param(("samples", "box"), [0.0, float("inf")], [], "samples.box", id="box-inf"),
     pytest.param(("fd_step",), 0, ["--fd"], "fd_step", id="fd_step-zero"),
     pytest.param(("fd_step",), -1, ["--fd"], "fd_step", id="fd_step-negative"),
+    pytest.param(("samples", "count"), 10 ** 400, [], "samples.count", id="count-huge"),
+    pytest.param(("samples", "count"), 1e8, [], "samples.count", id="count-over-cap"),
+    pytest.param(("samples", "count"), 1.5, [], "samples.count", id="count-fraction"),
+    pytest.param(("samples", "count"), True, [], "samples.count", id="count-bool"),
 ])
 def test_verify_rejects_malformed_or_non_finite_entries(tmp_path, path, value, flags, key):
     cfg = json.loads(json.dumps(BASE_CONFIG))

@@ -26,6 +26,11 @@ from clifford_ym.fields import (
     MvJet,
     PolyField,
     Polynomial,
+    ScalarJet,
+    _hidx,
+    _jet_mul,
+    _nrows,
+    _right_matrices,
     fd_jet,
     generator_field_vector,
     invert_value_jet,
@@ -97,6 +102,8 @@ def test_mvjet_product_rule_matches_pointwise_products(p, q, order, rng):
     got = a * b
     gp = geometric_product
     assert got.order == order
+    # Right matrices of b gathered once, as ExpField.jet does for its generator.
+    assert np.abs(_jet_mul(a, b, _right_matrices(b)).comps - got.comps).max() < 1e-12
     assert (got.value - gp(a.value, b.value)).max_norm() < 1e-12
     for mu in range(n if order >= 1 else 0):
         want = gp(a.grad(mu), b.value) + gp(a.value, b.grad(mu))
@@ -105,6 +112,37 @@ def test_mvjet_product_rule_matches_pointwise_products(p, q, order, rng):
             want = (gp(a.hess(mu, nu), b.value) + gp(a.grad(mu), b.grad(nu))
                     + gp(a.grad(nu), b.grad(mu)) + gp(a.value, b.hess(mu, nu)))
             assert (got.hess(mu, nu) - want).max_norm() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_polyfield_jets_match_polynomial_oracle(n, rng):
+    # Exponent-matrix evaluation against per-polynomial evaluation and
+    # differentiation (Polynomial.__call__ and diff through ScalarJet).
+    sig = Signature(n, 0)
+    blade_polys = {}
+    for mask in rng.choice(sig.dim, size=4, replace=False):
+        terms = {}
+        for _ in range(6):
+            exps = tuple(int(e) for e in rng.integers(0, 4, size=n))
+            terms[exps] = complex(*rng.standard_normal(2))
+        blade_polys[int(mask)] = Polynomial(n, terms)
+    field = PolyField(sig, blade_polys)
+    x = rng.uniform(-1.2, 1.2, size=n)
+    for order in (0, 1, 2):
+        want = np.zeros((_nrows(order, n), sig.dim), dtype=complex)
+        for mask, poly in blade_polys.items():
+            sj = ScalarJet.of_polynomial(poly, x, order)
+            want[0, mask] = sj.value
+            if order >= 1:
+                want[1:1 + n, mask] = sj.grad
+            if order == 2:
+                for i in range(n):
+                    for j in range(i, n):
+                        want[_hidx(n, i, j), mask] = sj.hess[i, j]
+        got = field.jet(x, order).comps
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(field.value(x).coeffs - want[0]).max() <= 1e-13 * np.abs(want[0]).max()
+    assert PolyField.zero(sig).jet(x, 2).max_norm() == 0.0
 
 
 def test_polyfield_partial_is_exact_derivative(rng):
@@ -192,6 +230,20 @@ def test_frame_identity_and_constant(rng):
         FrameField.constant(sig, np.zeros((3, 3)))
     with pytest.raises(FrameError):
         FrameField.constant(sig, np.eye(2))
+    # The constructor itself checks, so no frame skips the orthogonality test.
+    with pytest.raises(FrameError):
+        FrameField(sig, "constant", np.eye(3) * 1.1)
+    with pytest.raises(FrameError):
+        FrameField(sig, "moebius", np.eye(3))
+    with pytest.raises(FrameError):
+        FrameField(sig, "constant", rot, generator=np.zeros((3, 3)))
+    with pytest.raises(FrameError):
+        FrameField(sig, "rotation", rot, generator=np.eye(3), poly=Polynomial.coordinate(3, 0))
+    spin = np.zeros((3, 3))
+    spin[0, 1], spin[1, 0] = 1.0, -1.0
+    with pytest.raises(FrameError):
+        FrameField(sig, "rotation", rot, generator=spin,
+                   poly=Polynomial.coordinate(3, 0) * 1j)
 
 
 def test_frame_rotation_jets_match_fd(rng):
@@ -266,6 +318,39 @@ def test_gauge_inverse_round_trip(rng):
     u = random_multivector(sig, rng)
     back = inv.conjugate(gauge.conjugate(u, x), x)
     assert (back - u).max_norm() < 1e-11
+
+
+@pytest.mark.parametrize("p,q", [(2, 0), (2, 1), (3, 2), (4, 3)])
+def test_reversed_gauge_jet_is_the_inverse_jet(p, q, rng):
+    # For S = exp(B), B a bivector, S^-1 is the reversion of S: its jet must
+    # match the exp(-B) series and the inverse-jet formula.
+    sig = Signature(p, q)
+    gen = random_bivector_poly_field(sig, rng, scale=0.3)
+    gauge = make_gauge_element(gen)
+    assert gauge.bivector_exp and gauge.inverse().bivector_exp
+    x = rng.uniform(-1.0, 1.0, size=sig.n)
+    got = gauge.inv_jet(x, 2)
+    for want in (ExpField(gen.scale(-1.0)).jet(x, 2), invert_value_jet(gauge.jet(x, 2))):
+        assert np.abs(got.comps - want.comps).max() < 1e-12
+    assert (gauge.inv_value(x) - inverse(gauge.value(x))).max_norm() < 1e-12
+    assert np.array_equal(gauge.inv_jet(x, 1).comps, got.comps[:1 + sig.n])
+
+
+def test_non_bivector_gauge_inverts_by_formula(rng):
+    # exp(vector) and exp(scalar) are not exp(bivector): no reversion shortcut.
+    sig = Signature(2, 1)
+    x = np.array([0.3, -0.2, 0.5])
+    gens = [PolyField(sig, {1: Polynomial.coordinate(3, 0) * 0.4, 2: Polynomial.constant(3, 0.3)}),
+            PolyField(sig, {0: Polynomial.coordinate(3, 1)}),
+            PolyField(sig, {3: Polynomial.coordinate(3, 2), 5: Polynomial.constant(3, 0.2)})]
+    for gen, qualifies in zip(gens, (False, False, True)):
+        gauge = GaugeElement(ExpField(gen))
+        assert gauge.bivector_exp is qualifies
+        assert (gauge.inv_value(x) - inverse(gauge.value(x))).max_norm() < 1e-12
+        want = invert_value_jet(gauge.jet(x, 2))
+        assert np.abs(gauge.inv_jet(x, 2).comps - want.comps).max() < 1e-12
+    assert not GaugeElement(CallableField(sig, lambda y: Multivector.unit(sig))).bivector_exp
+    assert GaugeElement.identity(sig).bivector_exp
 
 
 def test_gauge_membership_enforced(rng):

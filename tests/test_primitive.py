@@ -1,5 +1,7 @@
 """Connection construction, flatness, gauge covariance of the linear system."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,15 +15,20 @@ from clifford_ym.algebra import (
 )
 from clifford_ym.contraction import build_table
 from clifford_ym.fields import (
+    ExpField,
+    ExplicitFieldVector,
+    FiniteDifferenceVector,
     MvJet,
     FrameField,
     GaugeElement,
     GaugeMembershipError,
     PolyField,
+    Polynomial,
     generator_field_vector,
     make_clifford_field_vector,
     make_gauge_element,
     random_bivector_poly_field,
+    random_frame,
     sample_points,
 )
 from clifford_ym.primitive import (
@@ -29,8 +36,10 @@ from clifford_ym.primitive import (
     OffsetCovector,
     PrimitiveSolution,
     TransformedConnection,
+    TransformedFieldVector,
     ZeroCovector,
     _contract_jet,
+    _jet_mul,
     _w_jets,
     compute_C,
     compute_C_jets,
@@ -87,6 +96,97 @@ def test_both_forms_agree():
             for mu in range(sig.n):
                 assert got[mu].order == want[mu].order == 1
                 assert np.abs(got[mu].comps - want[mu].comps).max() < 1e-12
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (3, 2)])
+def test_w_jets_match_jet_products(p, q):
+    # The batched W_mu against its definition, one jet product per (mu, rho).
+    sig, h, points = build_field_vector(p, q, seed=89, count=1)
+    metric = sig.metric()
+    hjets = h.jets(points[1], 2)
+    for order in (0, 1):
+        got = _w_jets(hjets, metric, order)
+        for mu in range(sig.n):
+            want = MvJet.constant(Multivector.zero(sig), order)
+            for rho in range(sig.n):
+                term = _jet_mul(hjets[rho].partial(mu), hjets[rho].truncate(order))
+                want = want + term.scale(metric[rho])
+            assert got[mu].order == order
+            assert np.abs(got[mu].comps - want.comps).max() < 1e-12
+
+
+def test_grade_weights_are_exact():
+    # On grade k the contraction F is lambda_k, so the collapsed series
+    # sum_l w_l F^l scales grade k by sum_l w_l lambda_k^l, which must be
+    # mu_k exactly, and 0 on the grades where mu_k is undefined.
+    for n in range(2, 11):
+        table = build_table(n)
+        for k, lam in enumerate(table.lambdas):
+            got = sum((w * Fraction(lam) ** l for l, w in enumerate(table.weights)), Fraction(0))
+            assert got == (table.mus[k] or 0), (n, k)
+        excluded = [k for k, mu in enumerate(table.mus) if mu is None]
+        assert excluded == ([0] if n % 2 == 0 else [0, n])
+
+
+@pytest.mark.parametrize("p,q", [(2, 0), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4)])
+def test_grade_scale_matches_contraction_chain(p, q):
+    # The runner's field vectors take the per-blade scale m * W; the
+    # contraction chain it replaces is the oracle, on value and gradient rows.
+    sig, h, points = build_field_vector(p, q, seed=73, count=1)
+    assert h.grade_preserving
+    table = build_table(sig.n)
+    hjets = h.jets(points[1], 2)
+    fast = compute_C_jets(hjets, table, grade_preserving=True)
+    chain = compute_C_jets(hjets, table)
+    for mu in range(sig.n):
+        assert fast[mu].order == chain[mu].order == 1
+        assert np.abs(fast[mu].comps - chain[mu].comps).max() < 1e-12
+
+
+def _vector_gauge(sig, rng):
+    """S = exp(v) for a polynomial vector field v: conjugation mixes grades."""
+    polys = {}
+    for a in range(sig.n):
+        coeffs = 0.3 * rng.standard_normal(sig.n + 1)
+        terms = {(0,) * sig.n: coeffs[0]}
+        for mu in range(sig.n):
+            terms[tuple(int(i == mu) for i in range(sig.n))] = coeffs[1 + mu]
+        polys[1 << a] = Polynomial(sig.n, terms)
+    return GaugeElement(ExpField(PolyField(sig, polys)))
+
+
+# Not n = 3: its one paired projection keeps all but the center, which any
+# conjugation fixes, so there the chain and the scale agree for every h.
+@pytest.mark.parametrize("p,q", [(2, 0), (2, 2), (3, 2)])
+def test_vector_gauge_takes_the_contraction_chain(p, q, rng):
+    sig = Signature(p, q)
+    gauge = _vector_gauge(sig, rng)
+    assert not gauge.bivector_exp
+    points = sample_points(sig.n, count=3, seed=79)
+    h = make_clifford_field_vector(random_frame(sig, rng), gauge, points=points)
+    assert not h.grade_preserving
+    table = build_table(sig.n)
+    hjets = h.jets(points[1], 2)
+    chain = compute_C_jets(hjets, table)
+    scaled = compute_C_jets(hjets, table, grade_preserving=True)
+    assert max(np.abs(c.comps - s.comps).max() for c, s in zip(chain, scaled)) > 1e-3
+    # The derived connection must still solve the primitive equation.
+    c = DerivedConnection(h)
+    for x in points[:3]:
+        assert max_norm_grid(primitive_residual(h, c, x)) < 1e-9
+        assert max_norm_grid(curvature_residual(c, x)) < 1e-8
+
+
+def test_grade_preserving_is_structural(rng):
+    sig, h, points = build_field_vector(2, 1, seed=83)
+    bivector = make_gauge_element(random_bivector_poly_field(sig, rng, scale=0.2))
+    vector = _vector_gauge(sig, rng)
+    assert h.grade_preserving and bivector.bivector_exp
+    assert TransformedFieldVector(h, bivector).grade_preserving
+    assert not TransformedFieldVector(h, vector).grade_preserving
+    assert not FiniteDifferenceVector(h).grade_preserving
+    assert not generator_field_vector(sig).grade_preserving
+    assert not ExplicitFieldVector([h.component(mu + 1) for mu in range(sig.n)]).grade_preserving
 
 
 def test_constant_field_vector_yields_zero_connection():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clifford_ym.algebra import (
+    CliffordError,
     Multivector,
     Signature,
     commutator,
@@ -11,6 +12,7 @@ from clifford_ym.algebra import (
     random_multivector,
 )
 from clifford_ym.fields import (
+    ExplicitFieldVector,
     GaugeMembershipError,
     GaugeElement,
     PolyField,
@@ -177,6 +179,21 @@ def test_epsilon_recovery_from_flux():
         eps = epsilon_from_residuals(sol, points[:5])
         want = epsilon_value(sig.n, sigma)
         assert abs(eps - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_epsilon_recovery_refuses_a_near_zero_field_vector():
+    # h = 1e-6 e^a with sigma = 1e8: the flux is ~1e12 times |h|^2, whose sum
+    # is then within the roundoff of the projected flux. The exact a == b
+    # test let this through and returned an eps wrong in its third digit.
+    sig = Signature(2, 0)
+    h = ExplicitFieldVector([PolyField.constant(sig, 1e-6 * Multivector.generator(sig, a))
+                             for a in (1, 2)])
+    points = sample_points(2, count=3)
+    with pytest.raises(CliffordError, match="degenerate"):
+        epsilon_from_residuals(YMSolution(h, ZeroCovector(sig), 1e8), points)
+    # At sigma = 1 the same h is not degenerate: eps = 4 sigma^3 |h|^2 = 4e-12.
+    eps = epsilon_from_residuals(YMSolution(h, ZeroCovector(sig), 1.0), points)
+    assert abs(eps - 4e-12) < 1e-24
 
 
 def test_ym_residuals_and_verify_schema():
