@@ -371,35 +371,30 @@ def exponential(u: Multivector, tol: float = 1e-14, max_terms: int = 64) -> Mult
 def inverse(u: Multivector, max_condition: float = 1e12) -> Multivector:
     """Multiplicative inverse via the 2^n x 2^n left-multiplication linear system.
 
-    Solves L(u) w = coeffs(e) with partial pivoting; a one-sided inverse in a
-    finite-dimensional unital algebra is automatically two-sided. Raises
-    NotInvertible when L(u) is singular or its condition estimate exceeds
+    The inverse of L(u) has the coefficients of u^-1 as its first column,
+    since L(u) w = coeffs(e); a one-sided inverse in a finite-dimensional
+    unital algebra is automatically two-sided. Raises NotInvertible when u
+    has a non-finite coefficient, when L(u) is singular or its inverse is
+    not finite, or when the 1-norm condition number ||L|| ||L^-1|| exceeds
     max_condition.
     """
-    import warnings
-
-    from scipy.linalg import LinAlgError, get_lapack_funcs, lu_factor, lu_solve
-
+    if not np.all(np.isfinite(u.coeffs)):
+        raise NotInvertible("element has a non-finite coefficient")
     mat = tables(u.sig).left_mult_matrix(u.coeffs)
     anorm = np.linalg.norm(mat, 1)
     if anorm == 0.0:
         raise NotInvertible("zero element has no inverse")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lu, piv = lu_factor(mat)
-    except LinAlgError as exc:
-        raise NotInvertible(f"left-multiplication operator is singular: {exc}") from exc
-    if not np.all(np.isfinite(lu)):
-        raise NotInvertible("left-multiplication operator is singular")
-    gecon = get_lapack_funcs(("gecon",), (lu,))[0]
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0 or not np.isfinite(rcond) or rcond <= 0 or 1.0 / rcond > max_condition:
-        est = (1.0 / rcond) if rcond > 0 else np.inf
-        raise NotInvertible(f"condition estimate {est:.3e} exceeds max_condition={max_condition:.3e}")
-    rhs = np.zeros(u.sig.dim, dtype=np.complex128)
-    rhs[0] = 1.0
-    return Multivector(u.sig, lu_solve((lu, piv), rhs), copy=False)
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(mat)
+        except np.linalg.LinAlgError as exc:
+            raise NotInvertible(f"left-multiplication operator is singular: {exc}") from exc
+        if not np.all(np.isfinite(inv)):
+            raise NotInvertible("left-multiplication operator has no finite inverse")
+        cond = anorm * np.linalg.norm(inv, 1)
+    if not cond <= max_condition:
+        raise NotInvertible(f"condition number {cond:.3e} exceeds max_condition={max_condition:.3e}")
+    return Multivector(u.sig, inv[:, 0], copy=True)
 
 
 def random_multivector(sig: Signature, rng: np.random.Generator, grades=None,

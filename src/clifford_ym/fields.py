@@ -17,6 +17,7 @@ out to machine precision, which the residual tolerances need.
 from __future__ import annotations
 
 import cmath
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -611,6 +612,77 @@ def invert_value_jet(sjet: MvJet) -> MvJet:
     return MvJet(sig, sjet.order, comps)
 
 
+# Numerator coefficients b_0..b_m of the [m/m] Pade approximant to exp, and
+# theta_m, the largest eta for which that approximant meets unit roundoff in
+# double precision (Al-Mohy & Higham 2009, Table 3.1).
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+          9: 2.097847961257068e0, 13: 5.371920351148152e0}
+
+
+def _pade(a: np.ndarray, m: int) -> np.ndarray:
+    """[m/m] Pade approximant (V - U)^-1 (V + U), U and V the odd and even parts.
+
+    Even powers up to A^6 are formed; degree 13 nests A^6 to reach A^12
+    (Higham 2005, eq. 2.4).
+    """
+    b = _PADE[m]
+    top = 3 if m == 13 else m // 2
+    powers = [np.eye(a.shape[0]), a @ a]
+    while len(powers) <= top:
+        powers.append(powers[-1] @ powers[1])
+    u = v = 0.0
+    if m == 13:
+        a6 = powers[3]
+        u = a6 @ (b[13] * a6 + b[11] * powers[2] + b[9] * powers[1])
+        v = a6 @ (b[12] * a6 + b[10] * powers[2] + b[8] * powers[1])
+    for k in range(top + 1):
+        u = u + b[2 * k + 1] * powers[k]
+        v = v + b[2 * k] * powers[k]
+    u = a @ u
+    return np.linalg.solve(v - u, v + u)
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of a small real square matrix, by scaling and squaring.
+
+    Degree and scaling follow Al-Mohy & Higham (2009), Algorithm 5.1: the
+    bounds eta use d_k = ||A^k||_1^(1/k), here from exact powers since frame
+    generators are at most n x n, and the overscaling correction ell(A, m)
+    is left out. A matrix whose 1-norm is not finite gives a matrix of NaN,
+    and one whose squarings overflow gives inf or NaN entries; the frame
+    checks refuse both.
+    """
+    a = np.asarray(a, dtype=float)
+    norm = np.linalg.norm(a, 1)
+    if not np.isfinite(norm):
+        return np.full(a.shape, np.nan)
+    if norm == 0.0:
+        return np.eye(a.shape[0])
+    # Powers of A / ||A|| cannot overflow, whatever the norm.
+    d = {k: norm * np.linalg.norm(np.linalg.matrix_power(a / norm, k), 1) ** (1.0 / k)
+         for k in (4, 6, 8, 10)}
+    for m, eta in ((3, max(d[4], d[6])), (5, max(d[4], d[6])),
+                   (7, max(d[6], d[8])), (9, max(d[6], d[8]))):
+        if eta <= _THETA[m]:
+            return _pade(a, m)
+    eta = min(max(d[6], d[8]), max(d[8], d[10]))
+    s = max(0, math.ceil(math.log2(eta / _THETA[13])))
+    r = _pade(a / 2.0 ** s, 13)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 class FrameField:
     """n x n real frame y^mu_a(x) with y eta y^T = eta pointwise.
 
@@ -670,8 +742,6 @@ class FrameField:
         x = _as_point(x, self.sig.n)
         if self.kind in ("identity", "constant"):
             return self.base.copy()
-        from scipy.linalg import expm
-
         return expm(self.poly(x).real * self.generator) @ self.base
 
     def coframe(self, x) -> np.ndarray:
@@ -710,7 +780,7 @@ class FrameField:
             y = self.matrix(x)
             res = float(np.max(np.abs(y @ eta @ y.T - eta)))
             worst = max(worst, res)
-            if res > tol:
+            if not res <= tol:  # NaN entries fail too
                 raise FrameError(f"frame fails orthogonality at {list(x)}: residual {res:.3e}")
         return worst
 
@@ -750,8 +820,6 @@ def make_frame_field(sig: Signature, spec: dict) -> FrameField:
 
 def random_frame(sig: Signature, rng: np.random.Generator, scale: float = 0.4) -> FrameField:
     """Random constant pseudo-orthogonal frame exp(S eta), S antisymmetric."""
-    from scipy.linalg import expm
-
     n = sig.n
     s = rng.standard_normal((n, n)) * scale
     s = s - s.T
@@ -1166,6 +1234,44 @@ def raise_index(fields, sig: Signature) -> tuple[MultivectorField, ...]:
     return tuple(ScaledField(f, metric[mu]) for mu, f in enumerate(fields))
 
 
+def _first_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _scrambled_halton(d: int, count: int, seed: int) -> np.ndarray:
+    """First count points of Owen's randomized Halton sequence in [0, 1)^d.
+
+    Coordinate k is the van der Corput radical inverse in the k-th prime
+    base b with every digit position j scrambled by its own random
+    permutation of 0..b-1 (A. B. Owen, "A randomized Halton algorithm in R",
+    arXiv:1706.02808). Digits run while b^-(j+1) > 2^-54, so the leading
+    zero digits of every index are scrambled too. One generator seeded with
+    seed shuffles the permutation rows of all bases in turn, and the digits
+    are summed in ascending order; tests/test_oracles.py checks that this
+    matches the reference implementation of the algorithm bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    index = np.arange(count, dtype=np.int64)
+    out = np.zeros((count, d))
+    for col, base in enumerate(_first_primes(d)):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q = index.copy()
+        weight = 1.0 / base
+        for perm in perms:
+            out[:, col] += perm[q % base] * weight
+            weight /= base
+            q //= base
+    return out
+
+
 def sample_points(n: int, count: int = 16, box=(-1.0, 1.0), seed: int = 0,
                   include_origin: bool = True) -> np.ndarray:
     """Deterministic quasi-random sample points in a box, origin first.
@@ -1173,12 +1279,8 @@ def sample_points(n: int, count: int = 16, box=(-1.0, 1.0), seed: int = 0,
     Uses a scrambled Halton sequence; returns count (+1 with the origin)
     rows of length n.
     """
-    from scipy.stats import qmc
-
     lo, hi = float(box[0]), float(box[1])
-    sampler = qmc.Halton(d=n, scramble=True, seed=seed)
-    pts = lo + (hi - lo) * sampler.random(count)
+    pts = lo + (hi - lo) * _scrambled_halton(n, count, seed)
     if include_origin:
         pts = np.vstack([np.zeros((1, n)), pts])
     return pts
-

@@ -141,7 +141,7 @@ def parse_blade(label: str, n: int) -> int:
         raise ConfigError(f"blade label {label!r} names no generators")
     mask = 0
     for part in parts:
-        if not part.isdigit():
+        if not (part.isascii() and part.isdigit()):  # int() refuses '²', isdigit() does not
             raise ConfigError(f"blade label {label!r} has a non-digit index")
         a = int(part)
         if not 1 <= a <= n:

@@ -369,6 +369,33 @@ def test_inverse_roundtrip_and_failures(rng):
         inverse(null)
 
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)],
+                         ids=["nan", "inf", "-inf", "nan-imag"])
+def test_inverse_refuses_non_finite_elements(bad):
+    # A NaN or infinite coefficient is a refused inverse, never a bare
+    # ValueError that the command line cannot map to its exit code.
+    sig = Signature(2, 0)
+    for blade in (0, 3):
+        coeffs = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        coeffs[blade] = bad
+        with pytest.raises(NotInvertible):
+            inverse(Multivector(sig, coeffs))
+
+
+def test_inverse_refuses_ill_conditioned_and_overflowing_elements():
+    sig = Signature(2, 0)
+    e1 = Multivector.generator(sig, 1)
+    # (1 + a e1)^-1 = (1 - a e1) / (1 - a^2): the 1-norm condition number
+    # of L is (1 + a) / (1 - a) for 0 < a < 1, about 2e13 here.
+    nearly = Multivector.unit(sig) + (1.0 - 1e-13) * e1
+    inverse(nearly, max_condition=1e14)
+    with pytest.raises(NotInvertible, match="condition"):
+        inverse(nearly)
+    # Well conditioned, but the inverse of a subnormal element overflows.
+    with pytest.raises(NotInvertible):
+        inverse(1e-310 * (Multivector.unit(sig) + 0.5 * e1))
+
 def test_signature_mismatch_raises(rng):
     u = random_multivector(Signature(2, 0), rng)
     v = random_multivector(Signature(1, 1), rng)

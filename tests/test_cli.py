@@ -217,6 +217,10 @@ def test_verify_non_bivector_gauge(tmp_path):
     pytest.param(("samples", "count"), 1e8, [], "samples.count", id="count-over-cap"),
     pytest.param(("samples", "count"), 1.5, [], "samples.count", id="count-fraction"),
     pytest.param(("samples", "count"), True, [], "samples.count", id="count-bool"),
+    pytest.param(("gauge", "terms", 0, "blade"), "e1\u00b2", [], "blade", id="blade-superscript"),
+    pytest.param(("frame",), {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0]],
+                              "poly": {"monomials": [{"exps": [1, 0], "coeff": [1e300, 0.0]}]}},
+                 [], "frame", id="frame-angle-overflow"),
 ])
 def test_verify_rejects_malformed_or_non_finite_entries(tmp_path, path, value, flags, key):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -314,6 +318,47 @@ def test_console_script_installed():
     proc = run_pinned([sys.executable, "-c", wrapper, "tables", "--n", "99"])
     assert proc.returncode == EXIT_CONFIG
 
+
+
+# Runs the command line with every scipy import refused, then reports which
+# scipy modules ended up loaded anyway.
+NO_SCIPY = """
+import importlib.abc, runpy, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"scipy import refused: {name}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+sys.argv[0] = "clifford-ym"
+try:
+    runpy.run_module("clifford_ym.cli", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+print("scipy modules:", sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("frame", [
+    None,
+    {"kind": "random"},
+    {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0]],
+     "poly": {"monomials": [{"exps": [1, 1], "coeff": [0.7, 0.0]}]}},
+], ids=["golden", "verify-random-frame", "verify-rotation-frame"])
+def test_cli_runs_without_scipy(tmp_path, frame):
+    argv = ["golden"]
+    if frame is not None:
+        config = tmp_path / "case.json"
+        config.write_text(json.dumps(dict(BASE_CONFIG, frame=frame)))
+        argv = ["verify", "--config", str(config)]
+    proc = run_pinned([sys.executable, "-c", NO_SCIPY, *argv])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "scipy modules: []" in proc.stderr
 
 @pytest.mark.skipif(shutil.which("clifford-ym") is None,
                     reason="clifford-ym is not on PATH: the package is not installed")

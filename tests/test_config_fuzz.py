@@ -1,0 +1,129 @@
+"""Property-based fuzzing of parse_config and of the specs build_case reads.
+
+Whatever JSON object a config file holds, parse_config either resolves it
+into a RunConfig or refuses it with ConfigError, and build_case either
+builds the frame and gauge specs or refuses them with a CliffordError. The
+command line maps both refusals to exit 2; any other exception would
+surface as a traceback.
+"""
+
+import copy
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from clifford_ym.algebra import CliffordError  # noqa: E402
+from clifford_ym.runner import ConfigError, RunConfig, build_case, parse_config  # noqa: E402
+
+VALID = {
+    "signature": {"p": 2, "q": 1},
+    "samples": {"count": 4, "seed": 3, "box": [-1.0, 1.0]},
+    "seed": 5,
+    "sigma": [1.0, 0.5],
+    "mode": "exact",
+    "fd_step": 1e-5,
+    "tolerances": {"eq1": 1e-9, "primitive": 1e-9},
+    "epsilon_override": [2.0, 0.0],
+    "frame": {"kind": "rotation", "generator": [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+              "poly": {"monomials": [{"exps": [1, 0, 1], "coeff": [0.5, 0.0]}]}},
+    "gauge": {"kind": "exp_bivector", "terms": [{
+        "blade": "e12", "poly": {"monomials": [{"exps": [1, 0, 0], "coeff": [0.3, 0.0]}]}}]},
+    "output": "report.json",
+}
+
+# Keys the parser looks for, so arbitrary objects reach past the first check.
+KEYS = sorted({"p", "q", "count", "box", "kind", "scale", "matrix", "base", "generator",
+               "terms", "blade", "monomials", "exps", "coeff"}
+              | set(VALID) | set(VALID["tolerances"]))
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+           | st.floats(allow_nan=True, allow_infinity=True))
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=4), inner,
+                                     max_size=5)),
+    max_leaves=16,
+)
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def resolves_or_refuses(data):
+    try:
+        cfg = parse_config(data)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+def test_valid_config_resolves():
+    cfg = parse_config(copy.deepcopy(VALID))
+    assert (cfg.p, cfg.q, cfg.count, cfg.sample_seed, cfg.seed) == (2, 1, 4, 3, 5)
+
+
+@FUZZ
+@given(st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=4), JSON, max_size=8))
+def test_arbitrary_objects_resolve_or_refuse(data):
+    resolves_or_refuses(data)
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON tree, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+PATHS = list(_paths(VALID))
+DELETE = object()
+
+
+def _mutate(data, mutations):
+    """Replace the entry at each path with arbitrary JSON, or delete it; a
+    path that an earlier mutation removed is skipped."""
+    data = copy.deepcopy(data)
+    for path, value in mutations:
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key] if _has(parent, key) else None
+            if not isinstance(parent, (dict, list)):
+                break
+        else:
+            if not _has(parent, path[-1]):
+                continue
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+    return data
+
+
+MUTATIONS = st.lists(st.tuples(st.sampled_from(PATHS), st.just(DELETE) | JSON),
+                     min_size=1, max_size=3)
+
+
+@FUZZ
+@given(MUTATIONS)
+def test_nested_mutations_resolve_or_refuse(mutations):
+    resolves_or_refuses(_mutate(VALID, mutations))
+
+
+@FUZZ
+@given(MUTATIONS.map(lambda ms: [m for m in ms if m[0][0] in ("frame", "gauge")]),
+       st.sampled_from([{"kind": "random"}, {"kind": "constant"}, VALID["frame"]]))
+def test_frame_and_gauge_specs_build_or_refuse(mutations, frame):
+    try:
+        build_case(parse_config(_mutate(dict(VALID, frame=frame), mutations)))
+    except CliffordError:  # ConfigError included
+        pass
+
+
+def _has(node, key):
+    if isinstance(node, dict):
+        return key in node
+    return isinstance(node, list) and isinstance(key, int) and key < len(node)

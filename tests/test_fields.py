@@ -12,6 +12,7 @@ from clifford_ym.algebra import (
     inverse,
     random_multivector,
 )
+from clifford_ym import fields
 from clifford_ym.contraction import build_table, grade_project_paired, project
 from clifford_ym.fields import (
     CallableField,
@@ -31,6 +32,7 @@ from clifford_ym.fields import (
     _jet_mul,
     _nrows,
     _right_matrices,
+    expm,
     fd_jet,
     generator_field_vector,
     invert_value_jet,
@@ -532,6 +534,71 @@ def test_jets_memo_is_mutation_safe(rng):
     for rho in range(sig.n):
         assert np.array_equal(second[rho].value.coeffs, snapshot[rho])
 
+
+
+# Exact bits of sample_points: the scrambled Halton construction is pinned,
+# so every report built on these points stays byte-identical.
+GOLDEN_POINTS = {
+    (3, 9, (-2.0, 2.0)): [
+        ["-0x1.7080355694d00p-4", "0x1.be16c6c966ea0p-2", "-0x1.675efe2c03666p-1"],
+        ["0x1.e8f7fcaa96b30p+0", "-0x1.cb9f4745f7368p-1", "-0x1.807c4be2ce7ffp+0"],
+        ["-0x1.17080355694d0p+0", "0x1.c4db0707af0fcp+0", "0x1.b2b6e75064b34p+0"],
+        ["0x1.d1eff9552d660p-1", "-0x1.d0221cc4d1fb4p-2", "0x1.91d4db6cb19a0p-4"],
+    ],
+    (7, 23, (-1.0, 1.0)): [
+        ["0x1.db965aa47a318p-3", "-0x1.99ec405491b88p-1", "-0x1.a1d955df3e2a8p-3",
+         "-0x1.712dc61cd9216p-1", "0x1.9add128e81abep-1", "0x1.ea0cc55b73e00p-7",
+         "0x1.e94a91edb5b68p-3"],
+        ["-0x1.891a6956e173ap-1", "-0x1.125babfcf18d4p-3", "0x1.31234421ca0eep-1",
+         "0x1.16b69e6809310p-3", "-0x1.275d20b471064p-2", "-0x1.1c72e4e55c72cp-3",
+         "-0x1.65b511637f7fcp-2"],
+        ["0x1.76e596a91e8c6p-1", "0x1.10be6a5618f24p-1", "-0x1.354322449c579p-1",
+         "-0x1.326df3e11b618p-3", "-0x1.4ddd1bfd213d4p-1", "-0x1.c94d23adc1eaap-2",
+         "0x1.e3bc0de4d6d70p-1"],
+    ],
+}
+
+
+@pytest.mark.parametrize("n,seed,box", list(GOLDEN_POINTS), ids=lambda v: str(v))
+def test_sample_points_golden_bits(n, seed, box):
+    rows = GOLDEN_POINTS[(n, seed, box)]
+    expected = np.array([[float.fromhex(v) for v in row] for row in rows])
+    got = sample_points(n, count=len(rows), box=box, seed=seed)
+    assert np.array_equal(got[0], np.zeros(n))
+    assert np.array_equal(got[1:], expected)
+    # A longer draw extends the sequence without touching its first points.
+    longer = sample_points(n, count=len(rows) + 5, box=box, seed=seed, include_origin=False)
+    assert np.array_equal(longer[:len(rows)], expected)
+
+
+def test_expm_closed_forms_on_every_pade_branch(monkeypatch):
+    # exp of a plane rotation generator is (cos, sin), of a boost (cosh, sinh);
+    # the angles reach every Pade degree, and the last one needs squaring.
+    degrees = []
+    pade = fields._pade
+    monkeypatch.setattr(fields, "_pade", lambda a, m: degrees.append(m) or pade(a, m))
+    for t in (1e-3, 0.1, 0.5, 1.5, 4.0, 12.0):
+        c, s, ch, sh = np.cos(t), np.sin(t), np.cosh(t), np.sinh(t)
+        for gen, ref in (([[0.0, -t], [t, 0.0]], [[c, -s], [s, c]]),
+                         ([[0.0, t], [t, 0.0]], [[ch, sh], [sh, ch]])):
+            ref = np.array(ref)
+            assert np.max(np.abs(expm(gen) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert set(degrees) == {3, 5, 7, 9, 13}
+
+
+def test_expm_identities(rng):
+    assert np.array_equal(expm(np.zeros((4, 4))), np.eye(4))
+    # A nilpotent matrix has a terminating series.
+    assert np.array_equal(expm([[0.0, 2.0], [0.0, 0.0]]), [[1.0, 2.0], [0.0, 1.0]])
+    for n in range(2, 8):
+        a = rng.standard_normal((n, n)) * 0.8
+        assert np.max(np.abs(expm(a) @ expm(-a) - np.eye(n))) < 1e-13
+        d = rng.standard_normal(n)
+        assert np.allclose(expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-14, atol=0)
+    assert np.isnan(expm([[np.inf, 0.0], [0.0, 0.0]])).all()
+    # A huge angle overflows in the squarings instead of raising.
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(expm([[0.0, 1e300], [-1e300, 0.0]])).all()
 
 def test_random_frame_validates(rng):
     sig = Signature(3, 1)
