@@ -131,6 +131,9 @@ class _Tables:
         # so an index past dim picks up the sign without a separate multiply.
         self._left_index = self.xor + dim * (sign_l < 0)
         self._right_index = self.xor + dim * (self.sign_k < 0)
+        # ad(u)[i, k] = u[i ^ k] * ad_sign[i, k] is L(u).T - R(u), the matrix
+        # with w @ ad(u) = [u, w]; each entry of ad_sign is 0 or +-2.
+        self.ad_sign = (sign_l.T - self.sign_k).astype(np.int8)
         self.grades = _popcount(idx)
         self.reversion_signs = np.where((self.grades * (self.grades - 1) // 2) % 2 == 0, 1.0, -1.0)
 
@@ -154,6 +157,20 @@ class _Tables:
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.left_mult_matrix(u) @ v
+
+    def commutators(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """[a[i], b[i, ...]] for every row i of a, shape (m, ..., dim).
+
+        a has shape (m, dim); b has shape (m, ..., dim), or (1, ..., dim) to
+        pair every row of a with the same stack. ad(a[i]) is gathered one
+        row at a time, so at most one extra (dim, dim) matrix is held.
+        """
+        out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.complex128)
+        for i, row in enumerate(a):
+            ad = row.take(self.xor)
+            ad *= self.ad_sign
+            np.matmul(b[i if len(b) > 1 else 0], ad, out=out[i])
+        return out
 
     def batch_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """All pairwise products of the rows of a and b, shape (ma, mb, dim).
@@ -409,24 +426,6 @@ def random_multivector(sig: Signature, rng: np.random.Generator, grades=None,
         keep = np.isin(g, np.asarray(list(grades)))
         c = np.where(keep, c, 0.0 + 0.0j)
     return Multivector(sig, scale * c, copy=False)
-
-
-def to_dict(u: Multivector) -> dict:
-    """JSON-ready form: dense [re, im] coefficient pairs ordered by blade mask."""
-    return {
-        "p": u.sig.p,
-        "q": u.sig.q,
-        "coeffs": [[float(c.real), float(c.imag)] for c in u.coeffs],
-    }
-
-
-def from_dict(data: dict) -> Multivector:
-    sig = Signature(int(data["p"]), int(data["q"]))
-    pairs = data["coeffs"]
-    if len(pairs) != sig.dim:
-        raise CliffordError(f"expected {sig.dim} coefficient pairs for {sig}, got {len(pairs)}")
-    coeffs = np.array([complex(float(re), float(im)) for re, im in pairs])
-    return Multivector(sig, coeffs, copy=False)
 
 
 def fraction_to_json(x: Fraction) -> dict:

@@ -1105,13 +1105,6 @@ class ExplicitFieldVector(CliffordFieldVector):
         return [f.jet(x, order) for f in self.fields]
 
 
-def generator_field_vector(sig: Signature) -> ExplicitFieldVector:
-    """The constant field vector h^mu = e^mu."""
-    return ExplicitFieldVector([
-        PolyField.constant(sig, Multivector.generator(sig, a)) for a in range(1, sig.n + 1)
-    ])
-
-
 class FrameGaugeFieldVector(CliffordFieldVector):
     """h^mu(x) = y^mu_a(x) S(x)^-1 e^a S(x).
 
@@ -1217,21 +1210,6 @@ def make_clifford_field_vector(frame: FrameField, gauge: GaugeElement,
     frame.validate(points, tol=tol)
     vec.validate(points, tol=tol)
     return vec
-
-
-def lower_index(h: CliffordFieldVector) -> tuple[MultivectorField, ...]:
-    """Covector components h_nu = eta_{mu nu} h^mu."""
-    metric = h.sig.metric()
-    return tuple(ScaledField(h.component(mu + 1), metric[mu]) for mu in range(h.n))
-
-
-def raise_index(fields, sig: Signature) -> tuple[MultivectorField, ...]:
-    """Vector components h^mu = eta^{mu nu} h_nu; inverse of lower_index."""
-    metric = sig.metric()
-    fields = tuple(fields)
-    if len(fields) != sig.n:
-        raise CliffordError(f"need {sig.n} covector components")
-    return tuple(ScaledField(f, metric[mu]) for mu, f in enumerate(fields))
 
 
 def _first_primes(count: int) -> list[int]:

@@ -40,7 +40,6 @@ from .algebra import (
     Multivector,
     Signature,
     center_leak,
-    commutator,
     geometric_product,
     tables,
 )
@@ -54,16 +53,6 @@ from .fields import (
     _partial_rows,
     sample_points,
 )
-
-
-def max_norm_grid(grid) -> float:
-    """Largest coefficient magnitude across a nested list of multivectors."""
-    worst = 0.0
-    for row in grid:
-        items = row if isinstance(row, (list, tuple)) else [row]
-        for mv in items:
-            worst = max(worst, mv.max_norm())
-    return worst
 
 
 class CovectorField:
@@ -209,42 +198,34 @@ class DerivedConnection(CovectorField):
         return [j.truncate(order) for j in cjets]
 
 
-def primitive_residual(h: CliffordFieldVector, c: CovectorField, x) -> list[list[Multivector]]:
-    """R_{mu rho}(x) = d_mu h_rho - [C_mu, h_rho], an n x n grid."""
+def _stack(jets: list[MvJet]) -> np.ndarray:
+    """Jet rows of n components, shape (n, rows, dim)."""
+    return np.stack([j.comps for j in jets])
+
+
+def primitive_residual(h: CliffordFieldVector, c: CovectorField, x) -> np.ndarray:
+    """R_{mu rho}(x) = d_mu h_rho - [C_mu, h_rho], shape (n, n, dim)."""
     x = _as_point(x, h.sig.n)
-    metric = h.sig.metric()
+    eta = np.array(h.sig.metric(), dtype=float)[:, None, None]
     # Connection first: derived connections pull deeper h jets, so this
     # order fills the jet memos top-down with no repeated work.
-    cvals = c.values(x)
-    hjets = h.jets(x, 1)
-    grid = []
-    for mu in range(h.n):
-        row = []
-        for rho in range(h.n):
-            lowered = metric[rho]
-            res = lowered * hjets[rho].grad(mu) - commutator(cvals[mu], lowered * hjets[rho].value)
-            row.append(res)
-        grid.append(row)
-    return grid
+    cv = _stack(c.jets(x, 0))[:, 0]
+    hs = _stack(h.jets(x, 1))
+    lowered = eta * hs
+    return (lowered[:, 1:].swapaxes(0, 1)
+            - tables(h.sig).commutators(cv, lowered[None, :, 0]))
 
 
-def curvature_residual(c: CovectorField, x) -> list[list[Multivector]]:
-    """d_mu C_nu - d_nu C_mu - [C_mu, C_nu] as an antisymmetric n x n grid.
+def curvature_residual(c: CovectorField, x) -> np.ndarray:
+    """d_mu C_nu - d_nu C_mu - [C_mu, C_nu], antisymmetric, shape (n, n, dim).
 
     For any covector, such as the Yang-Mills potential B, this is its field
     strength; a flat connection gives zero.
     """
     x = _as_point(x, c.sig.n)
-    cjets = c.jets(x, 1)
-    vals = [j.value for j in cjets]
-    grid = []
-    for mu in range(c.n):
-        row = []
-        for nu in range(c.n):
-            res = cjets[nu].grad(mu) - cjets[mu].grad(nu) - commutator(vals[mu], vals[nu])
-            row.append(res)
-        grid.append(row)
-    return grid
+    cs = _stack(c.jets(x, 1))
+    grad = cs[:, 1:].swapaxes(0, 1)  # grad[mu, nu] = d_mu C_nu
+    return grad - grad.swapaxes(0, 1) - tables(c.sig).commutators(cs[:, 0], cs[None, :, 0])
 
 
 def connection_center_leak(c: CovectorField, x) -> float:
@@ -300,11 +281,6 @@ class TransformedConnection(CovectorField):
         return out
 
 
-def pure_gauge_connection(gauge: GaugeElement) -> TransformedConnection:
-    """The flat connection C_mu = -S^-1 d_mu S (gauge transform of zero)."""
-    return TransformedConnection(ZeroCovector(gauge.sig), gauge)
-
-
 def gauge_transform(h: CliffordFieldVector, c: CovectorField, gauge: GaugeElement,
                     x=None, points=None, membership_tol: float = 1e-9):
     """Transformed pair (S^-1 h S, S^-1 C S - S^-1 dS).
@@ -340,10 +316,10 @@ class PrimitiveSolution:
         x = _as_point(x, self.h.sig.n)
         # Curvature first: it needs the deepest jets, and computing it
         # before the others warms every memo along the way.
-        curvature = max_norm_grid(curvature_residual(self.c, x))
+        curvature = float(np.abs(curvature_residual(self.c, x)).max())
         return {
             "point": [float(v) for v in x],
-            "primitive_max": max_norm_grid(primitive_residual(self.h, self.c, x)),
+            "primitive_max": float(np.abs(primitive_residual(self.h, self.c, x)).max()),
             "curvature_max": curvature,
             "center_leak": connection_center_leak(self.c, x),
         }

@@ -23,6 +23,7 @@ from .algebra import (
     Signature,
     geometric_product,
     n_max,
+    tables,
 )
 from . import golden
 from .contraction import build_table, contract, contraction_series
@@ -44,12 +45,12 @@ from .primitive import (
     PrimitiveSolution,
     TransformedConnection,
     TransformedFieldVector,
-    max_norm_grid,
     primitive_residual,
 )
 from .yang_mills import (
     YMSolution,
     epsilon_from_residuals,
+    epsilon_value,
     verify_solution,
 )
 
@@ -232,6 +233,12 @@ def parse_config(data: dict, sigma_override: complex | None = None,
 
     sigma = _as_complex(data.get("sigma", 1.0) if sigma_override is None else sigma_override,
                         "sigma")
+    try:
+        eps_finite = cmath.isfinite(epsilon_value(n, sigma))
+    except OverflowError:
+        eps_finite = False
+    if not eps_finite:
+        raise ConfigError(f"sigma {sigma!r} gives a non-finite epsilon = 4(n-1) sigma^3")
 
     mode = str(data.get("mode", "exact"))
     if fd:
@@ -350,22 +357,22 @@ def _gauge_check(case: dict, sol: YMSolution, cfg: RunConfig,
     ht = TransformedFieldVector(sol.h, gauge2)
     ct = TransformedConnection(sol.c, gauge2)
     solT = YMSolution(ht, ct, sol.sigma)
-    prim_max = max(max_norm_grid(primitive_residual(ht, ct, x)) for x in points)
+    prim_max = max(float(np.abs(primitive_residual(ht, ct, x)).max()) for x in points)
     ym = verify_solution(solT, points, epsilon=epsilon)
 
     # Residual conjugation on a deliberately non-flat pair: the pointwise
-    # residual of the transformed pair must equal S^-1 R S exactly.
+    # residual of the transformed pair must equal S^-1 R S exactly. As rows,
+    # S^-1 R S is R @ L(S^-1).T @ R(S).
+    t = tables(sol.sig)
     pert = OffsetCovector(sol.c, {0: case["perturbation"]})
     pert_t = TransformedConnection(pert, gauge2)
     conj_max = 0.0
     for x in points[:3]:
         ref = primitive_residual(sol.h, pert, x)
         got = primitive_residual(ht, pert_t, x)
-        s, s_inv = gauge2.value(x), gauge2.inv_value(x)
-        for mu in range(sol.n):
-            for rho in range(sol.n):
-                expected = s_inv * ref[mu][rho] * s
-                conj_max = max(conj_max, (got[mu][rho] - expected).max_norm())
+        expected = (ref @ t.left_mult_matrix(gauge2.inv_value(x).coeffs).T
+                    @ t.right_mult_matrix(gauge2.value(x).coeffs))
+        conj_max = max(conj_max, float(np.abs(got - expected).max()))
 
     ok = (leak <= tol["center_leak"]
           and prim_max <= tol["gauge"]

@@ -20,21 +20,20 @@ import numpy as np
 from .algebra import (
     CliffordError,
     Multivector,
-    commutator,
+    tables,
 )
 from .fields import (
     CliffordFieldVector,
     GaugeElement,
     MvJet,
     _as_point,
-    _jet_mul,
     sample_points,
 )
 from .primitive import (
     CovectorField,
+    _stack,
     curvature_residual,
     gauge_transform,
-    max_norm_grid,
     primitive_residual,
 )
 
@@ -116,28 +115,14 @@ class YMSolution:
     def b_values(self, x) -> list[Multivector]:
         return self.b.values(x)
 
-    def g_upper_jets(self, x, order: int = 1) -> list[list[MvJet]]:
-        hj = self.h.jets(x, order)
-        fac = -self.sigma ** 2
-        grid = []
-        for mu in range(self.n):
-            row = []
-            for nu in range(self.n):
-                row.append((_jet_mul(hj[mu], hj[nu]) - _jet_mul(hj[nu], hj[mu])).scale(fac))
-            grid.append(row)
-        return grid
+    def g_upper(self, x) -> np.ndarray:
+        """G^munu = -sigma^2 [h^mu, h^nu], shape (n, n, dim)."""
+        hv = _stack(self.h.jets(x, 0))[:, 0]
+        return -self.sigma ** 2 * tables(self.sig).commutators(hv, hv[None])
 
-    def g_upper(self, x) -> list[list[Multivector]]:
-        hv = self.h.values(x)
-        fac = -self.sigma ** 2
-        return [[fac * commutator(hv[mu], hv[nu]) for nu in range(self.n)]
-                for mu in range(self.n)]
-
-    def g_lower(self, x) -> list[list[Multivector]]:
-        eta = self.sig.metric()
-        up = self.g_upper(x)
-        return [[(eta[mu] * eta[nu]) * up[mu][nu] for nu in range(self.n)]
-                for mu in range(self.n)]
+    def g_lower(self, x) -> np.ndarray:
+        eta = np.array(self.sig.metric(), dtype=float)
+        return np.multiply.outer(eta, eta)[:, :, None] * self.g_upper(x)
 
     def j_values(self, x) -> list[Multivector]:
         return [self.epsilon * v for v in self.h.values(x)]
@@ -158,7 +143,7 @@ def build_solution(h: CliffordFieldVector, c: CovectorField, sigma: complex,
     where = None
     if pts.size:
         for x in pts:
-            m = max_norm_grid(primitive_residual(h, c, x))
+            m = float(np.abs(primitive_residual(h, c, x)).max())
             if m > worst:
                 worst = m
                 where = x
@@ -169,57 +154,53 @@ def build_solution(h: CliffordFieldVector, c: CovectorField, sigma: complex,
     return YMSolution(h, c, sigma)
 
 
-def eq1_residual(sol: YMSolution, x) -> list[list[Multivector]]:
-    """Field strength (curvature) of B minus the claimed G_munu, an n x n grid."""
-    fs = curvature_residual(sol.b, x)
-    gl = sol.g_lower(x)
-    n = sol.n
-    return [[fs[mu][nu] - gl[mu][nu] for nu in range(n)] for mu in range(n)]
+def eq1_residual(sol: YMSolution, x) -> np.ndarray:
+    """Field strength (curvature) of B minus the claimed G_munu, shape (n, n, dim)."""
+    return curvature_residual(sol.b, x) - sol.g_lower(x)
 
 
-def _eq2_flux(sol: YMSolution, x) -> list[Multivector]:
-    """K^nu = sum_mu d_mu G^munu - [B_mu, G^munu], before the source term."""
-    gj = sol.g_upper_jets(x, 1)
-    bv = sol.b.values(x)
-    out = []
-    for nu in range(sol.n):
-        acc = Multivector.zero(sol.sig)
-        for mu in range(sol.n):
-            acc = acc + gj[mu][nu].grad(mu) - commutator(bv[mu], gj[mu][nu].value)
-        out.append(acc)
-    return out
+def _eq2_flux(sol: YMSolution, x) -> tuple[np.ndarray, np.ndarray]:
+    """K^nu = sum_mu d_mu G^munu - [B_mu, G^munu], before the source term,
+    with the h value rows it used; both of shape (n, dim).
+
+    By the product rule sum_mu d_mu G^munu is
+    -sigma^2 ([sum_mu d_mu h^mu, h^nu] + sum_mu [h^mu, d_mu h^nu]).
+    """
+    ad = tables(sol.sig).commutators
+    bv = _stack(sol.b.jets(x, 0))[:, 0]
+    hs = _stack(sol.h.jets(x, 1))
+    hv = hs[:, 0]
+    dh = hs[:, 1:].swapaxes(0, 1)  # dh[mu, nu] = d_mu h^nu
+    div = np.trace(dh)
+    dg = ad(div[None], hv[None])[0] + ad(hv, dh).sum(axis=0)
+    flux = -sol.sigma ** 2 * dg - ad(bv, sol.g_upper(x)).sum(axis=0)
+    return flux, hv
 
 
-def eq2_residual(sol: YMSolution, x, epsilon: complex | None = None) -> list[Multivector]:
-    """sum_mu (d_mu G^munu - [B_mu, G^munu]) - eps h^nu for each nu."""
+def eq2_residual(sol: YMSolution, x, epsilon: complex | None = None) -> np.ndarray:
+    """sum_mu (d_mu G^munu - [B_mu, G^munu]) - eps h^nu, shape (n, dim)."""
     eps = sol.epsilon if epsilon is None else complex(epsilon)
-    flux = _eq2_flux(sol, x)
-    hv = sol.h.values(x)
-    return [flux[nu] - eps * hv[nu] for nu in range(sol.n)]
+    flux, hv = _eq2_flux(sol, x)
+    return flux - eps * hv
 
 
-def conservation_residual(sol: YMSolution, x, epsilon: complex | None = None) -> Multivector:
-    """d_nu J^nu - [B_nu, J^nu] with J^nu = eps h^nu, summed over nu."""
+def conservation_residual(sol: YMSolution, x, epsilon: complex | None = None) -> np.ndarray:
+    """d_nu J^nu - [B_nu, J^nu] with J^nu = eps h^nu, summed over nu, shape (dim,)."""
     eps = sol.epsilon if epsilon is None else complex(epsilon)
-    hj = sol.h.jets(x, 1)
-    bv = sol.b.values(x)
-    acc = Multivector.zero(sol.sig)
-    for nu in range(sol.n):
-        acc = acc + eps * hj[nu].grad(nu) - commutator(bv[nu], eps * hj[nu].value)
-    return acc
+    bv = _stack(sol.b.jets(x, 0))[:, 0]
+    hs = eps * _stack(sol.h.jets(x, 1))
+    div = np.trace(hs[:, 1:])
+    return div - tables(sol.sig).commutators(bv, hs[:, None, 0]).sum(axis=0)[0]
 
 
 def ym_residuals(sol: YMSolution, x, epsilon: complex | None = None) -> dict:
     """Max-norm residual entry {point, eq1_max, eq2_max, conservation_max}."""
     x = _as_point(x, sol.n)
-    eq1 = max_norm_grid(eq1_residual(sol, x))
-    eq2 = max(r.max_norm() for r in eq2_residual(sol, x, epsilon))
-    cons = conservation_residual(sol, x, epsilon).max_norm()
     return {
         "point": [float(c) for c in x],
-        "eq1_max": eq1,
-        "eq2_max": eq2,
-        "conservation_max": cons,
+        "eq1_max": float(np.abs(eq1_residual(sol, x)).max()),
+        "eq2_max": float(np.abs(eq2_residual(sol, x, epsilon)).max()),
+        "conservation_max": float(np.abs(conservation_residual(sol, x, epsilon)).max()),
     }
 
 
@@ -248,13 +229,10 @@ def epsilon_from_residuals(sol: YMSolution, points) -> complex:
     a = 0.0 + 0.0j
     b = 0.0 + 0.0j
     for x in pts:
-        flux = _eq2_flux(sol, x)
-        hv = sol.h.values(x)
-        for nu in range(sol.n):
-            proj = np.vdot(hv[nu].coeffs, flux[nu].coeffs)
-            norm = np.vdot(hv[nu].coeffs, hv[nu].coeffs)
-            a += proj
-            b += proj - norm
+        flux, hv = _eq2_flux(sol, x)
+        proj = np.vdot(hv, flux)
+        a += proj
+        b += proj - np.vdot(hv, hv)
     # a - b is the summed |h^nu|^2, the denominator of eps = a / (a - b).
     if abs(a - b) <= _DEGENERATE_REL * max(abs(a), abs(b)):
         raise CliffordError("degenerate field vector: cannot solve for eps")
@@ -277,15 +255,9 @@ def gauge_transform_solution(sol: YMSolution, gauge: GaugeElement, points=None,
     return build_solution(ht, ct, sol.sigma, points=points, tol=tol)
 
 
-def double_commutator_check(h: CliffordFieldVector, x) -> list[Multivector]:
-    """[h_mu, [h^mu, h^nu]] - 4(n-1) h^nu for each nu; zero for valid h."""
-    hv = h.values(x)
-    eta = h.sig.metric()
-    n = h.sig.n
-    out = []
-    for nu in range(n):
-        acc = Multivector.zero(h.sig)
-        for mu in range(n):
-            acc = acc + eta[mu] * commutator(hv[mu], commutator(hv[mu], hv[nu]))
-        out.append(acc - (4.0 * (n - 1)) * hv[nu])
-    return out
+def double_commutator_check(h: CliffordFieldVector, x) -> np.ndarray:
+    """[h_mu, [h^mu, h^nu]] - 4(n-1) h^nu for each nu, shape (n, dim); zero for valid h."""
+    ad = tables(h.sig).commutators
+    hv = _stack(h.jets(x, 0))[:, 0]
+    eta = np.array(h.sig.metric(), dtype=float)[:, None, None]
+    return (eta * ad(hv, ad(hv, hv[None]))).sum(axis=0) - (4.0 * (h.sig.n - 1)) * hv

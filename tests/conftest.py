@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from clifford_ym.algebra import Signature
+from clifford_ym.algebra import Multivector, Signature
 from clifford_ym.fields import (
+    ExplicitFieldVector,
+    PolyField,
     make_clifford_field_vector,
     make_gauge_element,
     random_bivector_poly_field,
@@ -24,6 +26,13 @@ def build_field_vector(p, q, seed, frame_scale=0.4, gauge_scale=0.3, count=8):
     points = sample_points(sig.n, count=count, seed=seed)
     h = make_clifford_field_vector(frame, gauge, points=points)
     return sig, h, points
+
+
+def generator_field_vector(sig):
+    """The constant field vector h^mu = e^mu."""
+    return ExplicitFieldVector([
+        PolyField.constant(sig, Multivector.generator(sig, a)) for a in range(1, sig.n + 1)
+    ])
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Core multivector arithmetic: products, grades, involutions, serialization."""
+"""Core multivector arithmetic: products, grades, involutions."""
 
 import math
 
@@ -20,7 +20,6 @@ from clifford_ym.algebra import (
     circ_project,
     commutator,
     exponential,
-    from_dict,
     geometric_product,
     grade_project,
     grades_present,
@@ -29,7 +28,6 @@ from clifford_ym.algebra import (
     random_multivector,
     reversion,
     tables,
-    to_dict,
     trace,
 )
 
@@ -140,6 +138,27 @@ def test_batch_product_matches_single(rng):
             for j in (0, 7, 10):
                 ref = T.product(a[i], b[j])
                 assert np.max(np.abs(out[i, j] - ref)) < 1e-13
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_commutators_match_commutator(n, rng):
+    # The ad-matrix kernel against one Multivector commutator per pair: b
+    # stacked per row of a, one b stack broadcast to every row, and one b
+    # row per row of a.
+    sig = Signature((n + 1) // 2, n // 2)
+    t = tables(sig)
+    a = np.vstack([random_multivector(sig, rng).coeffs for _ in range(3)])
+    b = np.stack([[random_multivector(sig, rng).coeffs for _ in range(4)] for _ in range(3)])
+
+    def oracle(i, rows):
+        return [commutator(Multivector(sig, a[i]), Multivector(sig, r)).coeffs for r in rows]
+
+    for got, want in [(t.commutators(a, b), [oracle(i, b[i]) for i in range(3)]),
+                      (t.commutators(a, b[:1]), [oracle(i, b[0]) for i in range(3)]),
+                      (t.commutators(a, b[:, 0]), [oracle(i, b[i, :1])[0] for i in range(3)])]:
+        want = np.array(want)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _dense_product(table, u, v):
@@ -403,20 +422,6 @@ def test_signature_mismatch_raises(rng):
         geometric_product(u, v)
     with pytest.raises(SignatureMismatch):
         _ = u + v
-
-
-def test_serialization_roundtrip(rng):
-    sig = Signature(2, 1)
-    u = random_multivector(sig, rng)
-    data = to_dict(u)
-    assert data["p"] == 2 and data["q"] == 1
-    assert len(data["coeffs"]) == sig.dim
-    assert all(len(pair) == 2 for pair in data["coeffs"])
-    v = from_dict(data)
-    assert (u - v).max_norm() == 0.0
-    bad = dict(data, coeffs=data["coeffs"][:-1])
-    with pytest.raises(CliffordError):
-        from_dict(bad)
 
 
 def test_random_multivector_is_seed_deterministic():

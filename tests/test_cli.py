@@ -207,6 +207,9 @@ def test_verify_non_bivector_gauge(tmp_path):
     pytest.param(("frame",), {"kind": "constant", "matrix": "x"}, [], "matrix",
                  id="frame-matrix-text"),
     pytest.param(("sigma",), [float("nan"), 0.0], [], "sigma", id="sigma-nan"),
+    pytest.param(("sigma",), [1e110, 0.0], [], "sigma", id="sigma-epsilon-overflow"),
+    pytest.param(("sigma",), [1.0, 0.0], ["--sigma", "1e110"], "sigma",
+                 id="sigma-flag-epsilon-overflow"),
     pytest.param(("tolerances",), {"eq1": "nan"}, [], "tolerances.eq1", id="tolerance-nan"),
     pytest.param(("epsilon_override",), [float("nan"), 0.0], [], "epsilon_override",
                  id="epsilon_override-nan"),

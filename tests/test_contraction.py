@@ -24,7 +24,7 @@ from clifford_ym.contraction import (
     table_to_json,
 )
 from clifford_ym import golden
-from clifford_ym.fields import generator_field_vector
+from conftest import generator_field_vector
 
 
 def test_lambda_values_small_n():

@@ -34,18 +34,15 @@ from clifford_ym.fields import (
     _right_matrices,
     expm,
     fd_jet,
-    generator_field_vector,
     invert_value_jet,
-    lower_index,
     make_clifford_field_vector,
     make_frame_field,
     make_gauge_element,
-    raise_index,
     random_bivector_poly_field,
     random_frame,
     sample_points,
 )
-from conftest import build_field_vector
+from conftest import build_field_vector, generator_field_vector
 
 
 def test_polynomial_eval_diff_arith():
@@ -448,19 +445,6 @@ def test_sample_points_shape_and_determinism():
     no_origin = sample_points(3, count=4, include_origin=False, seed=9)
     assert no_origin.shape == (4, 3)
     assert not np.array_equal(no_origin[0], np.zeros(3))
-
-
-def test_lower_raise_index_round_trip(rng):
-    sig, h, points = build_field_vector(2, 1, seed=13)
-    x = points[3]
-    lowered = lower_index(h)
-    metric = sig.metric()
-    vals = h.values(x)
-    for mu in range(sig.n):
-        assert (lowered[mu].value(x) - vals[mu] * metric[mu]).max_norm() < 1e-14
-    raised = raise_index(lowered, sig)
-    for mu in range(sig.n):
-        assert (raised[mu].value(x) - vals[mu]).max_norm() < 1e-14
 
 
 def _h_blades(vals):

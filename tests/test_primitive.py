@@ -24,7 +24,6 @@ from clifford_ym.fields import (
     GaugeMembershipError,
     PolyField,
     Polynomial,
-    generator_field_vector,
     make_clifford_field_vector,
     make_gauge_element,
     random_bivector_poly_field,
@@ -46,12 +45,10 @@ from clifford_ym.primitive import (
     connection_center_leak,
     curvature_residual,
     gauge_transform,
-    max_norm_grid,
     primitive_residual,
-    pure_gauge_connection,
     solve,
 )
-from conftest import build_field_vector
+from conftest import build_field_vector, generator_field_vector
 
 
 @pytest.mark.parametrize("p,q", [(2, 0), (1, 1), (3, 0), (2, 1), (4, 0), (2, 2)])
@@ -59,8 +56,8 @@ def test_primitive_equation_solved(p, q):
     sig, h, points = build_field_vector(p, q, seed=23)
     c = DerivedConnection(h)
     for x in points[:4]:
-        assert max_norm_grid(primitive_residual(h, c, x)) < 1e-10
-        assert max_norm_grid(curvature_residual(c, x)) < 1e-9
+        assert np.abs(primitive_residual(h, c, x)).max() < 1e-10
+        assert np.abs(curvature_residual(c, x)).max() < 1e-9
 
 
 def _projection_form_C_jets(hjets, table):
@@ -173,8 +170,8 @@ def test_vector_gauge_takes_the_contraction_chain(p, q, rng):
     # The derived connection must still solve the primitive equation.
     c = DerivedConnection(h)
     for x in points[:3]:
-        assert max_norm_grid(primitive_residual(h, c, x)) < 1e-9
-        assert max_norm_grid(curvature_residual(c, x)) < 1e-8
+        assert np.abs(primitive_residual(h, c, x)).max() < 1e-9
+        assert np.abs(curvature_residual(c, x)).max() < 1e-8
 
 
 def test_grade_preserving_is_structural(rng):
@@ -237,7 +234,7 @@ def test_center_offset_preserves_primitive_equation(rng):
     pseudo = Multivector.blade(sig, (1, 2, 3))
     shifted = OffsetCovector(c, {1: PolyField.constant(sig, pseudo * 0.7)})
     for x in points[:3]:
-        assert max_norm_grid(primitive_residual(h, shifted, x)) < 1e-10
+        assert np.abs(primitive_residual(h, shifted, x)).max() < 1e-10
 
 
 def test_perturbed_connection_breaks_equation(rng):
@@ -246,7 +243,7 @@ def test_perturbed_connection_breaks_equation(rng):
     bump = random_multivector(sig, rng, grades=(1,), real=True)
     broken = OffsetCovector(c, {0: PolyField.constant(sig, bump * 1e-3)})
     x = points[1]
-    res = max_norm_grid(primitive_residual(h, broken, x))
+    res = np.abs(primitive_residual(h, broken, x)).max()
     assert res > 1e-5
     assert res < 1e-1
 
@@ -265,8 +262,8 @@ def test_zero_covector_for_constant_vectors():
     h = generator_field_vector(sig)
     z = ZeroCovector(sig)
     x = np.zeros(3)
-    assert max_norm_grid(primitive_residual(h, z, x)) < 1e-14
-    assert max_norm_grid(curvature_residual(z, x)) == 0.0
+    assert np.abs(primitive_residual(h, z, x)).max() < 1e-14
+    assert np.abs(curvature_residual(z, x)).max() == 0.0
 
 
 def test_connection_center_leak_small(rng):
@@ -279,9 +276,9 @@ def test_connection_center_leak_small(rng):
 def test_pure_gauge_connection_is_flat(rng):
     sig = Signature(2, 0)
     gauge = make_gauge_element(random_bivector_poly_field(sig, rng, scale=0.4))
-    conn = pure_gauge_connection(gauge)
+    conn = TransformedConnection(ZeroCovector(sig), gauge)
     for x in sample_points(2, count=4, seed=5):
-        assert max_norm_grid(curvature_residual(conn, x)) < 1e-9
+        assert np.abs(curvature_residual(conn, x)).max() < 1e-9
 
 
 def test_gauge_transform_conjugation_law(rng):
@@ -303,8 +300,8 @@ def test_gauge_transform_conjugation_law(rng):
         assert (tv[mu] - want).max_norm() < 1e-11
 
     # And the transformed pair still solves the equation, flatly.
-    assert max_norm_grid(primitive_residual(h2, c2, x)) < 1e-9
-    assert max_norm_grid(curvature_residual(c2, x)) < 1e-8
+    assert np.abs(primitive_residual(h2, c2, x)).max() < 1e-9
+    assert np.abs(curvature_residual(c2, x)).max() < 1e-8
 
 
 def test_gauge_transform_membership_enforced(rng):
