@@ -14,6 +14,7 @@ once per signature and cached.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,10 +24,18 @@ import numpy as np
 
 DEFAULT_N_MAX = 10
 
-# Batched products gather the multiplication matrices of the operand with
-# fewer rows; that operand is chunked so one gathered (rows, 2^n, 2^n) block
-# holds at most this many complex entries (15 rows at n = 9, 3 at n = 10).
-_BATCH_BUDGET = 4_000_000
+# Products and commutators gather one (2^n, 2^n) multiplication matrix per
+# operand row. Rows are gathered in blocks, so one gathered (rows, 2^n, 2^n)
+# block holds at most this many complex entries (256 KiB: 1024 rows at
+# n = 2, 16 at n = 5, one row from n = 7 on, where a single matrix may
+# exceed it). A block that stays in cache is faster than a larger one.
+# Callers chunk the point axis of their jet stacks with the same budget.
+_GATHER_BUDGET = 1 << 14
+
+
+def chunk_length(entries_per_item: int) -> int:
+    """Items per chunk when each item holds entries_per_item complex entries."""
+    return max(1, _GATHER_BUDGET // entries_per_item)
 
 
 class CliffordError(Exception):
@@ -156,41 +165,75 @@ class _Tables:
         return self._signed_take(v, self._right_index)
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.left_mult_matrix(u) @ v
+        """Row-by-row products u * v = L(u) @ v for rows (..., dim) that broadcast."""
+        shape = np.broadcast_shapes(u.shape, v.shape)
+        dim = shape[-1]
+        u = np.broadcast_to(u, shape).reshape(-1, dim)
+        v = np.broadcast_to(v, shape).reshape(-1, dim, 1)
+        out = np.empty(v.shape, dtype=np.complex128)
+        step = chunk_length(self.xor.size)
+        for lo in range(0, len(u), step):
+            np.matmul(self.left_mult_matrix(u[lo:lo + step]), v[lo:lo + step], out=out[lo:lo + step])
+        return out.reshape(shape)
 
     def commutators(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """[a[i], b[i, ...]] for every row i of a, shape (m, ..., dim).
+        """[a[i], b[i, ...]] for every leading index i of a.
 
-        a has shape (m, dim); b has shape (m, ..., dim), or (1, ..., dim) to
-        pair every row of a with the same stack. ad(a[i]) is gathered one
-        row at a time, so at most one extra (dim, dim) matrix is held.
+        a has shape L + (dim,) and b has shape L' + K + (dim,), where L'
+        broadcasts against L; the result has shape L + K + (dim,). ad(a_i)
+        is gathered for blocks of rows of a.
         """
-        out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.complex128)
-        for i, row in enumerate(a):
-            ad = row.take(self.xor)
+        lead = a.shape[:-1]
+        dim = a.shape[-1]
+        tail = b.shape[len(lead):-1]
+        rows = a.reshape(-1, dim)
+        b = np.broadcast_to(b, lead + tail + (dim,)).reshape(len(rows), math.prod(tail), dim)
+        out = np.empty(b.shape, dtype=np.complex128)
+        step = chunk_length(self.xor.size)
+        for lo in range(0, len(rows), step):
+            ad = rows[lo:lo + step].take(self.xor, axis=1)
             ad *= self.ad_sign
-            np.matmul(b[i if len(b) > 1 else 0], ad, out=out[i])
-        return out
+            np.matmul(b[lo:lo + step], ad, out=out[lo:lo + step])
+        return out.reshape(lead + tail + (dim,))
 
     def batch_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """All pairwise products of the rows of a and b, shape (ma, mb, dim).
+        """All pairwise products of the rows of a and b, per leading index.
 
-        Gathers the multiplication matrices of whichever operand has fewer
-        rows, chunked so a gathered (rows, dim, dim) block stays within
-        _BATCH_BUDGET entries, and contracts each chunk with one matmul.
+        a has shape L + (ma, dim) and b has shape L' + (mb, dim) with L and L'
+        broadcasting; the result has shape L'' + (ma, mb, dim). The
+        multiplication matrices of whichever operand has fewer rows are
+        gathered, in blocks of rows, and each block is contracted by one
+        stacked matmul.
         """
-        rows = max(1, _BATCH_BUDGET // self._left_index.size)
-        if a.shape[0] <= b.shape[0]:
-            # out[r, s] = L(a[r]) @ b[s], i.e. b @ L(a[r]).T for every r.
-            parts = [b @ self.left_mult_matrix(a[lo:lo + rows]).swapaxes(-1, -2)
-                     for lo in range(0, max(a.shape[0], 1), rows)]
-            axis = 0
-        else:
-            # out[r, s] = a[r] @ R(b[s]); the matmul stacks over s.
-            parts = [(a @ self.right_mult_matrix(b[lo:lo + rows])).swapaxes(0, 1)
-                     for lo in range(0, b.shape[0], rows)]
-            axis = 1
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        (ma, dim), mb = a.shape[-2:], b.shape[-2]
+        a = np.broadcast_to(a, lead + (ma, dim)).reshape(-1, ma, dim)
+        b = np.broadcast_to(b, lead + (mb, dim)).reshape(-1, mb, dim)
+        left = ma <= mb
+        # out[k, r, s] = L(a[k, r]) @ b[k, s] = b[k] @ L(a[k, r]).T, or
+        # a[k] @ R(b[k, s]) stacked over s, with k the flat leading index.
+        gathered, other, m = (a, b, ma) if left else (b, a, mb)
+        out = np.empty((len(a), m, other.shape[1], dim), dtype=np.complex128)
+        flat_out = out.reshape(-1, other.shape[1], dim)
+        rows = gathered.reshape(-1, dim)
+        step = chunk_length(self.xor.size)
+        for lo in range(0, len(rows), step):
+            hi = min(lo + step, len(rows))
+            first, last = lo // m, (hi - 1) // m
+            # A block within one leading index reuses its rows of the other operand.
+            ops = other[first] if first == last else other[np.arange(lo, hi) // m]
+            mats = (self.left_mult_matrix(rows[lo:hi]).swapaxes(-1, -2) if left
+                    else self.right_mult_matrix(rows[lo:hi]))
+            np.matmul(ops, mats, out=flat_out[lo:hi])
+        if not left:
+            out = out.swapaxes(1, 2)
+        return out.reshape(lead + (ma, mb, dim))
+
+    @property
+    def center(self) -> np.ndarray:
+        """Mask of the central blades: grade 0, and grade n for odd n."""
+        n = self.sig.n
+        return (self.grades == 0) | ((self.grades == n) & (n % 2 == 1))
 
 
 @lru_cache(maxsize=64)
@@ -351,12 +394,7 @@ def anticommutator(u: Multivector, v: Multivector) -> Multivector:
 
 def center_project(u: Multivector) -> Multivector:
     """Projection onto the center: grade 0 for even n, grades 0 and n for odd n."""
-    g = tables(u.sig).grades
-    n = u.sig.n
-    keep = g == 0
-    if n % 2 == 1:
-        keep = keep | (g == n)
-    return Multivector(u.sig, np.where(keep, u.coeffs, 0.0 + 0.0j), copy=False)
+    return Multivector(u.sig, np.where(tables(u.sig).center, u.coeffs, 0.0 + 0.0j), copy=False)
 
 
 def circ_project(u: Multivector) -> Multivector:
@@ -386,20 +424,25 @@ def exponential(u: Multivector, tol: float = 1e-14, max_terms: int = 64) -> Mult
 
 
 def inverse(u: Multivector, max_condition: float = 1e12) -> Multivector:
-    """Multiplicative inverse via the 2^n x 2^n left-multiplication linear system.
+    """Multiplicative inverse via the 2^n x 2^n left-multiplication linear system."""
+    return Multivector(u.sig, inverse_rows(u.sig, u.coeffs[None], max_condition)[0], copy=False)
+
+
+def inverse_rows(sig: Signature, u: np.ndarray, max_condition: float = 1e12) -> np.ndarray:
+    """Inverses of the stacked elements u (..., 2^n), row by row.
 
     The inverse of L(u) has the coefficients of u^-1 as its first column,
     since L(u) w = coeffs(e); a one-sided inverse in a finite-dimensional
-    unital algebra is automatically two-sided. Raises NotInvertible when u
-    has a non-finite coefficient, when L(u) is singular or its inverse is
-    not finite, or when the 1-norm condition number ||L|| ||L^-1|| exceeds
-    max_condition.
+    unital algebra is automatically two-sided. Raises NotInvertible when a
+    row has a non-finite coefficient, when its L(u) is singular or has no
+    finite inverse, or when its 1-norm condition number ||L|| ||L^-1||
+    exceeds max_condition.
     """
-    if not np.all(np.isfinite(u.coeffs)):
+    if not np.all(np.isfinite(u)):
         raise NotInvertible("element has a non-finite coefficient")
-    mat = tables(u.sig).left_mult_matrix(u.coeffs)
-    anorm = np.linalg.norm(mat, 1)
-    if anorm == 0.0:
+    mat = tables(sig).left_mult_matrix(u)
+    anorm = np.linalg.norm(mat, 1, axis=(-2, -1))
+    if np.any(anorm == 0.0):
         raise NotInvertible("zero element has no inverse")
     with np.errstate(all="ignore"):
         try:
@@ -408,10 +451,11 @@ def inverse(u: Multivector, max_condition: float = 1e12) -> Multivector:
             raise NotInvertible(f"left-multiplication operator is singular: {exc}") from exc
         if not np.all(np.isfinite(inv)):
             raise NotInvertible("left-multiplication operator has no finite inverse")
-        cond = anorm * np.linalg.norm(inv, 1)
-    if not cond <= max_condition:
-        raise NotInvertible(f"condition number {cond:.3e} exceeds max_condition={max_condition:.3e}")
-    return Multivector(u.sig, inv[:, 0], copy=True)
+        cond = anorm * np.linalg.norm(inv, 1, axis=(-2, -1))
+    if not np.all(cond <= max_condition):
+        worst = float(np.max(np.where(cond <= max_condition, 0.0, cond)))
+        raise NotInvertible(f"condition number {worst:.3e} exceeds max_condition={max_condition:.3e}")
+    return inv[..., :, 0].copy()
 
 
 def random_multivector(sig: Signature, rng: np.random.Generator, grades=None,

@@ -8,10 +8,13 @@ all derivatives act on blade coefficients only. Three field flavors exist:
     combinations) whose derivatives propagate exactly through jets;
   - closure: arbitrary callables, differentiated by central differences.
 
-A jet carries the value and the partial derivatives of a field at one point
-(up to second order here). Jets multiply by the product rule, so exact
-derivatives of deeply composed fields like y^mu_a(x) S(x)^-1 e^a S(x) come
-out to machine precision, which the residual tolerances need.
+Everything is evaluated at an array of P sample points at once, and a
+single point is a batch of one. A jet carries the value and the partial
+derivatives of a field (up to second order) as an array of shape
+(P, rows, 2^n); field vectors and covectors stack their n components into
+(P, n, rows, 2^n). Jets multiply by the product rule, so exact derivatives
+of deeply composed fields like y^mu_a(x) S(x)^-1 e^a S(x) come out to
+machine precision, which the residual tolerances need.
 """
 
 from __future__ import annotations
@@ -25,14 +28,11 @@ import numpy as np
 from .algebra import (
     CliffordError,
     Multivector,
+    SeriesDivergence,
     Signature,
-    center_leak,
-    exponential,
-    geometric_product,
-    inverse,
-    reversion,
+    chunk_length,
+    inverse_rows,
     tables,
-    trace,
 )
 
 
@@ -57,10 +57,23 @@ class FieldVectorError(CliffordError):
     """Clifford field vector fails a defining identity at some sample point."""
 
 
-def _as_point(x, n: int) -> np.ndarray:
+def _as_points(x, n: int) -> np.ndarray:
+    """Sample points as a (P, n) float array; one point of length n is a batch of one."""
     arr = np.asarray(x, dtype=float)
-    if arr.shape != (n,):
-        raise DimensionMismatch(f"expected a point of length {n}, got shape {arr.shape}")
+    if arr.ndim == 1:
+        arr = arr[None]
+    if arr.ndim != 2 or arr.shape[1] != n:
+        raise DimensionMismatch(f"expected points of length {n}, got shape {np.shape(x)}")
+    return arr
+
+
+def _same_points(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only, so a cached jet stack cannot be changed through a caller's view."""
+    arr.flags.writeable = False
     return arr
 
 
@@ -180,11 +193,13 @@ def _hess_axes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nrows(order: int, n: int) -> int:
-    if order == 0:
-        return 1
-    if order == 1:
-        return 1 + n
-    return 1 + n + n * (n + 1) // 2
+    if order not in (0, 1, 2):
+        raise CliffordError(f"jet order must be 0, 1, or 2, got {order}")
+    return (1, 1 + n, 1 + n + n * (n + 1) // 2)[order]
+
+
+def _jet_order(rows: int, n: int) -> int:
+    return {1: 0, 1 + n: 1, 1 + n + n * (n + 1) // 2: 2}[rows]
 
 
 def _hidx(n: int, i: int, j: int) -> int:
@@ -210,165 +225,92 @@ def _derivative_rows(n: int, order: int) -> np.ndarray:
     return np.vstack(blocks[:order + 1])
 
 
-class ScalarJet:
-    """Value, gradient, and optional Hessian of a scalar function at a point."""
-
-    __slots__ = ("order", "value", "grad", "hess")
-
-    def __init__(self, order: int, value: complex, grad=None, hess=None):
-        self.order = order
-        self.value = complex(value)
-        self.grad = None if grad is None else np.asarray(grad, dtype=complex)
-        self.hess = None if hess is None else np.asarray(hess, dtype=complex)
-
-    @classmethod
-    def of_polynomial(cls, poly: Polynomial, x, order: int) -> "ScalarJet":
-        n = poly.nvars
-        value = poly(x)
-        if order == 0:
-            return cls(0, value)
-        diffs = [poly.diff(i) for i in range(n)]
-        grad = np.array([d(x) for d in diffs])
-        if order == 1:
-            return cls(1, value, grad)
-        hess = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(i, n):
-                hess[i, j] = hess[j, i] = diffs[i].diff(j)(x)
-        return cls(2, value, grad, hess)
+def _map_chunks(fn, per_point: int, *arrays) -> np.ndarray:
+    """fn over chunks of the leading point axis of the arrays (None passes
+    through), each chunk within the gather budget at per_point entries a
+    point, written into one output array."""
+    count = len(arrays[0])
+    step = chunk_length(per_point)
+    out = None
+    for lo in range(0, max(count, 1), step):  # an empty set still gives its shape
+        part = fn(*(None if a is None else a[lo:lo + step] for a in arrays))
+        if out is None:
+            out = np.empty((count,) + part.shape[1:], dtype=part.dtype)
+        out[lo:lo + step] = part
+        del part  # not held while the next chunk is computed
+    return out
 
 
-class MvJet:
-    """Multivector value plus partial derivatives at a point, order 0, 1, or 2.
-
-    Stored as a stacked (rows, 2^n) complex array; see the layout note above.
-    Multiplication follows the product rule; mixed orders truncate to the
-    lower order.
-    """
-
-    __slots__ = ("sig", "order", "comps")
-
-    def __init__(self, sig: Signature, order: int, comps: np.ndarray):
-        if order not in (0, 1, 2):
-            raise CliffordError(f"jet order must be 0, 1, or 2, got {order}")
-        self.sig = sig
-        self.order = order
-        self.comps = comps
-
-    @classmethod
-    def constant(cls, mv: Multivector, order: int) -> "MvJet":
-        comps = np.zeros((_nrows(order, mv.sig.n), mv.sig.dim), dtype=np.complex128)
-        comps[0] = mv.coeffs
-        return cls(mv.sig, order, comps)
-
-    @property
-    def value(self) -> Multivector:
-        return Multivector(self.sig, self.comps[0])
-
-    def grad(self, mu: int) -> Multivector:
-        """Partial derivative value along axis mu (0-based)."""
-        if self.order < 1:
-            raise CliffordError("order-0 jet carries no gradient")
-        return Multivector(self.sig, self.comps[1 + mu])
-
-    def hess(self, mu: int, nu: int) -> Multivector:
-        if self.order < 2:
-            raise CliffordError("jet carries no Hessian")
-        return Multivector(self.sig, self.comps[_hidx(self.sig.n, mu, nu)])
-
-    def partial(self, mu: int) -> "MvJet":
-        """The jet of the derivative field along axis mu, one order lower."""
-        if self.order < 1:
-            raise CliffordError("cannot differentiate an order-0 jet")
-        order = self.order - 1
-        return MvJet(self.sig, order, self.comps[_partial_rows(self.sig.n, order)[mu]])
-
-    def truncate(self, order: int) -> "MvJet":
-        if order >= self.order:
-            return self
-        return MvJet(self.sig, order, self.comps[:_nrows(order, self.sig.n)])
-
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.comps)))
-
-    def __add__(self, other: "MvJet") -> "MvJet":
-        order = min(self.order, other.order)
-        rows = _nrows(order, self.sig.n)
-        return MvJet(self.sig, order, self.comps[:rows] + other.comps[:rows])
-
-    def __sub__(self, other: "MvJet") -> "MvJet":
-        order = min(self.order, other.order)
-        rows = _nrows(order, self.sig.n)
-        return MvJet(self.sig, order, self.comps[:rows] - other.comps[:rows])
-
-    def __neg__(self) -> "MvJet":
-        return MvJet(self.sig, self.order, -self.comps)
-
-    def scale(self, c: complex) -> "MvJet":
-        return MvJet(self.sig, self.order, self.comps * complex(c))
-
-    def __mul__(self, other):
-        if isinstance(other, MvJet):
-            return _jet_mul(self, other)
-        if isinstance(other, Multivector):
-            return self.mul_const(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        if isinstance(other, Multivector):
-            return self.const_mul(other)
-        return self.scale(other)
-
-    def mul_const(self, c: Multivector) -> "MvJet":
-        """Right-multiply every component by a constant multivector."""
-        t = tables(self.sig)
-        return MvJet(self.sig, self.order, t.batch_product(self.comps, c.coeffs[None])[:, 0])
-
-    def const_mul(self, c: Multivector) -> "MvJet":
-        t = tables(self.sig)
-        return MvJet(self.sig, self.order, t.batch_product(c.coeffs[None], self.comps)[0])
+def _unit_jets(sig: Signature, count: int, order: int) -> np.ndarray:
+    """Jets of the constant field e at count points."""
+    out = np.zeros((count, _nrows(order, sig.n), sig.dim), dtype=np.complex128)
+    out[:, 0, 0] = 1.0
+    return out
 
 
-def _right_matrices(b: MvJet) -> tuple:
-    """R(b value) and, at order 2, R of each gradient row of b: the matrices
-    _jet_mul(a, b) gathers for b, for callers that multiply many jets by one b."""
-    t = tables(b.sig)
-    n = b.sig.n
-    return (t.right_mult_matrix(b.comps[0]),
-            t.right_mult_matrix(b.comps[1:1 + n]) if b.order == 2 else None)
-
-
-def _jet_mul(a: MvJet, b: MvJet, b_right: tuple | None = None) -> MvJet:
-    """Product jet a * b; b_right, if given, is _right_matrices(b)."""
-    if a.sig != b.sig:
-        raise CliffordError("jet signature mismatch")
-    sig = a.sig
+def _right_matrices(b: np.ndarray, sig: Signature) -> tuple:
+    """R of the value row of the jets b (P, rows, dim) and, at order 2, R of
+    each gradient row: the matrices _jet_mul(a, b) gathers for b, for
+    callers that multiply many jets by one b."""
+    t = tables(sig)
     n = sig.n
-    order = min(a.order, b.order)
-    rows = _nrows(order, n)
-    ca = a.comps[:rows]
-    cb = b.comps[:rows]
+    return (t.right_mult_matrix(b[:, 0]),
+            t.right_mult_matrix(b[:, 1:1 + n]) if _jet_order(b.shape[-2], n) == 2 else None)
+
+
+def _jet_mul(a: np.ndarray, b: np.ndarray, sig: Signature, b_right: tuple | None = None) -> np.ndarray:
+    """Product jets a * b, shape (..., rows, dim), by the product rule.
+
+    a and b have shape (..., rows, dim) with broadcasting leading axes;
+    mixed orders truncate to the lower one. The pairs are multiplied in
+    chunks within the gather budget. b_right, if given, is
+    _right_matrices(b) for jets a and b of shape (P, rows, dim), which the
+    caller has chunked.
+    """
+    rows = min(a.shape[-2], b.shape[-2])
+    a = a[..., :rows, :]
+    b = b[..., :rows, :]
+    if b_right is not None:
+        return _jet_block(a, b, sig, b_right)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    if not lead:
+        return _jet_block(a[None], b[None], sig, None)[0]
+    a = np.broadcast_to(a, lead + a.shape[-2:])
+    b = np.broadcast_to(b, lead + b.shape[-2:])
+    out = np.empty(lead + (rows, sig.dim), dtype=np.complex128)
+    count = math.prod(lead)
+    step = chunk_length(rows * sig.dim)
+    for lo in range(0, count, step):
+        pairs = np.unravel_index(np.arange(lo, min(lo + step, count)), lead)
+        out[pairs] = _jet_block(a[pairs], b[pairs], sig, None)
+    return out
+
+
+def _jet_block(ca: np.ndarray, cb: np.ndarray, sig: Signature, b_right: tuple | None) -> np.ndarray:
+    """_jet_mul on stacked jets of equal order and matching leading axes."""
+    n = sig.n
+    order = _jet_order(ca.shape[-2], n)
     t = tables(sig)
     if order == 0:
-        return MvJet(sig, 0, t.product(ca[0], cb[0])[None])
+        return t.product(ca, cb)
     # Only three blocks of pairwise products are needed:
     # value x everything, everything x value, gradient x gradient.
-    p_row = t.batch_product(ca[0:1], cb)[0]
+    p_row = t.batch_product(ca[:, :1], cb)[:, 0]
     if b_right is None:
-        p_col = t.batch_product(ca, cb[0:1])[:, 0]
-        gg = t.batch_product(ca[1:1 + n], cb[1:1 + n]) if order == 2 else None
+        p_col = t.batch_product(ca, cb[:, :1])[:, :, 0]
+        gg = t.batch_product(ca[:, 1:1 + n], cb[:, 1:1 + n]) if order == 2 else None
     else:
         p_col = ca @ b_right[0]
-        # gg[r, s] = a_r * b_s = a_r @ R(b_s); the matmul stacks over s.
-        gg = (ca[1:1 + n] @ b_right[1]).swapaxes(0, 1) if order == 2 else None
+        # gg[p, r, s] = a_r * b_s = a_r @ R(b_s); the matmul stacks over s.
+        gg = (ca[:, None, 1:1 + n] @ b_right[1]).swapaxes(1, 2) if order == 2 else None
     out = p_row + p_col
-    out[0] = p_row[0]
+    out[:, 0] = p_row[:, 0]
     if order == 2:
         # Hessian rows follow _hess_pairs order, right after the gradient rows.
         i, j = _hess_axes(n)
-        out[1 + n:] += gg[i, j]
-        out[1 + n:] += gg[j, i]
-    return MvJet(sig, order, out)
+        out[:, 1 + n:] += gg[:, i, j]
+        out[:, 1 + n:] += gg[:, j, i]
+    return out
 
 
 class MultivectorField:
@@ -377,10 +319,12 @@ class MultivectorField:
     def __init__(self, sig: Signature):
         self.sig = sig
 
-    def value(self, x) -> Multivector:
-        raise NotImplementedError
+    def value(self, x) -> np.ndarray:
+        """Values at the points x, shape (P, dim)."""
+        return self.jet(x, 0)[:, 0]
 
-    def jet(self, x, order: int = 1) -> MvJet:
+    def jet(self, x, order: int = 1) -> np.ndarray:
+        """Jets at the points x, shape (P, rows, dim)."""
         raise NotImplementedError
 
     def scale(self, c: complex) -> "MultivectorField":
@@ -434,14 +378,8 @@ class PolyField(MultivectorField):
             self._evaluators[order] = ev
         return ev
 
-    def _rows(self, x: np.ndarray, order: int) -> np.ndarray:
-        masks, coeffs, exps, factors = self._evaluator(order)
-        comps = np.zeros((_nrows(order, self.sig.n), self.sig.dim), dtype=np.complex128)
-        comps[:, masks] = (factors * np.prod(x ** exps, axis=-1)) @ coeffs
-        return comps
-
     @classmethod
-    def constant(cls, sig: Signature, mv: Multivector) -> "PolyField":
+    def constant(cls, sig: Signature, mv) -> "PolyField":
         return cls(sig, {
             mask: Polynomial.constant(sig.n, c)
             for mask, c in enumerate(mv.coeffs) if c != 0
@@ -451,9 +389,6 @@ class PolyField(MultivectorField):
     def zero(cls, sig: Signature) -> "PolyField":
         return cls(sig, {})
 
-    def value(self, x) -> Multivector:
-        return Multivector(self.sig, self._rows(_as_point(x, self.sig.n), 0)[0], copy=False)
-
     def partial(self, mu: int) -> "PolyField":
         """Exact derivative field along axis mu (0-based)."""
         if mu not in self._diff_cache:
@@ -462,10 +397,13 @@ class PolyField(MultivectorField):
             )
         return self._diff_cache[mu]
 
-    def jet(self, x, order: int = 1) -> MvJet:
-        if order not in (0, 1, 2):
-            raise CliffordError(f"jet order must be 0, 1, or 2, got {order}")
-        return MvJet(self.sig, order, self._rows(_as_point(x, self.sig.n), order))
+    def jet(self, x, order: int = 1) -> np.ndarray:
+        x = _as_points(x, self.sig.n)
+        masks, coeffs, exps, factors = self._evaluator(order)
+        comps = np.zeros((len(x), _nrows(order, self.sig.n), self.sig.dim), dtype=np.complex128)
+        # Monomial values per point, row and monomial: (P, R, T) @ (T, B).
+        comps[:, :, masks] = (factors * np.prod(x[:, None, None, :] ** exps, axis=-1)) @ coeffs
+        return comps
 
     def scale(self, c: complex) -> "PolyField":
         return PolyField(self.sig, {m: p * c for m, p in self.blade_polys.items()})
@@ -476,7 +414,11 @@ class PolyField(MultivectorField):
 
 
 class CallableField(MultivectorField):
-    """Field defined by an arbitrary callable; derivatives via central differences."""
+    """Field defined by an arbitrary callable; derivatives via central differences.
+
+    The callable takes one point and returns a Multivector, so this is the
+    one field evaluated point by point.
+    """
 
     def __init__(self, sig: Signature, fn, fd_step: float = 1e-5, fd_hess_step: float | None = None):
         super().__init__(sig)
@@ -484,54 +426,58 @@ class CallableField(MultivectorField):
         self.fd_step = float(fd_step)
         self.fd_hess_step = None if fd_hess_step is None else float(fd_hess_step)
 
-    def value(self, x) -> Multivector:
-        x = _as_point(x, self.sig.n)
-        out = self.fn(x)
-        if not isinstance(out, Multivector) or out.sig != self.sig:
-            raise CliffordError("closure returned a value outside the field's algebra")
+    def _values(self, points: np.ndarray) -> np.ndarray:
+        out = np.empty((len(points), self.sig.dim), dtype=np.complex128)
+        for row, x in zip(out, points):
+            v = self.fn(x)
+            if not isinstance(v, Multivector) or v.sig != self.sig:
+                raise CliffordError("closure returned a value outside the field's algebra")
+            row[:] = v.coeffs
         return out
 
-    def jet(self, x, order: int = 1) -> MvJet:
-        x = _as_point(x, self.sig.n)
-        return fd_jet(self.value, self.sig, x, order, self.fd_step, self.fd_hess_step)
+    def jet(self, x, order: int = 1) -> np.ndarray:
+        return fd_jet(self._values, self.sig, x, order, self.fd_step, self.fd_hess_step)
 
 
-def fd_jet(valuefn, sig: Signature, x: np.ndarray, order: int,
-           step: float, hess_step: float | None = None) -> MvJet:
-    """Finite-difference jet of a pointwise evaluator.
+def fd_jet(valuefn, sig: Signature, x, order: int,
+           step: float, hess_step: float | None = None) -> np.ndarray:
+    """Finite-difference jets of a batched evaluator, shape (P, ..., rows, dim).
 
+    valuefn maps an (M, n) point array to values of shape (M, ..., dim);
+    every stencil point of every sample point goes to it in one batch.
     Gradient rows use second-order central differences with the given step;
     Hessian rows use a larger step, max(step, sqrt(step)) unless hess_step
     is given, because their roundoff grows like eps / step^2.
     """
     n = sig.n
-    comps = np.zeros((_nrows(order, n), sig.dim), dtype=np.complex128)
-    f0 = valuefn(x)
-    comps[0] = f0.coeffs
-    if order == 0:
-        return MvJet(sig, 0, comps)
-    for mu in range(n):
-        dx = np.zeros(n)
-        dx[mu] = step
-        comps[1 + mu] = (valuefn(x + dx).coeffs - valuefn(x - dx).coeffs) / (2 * step)
-    if order == 2:
-        h = hess_step if hess_step is not None else max(step, float(np.sqrt(step)))
-        for i, j in _hess_pairs(n):
-            r = _hidx(n, i, j)
-            if i == j:
-                dx = np.zeros(n)
-                dx[i] = h
-                comps[r] = (valuefn(x + dx).coeffs - 2 * f0.coeffs + valuefn(x - dx).coeffs) / h ** 2
-            else:
-                da = np.zeros(n)
-                db = np.zeros(n)
-                da[i] = h
-                db[j] = h
-                comps[r] = (
-                    valuefn(x + da + db).coeffs - valuefn(x + da - db).coeffs
-                    - valuefn(x - da + db).coeffs + valuefn(x - da - db).coeffs
-                ) / (4 * h * h)
-    return MvJet(sig, order, comps)
+    x = _as_points(x, n)
+    eye = np.eye(n)
+    h = hess_step if hess_step is not None else max(step, float(np.sqrt(step)))
+    stencil = [x]
+    for mu in range(n if order >= 1 else 0):
+        stencil += [x + step * eye[mu], x - step * eye[mu]]
+    for i, j in (_hess_pairs(n) if order == 2 else ()):
+        da, db = h * eye[i], h * eye[j]
+        if i == j:
+            stencil += [x + da, x - da]
+        else:
+            stencil += [x + da + db, x + da - db, x - da + db, x - da - db]
+    flat = valuefn(np.concatenate(stencil))
+    vals = flat.reshape((len(stencil), len(x)) + flat.shape[1:])
+    f0 = vals[0]
+    rows = [f0]
+    k = 1
+    for mu in range(n if order >= 1 else 0):
+        rows.append((vals[k] - vals[k + 1]) / (2 * step))
+        k += 2
+    for i, j in (_hess_pairs(n) if order == 2 else ()):
+        if i == j:
+            rows.append((vals[k] - 2 * f0 + vals[k + 1]) / h ** 2)
+            k += 2
+        else:
+            rows.append((vals[k] - vals[k + 1] - vals[k + 2] + vals[k + 3]) / (4 * h * h))
+            k += 4
+    return np.stack(rows, axis=-2)
 
 
 class ScaledField(MultivectorField):
@@ -542,20 +488,20 @@ class ScaledField(MultivectorField):
         self.base = base
         self.factor = complex(factor)
 
-    def value(self, x) -> Multivector:
-        return self.factor * self.base.value(x)
-
-    def jet(self, x, order: int = 1) -> MvJet:
-        return self.base.jet(x, order).scale(self.factor)
+    def jet(self, x, order: int = 1) -> np.ndarray:
+        return self.base.jet(x, order) * self.factor
 
 
 class ExpField(MultivectorField):
     """Pointwise exponential of a generator field, with exact series jets.
 
     The jet of exp(A(x)) is the jet-series sum of A(x)-jet powers over k!,
-    which is the same truncation as the value series, term by term. Every
-    term is multiplied on the right by the same jet of A, so its
-    multiplication matrices are gathered once per jet.
+    which at order 0 is the value series, term by term. The series runs
+    until every point's term is below tol, and each point stops
+    accumulating at its own first such term, so a point's jet does not
+    depend on the batch it is evaluated in. Every term is multiplied on the
+    right by the same jet of A, so its multiplication matrices are gathered
+    once per chunk of points, sized by the gather budget.
     """
 
     def __init__(self, generator: MultivectorField, tol: float = 1e-14, max_terms: int = 64):
@@ -564,52 +510,58 @@ class ExpField(MultivectorField):
         self.tol = float(tol)
         self.max_terms = int(max_terms)
 
-    def value(self, x) -> Multivector:
-        return exponential(self.generator.value(x), tol=self.tol, max_terms=self.max_terms)
+    def jet(self, x, order: int = 1) -> np.ndarray:
+        x = _as_points(x, self.sig.n)
+        # Gathered per point: R of the value and (order 2) gradient rows of
+        # A, plus L of the term's value row in each product.
+        per_point = {0: 1, 1: 2, 2: self.sig.n + 2}[order] * self.sig.dim ** 2
+        return _map_chunks(lambda pts: self._series(self.generator.jet(pts, order), order),
+                           per_point, x)
 
-    def jet(self, x, order: int = 1) -> MvJet:
-        from .algebra import SeriesDivergence
-
-        a = self.generator.jet(x, order)
-        a_right = _right_matrices(a) if order else None
-        acc = MvJet.constant(Multivector.unit(self.sig), order)
+    def _series(self, a: np.ndarray, order: int) -> np.ndarray:
+        a_right = _right_matrices(a, self.sig) if order else None
+        acc = _unit_jets(self.sig, len(a), order)
         term = acc
-        norm = np.inf
+        live = np.ones(len(a), dtype=bool)
+        norms = np.full(len(a), np.inf)
         for k in range(1, self.max_terms + 1):
-            term = _jet_mul(term, a, a_right).scale(1.0 / k)
-            acc = acc + term
-            norm = term.max_norm()
-            if norm < self.tol:
+            term = _jet_mul(term, a, self.sig, a_right) / k
+            if live.all():
+                acc += term
+            else:
+                acc[live] += term[live]
+            norms = np.abs(term).max(axis=(1, 2), initial=0.0)
+            live &= ~(norms < self.tol)
+            if not live.any():
                 return acc
         raise SeriesDivergence(
             f"exponential jet series did not reach tol={self.tol} within {self.max_terms} terms",
-            norm,
+            float(norms[live].max()),
         )
 
 
-def invert_value_jet(sjet: MvJet) -> MvJet:
-    """Jet of the pointwise inverse field, from the jet of the field itself.
+def invert_value_jet(sjet: np.ndarray, sig: Signature) -> np.ndarray:
+    """Jets of the pointwise inverse field from the jets (P, rows, dim) of the field.
 
     Uses d(W) = -W dS W for W = S^-1, applied once more for second order.
     """
-    sig = sjet.sig
     n = sig.n
-    w = inverse(sjet.value)
-    comps = np.zeros((_nrows(sjet.order, n), sig.dim), dtype=np.complex128)
-    comps[0] = w.coeffs
-    if sjet.order >= 1:
-        dw = []
-        for mu in range(n):
-            val = -1.0 * geometric_product(geometric_product(w, sjet.grad(mu)), w)
-            dw.append(val)
-            comps[1 + mu] = val.coeffs
-        if sjet.order == 2:
-            for i, j in _hess_pairs(n):
-                term = geometric_product(geometric_product(dw[j], sjet.grad(i)), w)
-                term = term + geometric_product(geometric_product(w, sjet.hess(i, j)), w)
-                term = term + geometric_product(geometric_product(w, sjet.grad(i)), dw[j])
-                comps[_hidx(n, i, j)] = -term.coeffs
-    return MvJet(sig, sjet.order, comps)
+    t = tables(sig)
+    w = inverse_rows(sig, sjet[:, 0])[:, None]
+    out = np.empty_like(sjet)
+    out[:, :1] = w
+    order = _jet_order(sjet.shape[1], n)
+    if order >= 1:
+        dw = -1.0 * t.product(t.product(w, sjet[:, 1:1 + n]), w)
+        out[:, 1:1 + n] = dw
+    if order == 2:
+        i, j = _hess_axes(n)
+        gi = sjet[:, 1 + i]
+        term = t.product(t.product(dw[:, j], gi), w)
+        term = term + t.product(t.product(w, sjet[:, 1 + n:]), w)
+        term = term + t.product(t.product(w, gi), dw[:, j])
+        out[:, 1 + n:] = -term
+    return out
 
 
 # Numerator coefficients b_0..b_m of the [m/m] Pade approximant to exp, and
@@ -630,14 +582,15 @@ _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932
 
 
 def _pade(a: np.ndarray, m: int) -> np.ndarray:
-    """[m/m] Pade approximant (V - U)^-1 (V + U), U and V the odd and even parts.
+    """[m/m] Pade approximant (V - U)^-1 (V + U), U and V the odd and even parts,
+    of a matrix or a stack of matrices.
 
     Even powers up to A^6 are formed; degree 13 nests A^6 to reach A^12
     (Higham 2005, eq. 2.4).
     """
     b = _PADE[m]
     top = 3 if m == 13 else m // 2
-    powers = [np.eye(a.shape[0]), a @ a]
+    powers = [np.eye(a.shape[-1]), a @ a]
     while len(powers) <= top:
         powers.append(powers[-1] @ powers[1])
     u = v = 0.0
@@ -653,23 +606,26 @@ def _pade(a: np.ndarray, m: int) -> np.ndarray:
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential of a small real square matrix, by scaling and squaring.
+    """Matrix exponential of a small real square matrix, or of a stack of them,
+    by scaling and squaring.
 
     Degree and scaling follow Al-Mohy & Higham (2009), Algorithm 5.1: the
     bounds eta use d_k = ||A^k||_1^(1/k), here from exact powers since frame
     generators are at most n x n, and the overscaling correction ell(A, m)
-    is left out. A matrix whose 1-norm is not finite gives a matrix of NaN,
+    is left out. A stack takes one degree and scaling, those its largest
+    d_k asks for. A matrix whose 1-norm is not finite gives a stack of NaN,
     and one whose squarings overflow gives inf or NaN entries; the frame
     checks refuse both.
     """
     a = np.asarray(a, dtype=float)
-    norm = np.linalg.norm(a, 1)
+    norm = np.max(np.linalg.norm(a, 1, axis=(-2, -1)), initial=0.0)
     if not np.isfinite(norm):
         return np.full(a.shape, np.nan)
     if norm == 0.0:
-        return np.eye(a.shape[0])
+        return np.broadcast_to(np.eye(a.shape[-1]), a.shape).copy()
     # Powers of A / ||A|| cannot overflow, whatever the norm.
-    d = {k: norm * np.linalg.norm(np.linalg.matrix_power(a / norm, k), 1) ** (1.0 / k)
+    d = {k: norm * np.max(np.linalg.norm(np.linalg.matrix_power(a / norm, k), 1,
+                                         axis=(-2, -1)), initial=0.0) ** (1.0 / k)
          for k in (4, 6, 8, 10)}
     for m, eta in ((3, max(d[4], d[6])), (5, max(d[4], d[6])),
                    (7, max(d[6], d[8])), (9, max(d[6], d[8]))):
@@ -723,6 +679,8 @@ class FrameField:
         self.kind = kind
         self.generator = generator
         self.poly = poly
+        # The parameter t as the scalar part of a field, for its jets.
+        self._param = PolyField(sig, {0: poly}) if kind == "rotation" else None
 
     @classmethod
     def identity(cls, sig: Signature) -> "FrameField":
@@ -739,50 +697,49 @@ class FrameField:
                    generator, poly, tol=tol)
 
     def matrix(self, x) -> np.ndarray:
-        x = _as_point(x, self.sig.n)
-        if self.kind in ("identity", "constant"):
-            return self.base.copy()
-        return expm(self.poly(x).real * self.generator) @ self.base
-
-    def coframe(self, x) -> np.ndarray:
-        """Metric dual: coframe[a, nu] = eta^{ab} eta_{mu nu} y^mu_b."""
-        eta = np.diag(np.array(self.sig.metric(), dtype=float))
-        y = self.matrix(x)
-        return eta @ y.T @ eta
+        """Frame matrices at the points x, shape (P, n, n)."""
+        return self.jets(x, 0)[0]
 
     def jets(self, x, order: int = 2):
-        """Returns (Y, dY, d2Y): value, dY[nu, mu, a] = d_nu y^mu_a, and
-        d2Y[nu, rho, mu, a]; derivative arrays are None beyond the order."""
-        x = _as_point(x, self.sig.n)
+        """Returns (Y, dY, d2Y) at the points x: Y (P, n, n), dY[p, nu, mu, a]
+        = d_nu y^mu_a, and d2Y[p, nu, rho, mu, a]; derivative arrays are None
+        beyond the order."""
+        x = _as_points(x, self.sig.n)
         n = self.sig.n
-        y = self.matrix(x)
+        count = len(x)
         if self.kind in ("identity", "constant"):
-            dy = np.zeros((n, n, n)) if order >= 1 else None
-            d2y = np.zeros((n, n, n, n)) if order >= 2 else None
+            y = np.broadcast_to(self.base, (count, n, n)).copy()
+            dy = np.zeros((count, n, n, n)) if order >= 1 else None
+            d2y = np.zeros((count, n, n, n, n)) if order >= 2 else None
             return y, dy, d2y
-        sj = ScalarJet.of_polynomial(self.poly, x, order)
+        tj = self._param.jet(x, order)[:, :, 0].real
+        y = expm(tj[:, 0, None, None] * self.generator) @ self.base
         my = self.generator @ y
         dy = None
         d2y = None
         if order >= 1:
-            dy = np.einsum("n,ma->nma", sj.grad.real, my)
+            grad = tj[:, 1:1 + n]
+            dy = np.einsum("pn,pma->pnma", grad, my)
         if order >= 2:
+            i, j = _hess_axes(n)
+            hess = np.empty((count, n, n))
+            hess[:, i, j] = hess[:, j, i] = tj[:, 1 + n:]
             mmy = self.generator @ my
-            d2y = (np.einsum("nr,ma->nrma", sj.hess.real, my)
-                   + np.einsum("n,r,ma->nrma", sj.grad.real, sj.grad.real, mmy))
+            d2y = (np.einsum("pnr,pma->pnrma", hess, my)
+                   + np.einsum("pn,pr,pma->pnrma", grad, grad, mmy))
         return y, dy, d2y
 
     def validate(self, points, tol: float = 1e-10) -> float:
         """Max orthogonality residual over the points; raises on breach."""
+        pts = _as_points(points, self.sig.n)
         eta = np.diag(np.array(self.sig.metric(), dtype=float))
-        worst = 0.0
-        for x in np.atleast_2d(points):
-            y = self.matrix(x)
-            res = float(np.max(np.abs(y @ eta @ y.T - eta)))
-            worst = max(worst, res)
-            if not res <= tol:  # NaN entries fail too
-                raise FrameError(f"frame fails orthogonality at {list(x)}: residual {res:.3e}")
-        return worst
+        y = self.matrix(pts)
+        res = np.abs(y @ eta @ y.swapaxes(-1, -2) - eta).max(axis=(1, 2), initial=0.0)
+        bad = np.flatnonzero(~(res <= tol))  # NaN entries fail too
+        if bad.size:
+            p = bad[0]
+            raise FrameError(f"frame fails orthogonality at {list(pts[p])}: residual {res[p]:.3e}")
+        return float(res.max(initial=0.0))
 
 
 def _check_pseudo_orthogonal(sig: Signature, mat: np.ndarray, tol: float):
@@ -836,58 +793,61 @@ class GaugeElement:
     inverse value and jet are those of S with the per-grade reversion signs,
     and conjugation by S keeps every grade. Any other invertible field
     falls back to the linear solve and the inverse-jet formula.
-    """
 
-    _MEMO_CAP = 128
+    The element keeps one entry: the jets of S, and of S^-1 once asked
+    for, at the last point set it was asked about. A request for values
+    alone (the set-up checks, finite-difference stencils) computes values
+    alone; any derivative brings the jets to second order, which is all a
+    verify run needs.
+    """
 
     def __init__(self, s_field: MultivectorField):
         self.sig = s_field.sig
         self.s_field = s_field
         gen = s_field.generator if isinstance(s_field, ExpField) else None
         self.bivector_exp = isinstance(gen, PolyField) and set(gen.grades_present()) <= {2}
-        self._jet_memo: dict[tuple[bytes, bool], tuple[int, MvJet]] = {}
+        self._entry: list | None = None
 
     @classmethod
     def identity(cls, sig: Signature) -> "GaugeElement":
         return cls(ExpField(PolyField.zero(sig)))
 
-    def value(self, x) -> Multivector:
-        return self.s_field.value(x)
+    def value(self, x) -> np.ndarray:
+        """S at the points x, shape (P, dim)."""
+        return self.jet(x, 0)[:, 0]
 
-    def inv_value(self, x) -> Multivector:
+    def inv_value(self, x) -> np.ndarray:
+        """S^-1 at the points x, shape (P, dim)."""
+        return self.inv_jet(x, 0)[:, 0]
+
+    def _inverted(self, sjet: np.ndarray) -> np.ndarray:
         if self.bivector_exp:
-            return reversion(self.s_field.value(x))
-        return inverse(self.s_field.value(x))
+            return sjet * tables(self.sig).reversion_signs
+        return invert_value_jet(sjet, self.sig)
 
-    def _memo_jet(self, x, order: int, inverse_side: bool) -> MvJet:
-        x = _as_point(x, self.sig.n)
-        # An exp(bivector) reverses the jet of S itself, so only the fallback
-        # inverse keeps memo entries of its own.
-        reverse = inverse_side and self.bivector_exp
-        key = (x.tobytes(), inverse_side and not reverse)
-        hit = self._jet_memo.get(key)
-        if hit is not None and hit[0] >= order:
-            jet = hit[1].truncate(order)
-        else:
-            # Jets of S are always eventually needed to second order
-            # (transformed connections and curvature both reach it), so
-            # compute the full jet once instead of one series per order.
-            eff = max(order, 2)
-            jet = self.s_field.jet(x, eff)
-            if key[1]:
-                jet = invert_value_jet(jet)
-            self._jet_memo[key] = (eff, jet)
-            if len(self._jet_memo) > self._MEMO_CAP:
-                self._jet_memo.pop(next(iter(self._jet_memo)))
-            jet = jet.truncate(order)
-        if reverse:
-            return MvJet(self.sig, jet.order, jet.comps * tables(self.sig).reversion_signs)
-        return jet
+    def _memo_jet(self, x, order: int, inverse_side: bool) -> np.ndarray:
+        x = _as_points(x, self.sig.n)
+        rows = _nrows(order, self.sig.n)
+        entry = self._entry
+        if entry is None or not _same_points(entry[0], x) or entry[1].shape[1] < rows:
+            sjet = self.s_field.jet(x, 0 if order == 0 else 2)
+            entry = self._entry = [x.copy(), _frozen(sjet), None]
+        if not inverse_side:
+            return entry[1][:, :rows]
+        # An exp(bivector) reverses the jets of S on request; only the
+        # fallback inverse is kept in the entry.
+        if self.bivector_exp:
+            return _frozen(self._inverted(entry[1][:, :rows]))
+        if entry[2] is None:
+            entry[2] = _frozen(self._inverted(entry[1]))
+        return entry[2][:, :rows]
 
-    def jet(self, x, order: int = 1) -> MvJet:
+    def jet(self, x, order: int = 1) -> np.ndarray:
+        """Jets of S at the points x, shape (P, rows, dim)."""
         return self._memo_jet(x, order, False)
 
-    def inv_jet(self, x, order: int = 1) -> MvJet:
+    def inv_jet(self, x, order: int = 1) -> np.ndarray:
+        """Jets of S^-1 at the points x, shape (P, rows, dim)."""
         return self._memo_jet(x, order, True)
 
     def inverse(self) -> "GaugeElement":
@@ -897,31 +857,28 @@ class GaugeElement:
         s = self.s_field
         return GaugeElement(ExpField(s.generator.scale(-1.0), tol=s.tol, max_terms=s.max_terms))
 
-    def connection(self, x) -> list[Multivector]:
-        """S^-1 d_mu S for each mu, 0-based list."""
+    def connection(self, x) -> np.ndarray:
+        """S^-1 d_mu S at the points x, shape (P, n, dim)."""
         sj = self.jet(x, 1)
-        w = self.inv_value(x)
-        return [geometric_product(w, sj.grad(mu)) for mu in range(self.sig.n)]
+        return tables(self.sig).product(self.inv_jet(x, 0), sj[:, 1:])
 
-    def conjugate(self, u: Multivector, x) -> Multivector:
-        """S^-1 U S at the point x."""
-        return geometric_product(geometric_product(self.inv_value(x), u), self.value(x))
+    def conjugate(self, u: np.ndarray, x) -> np.ndarray:
+        """S^-1 u S at the points x, for rows u of shape (dim,) or (P, dim)."""
+        t = tables(self.sig)
+        return t.product(t.product(self.inv_value(x), u), self.value(x))
 
     def membership_report(self, points) -> tuple[float, np.ndarray | None]:
         """Worst center leak of S^-1 dS over the points, with its argmax."""
-        worst = 0.0
-        where = None
-        for x in np.atleast_2d(points):
-            for omega in self.connection(x):
-                leak = center_leak(omega)
-                if leak > worst:
-                    worst = leak
-                    where = np.asarray(x, dtype=float)
-        return worst, where
+        pts = _as_points(points, self.sig.n)
+        if not len(pts):
+            return 0.0, None
+        leaks = np.abs(self.connection(pts)[..., tables(self.sig).center]).max(axis=(1, 2))
+        p = int(np.argmax(leaks))
+        return float(leaks[p]), (pts[p] if leaks[p] != 0 else None)
 
     def validate_membership(self, points, tol: float = 1e-9) -> float:
         leak, where = self.membership_report(points)
-        if leak > tol:
+        if not leak <= tol:
             raise GaugeMembershipError(
                 f"gauge element leaves the admissible class: center leak {leak:.3e} "
                 f"at point {None if where is None else list(where)}",
@@ -949,13 +906,14 @@ def make_gauge_element(a_field: MultivectorField, tol: float = 1e-9,
             raise GaugeMembershipError(
                 "cannot certify a non-polynomial generator without sample points")
         else:
+            pts = _as_points(sample_points_, a_field.sig.n)
             g = tables(a_field.sig).grades
-            for x in np.atleast_2d(sample_points_):
-                coeffs = a_field.value(x).coeffs
-                bad = np.max(np.abs(np.where(g == 2, 0, coeffs)))
-                if bad > tol:
-                    raise GaugeMembershipError(
-                        f"generator leaves grade 2 by {bad:.3e} at {list(x)}", point=x)
+            bad = np.abs(np.where(g == 2, 0, a_field.value(pts))).max(axis=1, initial=0.0)
+            over = np.flatnonzero(bad > tol)
+            if over.size:
+                p = over[0]
+                raise GaugeMembershipError(
+                    f"generator leaves grade 2 by {bad[p]:.3e} at {list(pts[p])}", point=pts[p])
     gauge = GaugeElement(ExpField(a_field, tol=exp_tol, max_terms=max_terms))
     if sample_points_ is not None:
         gauge.validate_membership(sample_points_, tol=tol)
@@ -989,8 +947,11 @@ def random_bivector_poly_field(sig: Signature, rng: np.random.Generator,
 class CliffordFieldVector:
     """n multivector fields h^mu forming a moving copy of the generator set.
 
-    Jets are memoized per point (all downstream consumers - the connection,
-    the curvature, the gauge sector - hit the same points repeatedly).
+    Jets come stacked as (P, n, rows, dim). The vector keeps one entry, the
+    jets at the last point set it was asked about, which every downstream
+    consumer (the connection, the curvature, the gauge sector) reads. A
+    request for values alone computes values alone; any derivative brings
+    the jets to second order. Cached jets are read-only.
 
     grade_preserving is True only where the construction guarantees that
     the h-contraction F[h](U) = sum_rho eta_rho h^rho U h^rho is the plain
@@ -999,30 +960,27 @@ class CliffordFieldVector:
     types, never from a numerical probe, and defaults to False.
     """
 
-    _MEMO_CAP = 128
     grade_preserving = False
 
     def __init__(self, sig: Signature):
         self.sig = sig
         self.n = sig.n
-        self._jet_memo: dict[bytes, tuple[int, list["MvJet"]]] = {}
+        self._entry: tuple[np.ndarray, np.ndarray] | None = None
 
-    def values(self, x) -> list[Multivector]:
-        return [j.value for j in self.jets(x, 0)]
+    def values(self, x) -> np.ndarray:
+        """h^mu at the points x, shape (P, n, dim)."""
+        return self.jets(x, 0)[:, :, 0]
 
-    def jets(self, x, order: int = 1) -> list[MvJet]:
-        x = _as_point(x, self.sig.n)
-        key = x.tobytes()
-        hit = self._jet_memo.get(key)
-        if hit is not None and hit[0] >= order:
-            return [j.truncate(order) for j in hit[1]]
-        js = self._compute_jets(x, order)
-        self._jet_memo[key] = (order, js)
-        if len(self._jet_memo) > self._MEMO_CAP:
-            self._jet_memo.pop(next(iter(self._jet_memo)))
-        return list(js)
+    def jets(self, x, order: int = 1) -> np.ndarray:
+        """Jets of every h^mu at the points x, shape (P, n, rows, dim)."""
+        x = _as_points(x, self.n)
+        rows = _nrows(order, self.n)
+        entry = self._entry
+        if entry is None or not _same_points(entry[0], x) or entry[1].shape[2] < rows:
+            entry = self._entry = (x.copy(), _frozen(self._compute_jets(x, 0 if order == 0 else 2)))
+        return entry[1][:, :, :rows]
 
-    def _compute_jets(self, x: np.ndarray, order: int) -> list[MvJet]:
+    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         raise NotImplementedError
 
     def component(self, mu: int) -> MultivectorField:
@@ -1037,32 +995,23 @@ class CliffordFieldVector:
         Returns {"anticommutation": max residual, "trace_product": max |Tr|,
         "circ_leak": max center leak}.
         """
-        unit = Multivector.unit(self.sig)
-        metric = self.sig.metric()
-        worst_anti = 0.0
+        t = tables(self.sig)
+        vals = self.values(points)
+        prods = t.batch_product(vals, vals)  # prods[p, mu, nu] = h^mu h^nu
+        anti = prods + prods.swapaxes(1, 2)
+        anti[:, range(self.n), range(self.n), 0] -= 2.0 * np.array(self.sig.metric())
         worst_trace = 0.0
-        worst_leak = 0.0
-        for x in np.atleast_2d(points):
-            vals = self.values(x)
-            for mu in range(self.n):
-                worst_leak = max(worst_leak, center_leak(vals[mu]))
-                for nu in range(mu, self.n):
-                    res = (geometric_product(vals[mu], vals[nu])
-                           + geometric_product(vals[nu], vals[mu]))
-                    if mu == nu:
-                        res = res - 2.0 * metric[mu] * unit
-                    worst_anti = max(worst_anti, res.max_norm())
-            if self.n % 2 == 1:
-                prod = vals[0]
-                for mu in range(1, self.n):
-                    prod = geometric_product(prod, vals[mu])
-                worst_trace = max(worst_trace, abs(trace(prod)))
+        if self.n % 2 == 1:
+            prod = vals[:, 0]
+            for mu in range(1, self.n):
+                prod = t.product(prod, vals[:, mu])
+            worst_trace = float(np.abs(prod[:, 0]).max(initial=0.0))
         report = {
-            "anticommutation": worst_anti,
+            "anticommutation": float(np.abs(anti).max(initial=0.0)),
             "trace_product": worst_trace,
-            "circ_leak": worst_leak,
+            "circ_leak": float(np.abs(vals[..., t.center]).max(initial=0.0)),
         }
-        if worst_anti > tol or worst_trace > tol or worst_leak > tol:
+        if not all(v <= tol for v in report.values()):  # NaN fails too
             raise FieldVectorError(
                 "field vector fails its defining identities: "
                 + ", ".join(f"{k}={v:.3e}" for k, v in report.items())
@@ -1078,11 +1027,8 @@ class _FieldVectorComponent(MultivectorField):
         self.vec = vec
         self.index0 = index0
 
-    def value(self, x) -> Multivector:
-        return self.vec.values(x)[self.index0]
-
-    def jet(self, x, order: int = 1) -> MvJet:
-        return self.vec.jets(x, order)[self.index0]
+    def jet(self, x, order: int = 1) -> np.ndarray:
+        return self.vec.jets(x, order)[:, self.index0]
 
 
 class ExplicitFieldVector(CliffordFieldVector):
@@ -1098,11 +1044,8 @@ class ExplicitFieldVector(CliffordFieldVector):
         super().__init__(sig)
         self.fields = fields
 
-    def values(self, x) -> list[Multivector]:
-        return [f.value(x) for f in self.fields]
-
-    def _compute_jets(self, x: np.ndarray, order: int) -> list[MvJet]:
-        return [f.jet(x, order) for f in self.fields]
+    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
+        return np.stack([f.jet(x, order) for f in self.fields], axis=1)
 
 
 class FrameGaugeFieldVector(CliffordFieldVector):
@@ -1121,57 +1064,39 @@ class FrameGaugeFieldVector(CliffordFieldVector):
         self.gauge = gauge
         self.grade_preserving = gauge.bivector_exp
 
-    def values(self, x) -> list[Multivector]:
-        sig = self.sig
-        s = self.gauge.value(x)
-        w = self.gauge.inv_value(x)
-        conj = [
-            geometric_product(geometric_product(w, Multivector.generator(sig, a + 1)), s)
-            for a in range(self.n)
-        ]
-        y = self.frame.matrix(x)
-        out = []
-        for mu in range(self.n):
-            coeffs = sum(y[mu, a] * conj[a].coeffs for a in range(self.n))
-            out.append(Multivector(sig, coeffs, copy=False))
-        return out
+    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
+        sj = self.gauge.jet(x, order)
+        return _map_chunks(self._combine, self.n * math.prod(sj.shape[1:]), sj, self.gauge.inv_jet(x, order),
+                           *self.frame.jets(x, order))
 
-    def _compute_jets(self, x: np.ndarray, order: int) -> list[MvJet]:
+    def _combine(self, sj, wj, y, dy, d2y) -> np.ndarray:
+        """h^mu = y^mu_a S^-1 e^a S on one chunk of points, by the product rule."""
         sig = self.sig
         n = self.n
-        sj = self.gauge.jet(x, order)
-        wj = self.gauge.inv_jet(x, order)
-        conj = []
-        for a in range(n):
-            ka = _jet_mul(wj.mul_const(Multivector.generator(sig, a + 1)), sj)
-            conj.append(ka.comps)
-        kstack = np.stack(conj)  # (a, rows, dim)
-        y, dy, d2y = self.frame.jets(x, order)
-        if self.frame.kind in ("identity", "constant"):
-            hcomps = np.einsum("ua,ark->urk", y, kstack)
-            return [MvJet(sig, order, hcomps[mu]) for mu in range(n)]
-        rows = kstack.shape[1]
-        out = []
-        for mu in range(n):
-            comps = np.zeros((rows, sig.dim), dtype=np.complex128)
-            comps[0] = np.einsum("a,ak->k", y[mu], kstack[:, 0])
-            if order >= 1:
-                for nu in range(n):
-                    comps[1 + nu] = (np.einsum("a,ak->k", y[mu], kstack[:, 1 + nu])
-                                     + np.einsum("a,ak->k", dy[nu, mu], kstack[:, 0]))
-            if order == 2:
-                for i, j in _hess_pairs(n):
-                    r = _hidx(n, i, j)
-                    comps[r] = (np.einsum("a,ak->k", y[mu], kstack[:, r])
-                                + np.einsum("a,ak->k", dy[i, mu], kstack[:, 1 + j])
-                                + np.einsum("a,ak->k", dy[j, mu], kstack[:, 1 + i])
-                                + np.einsum("a,ak->k", d2y[i, j, mu], kstack[:, 0]))
-            out.append(MvJet(sig, order, comps))
-        return out
+        gens = np.eye(sig.dim, dtype=np.complex128)[1 << np.arange(n)]
+        # k[p, a] = S^-1 e^a S; right-multiplying by e^a is exact.
+        k = _jet_mul(wj[:, None] @ tables(sig).right_mult_matrix(gens), sj[:, None], sig)
+        # h^mu = sum_a y^mu_a k_a, summed in order of a.
+        h = y[:, :, 0, None, None] * k[:, None, 0]
+        for a in range(1, n):
+            h += y[:, :, a, None, None] * k[:, None, a]
+        if self.frame.kind == "rotation" and dy is not None:
+            h[:, :, 1:1 + n] += np.einsum("pvua,pak->puvk", dy, k[:, :, 0])
+        if self.frame.kind == "rotation" and d2y is not None:
+            i, j = _hess_axes(n)
+            hess = h[:, :, 1 + n:]
+            hess += np.einsum("pqua,paqk->puqk", dy[:, i], k[:, :, 1 + j])
+            hess += np.einsum("pqua,paqk->puqk", dy[:, j], k[:, :, 1 + i])
+            hess += np.einsum("pqua,pak->puqk", d2y[:, i, j], k[:, :, 0])
+        return h
 
 
 class FiniteDifferenceVector(CliffordFieldVector):
-    """Wraps a field vector so its jets come from finite differences only."""
+    """Wraps a field vector so its jets come from finite differences only.
+
+    All components share one stencil, so the base vector's values are
+    evaluated once for every stencil point of every sample point.
+    """
 
     def __init__(self, base: CliffordFieldVector, step: float = 1e-5,
                  hess_step: float | None = None):
@@ -1180,25 +1105,8 @@ class FiniteDifferenceVector(CliffordFieldVector):
         self.step = float(step)
         self.hess_step = None if hess_step is None else float(hess_step)
 
-    def values(self, x) -> list[Multivector]:
-        return self.base.values(x)
-
-    def _compute_jets(self, x: np.ndarray, order: int) -> list[MvJet]:
-        # All components share one stencil, so evaluate the base vector once
-        # per stencil point.
-        stencil: dict[bytes, list[Multivector]] = {}
-
-        def vals(pt):
-            key = np.asarray(pt).tobytes()
-            if key not in stencil:
-                stencil[key] = self.base.values(pt)
-            return stencil[key]
-
-        out = []
-        for mu in range(self.n):
-            fn = lambda pt, mu=mu: vals(pt)[mu]
-            out.append(fd_jet(fn, self.sig, x, order, self.step, self.hess_step))
-        return out
+    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
+        return fd_jet(self.base.values, self.sig, x, order, self.step, self.hess_step)
 
 
 def make_clifford_field_vector(frame: FrameField, gauge: GaugeElement,

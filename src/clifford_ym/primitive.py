@@ -33,46 +33,52 @@ d_mu C_nu - d_nu C_mu - [C_mu, C_nu] = 0.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .algebra import (
     CliffordError,
-    Multivector,
     Signature,
-    center_leak,
-    geometric_product,
     tables,
 )
 from .contraction import ContractionTable, build_table, contraction_series
 from .fields import (
     CliffordFieldVector,
     GaugeElement,
-    MvJet,
-    _as_point,
+    _as_points,
+    _frozen,
     _jet_mul,
+    _map_chunks,
+    _nrows,
     _partial_rows,
+    _same_points,
     sample_points,
 )
 
 
 class CovectorField:
-    """n multivector fields with a lower index, evaluable with jets."""
+    """n multivector fields with a lower index, evaluable with jets.
+
+    Jets come stacked as (P, n, rows, dim) over the sample points.
+    """
 
     def __init__(self, sig: Signature):
         self.sig = sig
         self.n = sig.n
 
-    def values(self, x) -> list[Multivector]:
-        return [j.value for j in self.jets(x, 0)]
+    def values(self, x) -> np.ndarray:
+        """C_mu at the points x, shape (P, n, dim)."""
+        return self.jets(x, 0)[:, :, 0]
 
-    def jets(self, x, order: int = 1) -> list[MvJet]:
+    def jets(self, x, order: int = 1) -> np.ndarray:
         raise NotImplementedError
 
 
 class ZeroCovector(CovectorField):
-    def jets(self, x, order: int = 1) -> list[MvJet]:
-        zero = Multivector.zero(self.sig)
-        return [MvJet.constant(zero, order) for _ in range(self.n)]
+    def jets(self, x, order: int = 1) -> np.ndarray:
+        x = _as_points(x, self.n)
+        return np.zeros((len(x), self.n, _nrows(order, self.n), self.sig.dim), dtype=np.complex128)
 
 
 class OffsetCovector(CovectorField):
@@ -88,148 +94,135 @@ class OffsetCovector(CovectorField):
             if field.sig != base.sig:
                 raise CliffordError("offset field signature mismatch")
 
-    def jets(self, x, order: int = 1) -> list[MvJet]:
-        out = self.base.jets(x, order)
+    def jets(self, x, order: int = 1) -> np.ndarray:
+        out = np.array(self.base.jets(x, order))
         for mu, field in self.offsets.items():
-            out[mu] = out[mu] + field.jet(x, order)
+            out[:, mu] = out[:, mu] + field.jet(x, order)
         return out
 
 
-def _contract_jet(vjet: MvJet, hjets: list[MvJet], metric) -> MvJet:
-    """F[h](V) = sum_rho eta_rho h^rho V h^rho on jets."""
-    acc = None
-    for eta, hj in zip(metric, hjets):
-        term = _jet_mul(_jet_mul(hj, vjet), hj).scale(eta)
-        acc = term if acc is None else acc + term
-    return acc
+def _contract_jet(vjets: np.ndarray, hjets: np.ndarray, sig: Signature) -> np.ndarray:
+    """F[h](V) = sum_rho eta_rho h^rho V h^rho on jets.
+
+    vjets (P, m, rows, dim) holds m jets per point and hjets (P, n, rows,
+    dim) the field vector; the result has the shape of vjets.
+    """
+    eta = np.array(sig.metric(), dtype=float)[:, None, None]
+    h = hjets[:, None]
+    terms = _jet_mul(_jet_mul(h, vjets[:, :, None], sig), h, sig)
+    return (eta * terms).sum(axis=2)
 
 
-def _w_jets(hjets: list[MvJet], metric, order: int) -> list[MvJet]:
-    """W_mu = (d_mu h^rho) h_rho as jets of order 0 or 1, for every mu at once.
+def _w_jets(hjets: np.ndarray, sig: Signature, order: int) -> np.ndarray:
+    """W_mu = (d_mu h^rho) h_rho as jets of order 0 or 1, shape (P, n, rows, dim).
 
     By the product rule, each row of the jet of d_mu h^rho times the value
-    of h^rho (one gathered matrix R(h^rho) per rho), plus at order 1 the
-    products (d_mu h^rho)(d_nu h^rho) in the gradient row nu.
+    of h^rho (one gathered matrix R(h^rho) per point and rho), plus at
+    order 1 the products (d_mu h^rho)(d_nu h^rho) in the gradient row nu.
     """
-    sig = hjets[0].sig
     n = sig.n
     t = tables(sig)
     rows = _partial_rows(n, order)
     acc = 0
-    for eta, hj in zip(metric, hjets):
-        c = hj.comps
-        w = c[rows] @ t.right_mult_matrix(c[0])
+    for eta, c in zip(sig.metric(), hjets.swapaxes(0, 1)):
+        drows = c[:, rows]  # (P, mu, rows, dim): jets of d_mu h^rho
+        p, mu, r, dim = drows.shape
+        w = t.batch_product(drows.reshape(p, mu * r, dim), c[:, :1])[:, :, 0].reshape(drows.shape)
         if order == 1:
-            w[:, 1:] += t.batch_product(c[1:1 + n], c[1:1 + n])
+            w[:, :, 1:] += t.batch_product(c[:, 1:1 + n], c[:, 1:1 + n])
         acc = acc + eta * w
-    return [MvJet(sig, order, acc[mu]) for mu in range(n)]
+    return acc
 
 
-def compute_C_jets(hjets: list[MvJet], table: ContractionTable,
-                   grade_preserving: bool = False) -> list[MvJet]:
-    """Connection jets from field-vector jets (one order lower than the input).
+def compute_C_jets(hjets: np.ndarray, sig: Signature, table: ContractionTable,
+                   grade_preserving: bool = False) -> np.ndarray:
+    """Connection jets from field-vector jets (P, n, rows, dim), one order lower.
 
     C_mu = sum_l w_l F[h]^l(W_mu) with the collapsed table weights w. Pass
     the field vector's grade_preserving flag: where it holds, F[h] = F, so
     this is mu_k times the grade-k part of W_mu, one scale per blade.
     """
-    sig = hjets[0].sig
-    metric = sig.metric()
-    order = hjets[0].order - 1
+    n = sig.n
+    order = {1 + n: 0, 1 + n + n * (n + 1) // 2: 1}.get(hjets.shape[2], -1)
     if order < 0:
-        raise CliffordError("field-vector jets must carry at least first derivatives")
-    wjets = _w_jets(hjets, metric, order)
+        raise CliffordError("field-vector jets must carry first or second derivatives")
+    wjets = _w_jets(hjets, sig, order)
     if grade_preserving:
         mus = np.array([0.0 if m is None else float(m) for m in table.mus])
-        scale = mus[tables(sig).grades]
-        return [MvJet(sig, order, w.comps * scale) for w in wjets]
-    htrunc = [hj.truncate(order) for hj in hjets]
-    out = []
-    for wjet in wjets:
-        c = contraction_series(wjet, table.weights,
-                               lambda v: _contract_jet(v, htrunc, metric))
-        out.append(MvJet.constant(Multivector.zero(sig), order) if c is None else c)
-    return out
+        return wjets * mus[tables(sig).grades]
+    htrunc = hjets[:, :, :_nrows(order, n)]
+    c = contraction_series(wjets, table.weights, lambda v: _contract_jet(v, htrunc, sig))
+    return np.zeros_like(wjets) if c is None else c
 
 
 def compute_C(h: CliffordFieldVector, table: ContractionTable | None = None, x=None,
-              validate: bool = True, validate_tol: float = 1e-8) -> list[Multivector]:
-    """Connection values C_mu(x) solving the primitive equation for h.
+              validate: bool = True, validate_tol: float = 1e-8) -> np.ndarray:
+    """Connection values C_mu at the points x solving the primitive equation
+    for h, shape (P, n, dim).
 
     Validates the anticommutation identity of h at x by default, since the
     closed form is meaningless on an invalid field vector.
     """
     if x is None:
-        raise CliffordError("compute_C needs an evaluation point")
+        raise CliffordError("compute_C needs evaluation points")
     if table is None:
         table = build_table(h.sig.n)
     if table.n != h.sig.n:
         raise CliffordError(f"table is for n={table.n}, field vector has n={h.sig.n}")
-    x = _as_point(x, h.sig.n)
+    x = _as_points(x, h.sig.n)
     if validate:
-        h.validate(x[None, :], tol=validate_tol)
-    hjets = h.jets(x, 1)
-    return [j.value for j in compute_C_jets(hjets, table, h.grade_preserving)]
+        h.validate(x, tol=validate_tol)
+    return compute_C_jets(h.jets(x, 1), h.sig, table, h.grade_preserving)[:, :, 0]
 
 
 class DerivedConnection(CovectorField):
-    """The closed-form connection of a field vector, as a lazy covector field."""
+    """The closed-form connection of a field vector, as a lazy covector field.
+
+    Keeps one entry: the first-order jets of C at the last point set, from
+    the second-order jets of h there.
+    """
 
     def __init__(self, h: CliffordFieldVector, table: ContractionTable | None = None):
         super().__init__(h.sig)
         self.h = h
         self.table = table if table is not None else build_table(h.sig.n)
-        self._memo: dict[bytes, tuple[int, list[MvJet]]] = {}
+        self._entry: tuple[np.ndarray, np.ndarray] | None = None
 
-    def jets(self, x, order: int = 1) -> list[MvJet]:
-        x = _as_point(x, self.sig.n)
-        key = x.tobytes()
-        hit = self._memo.get(key)
-        if hit is not None and hit[0] >= order:
-            return [j.truncate(order) for j in hit[1]]
-        # Always derive to first order: curvature checks need it anyway, and
-        # one pass at order 1 is cheaper than passes at 0 and then 1.
-        eff = max(order, 1)
-        hjets = self.h.jets(x, eff + 1)
-        cjets = compute_C_jets(hjets, self.table, self.h.grade_preserving)
-        self._memo[key] = (eff, cjets)
-        if len(self._memo) > 128:
-            self._memo.pop(next(iter(self._memo)))
-        return [j.truncate(order) for j in cjets]
-
-
-def _stack(jets: list[MvJet]) -> np.ndarray:
-    """Jet rows of n components, shape (n, rows, dim)."""
-    return np.stack([j.comps for j in jets])
+    def jets(self, x, order: int = 1) -> np.ndarray:
+        if order > 1:
+            raise CliffordError("derived connections carry at most first-order jets")
+        x = _as_points(x, self.n)
+        if self._entry is None or not _same_points(self._entry[0], x):
+            cjets = compute_C_jets(self.h.jets(x, 2), self.sig, self.table,
+                                   self.h.grade_preserving)
+            self._entry = (x.copy(), _frozen(cjets))
+        return self._entry[1][:, :, :_nrows(order, self.n)]
 
 
 def primitive_residual(h: CliffordFieldVector, c: CovectorField, x) -> np.ndarray:
-    """R_{mu rho}(x) = d_mu h_rho - [C_mu, h_rho], shape (n, n, dim)."""
-    x = _as_point(x, h.sig.n)
+    """R_{mu rho} = d_mu h_rho - [C_mu, h_rho] at the points x, shape (P, n, n, dim)."""
     eta = np.array(h.sig.metric(), dtype=float)[:, None, None]
-    # Connection first: derived connections pull deeper h jets, so this
-    # order fills the jet memos top-down with no repeated work.
-    cv = _stack(c.jets(x, 0))[:, 0]
-    hs = _stack(h.jets(x, 1))
-    lowered = eta * hs
-    return (lowered[:, 1:].swapaxes(0, 1)
-            - tables(h.sig).commutators(cv, lowered[None, :, 0]))
+    cv = c.values(x)
+    lowered = eta * h.jets(x, 1)
+    return (lowered[:, :, 1:].swapaxes(1, 2)
+            - tables(h.sig).commutators(cv, lowered[:, None, :, 0]))
 
 
 def curvature_residual(c: CovectorField, x) -> np.ndarray:
-    """d_mu C_nu - d_nu C_mu - [C_mu, C_nu], antisymmetric, shape (n, n, dim).
+    """d_mu C_nu - d_nu C_mu - [C_mu, C_nu] at the points x, antisymmetric,
+    shape (P, n, n, dim).
 
     For any covector, such as the Yang-Mills potential B, this is its field
     strength; a flat connection gives zero.
     """
-    x = _as_point(x, c.sig.n)
-    cs = _stack(c.jets(x, 1))
-    grad = cs[:, 1:].swapaxes(0, 1)  # grad[mu, nu] = d_mu C_nu
-    return grad - grad.swapaxes(0, 1) - tables(c.sig).commutators(cs[:, 0], cs[None, :, 0])
+    cs = c.jets(x, 1)
+    grad = cs[:, :, 1:].swapaxes(1, 2)  # grad[p, mu, nu] = d_mu C_nu
+    return grad - grad.swapaxes(1, 2) - tables(c.sig).commutators(cs[:, :, 0], cs[:, None, :, 0])
 
 
-def connection_center_leak(c: CovectorField, x) -> float:
-    return max(center_leak(v) for v in c.values(x))
+def connection_center_leak(c: CovectorField, x) -> np.ndarray:
+    """Largest central coefficient of the C_mu at each point, shape (P,)."""
+    return max_per_point(c.values(x)[..., tables(c.sig).center])
 
 
 class TransformedFieldVector(CliffordFieldVector):
@@ -246,15 +239,13 @@ class TransformedFieldVector(CliffordFieldVector):
         self.gauge = gauge
         self.grade_preserving = base.grade_preserving and gauge.bivector_exp
 
-    def values(self, x) -> list[Multivector]:
-        s = self.gauge.value(x)
-        w = self.gauge.inv_value(x)
-        return [geometric_product(geometric_product(w, v), s) for v in self.base.values(x)]
+    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
+        base = self.base.jets(x, order)
+        return _map_chunks(self._conjugate, math.prod(base.shape[1:]), base,
+                           self.gauge.jet(x, order), self.gauge.inv_jet(x, order))
 
-    def _compute_jets(self, x: np.ndarray, order: int) -> list[MvJet]:
-        sj = self.gauge.jet(x, order)
-        wj = self.gauge.inv_jet(x, order)
-        return [_jet_mul(_jet_mul(wj, hj), sj) for hj in self.base.jets(x, order)]
+    def _conjugate(self, base: np.ndarray, sj: np.ndarray, wj: np.ndarray) -> np.ndarray:
+        return _jet_mul(_jet_mul(wj[:, None], base, self.sig), sj[:, None], self.sig)
 
 
 class TransformedConnection(CovectorField):
@@ -267,27 +258,26 @@ class TransformedConnection(CovectorField):
         self.base = base
         self.gauge = gauge
 
-    def jets(self, x, order: int = 1) -> list[MvJet]:
+    def jets(self, x, order: int = 1) -> np.ndarray:
         if order > 1:
             raise CliffordError("transformed connections carry at most first-order jets")
+        sig = self.sig
         sfull = self.gauge.jet(x, order + 1)
-        sj = sfull.truncate(order)
-        wj = self.gauge.inv_jet(x, order)
-        cjets = self.base.jets(x, order)
-        out = []
-        for mu in range(self.n):
-            conj = _jet_mul(_jet_mul(wj, cjets[mu]), sj)
-            out.append(conj - _jet_mul(wj, sfull.partial(mu)))
-        return out
+        sj = sfull[:, None, :_nrows(order, self.n)]
+        wj = self.gauge.inv_jet(x, order)[:, None]
+        conj = _jet_mul(_jet_mul(wj, self.base.jets(x, order), sig), sj, sig)
+        # Row [p, mu] of ds is the jet of d_mu S, one order below sfull.
+        ds = sfull[:, _partial_rows(self.n, order)]
+        return conj - _jet_mul(wj, ds, sig)
 
 
 def gauge_transform(h: CliffordFieldVector, c: CovectorField, gauge: GaugeElement,
                     x=None, points=None, membership_tol: float = 1e-9):
     """Transformed pair (S^-1 h S, S^-1 C S - S^-1 dS).
 
-    With x given, returns the two value lists at that point; otherwise
-    returns the transformed field objects. Membership of the gauge element
-    is validated when points are supplied.
+    With x given, returns the two value arrays (P, n, dim) at those points;
+    otherwise returns the transformed field objects. Membership of the
+    gauge element is validated when points are supplied.
     """
     if points is not None:
         gauge.validate_membership(points, tol=membership_tol)
@@ -296,6 +286,21 @@ def gauge_transform(h: CliffordFieldVector, c: CovectorField, gauge: GaugeElemen
     if x is not None:
         return ht.values(x), ct.values(x)
     return ht, ct
+
+
+def max_per_point(r: np.ndarray) -> np.ndarray:
+    """Max-norm of a residual array over everything but its point axis."""
+    return np.abs(r).reshape(len(r), math.prod(r.shape[1:])).max(axis=1, initial=0.0)
+
+
+def point_entries(points: np.ndarray, maxima: dict) -> list[dict]:
+    """Report entries {"point": [...], key: value, ...}, one per point, from
+    per-point arrays of maxima."""
+    entries = [{"point": [float(v) for v in x]} for x in points]
+    for key, vals in maxima.items():
+        for entry, v in zip(entries, vals.tolist()):
+            entry[key] = v
+    return entries
 
 
 class PrimitiveSolution:
@@ -312,27 +317,19 @@ class PrimitiveSolution:
         self.table = conn.table
         self.c = conn
 
-    def point_report(self, x) -> dict:
-        x = _as_point(x, self.h.sig.n)
-        # Curvature first: it needs the deepest jets, and computing it
-        # before the others warms every memo along the way.
-        curvature = float(np.abs(curvature_residual(self.c, x)).max())
-        return {
-            "point": [float(v) for v in x],
-            "primitive_max": float(np.abs(primitive_residual(self.h, self.c, x)).max()),
-            "curvature_max": curvature,
-            "center_leak": connection_center_leak(self.c, x),
-        }
-
     def campaign(self, points=None) -> dict:
+        """Per-point primitive, curvature and center-leak maxima, with their summary."""
         if points is None:
             points = sample_points(self.h.sig.n)
-        entries = [self.point_report(x) for x in np.atleast_2d(points)]
-        summary = {}
-        for key in ("primitive_max", "curvature_max", "center_leak"):
-            vals = [entry[key] for entry in entries]
-            summary[key] = {"max": max(vals), "mean": float(np.mean(vals))}
-        return {"per_point": entries, "summary": summary}
+        pts = _as_points(points, self.h.sig.n)
+        maxima = {
+            "primitive_max": max_per_point(primitive_residual(self.h, self.c, pts)),
+            "curvature_max": max_per_point(curvature_residual(self.c, pts)),
+            "center_leak": connection_center_leak(self.c, pts),
+        }
+        summary = {key: {"max": float(vals.max()), "mean": float(np.mean(vals))}
+                   for key, vals in maxima.items()}
+        return {"per_point": point_entries(pts, maxima), "summary": summary}
 
 
 def solve(h: CliffordFieldVector, table: ContractionTable | None = None) -> PrimitiveSolution:

@@ -15,25 +15,26 @@ every residual in max-norm.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .algebra import (
     CliffordError,
-    Multivector,
     tables,
 )
 from .fields import (
     CliffordFieldVector,
     GaugeElement,
-    MvJet,
-    _as_point,
+    _as_points,
     sample_points,
 )
 from .primitive import (
     CovectorField,
-    _stack,
     curvature_residual,
     gauge_transform,
+    max_per_point,
+    point_entries,
     primitive_residual,
 )
 
@@ -79,15 +80,10 @@ class GaugePotential(CovectorField):
         self.h = h
         self.c = c
         self.sigma = complex(sigma)
-        self._metric = h.sig.metric()
+        self._scale = np.array([self.sigma * m for m in h.sig.metric()])[:, None, None]
 
-    def jets(self, x, order: int = 1) -> list[MvJet]:
-        # Connection first: it pulls the deepest h jets into the memo, so
-        # the direct h request after it is a cache hit.
-        cj = self.c.jets(x, order)
-        hj = self.h.jets(x, order)
-        return [cj[mu] + hj[mu].scale(self.sigma * self._metric[mu])
-                for mu in range(self.n)]
+    def jets(self, x, order: int = 1) -> np.ndarray:
+        return self.c.jets(x, order) + self.h.jets(x, order) * self._scale
 
 
 class YMSolution:
@@ -95,7 +91,7 @@ class YMSolution:
 
     Carries the defining fields (h, C, sigma) and evaluates B_mu, the
     antisymmetric G^munu = -sigma^2 [h^mu, h^nu] (and its lowered form),
-    and J^nu = eps h^nu at points. eps is pinned to 4(n-1) sigma^3.
+    and J^nu = eps h^nu at arrays of points. eps is pinned to 4(n-1) sigma^3.
     """
 
     def __init__(self, h: CliffordFieldVector, c: CovectorField, sigma: complex):
@@ -112,20 +108,20 @@ class YMSolution:
     def n(self) -> int:
         return self.sig.n
 
-    def b_values(self, x) -> list[Multivector]:
+    def b_values(self, x) -> np.ndarray:
         return self.b.values(x)
 
     def g_upper(self, x) -> np.ndarray:
-        """G^munu = -sigma^2 [h^mu, h^nu], shape (n, n, dim)."""
-        hv = _stack(self.h.jets(x, 0))[:, 0]
-        return -self.sigma ** 2 * tables(self.sig).commutators(hv, hv[None])
+        """G^munu = -sigma^2 [h^mu, h^nu], shape (P, n, n, dim)."""
+        hv = self.h.values(x)
+        return -self.sigma ** 2 * tables(self.sig).commutators(hv, hv[:, None])
 
     def g_lower(self, x) -> np.ndarray:
         eta = np.array(self.sig.metric(), dtype=float)
         return np.multiply.outer(eta, eta)[:, :, None] * self.g_upper(x)
 
-    def j_values(self, x) -> list[Multivector]:
-        return [self.epsilon * v for v in self.h.values(x)]
+    def j_values(self, x) -> np.ndarray:
+        return self.epsilon * self.h.values(x)
 
 
 def build_solution(h: CliffordFieldVector, c: CovectorField, sigma: complex,
@@ -134,87 +130,82 @@ def build_solution(h: CliffordFieldVector, c: CovectorField, sigma: complex,
 
     The pair (h, C) must satisfy d_mu h_rho - [C_mu, h_rho] = 0 at the
     given sample points (default: the standard low-discrepancy set) to
-    within tol in max-norm. Pass an empty point list to skip the check.
+    within tol in max-norm; a NaN residual fails. Pass an empty point list
+    to skip the check.
     """
     if points is None:
         points = sample_points(h.sig.n)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    worst = 0.0
-    where = None
+    pts = np.asarray(points, dtype=float)
     if pts.size:
-        for x in pts:
-            m = float(np.abs(primitive_residual(h, c, x)).max())
-            if m > worst:
-                worst = m
-                where = x
-    if worst > tol:
-        raise NotASolution(
-            f"pair fails the flatness check: residual {worst:.3e} > {tol:.1e} "
-            f"at point {list(where)}")
+        pts = _as_points(pts, h.sig.n)
+        per_point = max_per_point(primitive_residual(h, c, pts))
+        bad = np.flatnonzero(~(per_point <= tol))
+        if bad.size:
+            p = bad[0]
+            raise NotASolution(
+                f"pair fails the flatness check: residual {per_point[p]:.3e} > {tol:.1e} "
+                f"at point {list(pts[p])}")
     return YMSolution(h, c, sigma)
 
 
 def eq1_residual(sol: YMSolution, x) -> np.ndarray:
-    """Field strength (curvature) of B minus the claimed G_munu, shape (n, n, dim)."""
+    """Field strength (curvature) of B minus the claimed G_munu, shape (P, n, n, dim)."""
     return curvature_residual(sol.b, x) - sol.g_lower(x)
 
 
 def _eq2_flux(sol: YMSolution, x) -> tuple[np.ndarray, np.ndarray]:
     """K^nu = sum_mu d_mu G^munu - [B_mu, G^munu], before the source term,
-    with the h value rows it used; both of shape (n, dim).
+    with the h value rows it used; both of shape (P, n, dim).
 
     By the product rule sum_mu d_mu G^munu is
     -sigma^2 ([sum_mu d_mu h^mu, h^nu] + sum_mu [h^mu, d_mu h^nu]).
     """
     ad = tables(sol.sig).commutators
-    bv = _stack(sol.b.jets(x, 0))[:, 0]
-    hs = _stack(sol.h.jets(x, 1))
-    hv = hs[:, 0]
-    dh = hs[:, 1:].swapaxes(0, 1)  # dh[mu, nu] = d_mu h^nu
-    div = np.trace(dh)
-    dg = ad(div[None], hv[None])[0] + ad(hv, dh).sum(axis=0)
-    flux = -sol.sigma ** 2 * dg - ad(bv, sol.g_upper(x)).sum(axis=0)
+    bv = sol.b.values(x)
+    hs = sol.h.jets(x, 1)
+    hv = hs[:, :, 0]
+    dh = hs[:, :, 1:].swapaxes(1, 2)  # dh[p, mu, nu] = d_mu h^nu
+    div = np.trace(dh, axis1=1, axis2=2)
+    dg = ad(div, hv) + ad(hv, dh).sum(axis=1)
+    flux = -sol.sigma ** 2 * dg - ad(bv, sol.g_upper(x)).sum(axis=1)
     return flux, hv
 
 
 def eq2_residual(sol: YMSolution, x, epsilon: complex | None = None) -> np.ndarray:
-    """sum_mu (d_mu G^munu - [B_mu, G^munu]) - eps h^nu, shape (n, dim)."""
+    """sum_mu (d_mu G^munu - [B_mu, G^munu]) - eps h^nu, shape (P, n, dim)."""
     eps = sol.epsilon if epsilon is None else complex(epsilon)
     flux, hv = _eq2_flux(sol, x)
     return flux - eps * hv
 
 
 def conservation_residual(sol: YMSolution, x, epsilon: complex | None = None) -> np.ndarray:
-    """d_nu J^nu - [B_nu, J^nu] with J^nu = eps h^nu, summed over nu, shape (dim,)."""
+    """d_nu J^nu - [B_nu, J^nu] with J^nu = eps h^nu, summed over nu, shape (P, dim)."""
     eps = sol.epsilon if epsilon is None else complex(epsilon)
-    bv = _stack(sol.b.jets(x, 0))[:, 0]
-    hs = eps * _stack(sol.h.jets(x, 1))
-    div = np.trace(hs[:, 1:])
-    return div - tables(sol.sig).commutators(bv, hs[:, None, 0]).sum(axis=0)[0]
+    bv = sol.b.values(x)
+    hs = eps * sol.h.jets(x, 1)
+    div = np.trace(hs[:, :, 1:], axis1=1, axis2=2)
+    return div - tables(sol.sig).commutators(bv, hs[:, :, None, 0]).sum(axis=1)[:, 0]
 
 
-def ym_residuals(sol: YMSolution, x, epsilon: complex | None = None) -> dict:
-    """Max-norm residual entry {point, eq1_max, eq2_max, conservation_max}."""
-    x = _as_point(x, sol.n)
-    return {
-        "point": [float(c) for c in x],
-        "eq1_max": float(np.abs(eq1_residual(sol, x)).max()),
-        "eq2_max": float(np.abs(eq2_residual(sol, x, epsilon)).max()),
-        "conservation_max": float(np.abs(conservation_residual(sol, x, epsilon)).max()),
+def ym_residuals(sol: YMSolution, x, epsilon: complex | None = None) -> list[dict]:
+    """Max-norm residual entries {point, eq1_max, eq2_max, conservation_max},
+    one per point of x."""
+    pts = _as_points(x, sol.n)
+    maxima = {
+        "eq1_max": max_per_point(eq1_residual(sol, pts)),
+        "eq2_max": max_per_point(eq2_residual(sol, pts, epsilon)),
+        "conservation_max": max_per_point(conservation_residual(sol, pts, epsilon)),
     }
+    return point_entries(pts, maxima)
 
 
 def verify_solution(sol: YMSolution, points, epsilon: complex | None = None) -> dict:
     """Residual campaign over points; maxima plus the per-point breakdown."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    per_point = [ym_residuals(sol, x, epsilon) for x in pts]
-    report = {
-        "samples": len(per_point),
-        "eq1_max": max(p["eq1_max"] for p in per_point),
-        "eq2_max": max(p["eq2_max"] for p in per_point),
-        "conservation_max": max(p["conservation_max"] for p in per_point),
-        "per_point": per_point,
-    }
+    per_point = ym_residuals(sol, points, epsilon)
+    report = {"samples": len(per_point)}
+    for key in ("eq1_max", "eq2_max", "conservation_max"):
+        report[key] = float(np.max([p[key] for p in per_point]))
+    report["per_point"] = per_point
     return report
 
 
@@ -225,18 +216,23 @@ def epsilon_from_residuals(sol: YMSolution, points) -> complex:
     h^nu and aggregating over points and indices gives a scalar affine
     function whose values at trial eps 0 and 1 determine the root.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    a = 0.0 + 0.0j
-    b = 0.0 + 0.0j
-    for x in pts:
-        flux, hv = _eq2_flux(sol, x)
-        proj = np.vdot(hv, flux)
-        a += proj
-        b += proj - np.vdot(hv, hv)
+    pts = _as_points(points, sol.n)
+    flux, hv = _eq2_flux(sol, pts)
+    hv = hv.reshape(len(pts), -1)
+    proj = np.einsum("pk,pk->p", hv.conj(), flux.reshape(len(pts), -1))
+    a = complex(proj.sum())
+    b = complex((proj - np.einsum("pk,pk->p", hv.conj(), hv)).sum())
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise CliffordError(
+            f"sigma = {sol.sigma} overflows the flux sums of the second equation: "
+            "cannot solve for eps")
     # a - b is the summed |h^nu|^2, the denominator of eps = a / (a - b).
     if abs(a - b) <= _DEGENERATE_REL * max(abs(a), abs(b)):
-        raise CliffordError("degenerate field vector: cannot solve for eps")
-    return complex(a / (a - b))
+        raise CliffordError(
+            f"degenerate field vector: the summed |h|^2 {abs(a - b):.3e} is within the "
+            f"roundoff of the projected flux {max(abs(a), abs(b)):.3e} at sigma = {sol.sigma}: "
+            "cannot solve for eps")
+    return a / (a - b)
 
 
 def gauge_transform_solution(sol: YMSolution, gauge: GaugeElement, points=None,
@@ -256,8 +252,8 @@ def gauge_transform_solution(sol: YMSolution, gauge: GaugeElement, points=None,
 
 
 def double_commutator_check(h: CliffordFieldVector, x) -> np.ndarray:
-    """[h_mu, [h^mu, h^nu]] - 4(n-1) h^nu for each nu, shape (n, dim); zero for valid h."""
+    """[h_mu, [h^mu, h^nu]] - 4(n-1) h^nu for each nu, shape (P, n, dim); zero for valid h."""
     ad = tables(h.sig).commutators
-    hv = _stack(h.jets(x, 0))[:, 0]
+    hv = h.values(x)
     eta = np.array(h.sig.metric(), dtype=float)[:, None, None]
-    return (eta * ad(hv, ad(hv, hv[None]))).sum(axis=0) - (4.0 * (h.sig.n - 1)) * hv
+    return (eta * ad(hv, ad(hv, hv[:, None]))).sum(axis=1) - (4.0 * (h.sig.n - 1)) * hv

@@ -112,8 +112,7 @@ def test_criterion_4_yang_mills_certificate():
             c = DerivedConnection(h)
             for sigma in (1.0, -1.0, 0.5):
                 sol = build_solution(h, c, sigma, points=points[:0])
-                for x in points[:4]:
-                    res = ym_residuals(sol, x)
+                for res in ym_residuals(sol, points[:4]):
                     for key in worst:
                         worst[key] = max(worst[key], res[key])
                 eps = epsilon_from_residuals(sol, points[:4])
@@ -149,27 +148,21 @@ def test_criterion_5_gauge_invariance():
         # equation with a deliberately wrong epsilon leaves a residual
         # proportional to h, which must transform as S^-1 R S.
         wrong = sol.epsilon + 1.0
-        for x in points[:3]:
-            base = eq2_residual(sol, x, epsilon=wrong)
-            after = eq2_residual(moved, x, epsilon=wrong)
-            for nu in range(sig.n):
-                dev = (Multivector(sig, after[nu])
-                       - gauge.conjugate(Multivector(sig, base[nu]), x)).max_norm()
-                worst_conj = max(worst_conj, dev)
+        base = eq2_residual(sol, points[:3], epsilon=wrong)
+        after = eq2_residual(moved, points[:3], epsilon=wrong)
+        conjugated = gauge.conjugate(base.swapaxes(0, 1), points[:3]).swapaxes(0, 1)
+        worst_conj = max(worst_conj, np.abs(after - conjugated).max())
 
         # Same law for the first-order equation on a perturbed pair.
         bump = random_multivector(sig, rng, grades=(1, 2), real=True)
         broken = OffsetCovector(c, {0: PolyField.constant(sig, bump * 0.01)})
         h2 = TransformedFieldVector(h, gauge)
         c2 = TransformedConnection(broken, gauge)
-        for x in points[:3]:
-            base = primitive_residual(h, broken, x)
-            after = primitive_residual(h2, c2, x)
-            for mu in range(sig.n):
-                for rho in range(sig.n):
-                    dev = (Multivector(sig, after[mu][rho])
-                           - gauge.conjugate(Multivector(sig, base[mu][rho]), x)).max_norm()
-                    worst_conj = max(worst_conj, dev)
+        base = primitive_residual(h, broken, points[:3])
+        after = primitive_residual(h2, c2, points[:3])
+        rows = base.reshape(3, -1, sig.dim).swapaxes(0, 1)
+        conjugated = gauge.conjugate(rows, points[:3]).swapaxes(0, 1).reshape(base.shape)
+        worst_conj = max(worst_conj, np.abs(after - conjugated).max())
     elapsed = time.perf_counter() - t0
     ok = worst_res < 1e-6 and worst_conj < 1e-9
     report(5, "gauge invariance", ok,
@@ -321,7 +314,7 @@ def test_criterion_8_fd_convergence():
             e = np.zeros(n)
             e[mu] = delta
             approx = (f.value(x + e) - f.value(x - e)) / (2 * delta)
-            return (approx - exact).max_norm()
+            return np.abs(approx - exact).max()
 
         ratios.append(fd_error(1e-2) / fd_error(5e-3))
     elapsed = time.perf_counter() - t0

@@ -248,32 +248,68 @@ def test_batch_product_matches_dense_oracle(p, q, ma, mb, rng):
             assert np.max(np.abs(out[r, s] - _dense_product(T, a[r], b[s]))) < 1e-12
 
 
-def test_batch_product_chunks_within_budget_at_n9(rng):
-    sig = Signature(5, 4)
+def _check_gathered_blocks(sig, rng):
+    """batch_product gathers at most max(1, budget // dim^2) matrices per block."""
     T = algebra._Tables(sig)  # a private instance, so the recorders below stay local
-    assert algebra._BATCH_BUDGET // sig.dim ** 2 == 15  # one chunk holds 15 rows
+    rows = max(1, algebra._GATHER_BUDGET // sig.dim ** 2)
     gathered = []
     for name in ("left_mult_matrix", "right_mult_matrix"):
-        def record(rows, build=getattr(T, name), side=name[0]):
-            mat = build(rows)
+        def record(block, build=getattr(T, name), side=name[0]):
+            mat = build(block)
             gathered.append((side, mat.shape[0]))
-            assert mat.size <= algebra._BATCH_BUDGET
+            assert mat.shape[0] == 1 or mat.size <= algebra._GATHER_BUDGET
             return mat
         setattr(T, name, record)
 
+    def blocks(side, count):
+        return [(side, min(rows, count - lo)) for lo in range(0, count, rows)]
+
     one, many, some = (_random_rows(sig, rng, m) for m in (1, 40, 20))
-    cases = [(one, many, [("l", 1)]), (many, one, [("r", 1)]),
-             (some, many, [("l", 15), ("l", 5)]), (many, some, [("r", 15), ("r", 5)])]
+    cases = [(one, many, blocks("l", 1)), (many, one, blocks("r", 1)),
+             (some, many, blocks("l", 20)), (many, some, blocks("r", 20))]
     for a, b, chunks in cases:
         gathered.clear()
         out = T.batch_product(a, b)
         assert gathered == chunks
         assert out.shape == (a.shape[0], b.shape[0], sig.dim)
-        for r in {0, 14, 15, a.shape[0] - 1}:
-            for s in {0, 14, 15, b.shape[0] - 1}:
+        for r in {0, rows - 1, rows, a.shape[0] - 1}:
+            for s in {0, rows - 1, rows, b.shape[0] - 1}:
                 if r < a.shape[0] and s < b.shape[0]:
                     want = _dense_product(T, a[r], b[s])
                     assert np.max(np.abs(out[r, s] - want)) < 1e-11
+    return rows
+
+
+def test_batch_product_chunks_within_budget_at_n9(rng):
+    # One matrix at n = 9 is past the budget, so every block holds one row.
+    assert _check_gathered_blocks(Signature(5, 4), rng) == 1
+
+
+def test_batch_product_chunks_within_budget_at_n5(rng):
+    assert _check_gathered_blocks(Signature(3, 2), rng) == 16
+
+
+@pytest.mark.parametrize("p,q", [(2, 0), (3, 2)])
+def test_batched_kernels_match_per_index_calls(p, q, rng):
+    # Leading axes of batch_product, product and commutators against the
+    # same kernels called one leading index at a time.
+    sig = Signature(p, q)
+    T = tables(sig)
+    a = _random_rows(sig, rng, 2 * 3 * 4).reshape(2, 3, 4, sig.dim)
+    b = _random_rows(sig, rng, 2 * 5).reshape(2, 1, 5, sig.dim)
+    got = T.batch_product(a, b)
+    assert got.shape == (2, 3, 4, 5, sig.dim)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(got[i, j], T.batch_product(a[i, j], b[i, 0]))
+    u, v = a[:, :, 0], b[:, 0, :3]
+    prod = T.product(u, v)
+    comm = T.commutators(u, b[:, :, :3])
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(prod[i, j], T.product(u[i, j], v[i, j]))
+            want = [T.product(u[i, j], w) - T.product(w, u[i, j]) for w in b[i, 0, :3]]
+            assert np.max(np.abs(comm[i, j] - np.array(want))) < 1e-12
 
 
 def test_grade_projection_partitions(rng):

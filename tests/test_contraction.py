@@ -110,7 +110,7 @@ def test_even_projectors_reproduce_grade_projection(rng):
         sig = Signature(p, q)
         table = build_table(sig.n)
         u = random_multivector(sig, rng)
-        gens = generator_field_vector(sig).values(np.zeros(sig.n))
+        gens = [Multivector(sig, r) for r in generator_field_vector(sig).values(np.zeros(sig.n))[0]]
         total = Multivector.zero(sig)
         for k in range(sig.n + 1):
             pk = project(u, k, table=table)
@@ -126,7 +126,7 @@ def test_odd_projectors_reproduce_paired_projection(rng):
         sig = Signature(p, q)
         table = build_table(sig.n)
         u = random_multivector(sig, rng)
-        gens = generator_field_vector(sig).values(np.zeros(sig.n))
+        gens = [Multivector(sig, r) for r in generator_field_vector(sig).values(np.zeros(sig.n))[0]]
         total = Multivector.zero(sig)
         for k in range((sig.n + 1) // 2):
             pk = project(u, k, table=table)

@@ -15,10 +15,11 @@ from clifford_ym.algebra import (
 )
 from clifford_ym.contraction import build_table
 from clifford_ym.fields import (
+    _nrows,
+    _partial_rows,
     ExpField,
     ExplicitFieldVector,
     FiniteDifferenceVector,
-    MvJet,
     FrameField,
     GaugeElement,
     GaugeMembershipError,
@@ -55,29 +56,22 @@ from conftest import build_field_vector, generator_field_vector
 def test_primitive_equation_solved(p, q):
     sig, h, points = build_field_vector(p, q, seed=23)
     c = DerivedConnection(h)
-    for x in points[:4]:
-        assert np.abs(primitive_residual(h, c, x)).max() < 1e-10
-        assert np.abs(curvature_residual(c, x)).max() < 1e-9
+    assert np.abs(primitive_residual(h, c, points[:4])).max() < 1e-10
+    assert np.abs(curvature_residual(c, points[:4])).max() < 1e-9
 
 
-def _projection_form_C_jets(hjets, table):
+def _projection_form_C_jets(hjets, sig, table):
     """Oracle: C_mu = sum_k mu_k pi[h]_k(W_mu), each h-grade projection rebuilt
     from its projector row over the same contraction chain F[h]^l(W_mu)."""
-    sig = hjets[0].sig
-    metric = sig.metric()
-    order = hjets[0].order - 1
-    htrunc = [hj.truncate(order) for hj in hjets]
-    out = []
-    for w in _w_jets(hjets, metric, order):
-        chain = [w]
-        for _ in range(len(table.weights) - 1):
-            chain.append(_contract_jet(chain[-1], htrunc, metric))
-        c = MvJet.constant(Multivector.zero(sig), order)
-        for k in range(1, table.max_k + 1):
-            for l, b in enumerate(table.projector_row(k)):
-                c = c + chain[l].scale(float(table.mus[k] * b))
-        out.append(c)
-    return out
+    htrunc = hjets[:, :, :_nrows(1, sig.n)]
+    chain = [_w_jets(hjets, sig, 1)]
+    for _ in range(len(table.weights) - 1):
+        chain.append(_contract_jet(chain[-1], htrunc, sig))
+    c = np.zeros_like(chain[0])
+    for k in range(1, table.max_k + 1):
+        for l, b in enumerate(table.projector_row(k)):
+            c = c + chain[l] * float(table.mus[k] * b)
+    return c
 
 
 def test_both_forms_agree():
@@ -86,13 +80,11 @@ def test_both_forms_agree():
     for (p, q) in [(2, 0), (2, 1), (2, 2), (3, 2)]:
         sig, h, points = build_field_vector(p, q, seed=29)
         table = build_table(sig.n)
-        for x in points[:3]:
-            hjets = h.jets(x, 2)
-            got = compute_C_jets(hjets, table)
-            want = _projection_form_C_jets(hjets, table)
-            for mu in range(sig.n):
-                assert got[mu].order == want[mu].order == 1
-                assert np.abs(got[mu].comps - want[mu].comps).max() < 1e-12
+        hjets = h.jets(points[:3], 2)
+        got = compute_C_jets(hjets, sig, table)
+        want = _projection_form_C_jets(hjets, sig, table)
+        assert got.shape == want.shape == (3, sig.n, 1 + sig.n, sig.dim)
+        assert np.abs(got - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("p,q", [(2, 1), (3, 2)])
@@ -100,16 +92,18 @@ def test_w_jets_match_jet_products(p, q):
     # The batched W_mu against its definition, one jet product per (mu, rho).
     sig, h, points = build_field_vector(p, q, seed=89, count=1)
     metric = sig.metric()
-    hjets = h.jets(points[1], 2)
+    n = sig.n
+    hjets = h.jets(points, 2)
     for order in (0, 1):
-        got = _w_jets(hjets, metric, order)
-        for mu in range(sig.n):
-            want = MvJet.constant(Multivector.zero(sig), order)
-            for rho in range(sig.n):
-                term = _jet_mul(hjets[rho].partial(mu), hjets[rho].truncate(order))
-                want = want + term.scale(metric[rho])
-            assert got[mu].order == order
-            assert np.abs(got[mu].comps - want.comps).max() < 1e-12
+        got = _w_jets(hjets, sig, order)
+        rows = _partial_rows(n, order)
+        assert got.shape == (len(points), n, _nrows(order, n), sig.dim)
+        for mu in range(n):
+            want = 0
+            for rho in range(n):
+                term = _jet_mul(hjets[:, rho, rows[mu]], hjets[:, rho, :_nrows(order, n)], sig)
+                want = want + term * metric[rho]
+            assert np.abs(got[:, mu] - want).max() < 1e-12
 
 
 def test_grade_weights_are_exact():
@@ -133,11 +127,10 @@ def test_grade_scale_matches_contraction_chain(p, q):
     assert h.grade_preserving
     table = build_table(sig.n)
     hjets = h.jets(points[1], 2)
-    fast = compute_C_jets(hjets, table, grade_preserving=True)
-    chain = compute_C_jets(hjets, table)
-    for mu in range(sig.n):
-        assert fast[mu].order == chain[mu].order == 1
-        assert np.abs(fast[mu].comps - chain[mu].comps).max() < 1e-12
+    fast = compute_C_jets(hjets, sig, table, grade_preserving=True)
+    chain = compute_C_jets(hjets, sig, table)
+    assert fast.shape == chain.shape == (1, sig.n, 1 + sig.n, sig.dim)
+    assert np.abs(fast - chain).max() < 1e-12
 
 
 def _vector_gauge(sig, rng):
@@ -164,14 +157,13 @@ def test_vector_gauge_takes_the_contraction_chain(p, q, rng):
     assert not h.grade_preserving
     table = build_table(sig.n)
     hjets = h.jets(points[1], 2)
-    chain = compute_C_jets(hjets, table)
-    scaled = compute_C_jets(hjets, table, grade_preserving=True)
-    assert max(np.abs(c.comps - s.comps).max() for c, s in zip(chain, scaled)) > 1e-3
+    chain = compute_C_jets(hjets, sig, table)
+    scaled = compute_C_jets(hjets, sig, table, grade_preserving=True)
+    assert np.abs(chain - scaled).max() > 1e-3
     # The derived connection must still solve the primitive equation.
     c = DerivedConnection(h)
-    for x in points[:3]:
-        assert np.abs(primitive_residual(h, c, x)).max() < 1e-9
-        assert np.abs(curvature_residual(c, x)).max() < 1e-8
+    assert np.abs(primitive_residual(h, c, points[:3])).max() < 1e-9
+    assert np.abs(curvature_residual(c, points[:3])).max() < 1e-8
 
 
 def test_grade_preserving_is_structural(rng):
@@ -190,8 +182,7 @@ def test_constant_field_vector_yields_zero_connection():
     sig = Signature(3, 0)
     h = generator_field_vector(sig)
     x = np.zeros(3)
-    for w in compute_C(h, None, x):
-        assert w.max_norm() < 1e-13
+    assert np.abs(compute_C(h, None, x)).max() < 1e-13
 
 
 def test_identity_frame_connection_is_gauge_connection(rng):
@@ -204,8 +195,8 @@ def test_identity_frame_connection_is_gauge_connection(rng):
     x = np.array([0.3, -0.2])
     c = compute_C(h, None, x)
     conn = gauge.connection(x)
-    for mu in range(sig.n):
-        assert (c[mu] - (-1.0) * conn[mu]).max_norm() < 1e-10
+    assert c.shape == conn.shape == (1, sig.n, sig.dim)
+    assert np.abs(c + conn).max() < 1e-10
 
 
 def test_gradient_identity_for_field_vectors(rng):
@@ -214,13 +205,13 @@ def test_gradient_identity_for_field_vectors(rng):
     sig, h, points = build_field_vector(2, 1, seed=31)
     metric = sig.metric()
     x = points[2]
-    jets = h.jets(x, 1)
+    jets = h.jets(x, 1)[0]
     for mu in range(sig.n):
         left = Multivector.zero(sig)
         right = Multivector.zero(sig)
         for rho in range(sig.n):
-            dh = jets[rho].grad(mu)
-            v = jets[rho].value
+            dh = Multivector(sig, jets[rho, 1 + mu])
+            v = Multivector(sig, jets[rho, 0])
             left = left + geometric_product(dh, v) * metric[rho]
             right = right + geometric_product(v, dh) * metric[rho]
         assert (left + right).max_norm() < 1e-10
@@ -233,8 +224,7 @@ def test_center_offset_preserves_primitive_equation(rng):
     c = DerivedConnection(h)
     pseudo = Multivector.blade(sig, (1, 2, 3))
     shifted = OffsetCovector(c, {1: PolyField.constant(sig, pseudo * 0.7)})
-    for x in points[:3]:
-        assert np.abs(primitive_residual(h, shifted, x)).max() < 1e-10
+    assert np.abs(primitive_residual(h, shifted, points[:3])).max() < 1e-10
 
 
 def test_perturbed_connection_breaks_equation(rng):
@@ -269,16 +259,16 @@ def test_zero_covector_for_constant_vectors():
 def test_connection_center_leak_small(rng):
     sig, h, points = build_field_vector(2, 1, seed=47)
     c = DerivedConnection(h)
-    for x in points[:3]:
-        assert connection_center_leak(c, x) < 1e-10
+    leaks = connection_center_leak(c, points[:3])
+    assert leaks.shape == (3,)
+    assert leaks.max() < 1e-10
 
 
 def test_pure_gauge_connection_is_flat(rng):
     sig = Signature(2, 0)
     gauge = make_gauge_element(random_bivector_poly_field(sig, rng, scale=0.4))
     conn = TransformedConnection(ZeroCovector(sig), gauge)
-    for x in sample_points(2, count=4, seed=5):
-        assert np.abs(curvature_residual(conn, x)).max() < 1e-9
+    assert np.abs(curvature_residual(conn, sample_points(2, count=4, seed=5))).max() < 1e-9
 
 
 def test_gauge_transform_conjugation_law(rng):
@@ -288,16 +278,13 @@ def test_gauge_transform_conjugation_law(rng):
     h2, c2 = gauge_transform(h, c, gauge, points=points)
 
     x = points[2]
-    vals, tvals = h.values(x), h2.values(x)
-    for rho in range(sig.n):
-        assert (tvals[rho] - gauge.conjugate(vals[rho], x)).max_norm() < 1e-11
+    vals, tvals = h.values(x)[0], h2.values(x)[0]
+    assert np.abs(tvals - gauge.conjugate(vals, x)).max() < 1e-11
 
     # The transformed connection is S^-1 C S - S^-1 dS componentwise.
-    cv, tv = c.values(x), c2.values(x)
-    conn = gauge.connection(x)
-    for mu in range(sig.n):
-        want = gauge.conjugate(cv[mu], x) - conn[mu]
-        assert (tv[mu] - want).max_norm() < 1e-11
+    cv, tv = c.values(x)[0], c2.values(x)[0]
+    want = gauge.conjugate(cv, x) - gauge.connection(x)[0]
+    assert np.abs(tv - want).max() < 1e-11
 
     # And the transformed pair still solves the equation, flatly.
     assert np.abs(primitive_residual(h2, c2, x)).max() < 1e-9
@@ -333,7 +320,7 @@ def test_solution_reports(rng):
     sig, h, points = build_field_vector(2, 0, seed=67)
     sol = solve(h)
     assert isinstance(sol, PrimitiveSolution)
-    rep = sol.point_report(points[1])
+    rep = sol.campaign(points[1])["per_point"][0]
     assert set(rep) == {"point", "primitive_max", "curvature_max", "center_leak"}
     assert rep["primitive_max"] < 1e-10
     assert rep["curvature_max"] < 1e-9
@@ -370,10 +357,10 @@ def test_compute_c_validates_field_vector(rng):
 def test_derived_connection_jets_memo_safe(rng):
     sig, h, points = build_field_vector(2, 0, seed=71)
     c = DerivedConnection(h)
-    x = points[0]
-    first = c.jets(x, 1)
-    snap = [j.value.coeffs.copy() for j in first]
-    first[0] = first[0].scale(3.0)
-    second = c.jets(x, 1)
-    for mu in range(sig.n):
-        assert np.array_equal(second[mu].value.coeffs, snap[mu])
+    first = c.jets(points, 1)
+    snap = first.copy()
+    with pytest.raises(ValueError):
+        first[0, 0, 0, 0] = 3.0
+    assert np.array_equal(c.jets(points, 1), snap)
+
+
