@@ -38,12 +38,15 @@ def _verify_case(p, q, count, seed, mode):
 
 
 # Cl(2,0) at 8 points and Cl(3,2) at 4 points (count plus the origin), in
-# exact and finite-difference mode, and the n = 3 demo.
+# exact and finite-difference mode; Cl(4,3) (odd n = 7) and Cl(4,4) (even
+# n = 8) at 2 points in exact mode; and the n = 3 demo.
 RUNS = {
     **{f"verify_cl20_{mode}": {"verify": _verify_case(2, 0, 7, 11, mode)}
        for mode in ("exact", "fd")},
     **{f"verify_cl32_{mode}": {"verify": _verify_case(3, 2, 3, 12, mode)}
        for mode in ("exact", "fd")},
+    "verify_cl43_exact": {"verify": _verify_case(4, 3, 1, 13, "exact")},
+    "verify_cl44_exact": {"verify": _verify_case(4, 4, 1, 14, "exact")},
     "demo_n3": {"demo": 3},
 }
 
