@@ -10,6 +10,12 @@ The product sign between blades is the parity of the number of
 transpositions needed to interleave the two generator lists, times the
 metric factors contributed by repeated generators. Sign tables are built
 once per signature and cached.
+
+Two bases share that trailing length 2^n. Blade arrays, the coefficients
+above, are the interface: Multivector, polynomial inputs, grade, center and
+reversion masks, residual maxima. Spinor arrays hold the same element as
+block matrices (see _Tables) and carry the jets of the field layer, whose
+products are matrix products; tables(sig).to_spinor and to_blades convert.
 """
 
 from __future__ import annotations
@@ -23,19 +29,6 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_N_MAX = 10
-
-# Products and commutators gather one (2^n, 2^n) multiplication matrix per
-# operand row. Rows are gathered in blocks, so one gathered (rows, 2^n, 2^n)
-# block holds at most this many complex entries (256 KiB: 1024 rows at
-# n = 2, 16 at n = 5, one row from n = 7 on, where a single matrix may
-# exceed it). A block that stays in cache is faster than a larger one.
-# Callers chunk the point axis of their jet stacks with the same budget.
-_GATHER_BUDGET = 1 << 14
-
-
-def chunk_length(entries_per_item: int) -> int:
-    """Items per chunk when each item holds entries_per_item complex entries."""
-    return max(1, _GATHER_BUDGET // entries_per_item)
 
 
 class CliffordError(Exception):
@@ -114,7 +107,29 @@ def _popcount(a: np.ndarray) -> np.ndarray:
 
 
 class _Tables:
-    """Cached per-signature sign tables and product kernels."""
+    """Cached per-signature tables: blade sign tables and the block-spinor kernels.
+
+    Blade arrays hold 2^n coefficients over the basis blades. Spinor arrays
+    hold the image of the same element under the faithful representation
+    Cl(p,q) (x) C = M_d(C) for even n and M_d(C) + M_d(C) for odd n, with
+    m = floor(n/2) and d = 2^m (P. Lounesto, Clifford Algebras and Spinors,
+    2nd ed., 2001): a trailing axis of the same length 2^n that holds
+    (blocks, d, d) in row-major order, one block for even n and two for odd
+    n. There a product is a matrix product per block.
+
+    The gammas are Jordan-Wigner strings on m qubits,
+    gamma_2k = Z^(qubits < k) X_k and gamma_2k+1 = Z^(qubits < k) Y_k, times
+    i for the generators a > p; for odd n the last one is kappa times the
+    product of the others, with kappa in {1, i} fixing its square to its
+    metric sign, and block 1 takes it with the opposite sign, so the two
+    blocks separate the central pseudoscalar. Every blade is then a phase
+    in {1, i, -1, -i} times one Pauli string X^x Z^z in each block, and the
+    blade images are orthogonal in the Frobenius product, with norm sqrt(d)
+    per block. An entry of a spinor array is a sum of unit-modulus multiples
+    of blade coefficients and each blade coefficient an average of them, so
+    the largest entry of a spinor array bounds its largest blade coefficient
+    from above.
+    """
 
     def __init__(self, sig: Signature):
         n, dim = sig.n, sig.dim
@@ -140,94 +155,166 @@ class _Tables:
         # so an index past dim picks up the sign without a separate multiply.
         self._left_index = self.xor + dim * (sign_l < 0)
         self._right_index = self.xor + dim * (self.sign_k < 0)
-        # ad(u)[i, k] = u[i ^ k] * ad_sign[i, k] is L(u).T - R(u), the matrix
-        # with w @ ad(u) = [u, w]; each entry of ad_sign is 0 or +-2.
-        self.ad_sign = (sign_l.T - self.sign_k).astype(np.int8)
         self.grades = _popcount(idx)
         self.reversion_signs = np.where((self.grades * (self.grades - 1) // 2) % 2 == 0, 1.0, -1.0)
+        self._build_spinor_tables()
 
-    @staticmethod
-    def _signed_take(u: np.ndarray, index: np.ndarray) -> np.ndarray:
-        return np.concatenate((u, -u), axis=-1).take(index, axis=-1)
+    def _build_spinor_tables(self):
+        sig = self.sig
+        n, dim = sig.n, sig.dim
+        m = n // 2
+        d = 1 << m
+        blocks = 1 + n % 2
+        self.block_shape = (blocks, d, d)
+        # Generator a is i^gk[a] X^gx[a] Z^gz[a] in block 0, bit k of x and z
+        # standing for qubit k.
+        qubit = np.arange(m)
+        gx = np.zeros(n, dtype=np.int64)
+        gz = np.zeros(n, dtype=np.int64)
+        gk = np.zeros(n, dtype=np.int64)
+        gx[0:2 * m:2] = gx[1:2 * m:2] = 1 << qubit
+        gz[0:2 * m:2] = (1 << qubit) - 1
+        gz[1:2 * m:2] = (2 << qubit) - 1  # Y = i X Z
+        gk[1:2 * m:2] = 1
+        gk[sig.p:2 * m] += 1
+        # Fold the generators over the bits of every blade, in increasing
+        # order: X^x1 Z^z1 X^x2 Z^z2 = (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2).
+        blade = np.arange(dim, dtype=np.int64)
+        x = np.zeros(dim, dtype=np.int64)
+        z = np.zeros(dim, dtype=np.int64)
+        k = np.zeros(dim, dtype=np.int64)
+        for a in range(n):
+            if a == 2 * m:
+                # Odd n: the product of the other gammas (the blade of all the
+                # lower bits) squares to (-1)^(k + |z & x|); kappa = i where
+                # that is not the metric sign of generator a.
+                low = dim // 2 - 1
+                gx[a], gz[a] = x[low], z[low]
+                square = (k[low] + _popcount(x[low] & z[low])) % 2
+                gk[a] = k[low] + (square != (a >= sig.p))
+            has = (blade >> a) & 1 == 1
+            k = np.where(has, k + gk[a] + 2 * _popcount(z & gx[a]), k)
+            x = np.where(has, x ^ gx[a], x)
+            z = np.where(has, z ^ gz[a], z)
+        phase = np.array([1, 1j, -1, -1j])[k % 4]
+        # Blade b fills slot t d^2 + x d + z of an intermediate array whose
+        # part t holds the blades with top bit t (odd n; t = 0 for even n).
+        top = (blade >> (n - 1)) & 1 if blocks == 2 else 0
+        self._blade_slot = top * d * d + x * d + z
+        self._slot_blade = np.argsort(self._blade_slot)
+        self._slot_phase = phase[self._slot_blade]
+        self._blade_weight = phase.conj() / (blocks * d)
+        # X^x Z^z has entry (-1)^|z & j| at row j ^ x, column j: (x, z)
+        # coefficients times the Hadamard matrix give rows x, and entry
+        # [i, j] of the block is row i ^ j at column j.
+        r, c = np.divmod(np.arange(d * d), d)
+        self._hadamard = np.where(_popcount(r & c) % 2 == 0, 1.0, -1.0).reshape(d, d)
+        self._shift = (d * d * np.arange(blocks)[:, None] + (r ^ c) * d + c).ravel()
+        self.unit = np.tile(np.eye(d, dtype=np.complex128).ravel(), blocks)
+        self.generators = self.to_spinor(np.eye(dim, dtype=np.complex128)[1 << np.arange(n)])
+
+    def _hadamard_rows(self, u: np.ndarray) -> np.ndarray:
+        d = self._hadamard.shape[0]
+        return (u.reshape(-1, d) @ self._hadamard).reshape(u.shape)
+
+    def _fold_blocks(self, u: np.ndarray) -> np.ndarray:
+        """(u0 + u1, u0 - u1) of the two halves of the last axis, for odd n.
+
+        Half 1 holds the blades that contain the top generator, whose gamma
+        changes sign in block 1, so block b is u0 + (-1)^b u1; applied to
+        the blocks, the same map gives the halves back times 2.
+        """
+        if self.block_shape[0] == 1:
+            return u
+        half = u.shape[-1] // 2
+        u0, u1 = u[..., :half], u[..., half:]
+        return np.concatenate((u0 + u1, u0 - u1), axis=-1)
+
+    def to_spinor(self, u: np.ndarray) -> np.ndarray:
+        """Spinor arrays of blade arrays u (..., dim)."""
+        g = self._fold_blocks(u[..., self._slot_blade] * self._slot_phase)
+        return self._hadamard_rows(g)[..., self._shift]
+
+    def to_blades(self, s: np.ndarray) -> np.ndarray:
+        """Blade arrays of spinor arrays s (..., dim)."""
+        g = self._fold_blocks(self._hadamard_rows(s[..., self._shift]))
+        return g[..., self._blade_slot] * self._blade_weight
 
     def left_mult_matrix(self, u: np.ndarray) -> np.ndarray:
-        """Matrix L with L @ v = u * v, for u of shape (dim,) or (rows, dim).
+        """Matrix L with L @ v = u * v on blade arrays, for u of shape (dim,) or (rows, dim).
 
         L[..., k, j] = u[..., k ^ j] times the sign of blade_{k^j} * blade_j.
         """
         return self._signed_take(u, self._left_index)
 
     def right_mult_matrix(self, v: np.ndarray) -> np.ndarray:
-        """Matrix R with u @ R = u * v, for v of shape (dim,) or (rows, dim).
+        """Matrix R with u @ R = u * v on blade arrays, for v of shape (dim,) or (rows, dim).
 
         R[..., i, k] = v[..., i ^ k] * sign_k[i, k], the sign of blade_i * blade_{i^k}.
         """
         return self._signed_take(v, self._right_index)
 
+    @staticmethod
+    def _signed_take(u: np.ndarray, index: np.ndarray) -> np.ndarray:
+        return np.concatenate((u, -u), axis=-1).take(index, axis=-1)
+
+    def _blocks(self, u: np.ndarray) -> np.ndarray:
+        """Spinor rows (..., dim) as (..., blocks, d, d)."""
+        return u.reshape(u.shape[:-1] + self.block_shape)
+
+    def _tall(self, a: np.ndarray) -> np.ndarray:
+        """Spinor rows (..., m, dim) stacked as (..., blocks, m d, d)."""
+        blocks, d, _ = self.block_shape
+        lead, m = a.shape[:-2], a.shape[-2]
+        return self._blocks(a).swapaxes(-4, -3).reshape(lead + (blocks, m * d, d))
+
+    def _wide(self, b: np.ndarray) -> np.ndarray:
+        """Spinor rows (..., m, dim) side by side as (..., blocks, d, m d)."""
+        blocks, d, _ = self.block_shape
+        lead, m = b.shape[:-2], b.shape[-2]
+        k = len(lead)
+        order = tuple(range(k)) + (k + 1, k + 2, k, k + 3)
+        return self._blocks(b).transpose(order).reshape(lead + (blocks, d, m * d))
+
+    def _pairs(self, c: np.ndarray, ma: int, mb: int) -> np.ndarray:
+        """Blockwise products (..., blocks, ma d, mb d) as rows (..., ma, mb, dim)."""
+        blocks, d, _ = self.block_shape
+        lead = c.shape[:-3]
+        k = len(lead)
+        order = tuple(range(k)) + (k + 1, k + 3, k, k + 2, k + 4)
+        return (c.reshape(lead + (blocks, ma, d, mb, d)).transpose(order)
+                .reshape(lead + (ma, mb, self.sig.dim)))
+
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Row-by-row products u * v = L(u) @ v for rows (..., dim) that broadcast."""
+        """Row-by-row products u * v of spinor rows (..., dim) that broadcast."""
         shape = np.broadcast_shapes(u.shape, v.shape)
-        dim = shape[-1]
-        u = np.broadcast_to(u, shape).reshape(-1, dim)
-        v = np.broadcast_to(v, shape).reshape(-1, dim, 1)
-        out = np.empty(v.shape, dtype=np.complex128)
-        step = chunk_length(self.xor.size)
-        for lo in range(0, len(u), step):
-            np.matmul(self.left_mult_matrix(u[lo:lo + step]), v[lo:lo + step], out=out[lo:lo + step])
-        return out.reshape(shape)
-
-    def commutators(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """[a[i], b[i, ...]] for every leading index i of a.
-
-        a has shape L + (dim,) and b has shape L' + K + (dim,), where L'
-        broadcasts against L; the result has shape L + K + (dim,). ad(a_i)
-        is gathered for blocks of rows of a.
-        """
-        lead = a.shape[:-1]
-        dim = a.shape[-1]
-        tail = b.shape[len(lead):-1]
-        rows = a.reshape(-1, dim)
-        b = np.broadcast_to(b, lead + tail + (dim,)).reshape(len(rows), math.prod(tail), dim)
-        out = np.empty(b.shape, dtype=np.complex128)
-        step = chunk_length(self.xor.size)
-        for lo in range(0, len(rows), step):
-            ad = rows[lo:lo + step].take(self.xor, axis=1)
-            ad *= self.ad_sign
-            np.matmul(b[lo:lo + step], ad, out=out[lo:lo + step])
-        return out.reshape(lead + tail + (dim,))
+        return np.matmul(self._blocks(u), self._blocks(v)).reshape(shape)
 
     def batch_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """All pairwise products of the rows of a and b, per leading index.
+        """All pairwise products of the spinor rows of a and b, per leading index.
 
         a has shape L + (ma, dim) and b has shape L' + (mb, dim) with L and L'
-        broadcasting; the result has shape L'' + (ma, mb, dim). The
-        multiplication matrices of whichever operand has fewer rows are
-        gathered, in blocks of rows, and each block is contracted by one
-        stacked matmul.
+        broadcasting; the result has shape L'' + (ma, mb, dim). Per leading
+        index and block this is one matrix product, the rows of a stacked
+        vertically times the rows of b side by side.
         """
-        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        (ma, dim), mb = a.shape[-2:], b.shape[-2]
-        a = np.broadcast_to(a, lead + (ma, dim)).reshape(-1, ma, dim)
-        b = np.broadcast_to(b, lead + (mb, dim)).reshape(-1, mb, dim)
-        left = ma <= mb
-        # out[k, r, s] = L(a[k, r]) @ b[k, s] = b[k] @ L(a[k, r]).T, or
-        # a[k] @ R(b[k, s]) stacked over s, with k the flat leading index.
-        gathered, other, m = (a, b, ma) if left else (b, a, mb)
-        out = np.empty((len(a), m, other.shape[1], dim), dtype=np.complex128)
-        flat_out = out.reshape(-1, other.shape[1], dim)
-        rows = gathered.reshape(-1, dim)
-        step = chunk_length(self.xor.size)
-        for lo in range(0, len(rows), step):
-            hi = min(lo + step, len(rows))
-            first, last = lo // m, (hi - 1) // m
-            # A block within one leading index reuses its rows of the other operand.
-            ops = other[first] if first == last else other[np.arange(lo, hi) // m]
-            mats = (self.left_mult_matrix(rows[lo:hi]).swapaxes(-1, -2) if left
-                    else self.right_mult_matrix(rows[lo:hi]))
-            np.matmul(ops, mats, out=flat_out[lo:hi])
-        if not left:
-            out = out.swapaxes(1, 2)
-        return out.reshape(lead + (ma, mb, dim))
+        return self._pairs(self._tall(a) @ self._wide(b), a.shape[-2], b.shape[-2])
+
+    def commutators(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """[a[i], b[i, ...]] of spinor rows, for every leading index i of a.
+
+        a has shape L + (dim,) and b has shape L' + K + (dim,), where L'
+        broadcasts against L; the result has shape L + K + (dim,). Per
+        leading index and block, a_i times all of b_i and all of b_i times
+        a_i are one matrix product each.
+        """
+        lead = a.shape[:-1]
+        tail = b.shape[len(lead):-1]
+        m = math.prod(tail)
+        b = b.reshape(b.shape[:len(lead)] + (m, self.sig.dim))
+        ab = self._pairs(self._blocks(a) @ self._wide(b), 1, m)[..., 0, :, :]
+        ba = self._pairs(self._tall(b) @ self._blocks(a), m, 1)[..., 0, :]
+        return (ab - ba).reshape(lead + tail + (self.sig.dim,))
 
     @property
     def center(self) -> np.ndarray:
@@ -352,9 +439,15 @@ class Multivector:
         return f"<{self.sig} {body}>"
 
 
+def _blade_product(sig: Signature, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u * v of two blade arrays (dim,) through the dense multiplication matrix L(u),
+    which is exact on basis blades and on the unit."""
+    return tables(sig).left_mult_matrix(u) @ v
+
+
 def geometric_product(u: Multivector, v: Multivector) -> Multivector:
     u._check(v)
-    return Multivector(u.sig, tables(u.sig).product(u.coeffs, v.coeffs), copy=False)
+    return Multivector(u.sig, _blade_product(u.sig, u.coeffs, v.coeffs), copy=False)
 
 
 def grade_project(u: Multivector, k: int) -> Multivector:
@@ -382,14 +475,14 @@ def reversion(u: Multivector) -> Multivector:
 
 def commutator(u: Multivector, v: Multivector) -> Multivector:
     u._check(v)
-    t = tables(u.sig)
-    return Multivector(u.sig, t.product(u.coeffs, v.coeffs) - t.product(v.coeffs, u.coeffs), copy=False)
+    uv = _blade_product(u.sig, u.coeffs, v.coeffs)
+    return Multivector(u.sig, uv - _blade_product(u.sig, v.coeffs, u.coeffs), copy=False)
 
 
 def anticommutator(u: Multivector, v: Multivector) -> Multivector:
     u._check(v)
-    t = tables(u.sig)
-    return Multivector(u.sig, t.product(u.coeffs, v.coeffs) + t.product(v.coeffs, u.coeffs), copy=False)
+    uv = _blade_product(u.sig, u.coeffs, v.coeffs)
+    return Multivector(u.sig, uv + _blade_product(u.sig, v.coeffs, u.coeffs), copy=False)
 
 
 def center_project(u: Multivector) -> Multivector:
@@ -409,11 +502,10 @@ def center_leak(u: Multivector) -> float:
 
 def exponential(u: Multivector, tol: float = 1e-14, max_terms: int = 64) -> Multivector:
     """exp(u) by the power series, truncated when a term's max-norm drops below tol."""
-    t = tables(u.sig)
     acc = Multivector.unit(u.sig).coeffs
     term = acc.copy()
     for k in range(1, max_terms + 1):
-        term = t.product(term, u.coeffs) / k
+        term = _blade_product(u.sig, term, u.coeffs) / k
         acc = acc + term
         norm = float(np.max(np.abs(term)))
         if norm < tol:

@@ -12,9 +12,11 @@ Everything is evaluated at an array of P sample points at once, and a
 single point is a batch of one. A jet carries the value and the partial
 derivatives of a field (up to second order) as an array of shape
 (P, rows, 2^n); field vectors and covectors stack their n components into
-(P, n, rows, 2^n). Jets multiply by the product rule, so exact derivatives
-of deeply composed fields like y^mu_a(x) S(x)^-1 e^a S(x) come out to
-machine precision, which the residual tolerances need.
+(P, n, rows, 2^n). Jets and values are spinor arrays (see algebra._Tables):
+fields convert their blade coefficients once, at the edges, and jets
+multiply as block matrices by the product rule, so exact derivatives of
+deeply composed fields like y^mu_a(x) S(x)^-1 e^a S(x) come out to machine
+precision, which the residual tolerances need.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .algebra import (
     Multivector,
     SeriesDivergence,
     Signature,
-    chunk_length,
     inverse_rows,
     tables,
 )
@@ -89,8 +90,8 @@ class Polynomial:
         self.nvars = nvars
         clean = {}
         for exps, coeff in (terms or {}).items():
-            key = tuple(int(e) for e in exps)
-            if len(key) != nvars or any(e < 0 for e in key):
+            key = tuple(map(int, exps))
+            if len(key) != nvars or (key and min(key) < 0):
                 raise CliffordError(f"bad exponent tuple {exps} for {nvars} variables")
             c = complex(coeff)
             if c != 0:
@@ -225,12 +226,18 @@ def _derivative_rows(n: int, order: int) -> np.ndarray:
     return np.vstack(blocks[:order + 1])
 
 
+# Jet stacks are built in chunks of points of at most this many complex
+# entries (512 KiB, or one point where a point holds more), which bounds
+# the temporaries of the products at any number of points.
+_CHUNK_ENTRIES = 1 << 15
+
+
 def _map_chunks(fn, per_point: int, *arrays) -> np.ndarray:
     """fn over chunks of the leading point axis of the arrays (None passes
-    through), each chunk within the gather budget at per_point entries a
+    through), each chunk within _CHUNK_ENTRIES at per_point entries a
     point, written into one output array."""
     count = len(arrays[0])
-    step = chunk_length(per_point)
+    step = max(1, _CHUNK_ENTRIES // per_point)
     out = None
     for lo in range(0, max(count, 1), step):  # an empty set still gives its shape
         part = fn(*(None if a is None else a[lo:lo + step] for a in arrays))
@@ -244,72 +251,37 @@ def _map_chunks(fn, per_point: int, *arrays) -> np.ndarray:
 def _unit_jets(sig: Signature, count: int, order: int) -> np.ndarray:
     """Jets of the constant field e at count points."""
     out = np.zeros((count, _nrows(order, sig.n), sig.dim), dtype=np.complex128)
-    out[:, 0, 0] = 1.0
+    out[:, 0] = tables(sig).unit
     return out
 
 
-def _right_matrices(b: np.ndarray, sig: Signature) -> tuple:
-    """R of the value row of the jets b (P, rows, dim) and, at order 2, R of
-    each gradient row: the matrices _jet_mul(a, b) gathers for b, for
-    callers that multiply many jets by one b."""
-    t = tables(sig)
-    n = sig.n
-    return (t.right_mult_matrix(b[:, 0]),
-            t.right_mult_matrix(b[:, 1:1 + n]) if _jet_order(b.shape[-2], n) == 2 else None)
-
-
-def _jet_mul(a: np.ndarray, b: np.ndarray, sig: Signature, b_right: tuple | None = None) -> np.ndarray:
-    """Product jets a * b, shape (..., rows, dim), by the product rule.
+def _jet_mul(a: np.ndarray, b: np.ndarray, sig: Signature) -> np.ndarray:
+    """Product jets a * b of spinor jets, shape (..., rows, dim), by the product rule.
 
     a and b have shape (..., rows, dim) with broadcasting leading axes;
-    mixed orders truncate to the lower one. The pairs are multiplied in
-    chunks within the gather budget. b_right, if given, is
-    _right_matrices(b) for jets a and b of shape (P, rows, dim), which the
-    caller has chunked.
+    mixed orders truncate to the lower one. Only three blocks of pairwise
+    products are needed, each one matrix product per leading index and
+    block: the value times every row, every row times the value, and the
+    gradient times the gradient.
     """
     rows = min(a.shape[-2], b.shape[-2])
     a = a[..., :rows, :]
     b = b[..., :rows, :]
-    if b_right is not None:
-        return _jet_block(a, b, sig, b_right)
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    if not lead:
-        return _jet_block(a[None], b[None], sig, None)[0]
-    a = np.broadcast_to(a, lead + a.shape[-2:])
-    b = np.broadcast_to(b, lead + b.shape[-2:])
-    out = np.empty(lead + (rows, sig.dim), dtype=np.complex128)
-    count = math.prod(lead)
-    step = chunk_length(rows * sig.dim)
-    for lo in range(0, count, step):
-        pairs = np.unravel_index(np.arange(lo, min(lo + step, count)), lead)
-        out[pairs] = _jet_block(a[pairs], b[pairs], sig, None)
-    return out
-
-
-def _jet_block(ca: np.ndarray, cb: np.ndarray, sig: Signature, b_right: tuple | None) -> np.ndarray:
-    """_jet_mul on stacked jets of equal order and matching leading axes."""
     n = sig.n
-    order = _jet_order(ca.shape[-2], n)
+    order = _jet_order(rows, n)
     t = tables(sig)
     if order == 0:
-        return t.product(ca, cb)
-    # Only three blocks of pairwise products are needed:
-    # value x everything, everything x value, gradient x gradient.
-    p_row = t.batch_product(ca[:, :1], cb)[:, 0]
-    if b_right is None:
-        p_col = t.batch_product(ca, cb[:, :1])[:, :, 0]
-        gg = t.batch_product(ca[:, 1:1 + n], cb[:, 1:1 + n]) if order == 2 else None
-    else:
-        p_col = ca @ b_right[0]
-        # gg[p, r, s] = a_r * b_s = a_r @ R(b_s); the matmul stacks over s.
-        gg = (ca[:, None, 1:1 + n] @ b_right[1]).swapaxes(1, 2) if order == 2 else None
-    out = p_row + p_col
-    out[:, 0] = p_row[:, 0]
+        return t.product(a, b)
+    out = t.batch_product(a[..., :1, :], b)[..., 0, :, :]
+    value = out[..., 0, :].copy()
+    out += t.batch_product(a, b[..., :1, :])[..., 0, :]
+    out[..., 0, :] = value
     if order == 2:
+        gg = t.batch_product(a[..., 1:1 + n, :], b[..., 1:1 + n, :])
         # Hessian rows follow _hess_pairs order, right after the gradient rows.
         i, j = _hess_axes(n)
-        out[:, 1 + n:] += gg[:, i, j]
-        out[:, 1 + n:] += gg[:, j, i]
+        out[..., 1 + n:, :] += gg[..., i, j, :]
+        out[..., 1 + n:, :] += gg[..., j, i, :]
     return out
 
 
@@ -355,26 +327,27 @@ class PolyField(MultivectorField):
         Jet row r holds the derivative D^d (d = _derivative_rows(n, order)[r]),
         and D^d x^E = c x^(E - d) with c the product over axes of the falling
         factorials E_i (E_i - 1) ... (E_i - d_i + 1), which is 0 exactly when
-        some E_i < d_i. Returns (masks, coeffs (T, B), exponents (R, T, n),
-        factors (R, T)) over the T distinct monomials and B blades.
+        some E_i < d_i. Returns (coeffs (T, dim), exponents (R, T, n),
+        factors (R, T)) over the T distinct monomials; row t of coeffs is the
+        spinor array of the blade coefficients of monomial t, converted here
+        once.
         """
         ev = self._evaluators.get(order)
         if ev is None:
             n = self.sig.n
-            masks = np.array(sorted(self.blade_polys), dtype=np.intp)
             monos = sorted({e for p in self.blade_polys.values() for e in p.terms})
             index = {e: t for t, e in enumerate(monos)}
-            coeffs = np.zeros((len(monos), len(masks)), dtype=np.complex128)
-            for b, mask in enumerate(masks):
-                for e, c in self.blade_polys[mask].terms.items():
-                    coeffs[index[e], b] = c
+            coeffs = np.zeros((len(monos), self.sig.dim), dtype=np.complex128)
+            for mask, poly in self.blade_polys.items():
+                for e, c in poly.terms.items():
+                    coeffs[index[e], mask] = c
             exps = np.array(monos, dtype=np.int64).reshape(len(monos), n)
             d = _derivative_rows(n, order)[:, None, :]
             falling = np.ones((d.shape[0], len(monos), n))
             for j in range(order):
                 falling *= np.where(d > j, exps - j, 1)
             # Clipped so that a vanishing term never evaluates 0 ** -1.
-            ev = (masks, coeffs, np.maximum(exps - d, 0), falling.prod(axis=-1))
+            ev = (tables(self.sig).to_spinor(coeffs), np.maximum(exps - d, 0), falling.prod(axis=-1))
             self._evaluators[order] = ev
         return ev
 
@@ -399,11 +372,9 @@ class PolyField(MultivectorField):
 
     def jet(self, x, order: int = 1) -> np.ndarray:
         x = _as_points(x, self.sig.n)
-        masks, coeffs, exps, factors = self._evaluator(order)
-        comps = np.zeros((len(x), _nrows(order, self.sig.n), self.sig.dim), dtype=np.complex128)
-        # Monomial values per point, row and monomial: (P, R, T) @ (T, B).
-        comps[:, :, masks] = (factors * np.prod(x[:, None, None, :] ** exps, axis=-1)) @ coeffs
-        return comps
+        coeffs, exps, factors = self._evaluator(order)
+        # Monomial values per point, row and monomial: (P, R, T) @ (T, dim).
+        return (factors * np.prod(x[:, None, None, :] ** exps, axis=-1)) @ coeffs
 
     def scale(self, c: complex) -> "PolyField":
         return PolyField(self.sig, {m: p * c for m, p in self.blade_polys.items()})
@@ -417,7 +388,8 @@ class CallableField(MultivectorField):
     """Field defined by an arbitrary callable; derivatives via central differences.
 
     The callable takes one point and returns a Multivector, so this is the
-    one field evaluated point by point.
+    one field evaluated point by point; its blade coefficients are
+    converted once per batch of points.
     """
 
     def __init__(self, sig: Signature, fn, fd_step: float = 1e-5, fd_hess_step: float | None = None):
@@ -433,7 +405,7 @@ class CallableField(MultivectorField):
             if not isinstance(v, Multivector) or v.sig != self.sig:
                 raise CliffordError("closure returned a value outside the field's algebra")
             row[:] = v.coeffs
-        return out
+        return tables(self.sig).to_spinor(out)
 
     def jet(self, x, order: int = 1) -> np.ndarray:
         return fd_jet(self._values, self.sig, x, order, self.fd_step, self.fd_hess_step)
@@ -499,9 +471,9 @@ class ExpField(MultivectorField):
     which at order 0 is the value series, term by term. The series runs
     until every point's term is below tol, and each point stops
     accumulating at its own first such term, so a point's jet does not
-    depend on the batch it is evaluated in. Every term is multiplied on the
-    right by the same jet of A, so its multiplication matrices are gathered
-    once per chunk of points, sized by the gather budget.
+    depend on the batch it is evaluated in. The stop reads the largest
+    entry of the term's spinor array, which bounds its largest blade
+    coefficient from above: it can cost an extra term, never stop early.
     """
 
     def __init__(self, generator: MultivectorField, tol: float = 1e-14, max_terms: int = 64):
@@ -512,20 +484,16 @@ class ExpField(MultivectorField):
 
     def jet(self, x, order: int = 1) -> np.ndarray:
         x = _as_points(x, self.sig.n)
-        # Gathered per point: R of the value and (order 2) gradient rows of
-        # A, plus L of the term's value row in each product.
-        per_point = {0: 1, 1: 2, 2: self.sig.n + 2}[order] * self.sig.dim ** 2
         return _map_chunks(lambda pts: self._series(self.generator.jet(pts, order), order),
-                           per_point, x)
+                           _nrows(order, self.sig.n) * self.sig.dim, x)
 
     def _series(self, a: np.ndarray, order: int) -> np.ndarray:
-        a_right = _right_matrices(a, self.sig) if order else None
         acc = _unit_jets(self.sig, len(a), order)
         term = acc
         live = np.ones(len(a), dtype=bool)
         norms = np.full(len(a), np.inf)
         for k in range(1, self.max_terms + 1):
-            term = _jet_mul(term, a, self.sig, a_right) / k
+            term = _jet_mul(term, a, self.sig) / k
             if live.all():
                 acc += term
             else:
@@ -544,10 +512,12 @@ def invert_value_jet(sjet: np.ndarray, sig: Signature) -> np.ndarray:
     """Jets of the pointwise inverse field from the jets (P, rows, dim) of the field.
 
     Uses d(W) = -W dS W for W = S^-1, applied once more for second order.
+    The value is inverted on the dense blade tables (inverse_rows, with its
+    condition test), converted once each way.
     """
     n = sig.n
     t = tables(sig)
-    w = inverse_rows(sig, sjet[:, 0])[:, None]
+    w = t.to_spinor(inverse_rows(sig, t.to_blades(sjet[:, 0])))[:, None]
     out = np.empty_like(sjet)
     out[:, :1] = w
     order = _jet_order(sjet.shape[1], n)
@@ -712,6 +682,7 @@ class FrameField:
             dy = np.zeros((count, n, n, n)) if order >= 1 else None
             d2y = np.zeros((count, n, n, n, n)) if order >= 2 else None
             return y, dy, d2y
+        # The first spinor entry of a field with a scalar part only is that part.
         tj = self._param.jet(x, order)[:, :, 0].real
         y = expm(tj[:, 0, None, None] * self.generator) @ self.base
         my = self.generator @ y
@@ -822,7 +793,8 @@ class GaugeElement:
 
     def _inverted(self, sjet: np.ndarray) -> np.ndarray:
         if self.bivector_exp:
-            return sjet * tables(self.sig).reversion_signs
+            t = tables(self.sig)
+            return t.to_spinor(t.to_blades(sjet) * t.reversion_signs)
         return invert_value_jet(sjet, self.sig)
 
     def _memo_jet(self, x, order: int, inverse_side: bool) -> np.ndarray:
@@ -872,7 +844,8 @@ class GaugeElement:
         pts = _as_points(points, self.sig.n)
         if not len(pts):
             return 0.0, None
-        leaks = np.abs(self.connection(pts)[..., tables(self.sig).center]).max(axis=(1, 2))
+        t = tables(self.sig)
+        leaks = np.abs(t.to_blades(self.connection(pts))[..., t.center]).max(axis=(1, 2))
         p = int(np.argmax(leaks))
         return float(leaks[p]), (pts[p] if leaks[p] != 0 else None)
 
@@ -907,8 +880,9 @@ def make_gauge_element(a_field: MultivectorField, tol: float = 1e-9,
                 "cannot certify a non-polynomial generator without sample points")
         else:
             pts = _as_points(sample_points_, a_field.sig.n)
-            g = tables(a_field.sig).grades
-            bad = np.abs(np.where(g == 2, 0, a_field.value(pts))).max(axis=1, initial=0.0)
+            t = tables(a_field.sig)
+            off = np.where(t.grades == 2, 0, t.to_blades(a_field.value(pts)))
+            bad = np.abs(off).max(axis=1, initial=0.0)
             over = np.flatnonzero(bad > tol)
             if over.size:
                 p = over[0]
@@ -922,26 +896,25 @@ def make_gauge_element(a_field: MultivectorField, tol: float = 1e-9,
 
 def random_bivector_poly_field(sig: Signature, rng: np.random.Generator,
                                scale: float = 0.25, degree: int = 2) -> PolyField:
-    """Random bivector-valued polynomial generator with bounded coefficients."""
+    """Random bivector-valued polynomial generator with bounded coefficients.
+
+    Per bivector blade, in blade order: a constant, the n linear terms and,
+    for degree >= 2, the quadratic terms x^i x^j (i <= j) at half the
+    amplitude, all drawn from one uniform draw.
+    """
     n = sig.n
-    masks = [m for m in range(sig.dim) if int(tables(sig).grades[m]) == 2]
+    masks = np.flatnonzero(tables(sig).grades == 2)
     amp = scale / max(1.0, np.sqrt(len(masks)))
-    blade_polys = {}
-    for mask in masks:
-        terms = {(0,) * n: complex(rng.uniform(-amp, amp))}
-        for mu in range(n):
-            exps = [0] * n
-            exps[mu] = 1
-            terms[tuple(exps)] = complex(rng.uniform(-amp, amp))
-        if degree >= 2:
-            for i in range(n):
-                for j in range(i, n):
-                    exps = [0] * n
-                    exps[i] += 1
-                    exps[j] += 1
-                    terms[tuple(exps)] = complex(rng.uniform(-amp, amp) * 0.5)
-        blade_polys[mask] = Polynomial(n, terms)
-    return PolyField(sig, blade_polys)
+    eye = np.eye(n, dtype=np.int64)
+    exps = [np.zeros((1, n), dtype=np.int64), eye]
+    if degree >= 2:
+        i, j = _hess_axes(n)
+        exps.append(eye[i] + eye[j])
+    exps = [tuple(e) for e in np.vstack(exps).tolist()]
+    draws = rng.uniform(-amp, amp, size=(len(masks), len(exps)))
+    draws[:, 1 + n:] *= 0.5
+    return PolyField(sig, {int(mask): Polynomial(n, dict(zip(exps, row)))
+                           for mask, row in zip(masks, draws.tolist())})
 
 
 class CliffordFieldVector:
@@ -998,18 +971,18 @@ class CliffordFieldVector:
         t = tables(self.sig)
         vals = self.values(points)
         prods = t.batch_product(vals, vals)  # prods[p, mu, nu] = h^mu h^nu
-        anti = prods + prods.swapaxes(1, 2)
+        anti = t.to_blades(prods + prods.swapaxes(1, 2))
         anti[:, range(self.n), range(self.n), 0] -= 2.0 * np.array(self.sig.metric())
         worst_trace = 0.0
         if self.n % 2 == 1:
             prod = vals[:, 0]
             for mu in range(1, self.n):
                 prod = t.product(prod, vals[:, mu])
-            worst_trace = float(np.abs(prod[:, 0]).max(initial=0.0))
+            worst_trace = float(np.abs(t.to_blades(prod)[:, 0]).max(initial=0.0))
         report = {
             "anticommutation": float(np.abs(anti).max(initial=0.0)),
             "trace_product": worst_trace,
-            "circ_leak": float(np.abs(vals[..., t.center]).max(initial=0.0)),
+            "circ_leak": float(np.abs(t.to_blades(vals)[..., t.center]).max(initial=0.0)),
         }
         if not all(v <= tol for v in report.values()):  # NaN fails too
             raise FieldVectorError(
@@ -1073,9 +1046,10 @@ class FrameGaugeFieldVector(CliffordFieldVector):
         """h^mu = y^mu_a S^-1 e^a S on one chunk of points, by the product rule."""
         sig = self.sig
         n = self.n
-        gens = np.eye(sig.dim, dtype=np.complex128)[1 << np.arange(n)]
-        # k[p, a] = S^-1 e^a S; right-multiplying by e^a is exact.
-        k = _jet_mul(wj[:, None] @ tables(sig).right_mult_matrix(gens), sj[:, None], sig)
+        # k[p, a] = S^-1 e^a S; the spinor gamma_a has one unit-modulus
+        # entry per row and column, so right-multiplying by it is exact.
+        t = tables(sig)
+        k = _jet_mul(t.batch_product(wj, t.generators).swapaxes(1, 2), sj[:, None], sig)
         # h^mu = sum_a y^mu_a k_a, summed in order of a.
         h = y[:, :, 0, None, None] * k[:, None, 0]
         for a in range(1, n):

@@ -29,6 +29,10 @@ breach a tolerance rather than pass.
 The connection never touches the center (the k = 0 and paired (0, n)
 projections are excluded), and a solving C has zero curvature:
 d_mu C_nu - d_nu C_mu - [C_mu, C_nu] = 0.
+
+Jets and values are spinor arrays (algebra._Tables); the residual arrays
+are returned in blade coordinates, so that their max-norms, and the
+tolerances they are held to, are blade max-norms.
 """
 
 from __future__ import annotations
@@ -117,8 +121,8 @@ def _w_jets(hjets: np.ndarray, sig: Signature, order: int) -> np.ndarray:
     """W_mu = (d_mu h^rho) h_rho as jets of order 0 or 1, shape (P, n, rows, dim).
 
     By the product rule, each row of the jet of d_mu h^rho times the value
-    of h^rho (one gathered matrix R(h^rho) per point and rho), plus at
-    order 1 the products (d_mu h^rho)(d_nu h^rho) in the gradient row nu.
+    of h^rho, plus at order 1 the products (d_mu h^rho)(d_nu h^rho) in the
+    gradient row nu.
     """
     n = sig.n
     t = tables(sig)
@@ -140,7 +144,8 @@ def compute_C_jets(hjets: np.ndarray, sig: Signature, table: ContractionTable,
 
     C_mu = sum_l w_l F[h]^l(W_mu) with the collapsed table weights w. Pass
     the field vector's grade_preserving flag: where it holds, F[h] = F, so
-    this is mu_k times the grade-k part of W_mu, one scale per blade.
+    this is mu_k times the grade-k part of W_mu, one scale per blade, taken
+    in blade coordinates.
     """
     n = sig.n
     order = {1 + n: 0, 1 + n + n * (n + 1) // 2: 1}.get(hjets.shape[2], -1)
@@ -149,7 +154,8 @@ def compute_C_jets(hjets: np.ndarray, sig: Signature, table: ContractionTable,
     wjets = _w_jets(hjets, sig, order)
     if grade_preserving:
         mus = np.array([0.0 if m is None else float(m) for m in table.mus])
-        return wjets * mus[tables(sig).grades]
+        t = tables(sig)
+        return t.to_spinor(t.to_blades(wjets) * mus[t.grades])
     htrunc = hjets[:, :, :_nrows(order, n)]
     c = contraction_series(wjets, table.weights, lambda v: _contract_jet(v, htrunc, sig))
     return np.zeros_like(wjets) if c is None else c
@@ -200,29 +206,36 @@ class DerivedConnection(CovectorField):
 
 
 def primitive_residual(h: CliffordFieldVector, c: CovectorField, x) -> np.ndarray:
-    """R_{mu rho} = d_mu h_rho - [C_mu, h_rho] at the points x, shape (P, n, n, dim)."""
+    """R_{mu rho} = d_mu h_rho - [C_mu, h_rho] at the points x, in blade
+    coordinates, shape (P, n, n, dim)."""
+    t = tables(h.sig)
     eta = np.array(h.sig.metric(), dtype=float)[:, None, None]
     cv = c.values(x)
     lowered = eta * h.jets(x, 1)
-    return (lowered[:, :, 1:].swapaxes(1, 2)
-            - tables(h.sig).commutators(cv, lowered[:, None, :, 0]))
+    return t.to_blades(lowered[:, :, 1:].swapaxes(1, 2) - t.commutators(cv, lowered[:, None, :, 0]))
 
 
-def curvature_residual(c: CovectorField, x) -> np.ndarray:
-    """d_mu C_nu - d_nu C_mu - [C_mu, C_nu] at the points x, antisymmetric,
-    shape (P, n, n, dim).
-
-    For any covector, such as the Yang-Mills potential B, this is its field
-    strength; a flat connection gives zero.
-    """
+def field_strength(c: CovectorField, x) -> np.ndarray:
+    """d_mu C_nu - d_nu C_mu - [C_mu, C_nu] at the points x as spinor arrays,
+    antisymmetric, shape (P, n, n, dim)."""
     cs = c.jets(x, 1)
     grad = cs[:, :, 1:].swapaxes(1, 2)  # grad[p, mu, nu] = d_mu C_nu
     return grad - grad.swapaxes(1, 2) - tables(c.sig).commutators(cs[:, :, 0], cs[:, None, :, 0])
 
 
+def curvature_residual(c: CovectorField, x) -> np.ndarray:
+    """The field strength of c at the points x in blade coordinates, shape (P, n, n, dim).
+
+    For any covector, such as the Yang-Mills potential B, this is its field
+    strength; a flat connection gives zero.
+    """
+    return tables(c.sig).to_blades(field_strength(c, x))
+
+
 def connection_center_leak(c: CovectorField, x) -> np.ndarray:
     """Largest central coefficient of the C_mu at each point, shape (P,)."""
-    return max_per_point(c.values(x)[..., tables(c.sig).center])
+    t = tables(c.sig)
+    return max_per_point(t.to_blades(c.values(x))[..., t.center])
 
 
 class TransformedFieldVector(CliffordFieldVector):

@@ -361,7 +361,8 @@ def _gauge_check(case: dict, sol: YMSolution, cfg: RunConfig,
 
     # Residual conjugation on a deliberately non-flat pair, at the first
     # three points: the pointwise residual of the transformed pair must
-    # equal S^-1 R S exactly. As rows, S^-1 R S is R @ L(S^-1).T @ R(S).
+    # equal S^-1 R S exactly. As blade rows, S^-1 R S is
+    # R @ L(S^-1).T @ R(S), on the dense blade tables.
     # Every object is evaluated on the whole point set, and the residuals
     # are sliced, so no jet entry is replaced by a second point set.
     t = tables(sol.sig)
@@ -369,8 +370,8 @@ def _gauge_check(case: dict, sol: YMSolution, cfg: RunConfig,
     pert_t = TransformedConnection(pert, gauge2)
     ref = primitive_residual(sol.h, pert, points)[:3]
     got = primitive_residual(ht, pert_t, points)[:3]
-    lt = t.left_mult_matrix(gauge2.inv_value(points)[:3]).swapaxes(-1, -2)[:, None]
-    rs = t.right_mult_matrix(gauge2.value(points)[:3])[:, None]
+    lt = t.left_mult_matrix(t.to_blades(gauge2.inv_value(points)[:3])).swapaxes(-1, -2)[:, None]
+    rs = t.right_mult_matrix(t.to_blades(gauge2.value(points)[:3]))[:, None]
     conj_max = float(np.abs(got - ref @ lt @ rs).max())
 
     ok = (leak <= tol["center_leak"]
@@ -456,8 +457,8 @@ _GOLDEN_WEIGHTS = {2: golden.R_N2, 3: golden.S_N3, 4: golden.R_N4}
 
 
 def explicit_connection(h, x, n: int) -> np.ndarray:
-    """C_mu at the points x, shape (P, n, dim), from the frozen small-n weights
-    by nested products of values only.
+    """C_mu at the points x as spinor arrays, shape (P, n, dim), from the
+    frozen small-n weights by nested products of values only.
 
     Independent of the table machinery and of the jet products: W_mu and
     the contractions F[h] are built from the field vector's values and
@@ -499,10 +500,11 @@ def run_demo(n: int, seed: int = 12345) -> tuple[dict, int]:
     case = build_case(cfg)
     table = case["table"]
 
-    # Both sides on the case's whole point set, compared at its first four points.
+    # Both sides on the case's whole point set, compared at its first four
+    # points in blade coordinates.
     derived = case["conn"].values(case["points"])[:4]
     literal = explicit_connection(case["h"], case["points"], n)[:4]
-    explicit_dev = float(np.abs(derived - literal).max())
+    explicit_dev = float(np.abs(tables(case["sig"]).to_blades(derived - literal)).max())
 
     report, code = run_verify(cfg)
     report["explicit_weights"] = [

@@ -10,7 +10,8 @@ with G_munu = -sigma^2 [h_mu, h_nu] and eps = 4(n-1) sigma^3, and the
 current J^nu = eps h^nu obeys the non-Abelian conservation law
 d_nu J^nu - [B_nu, J^nu] = 0. This module constructs such solutions,
 refuses to build from pairs that fail the flatness check, and evaluates
-every residual in max-norm.
+every residual in max-norm. G, B and the flux are spinor arrays
+(algebra._Tables); every residual is returned in blade coordinates.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ from .fields import (
     CliffordFieldVector,
     GaugeElement,
     _as_points,
+    _frozen,
+    _same_points,
     sample_points,
 )
 from .primitive import (
     CovectorField,
-    curvature_residual,
+    field_strength,
     gauge_transform,
     max_per_point,
     point_entries,
@@ -92,6 +95,10 @@ class YMSolution:
     Carries the defining fields (h, C, sigma) and evaluates B_mu, the
     antisymmetric G^munu = -sigma^2 [h^mu, h^nu] (and its lowered form),
     and J^nu = eps h^nu at arrays of points. eps is pinned to 4(n-1) sigma^3.
+
+    Keeps one entry: G^munu and the flux of the second equation at the
+    last point set, both computed together on the first request there and
+    read-only, so the residuals and the eps solve share them.
     """
 
     def __init__(self, h: CliffordFieldVector, c: CovectorField, sigma: complex):
@@ -103,6 +110,7 @@ class YMSolution:
         self.sigma = complex(sigma)
         self.epsilon = epsilon_value(self.sig.n, self.sigma)
         self.b = GaugePotential(h, c, sigma)
+        self._entry: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -111,10 +119,16 @@ class YMSolution:
     def b_values(self, x) -> np.ndarray:
         return self.b.values(x)
 
+    def _grids(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(G^munu, K^nu, h^nu) at the points x, from the entry (see _field_grids)."""
+        x = _as_points(x, self.n)
+        if self._entry is None or not _same_points(self._entry[0], x):
+            self._entry = (x.copy(),) + tuple(_frozen(a) for a in _field_grids(self, x))
+        return self._entry[1:]
+
     def g_upper(self, x) -> np.ndarray:
         """G^munu = -sigma^2 [h^mu, h^nu], shape (P, n, n, dim)."""
-        hv = self.h.values(x)
-        return -self.sigma ** 2 * tables(self.sig).commutators(hv, hv[:, None])
+        return self._grids(x)[0]
 
     def g_lower(self, x) -> np.ndarray:
         eta = np.array(self.sig.metric(), dtype=float)
@@ -149,13 +163,15 @@ def build_solution(h: CliffordFieldVector, c: CovectorField, sigma: complex,
 
 
 def eq1_residual(sol: YMSolution, x) -> np.ndarray:
-    """Field strength (curvature) of B minus the claimed G_munu, shape (P, n, n, dim)."""
-    return curvature_residual(sol.b, x) - sol.g_lower(x)
+    """Field strength (curvature) of B minus the claimed G_munu, in blade
+    coordinates, shape (P, n, n, dim)."""
+    return tables(sol.sig).to_blades(field_strength(sol.b, x) - sol.g_lower(x))
 
 
-def _eq2_flux(sol: YMSolution, x) -> tuple[np.ndarray, np.ndarray]:
-    """K^nu = sum_mu d_mu G^munu - [B_mu, G^munu], before the source term,
-    with the h value rows it used; both of shape (P, n, dim).
+def _field_grids(sol: YMSolution, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G^munu (P, n, n, dim) and K^nu = sum_mu d_mu G^munu - [B_mu, G^munu],
+    the flux of the second equation before the source term, with the h
+    value rows it used, both (P, n, dim).
 
     By the product rule sum_mu d_mu G^munu is
     -sigma^2 ([sum_mu d_mu h^mu, h^nu] + sum_mu [h^mu, d_mu h^nu]).
@@ -164,27 +180,31 @@ def _eq2_flux(sol: YMSolution, x) -> tuple[np.ndarray, np.ndarray]:
     bv = sol.b.values(x)
     hs = sol.h.jets(x, 1)
     hv = hs[:, :, 0]
+    g = -sol.sigma ** 2 * ad(hv, hv[:, None])
     dh = hs[:, :, 1:].swapaxes(1, 2)  # dh[p, mu, nu] = d_mu h^nu
     div = np.trace(dh, axis1=1, axis2=2)
     dg = ad(div, hv) + ad(hv, dh).sum(axis=1)
-    flux = -sol.sigma ** 2 * dg - ad(bv, sol.g_upper(x)).sum(axis=1)
-    return flux, hv
+    flux = -sol.sigma ** 2 * dg - ad(bv, g).sum(axis=1)
+    return g, flux, hv
 
 
 def eq2_residual(sol: YMSolution, x, epsilon: complex | None = None) -> np.ndarray:
-    """sum_mu (d_mu G^munu - [B_mu, G^munu]) - eps h^nu, shape (P, n, dim)."""
+    """sum_mu (d_mu G^munu - [B_mu, G^munu]) - eps h^nu, in blade coordinates,
+    shape (P, n, dim)."""
     eps = sol.epsilon if epsilon is None else complex(epsilon)
-    flux, hv = _eq2_flux(sol, x)
-    return flux - eps * hv
+    _, flux, hv = sol._grids(x)
+    return tables(sol.sig).to_blades(flux - eps * hv)
 
 
 def conservation_residual(sol: YMSolution, x, epsilon: complex | None = None) -> np.ndarray:
-    """d_nu J^nu - [B_nu, J^nu] with J^nu = eps h^nu, summed over nu, shape (P, dim)."""
+    """d_nu J^nu - [B_nu, J^nu] with J^nu = eps h^nu, summed over nu, in blade
+    coordinates, shape (P, dim)."""
+    t = tables(sol.sig)
     eps = sol.epsilon if epsilon is None else complex(epsilon)
     bv = sol.b.values(x)
     hs = eps * sol.h.jets(x, 1)
     div = np.trace(hs[:, :, 1:], axis1=1, axis2=2)
-    return div - tables(sol.sig).commutators(bv, hs[:, :, None, 0]).sum(axis=1)[:, 0]
+    return t.to_blades(div - t.commutators(bv, hs[:, :, None, 0]).sum(axis=1)[:, 0])
 
 
 def ym_residuals(sol: YMSolution, x, epsilon: complex | None = None) -> list[dict]:
@@ -214,14 +234,19 @@ def epsilon_from_residuals(sol: YMSolution, points) -> complex:
 
     The residual flux K^nu - eps h^nu is affine in eps; projecting onto
     h^nu and aggregating over points and indices gives a scalar affine
-    function whose values at trial eps 0 and 1 determine the root.
+    function whose values at trial eps 0 and 1 determine the root. The blade
+    images are orthogonal, each with squared Frobenius norm blocks * d, so
+    the Frobenius products of the spinor arrays over that are the blade
+    inner products.
     """
     pts = _as_points(points, sol.n)
-    flux, hv = _eq2_flux(sol, pts)
+    _, flux, hv = sol._grids(pts)
+    blocks, d, _ = tables(sol.sig).block_shape
     hv = hv.reshape(len(pts), -1)
-    proj = np.einsum("pk,pk->p", hv.conj(), flux.reshape(len(pts), -1))
+    proj = np.einsum("pk,pk->p", hv.conj(), flux.reshape(len(pts), -1)) / (blocks * d)
+    norms = np.einsum("pk,pk->p", hv.conj(), hv) / (blocks * d)
     a = complex(proj.sum())
-    b = complex((proj - np.einsum("pk,pk->p", hv.conj(), hv)).sum())
+    b = complex((proj - norms).sum())
     if not (cmath.isfinite(a) and cmath.isfinite(b)):
         raise CliffordError(
             f"sigma = {sol.sigma} overflows the flux sums of the second equation: "
@@ -252,8 +277,10 @@ def gauge_transform_solution(sol: YMSolution, gauge: GaugeElement, points=None,
 
 
 def double_commutator_check(h: CliffordFieldVector, x) -> np.ndarray:
-    """[h_mu, [h^mu, h^nu]] - 4(n-1) h^nu for each nu, shape (P, n, dim); zero for valid h."""
-    ad = tables(h.sig).commutators
+    """[h_mu, [h^mu, h^nu]] - 4(n-1) h^nu for each nu, in blade coordinates,
+    shape (P, n, dim); zero for valid h."""
+    t = tables(h.sig)
     hv = h.values(x)
     eta = np.array(h.sig.metric(), dtype=float)[:, None, None]
-    return (eta * ad(hv, ad(hv, hv[:, None]))).sum(axis=1) - (4.0 * (h.sig.n - 1)) * hv
+    return t.to_blades((eta * t.commutators(hv, t.commutators(hv, hv[:, None]))).sum(axis=1)
+                       - (4.0 * (h.sig.n - 1)) * hv)

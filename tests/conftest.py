@@ -35,6 +35,11 @@ def generator_field_vector(sig):
     ])
 
 
+def on_blades(table, kernel, *args):
+    """A spinor-array kernel of table applied to blade arrays, its result in blades."""
+    return table.to_blades(kernel(*(table.to_spinor(a) for a in args)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)

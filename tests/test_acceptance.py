@@ -147,10 +147,12 @@ def test_criterion_5_gauge_invariance():
         # Conjugation of a non-vanishing residual: running the source
         # equation with a deliberately wrong epsilon leaves a residual
         # proportional to h, which must transform as S^-1 R S.
+        # Residuals come in blade coordinates, conjugate acts on spinor arrays.
+        t = tables(sig)
         wrong = sol.epsilon + 1.0
-        base = eq2_residual(sol, points[:3], epsilon=wrong)
+        base = t.to_spinor(eq2_residual(sol, points[:3], epsilon=wrong))
         after = eq2_residual(moved, points[:3], epsilon=wrong)
-        conjugated = gauge.conjugate(base.swapaxes(0, 1), points[:3]).swapaxes(0, 1)
+        conjugated = t.to_blades(gauge.conjugate(base.swapaxes(0, 1), points[:3]).swapaxes(0, 1))
         worst_conj = max(worst_conj, np.abs(after - conjugated).max())
 
         # Same law for the first-order equation on a perturbed pair.
@@ -158,10 +160,10 @@ def test_criterion_5_gauge_invariance():
         broken = OffsetCovector(c, {0: PolyField.constant(sig, bump * 0.01)})
         h2 = TransformedFieldVector(h, gauge)
         c2 = TransformedConnection(broken, gauge)
-        base = primitive_residual(h, broken, points[:3])
+        base = t.to_spinor(primitive_residual(h, broken, points[:3]))
         after = primitive_residual(h2, c2, points[:3])
         rows = base.reshape(3, -1, sig.dim).swapaxes(0, 1)
-        conjugated = gauge.conjugate(rows, points[:3]).swapaxes(0, 1).reshape(base.shape)
+        conjugated = t.to_blades(gauge.conjugate(rows, points[:3]).swapaxes(0, 1).reshape(base.shape))
         worst_conj = max(worst_conj, np.abs(after - conjugated).max())
     elapsed = time.perf_counter() - t0
     ok = worst_res < 1e-6 and worst_conj < 1e-9

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from clifford_ym import algebra
 from clifford_ym.algebra import (
     CliffordError,
     DimensionLimitError,
@@ -30,6 +29,7 @@ from clifford_ym.algebra import (
     tables,
     trace,
 )
+from conftest import on_blades
 
 
 def test_signature_basics():
@@ -142,7 +142,7 @@ def test_batch_product_matches_single(rng):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_commutators_match_commutator(n, rng):
-    # The ad-matrix kernel against one Multivector commutator per pair: b
+    # The commutator kernel against one Multivector commutator per pair: b
     # stacked per row of a, one b stack broadcast to every row, and one b
     # row per row of a.
     sig = Signature((n + 1) // 2, n // 2)
@@ -153,9 +153,10 @@ def test_commutators_match_commutator(n, rng):
     def oracle(i, rows):
         return [commutator(Multivector(sig, a[i]), Multivector(sig, r)).coeffs for r in rows]
 
-    for got, want in [(t.commutators(a, b), [oracle(i, b[i]) for i in range(3)]),
-                      (t.commutators(a, b[:1]), [oracle(i, b[0]) for i in range(3)]),
-                      (t.commutators(a, b[:, 0]), [oracle(i, b[i, :1])[0] for i in range(3)])]:
+    for got, want in [(on_blades(t, t.commutators, a, b), [oracle(i, b[i]) for i in range(3)]),
+                      (on_blades(t, t.commutators, a, b[:1]), [oracle(i, b[0]) for i in range(3)]),
+                      (on_blades(t, t.commutators, a, b[:, 0]),
+                       [oracle(i, b[i, :1])[0] for i in range(3)])]:
         want = np.array(want)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -209,10 +210,10 @@ def test_blade_products_match_definition(p, q):
             sign, mask = _blade_product_by_definition(sig, i, j)
             want[i, j, mask] = sign
     eye = np.eye(sig.dim, dtype=np.complex128)
-    assert np.array_equal(T.batch_product(eye, eye), want)
+    assert np.array_equal(on_blades(T, T.batch_product, eye, eye), want)
     for i in range(sig.dim):
         for j in range(sig.dim):
-            assert np.array_equal(T.product(eye[i], eye[j]), want[i, j])
+            assert np.array_equal(on_blades(T, T.product, eye[i], eye[j]), want[i, j])
             assert np.array_equal(_dense_product(T, eye[i], eye[j]), want[i, j])
 
 
@@ -229,7 +230,7 @@ def test_product_and_mult_matrices_match_dense_oracle(p, q, rng):
         assert np.array_equal(left[r], T.left_mult_matrix(a[r]))
         assert np.array_equal(right[r], T.right_mult_matrix(a[r]))
         want = _dense_product(T, a[r], v)
-        assert np.max(np.abs(T.product(a[r], v) - want)) < 1e-12
+        assert np.max(np.abs(on_blades(T, T.product, a[r], v) - want)) < 1e-12
         assert np.max(np.abs(left[r] @ v - want)) < 1e-12
         assert np.max(np.abs(v @ right[r] - _dense_product(T, v, a[r]))) < 1e-12
 
@@ -241,52 +242,11 @@ def test_batch_product_matches_dense_oracle(p, q, ma, mb, rng):
     T = tables(sig)
     a = _random_rows(sig, rng, ma)
     b = _random_rows(sig, rng, mb)
-    out = T.batch_product(a, b)
+    out = on_blades(T, T.batch_product, a, b)
     assert out.shape == (ma, mb, sig.dim)
     for r in range(ma):
         for s in range(mb):
             assert np.max(np.abs(out[r, s] - _dense_product(T, a[r], b[s]))) < 1e-12
-
-
-def _check_gathered_blocks(sig, rng):
-    """batch_product gathers at most max(1, budget // dim^2) matrices per block."""
-    T = algebra._Tables(sig)  # a private instance, so the recorders below stay local
-    rows = max(1, algebra._GATHER_BUDGET // sig.dim ** 2)
-    gathered = []
-    for name in ("left_mult_matrix", "right_mult_matrix"):
-        def record(block, build=getattr(T, name), side=name[0]):
-            mat = build(block)
-            gathered.append((side, mat.shape[0]))
-            assert mat.shape[0] == 1 or mat.size <= algebra._GATHER_BUDGET
-            return mat
-        setattr(T, name, record)
-
-    def blocks(side, count):
-        return [(side, min(rows, count - lo)) for lo in range(0, count, rows)]
-
-    one, many, some = (_random_rows(sig, rng, m) for m in (1, 40, 20))
-    cases = [(one, many, blocks("l", 1)), (many, one, blocks("r", 1)),
-             (some, many, blocks("l", 20)), (many, some, blocks("r", 20))]
-    for a, b, chunks in cases:
-        gathered.clear()
-        out = T.batch_product(a, b)
-        assert gathered == chunks
-        assert out.shape == (a.shape[0], b.shape[0], sig.dim)
-        for r in {0, rows - 1, rows, a.shape[0] - 1}:
-            for s in {0, rows - 1, rows, b.shape[0] - 1}:
-                if r < a.shape[0] and s < b.shape[0]:
-                    want = _dense_product(T, a[r], b[s])
-                    assert np.max(np.abs(out[r, s] - want)) < 1e-11
-    return rows
-
-
-def test_batch_product_chunks_within_budget_at_n9(rng):
-    # One matrix at n = 9 is past the budget, so every block holds one row.
-    assert _check_gathered_blocks(Signature(5, 4), rng) == 1
-
-
-def test_batch_product_chunks_within_budget_at_n5(rng):
-    assert _check_gathered_blocks(Signature(3, 2), rng) == 16
 
 
 @pytest.mark.parametrize("p,q", [(2, 0), (3, 2)])

@@ -4,13 +4,13 @@ once per point set.
 Every jet and residual carries a leading point axis. Row p of a batch must
 be what the one-point batch [x_p] gives, for every field-vector and
 covector kind, on a set of more than 128 points and on a Cl(4,3) set whose
-points fall into different chunks of the gather budget.
+points fall into different chunks of points.
 """
 
 import numpy as np
 import pytest
 
-from clifford_ym import fields, primitive, runner
+from clifford_ym import algebra, fields, primitive, runner, yang_mills
 from clifford_ym.algebra import Multivector, Signature, random_multivector
 from clifford_ym.fields import (
     CallableField,
@@ -133,7 +133,7 @@ def test_point_axis_rows_match_one_point_batches_past_128_points():
 
 
 def test_point_axis_rows_match_one_point_batches_across_chunks():
-    # At n = 7 one point's gathered matrices fill a chunk, so these three
+    # At n = 7 one point's field-vector jets fill a chunk, so these three
     # points are multiplied in different chunks.
     sig = Signature(4, 3)
     points = sample_points(7, count=2, seed=6)
@@ -196,3 +196,58 @@ def test_jets_computed_once_per_point_set(count, monkeypatch):
     assert len(derivative_computes("exp")) == 2
     assert len(set(derivative_computes("exp"))) == 2
     assert len(by_label["exp"]) == 3
+
+
+def _verify_config(count):
+    return runner.parse_config({
+        "signature": {"p": 2, "q": 0}, "frame": {"kind": "random"},
+        "gauge": {"kind": "random", "scale": 0.3},
+        "samples": {"count": count}, "seed": 9,
+    })
+
+
+def test_basis_conversions_do_not_grow_with_the_points(monkeypatch):
+    # Fields convert blade coefficients once per evaluation and residuals
+    # once per array, so a run converts as often at 130 points as at 17.
+    algebra.tables(algebra.Signature(2, 0))
+    calls = []
+    for name in ("to_spinor", "to_blades"):
+        def counted(self, u, original=getattr(algebra._Tables, name), name=name):
+            calls.append(name)
+            return original(self, u)
+        monkeypatch.setattr(algebra._Tables, name, counted)
+    counts = []
+    for count in (16, 129):
+        calls.clear()
+        report, code = runner.run_verify(_verify_config(count))
+        assert code == 0 and report["pass"]
+        counts.append((calls.count("to_spinor"), calls.count("to_blades")))
+    assert counts[0] == counts[1]
+    assert min(counts[0]) > 0
+
+
+def test_field_grids_built_once_per_solution_and_point_set(monkeypatch):
+    calls = []
+    original = yang_mills._field_grids
+
+    def counted(sol, x):
+        calls.append(id(sol))
+        return original(sol, x)
+    monkeypatch.setattr(yang_mills, "_field_grids", counted)
+    report, code = runner.run_verify(_verify_config(16))
+    assert code == 0 and report["pass"]
+    # The run's solution (eq1, eq2 and the eps solve) and the gauge check's
+    # transformed one: G and the flux once each.
+    assert len(calls) == 2 and len(set(calls)) == 2
+
+
+def test_field_grids_do_not_depend_on_call_order():
+    case = runner.build_case(_verify_config(4))
+    points = case["points"]
+    first = YMSolution(case["h"], case["conn"], 0.7 - 0.2j)
+    second = YMSolution(case["h"], case["conn"], 0.7 - 0.2j)
+    g = first.g_upper(points)
+    eq2 = eq2_residual(first, points)
+    assert np.array_equal(eq2_residual(second, points), eq2)
+    assert np.array_equal(second.g_upper(points), g)
+    assert not g.flags.writeable

@@ -11,6 +11,7 @@ from clifford_ym.algebra import (
     Signature,
     grade_project,
     random_multivector,
+    tables,
 )
 from clifford_ym.contraction import (
     ContractionTable,
@@ -110,7 +111,8 @@ def test_even_projectors_reproduce_grade_projection(rng):
         sig = Signature(p, q)
         table = build_table(sig.n)
         u = random_multivector(sig, rng)
-        gens = [Multivector(sig, r) for r in generator_field_vector(sig).values(np.zeros(sig.n))[0]]
+        vals = tables(sig).to_blades(generator_field_vector(sig).values(np.zeros(sig.n))[0])
+        gens = [Multivector(sig, r) for r in vals]
         total = Multivector.zero(sig)
         for k in range(sig.n + 1):
             pk = project(u, k, table=table)
@@ -126,7 +128,8 @@ def test_odd_projectors_reproduce_paired_projection(rng):
         sig = Signature(p, q)
         table = build_table(sig.n)
         u = random_multivector(sig, rng)
-        gens = [Multivector(sig, r) for r in generator_field_vector(sig).values(np.zeros(sig.n))[0]]
+        vals = tables(sig).to_blades(generator_field_vector(sig).values(np.zeros(sig.n))[0])
+        gens = [Multivector(sig, r) for r in vals]
         total = Multivector.zero(sig)
         for k in range((sig.n + 1) // 2):
             pk = project(u, k, table=table)

@@ -4,13 +4,15 @@ Every residual is computed in the package from stacked jet rows through one
 commutator kernel. The oracles below are the per-(mu, nu) formulas: one
 ``commutator`` per pair, and the field-strength jets G^munu formed by jet
 products. They run on a perturbed connection and a wrong epsilon, so the
-residuals compared are O(0.01-1), not roundoff.
+residuals compared are O(0.01-1), not roundoff. Jets and values are spinor
+arrays; the oracles read them in blade coordinates, as the residuals are
+returned.
 """
 
 import numpy as np
 import pytest
 
-from clifford_ym.algebra import Multivector, Signature, commutator, random_multivector
+from clifford_ym.algebra import Multivector, Signature, commutator, random_multivector, tables
 from clifford_ym.fields import ExplicitFieldVector, PolyField, _jet_mul, sample_points
 from clifford_ym.primitive import (
     DerivedConnection,
@@ -30,14 +32,18 @@ from conftest import build_field_vector
 SIGNATURES = [(2, 0), (2, 1), (3, 2), (4, 3)]
 
 
+def _blades(sig, arr):
+    return tables(sig).to_blades(arr)
+
+
 def _rows(sig, rows):
-    return [Multivector(sig, r) for r in rows]
+    return [Multivector(sig, r) for r in _blades(sig, rows)]
 
 
 def oracle_primitive(h, c, x):
     sig, metric = h.sig, h.sig.metric()
     cvals = _rows(sig, c.values(x)[0])
-    hjets = h.jets(x, 1)[0]
+    hjets = _blades(sig, h.jets(x, 1)[0])
     return np.array([[(metric[rho] * Multivector(sig, hjets[rho, 1 + mu])
                        - commutator(cvals[mu], metric[rho] * Multivector(sig, hjets[rho, 0]))).coeffs
                       for rho in range(h.n)] for mu in range(h.n)])
@@ -45,19 +51,21 @@ def oracle_primitive(h, c, x):
 
 def oracle_curvature(c, x):
     sig = c.sig
-    cjets = c.jets(x, 1)[0]
-    vals = _rows(sig, cjets[:, 0])
+    cjets = _blades(sig, c.jets(x, 1)[0])
+    vals = [Multivector(sig, r) for r in cjets[:, 0]]
     return np.array([[cjets[nu, 1 + mu] - cjets[mu, 1 + nu]
                       - commutator(vals[mu], vals[nu]).coeffs
                       for nu in range(c.n)] for mu in range(c.n)])
 
 
 def oracle_g_upper_jets(sol, x):
-    """Jets of G^munu = -sigma^2 (h^mu h^nu - h^nu h^mu) by jet products, (n, n, rows, dim)."""
+    """Jets of G^munu = -sigma^2 (h^mu h^nu - h^nu h^mu) by jet products, in
+    blade coordinates, (n, n, rows, dim)."""
     hj = sol.h.jets(x, 1)[0]
     fac = -sol.sigma ** 2
-    return np.array([[(_jet_mul(hj[mu], hj[nu], sol.sig) - _jet_mul(hj[nu], hj[mu], sol.sig)) * fac
-                      for nu in range(sol.n)] for mu in range(sol.n)])
+    return _blades(sol.sig, np.array([[(_jet_mul(hj[mu], hj[nu], sol.sig)
+                                        - _jet_mul(hj[nu], hj[mu], sol.sig)) * fac
+                                       for nu in range(sol.n)] for mu in range(sol.n)]))
 
 
 def oracle_eq1(sol, x):
@@ -85,7 +93,7 @@ def oracle_eq2(sol, x, eps):
 
 def oracle_conservation(sol, x, eps):
     sig = sol.sig
-    hj = sol.h.jets(x, 1)[0]
+    hj = _blades(sig, sol.h.jets(x, 1)[0])
     bv = _rows(sig, sol.b.values(x)[0])
     acc = Multivector.zero(sig)
     for nu in range(sol.n):
@@ -134,7 +142,7 @@ def test_primitive_and_curvature_match_oracle(perturbed):
 
 def test_field_strength_and_eq1_match_oracle(perturbed):
     sig, h, broken, sol, points = perturbed
-    assert_matches(sol.g_upper(points),
+    assert_matches(_blades(sig, sol.g_upper(points)),
                    np.array([oracle_g_upper_jets(sol, x)[:, :, 0] for x in points]))
     assert_matches(eq1_residual(sol, points), np.array([oracle_eq1(sol, x) for x in points]))
 

@@ -12,6 +12,7 @@ from clifford_ym.algebra import (
     commutator,
     geometric_product,
     random_multivector,
+    tables,
 )
 from clifford_ym.fields import (
     ExplicitFieldVector,
@@ -94,7 +95,7 @@ def test_field_strength_antisymmetric_and_center_free():
     sig, sol, points = certified(2, 1, 1.0)
     from clifford_ym.algebra import center_leak
     x = points[2]
-    g = sol.g_lower(x)[0]
+    g = tables(sig).to_blades(sol.g_lower(x)[0])
     for mu in range(sig.n):
         assert np.abs(g[mu][mu]).max() < 1e-12
         for nu in range(sig.n):
@@ -106,7 +107,7 @@ def test_field_strength_matches_jet_formula():
     sig, sol, points = certified(2, 0, 1.0)
     x = points[1]
     direct = curvature_residual(sol.b, x)[0]
-    expected = sol.g_lower(x)[0]
+    expected = tables(sig).to_blades(sol.g_lower(x)[0])
     for mu in range(sig.n):
         for nu in range(sig.n):
             assert np.abs(direct[mu][nu] - expected[mu][nu]).max() < 1e-8
@@ -158,7 +159,7 @@ def test_build_solution_refuses_a_nan_primitive_residual(rng):
 def test_wrong_epsilon_scales_linearly():
     sig, sol, points = certified(2, 0, 1.0)
     x = points[1]
-    hv = sol.h.values(x)[0]
+    hv = tables(sig).to_blades(sol.h.values(x)[0])
     base = np.abs(eq2_residual(sol, x)).max()
     assert base < 1e-9
     for delta in (0.5, 1.0, 2.0):
@@ -291,7 +292,8 @@ def test_intermediate_product_identity():
     h, c = sol.h, sol.c
     x = points[2]
     metric = sig.metric()
-    jets = h.jets(x, 1)[0]
+    t = tables(sig)
+    jets = t.to_blades(h.jets(x, 1)[0])
 
     class _Jet:  # value and gradients of one component, as Multivectors
         def __init__(self, rows):
@@ -299,7 +301,7 @@ def test_intermediate_product_identity():
             self.grad = lambda mu: Multivector(sig, rows[1 + mu])
 
     hj = [_Jet(rows) for rows in jets]
-    cv = [Multivector(sig, row) for row in c.values(x)[0]]
+    cv = [Multivector(sig, row) for row in t.to_blades(c.values(x)[0])]
     for nu in range(sig.n):
         total = Multivector.zero(sig)
         for mu in range(sig.n):
@@ -322,7 +324,7 @@ def test_contraction_pair_identity():
     # h_mu (h^mu h^nu - h^nu h^mu) = 2(n-1) h^nu and the mirrored order
     # gives the opposite sign; their difference drives the source term.
     sig, sol, points = certified(3, 0, 1.0)
-    hv = [Multivector(sig, row) for row in sol.h.values(points[1])[0]]
+    hv = [Multivector(sig, row) for row in tables(sig).to_blades(sol.h.values(points[1])[0])]
     metric = sig.metric()
     n = sig.n
     for nu in range(n):
