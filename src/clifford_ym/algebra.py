@@ -421,9 +421,6 @@ class Multivector:
             mask |= 1 << (a - 1)
         return complex(self.coeffs[mask])
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.coeffs.imag)) <= tol)
-
     def __repr__(self) -> str:
         parts = []
         for mask in range(self.sig.dim):

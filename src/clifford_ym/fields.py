@@ -9,10 +9,11 @@ all derivatives act on blade coefficients only. Three field flavors exist:
   - closure: arbitrary callables, differentiated by central differences.
 
 Everything is evaluated at an array of P sample points at once, and a
-single point is a batch of one. A jet carries the value and the partial
-derivatives of a field (up to second order) as an array of shape
-(P, rows, 2^n); field vectors and covectors stack their n components into
-(P, n, rows, 2^n). Jets and values are spinor arrays (see algebra._Tables):
+single point is a batch of one. A jet carries the value and the
+first-order partial derivatives of a field, the highest order there is, as
+an array of shape (P, rows, 2^n) with rows = 1 + n (1 for values alone);
+field vectors and covectors stack their n components into (P, n, rows,
+2^n). Jets and values are spinor arrays (see algebra._Tables):
 fields convert their blade coefficients once, at the edges, and jets
 multiply as block matrices by the product rule, so exact derivatives of
 deeply composed fields like y^mu_a(x) S(x)^-1 e^a S(x) come out to machine
@@ -24,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -179,51 +181,18 @@ class Polynomial:
         return cls(nvars, terms)
 
 
-# Jet component layout: row 0 is the value, rows 1..n the gradient, then the
-# upper triangle of the Hessian in row-major pair order (0,0),(0,1),...,(1,1),...
-@lru_cache(maxsize=None)
-def _hess_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(n) for j in range(i, n))
-
-
-@lru_cache(maxsize=None)
-def _hess_axes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j) of _hess_pairs(n), in Hessian row order."""
-    pairs = np.array(_hess_pairs(n), dtype=np.intp).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
-
-
+# Jet component layout: row 0 is the value, rows 1..n the gradient.
 def _nrows(order: int, n: int) -> int:
-    if order not in (0, 1, 2):
-        raise CliffordError(f"jet order must be 0, 1, or 2, got {order}")
-    return (1, 1 + n, 1 + n + n * (n + 1) // 2)[order]
-
-
-def _jet_order(rows: int, n: int) -> int:
-    return {1: 0, 1 + n: 1, 1 + n + n * (n + 1) // 2: 2}[rows]
-
-
-def _hidx(n: int, i: int, j: int) -> int:
-    if i > j:
-        i, j = j, i
-    return 1 + n + i * n - i * (i - 1) // 2 + (j - i)
-
-
-@lru_cache(maxsize=None)
-def _partial_rows(n: int, order: int) -> np.ndarray:
-    """Index array (n, rows): row r of the order-`order` jet of d_mu f is
-    row [mu, r] of the jet of f, one order higher."""
-    return np.array([[1 + mu] + [_hidx(n, mu, nu) for nu in range(n) if order == 1]
-                     for mu in range(n)], dtype=np.intp)
+    if order not in (0, 1):
+        raise CliffordError(f"jet order must be 0 or 1, got {order}")
+    return 1 + n * order
 
 
 @lru_cache(maxsize=None)
 def _derivative_rows(n: int, order: int) -> np.ndarray:
     """Multi-index of the derivative each jet row holds, shape (rows, n)."""
-    eye = np.eye(n, dtype=np.int64)
-    i, j = _hess_axes(n)
-    blocks = (np.zeros((1, n), dtype=np.int64), eye, eye[i] + eye[j])
-    return np.vstack(blocks[:order + 1])
+    rows = np.vstack([np.zeros((1, n), dtype=np.int64), np.eye(n, dtype=np.int64)])
+    return rows[:_nrows(order, n)]
 
 
 # Jet stacks are built in chunks of points of at most this many complex
@@ -259,29 +228,20 @@ def _jet_mul(a: np.ndarray, b: np.ndarray, sig: Signature) -> np.ndarray:
     """Product jets a * b of spinor jets, shape (..., rows, dim), by the product rule.
 
     a and b have shape (..., rows, dim) with broadcasting leading axes;
-    mixed orders truncate to the lower one. Only three blocks of pairwise
-    products are needed, each one matrix product per leading index and
-    block: the value times every row, every row times the value, and the
-    gradient times the gradient.
+    mixed orders truncate to the lower one. Two blocks of pairwise products
+    are needed, each one matrix product per leading index and block: the
+    value times every row, and every row times the value.
     """
     rows = min(a.shape[-2], b.shape[-2])
     a = a[..., :rows, :]
     b = b[..., :rows, :]
-    n = sig.n
-    order = _jet_order(rows, n)
     t = tables(sig)
-    if order == 0:
+    if rows == 1:
         return t.product(a, b)
     out = t.batch_product(a[..., :1, :], b)[..., 0, :, :]
     value = out[..., 0, :].copy()
     out += t.batch_product(a, b[..., :1, :])[..., 0, :]
     out[..., 0, :] = value
-    if order == 2:
-        gg = t.batch_product(a[..., 1:1 + n, :], b[..., 1:1 + n, :])
-        # Hessian rows follow _hess_pairs order, right after the gradient rows.
-        i, j = _hess_axes(n)
-        out[..., 1 + n:, :] += gg[..., i, j, :]
-        out[..., 1 + n:, :] += gg[..., j, i, :]
     return out
 
 
@@ -324,13 +284,12 @@ class PolyField(MultivectorField):
     def _evaluator(self, order: int) -> tuple:
         """Stacked monomial tables for the jet rows up to order, built once per order.
 
-        Jet row r holds the derivative D^d (d = _derivative_rows(n, order)[r]),
-        and D^d x^E = c x^(E - d) with c the product over axes of the falling
-        factorials E_i (E_i - 1) ... (E_i - d_i + 1), which is 0 exactly when
-        some E_i < d_i. Returns (coeffs (T, dim), exponents (R, T, n),
-        factors (R, T)) over the T distinct monomials; row t of coeffs is the
-        spinor array of the blade coefficients of monomial t, converted here
-        once.
+        Jet row r holds the derivative D^d (d = _derivative_rows(n, order)[r],
+        zero or a unit vector), and D^d x^E = c x^(E - d) with c = E_i for
+        d = e_i and c = 1 for d = 0, which is 0 exactly when some E_i < d_i.
+        Returns (coeffs (T, dim), exponents (R, T, n), factors (R, T)) over
+        the T distinct monomials; row t of coeffs is the spinor array of the
+        blade coefficients of monomial t, converted here once.
         """
         ev = self._evaluators.get(order)
         if ev is None:
@@ -343,11 +302,9 @@ class PolyField(MultivectorField):
                     coeffs[index[e], mask] = c
             exps = np.array(monos, dtype=np.int64).reshape(len(monos), n)
             d = _derivative_rows(n, order)[:, None, :]
-            falling = np.ones((d.shape[0], len(monos), n))
-            for j in range(order):
-                falling *= np.where(d > j, exps - j, 1)
+            factors = np.where(d > 0, exps, 1).prod(axis=-1).astype(float)
             # Clipped so that a vanishing term never evaluates 0 ** -1.
-            ev = (tables(self.sig).to_spinor(coeffs), np.maximum(exps - d, 0), falling.prod(axis=-1))
+            ev = (tables(self.sig).to_spinor(coeffs), np.maximum(exps - d, 0), factors)
             self._evaluators[order] = ev
         return ev
 
@@ -392,11 +349,10 @@ class CallableField(MultivectorField):
     converted once per batch of points.
     """
 
-    def __init__(self, sig: Signature, fn, fd_step: float = 1e-5, fd_hess_step: float | None = None):
+    def __init__(self, sig: Signature, fn, fd_step: float = 1e-5):
         super().__init__(sig)
         self.fn = fn
         self.fd_step = float(fd_step)
-        self.fd_hess_step = None if fd_hess_step is None else float(fd_hess_step)
 
     def _values(self, points: np.ndarray) -> np.ndarray:
         out = np.empty((len(points), self.sig.dim), dtype=np.complex128)
@@ -408,47 +364,24 @@ class CallableField(MultivectorField):
         return tables(self.sig).to_spinor(out)
 
     def jet(self, x, order: int = 1) -> np.ndarray:
-        return fd_jet(self._values, self.sig, x, order, self.fd_step, self.fd_hess_step)
+        return fd_jet(self._values, self.sig, x, order, self.fd_step)
 
 
-def fd_jet(valuefn, sig: Signature, x, order: int,
-           step: float, hess_step: float | None = None) -> np.ndarray:
-    """Finite-difference jets of a batched evaluator, shape (P, ..., rows, dim).
+def fd_jet(valuefn, sig: Signature, x, order: int, step: float) -> np.ndarray:
+    """First-order finite-difference jets of a batched evaluator, shape (P, ..., rows, dim).
 
     valuefn maps an (M, n) point array to values of shape (M, ..., dim);
     every stencil point of every sample point goes to it in one batch.
-    Gradient rows use second-order central differences with the given step;
-    Hessian rows use a larger step, max(step, sqrt(step)) unless hess_step
-    is given, because their roundoff grows like eps / step^2.
+    Gradient rows use second-order central differences with the given step.
     """
     n = sig.n
     x = _as_points(x, n)
-    eye = np.eye(n)
-    h = hess_step if hess_step is not None else max(step, float(np.sqrt(step)))
     stencil = [x]
-    for mu in range(n if order >= 1 else 0):
-        stencil += [x + step * eye[mu], x - step * eye[mu]]
-    for i, j in (_hess_pairs(n) if order == 2 else ()):
-        da, db = h * eye[i], h * eye[j]
-        if i == j:
-            stencil += [x + da, x - da]
-        else:
-            stencil += [x + da + db, x + da - db, x - da + db, x - da - db]
+    for e in step * np.eye(n)[:_nrows(order, n) - 1]:
+        stencil += [x + e, x - e]
     flat = valuefn(np.concatenate(stencil))
     vals = flat.reshape((len(stencil), len(x)) + flat.shape[1:])
-    f0 = vals[0]
-    rows = [f0]
-    k = 1
-    for mu in range(n if order >= 1 else 0):
-        rows.append((vals[k] - vals[k + 1]) / (2 * step))
-        k += 2
-    for i, j in (_hess_pairs(n) if order == 2 else ()):
-        if i == j:
-            rows.append((vals[k] - 2 * f0 + vals[k + 1]) / h ** 2)
-            k += 2
-        else:
-            rows.append((vals[k] - vals[k + 1] - vals[k + 2] + vals[k + 3]) / (4 * h * h))
-            k += 4
+    rows = [vals[0]] + [(vals[k] - vals[k + 1]) / (2 * step) for k in range(1, len(stencil), 2)]
     return np.stack(rows, axis=-2)
 
 
@@ -511,26 +444,16 @@ class ExpField(MultivectorField):
 def invert_value_jet(sjet: np.ndarray, sig: Signature) -> np.ndarray:
     """Jets of the pointwise inverse field from the jets (P, rows, dim) of the field.
 
-    Uses d(W) = -W dS W for W = S^-1, applied once more for second order.
-    The value is inverted on the dense blade tables (inverse_rows, with its
-    condition test), converted once each way.
+    The jets are of first order at most; the gradient rows follow from
+    d(W) = -W dS W for W = S^-1. The value is inverted on the dense blade
+    tables (inverse_rows, with its condition test), converted once each way.
     """
-    n = sig.n
     t = tables(sig)
     w = t.to_spinor(inverse_rows(sig, t.to_blades(sjet[:, 0])))[:, None]
     out = np.empty_like(sjet)
     out[:, :1] = w
-    order = _jet_order(sjet.shape[1], n)
-    if order >= 1:
-        dw = -1.0 * t.product(t.product(w, sjet[:, 1:1 + n]), w)
-        out[:, 1:1 + n] = dw
-    if order == 2:
-        i, j = _hess_axes(n)
-        gi = sjet[:, 1 + i]
-        term = t.product(t.product(dw[:, j], gi), w)
-        term = term + t.product(t.product(w, sjet[:, 1 + n:]), w)
-        term = term + t.product(t.product(w, gi), dw[:, j])
-        out[:, 1 + n:] = -term
+    if sjet.shape[1] > 1:
+        out[:, 1:] = -1.0 * t.product(t.product(w, sjet[:, 1:]), w)
     return out
 
 
@@ -670,35 +593,21 @@ class FrameField:
         """Frame matrices at the points x, shape (P, n, n)."""
         return self.jets(x, 0)[0]
 
-    def jets(self, x, order: int = 2):
-        """Returns (Y, dY, d2Y) at the points x: Y (P, n, n), dY[p, nu, mu, a]
-        = d_nu y^mu_a, and d2Y[p, nu, rho, mu, a]; derivative arrays are None
-        beyond the order."""
+    def jets(self, x, order: int = 1):
+        """Returns the first-order jets (Y, dY) at the points x: Y (P, n, n)
+        and dY[p, nu, mu, a] = d_nu y^mu_a, None at order 0."""
         x = _as_points(x, self.sig.n)
         n = self.sig.n
         count = len(x)
+        first = _nrows(order, n) > 1
         if self.kind in ("identity", "constant"):
             y = np.broadcast_to(self.base, (count, n, n)).copy()
-            dy = np.zeros((count, n, n, n)) if order >= 1 else None
-            d2y = np.zeros((count, n, n, n, n)) if order >= 2 else None
-            return y, dy, d2y
+            return y, (np.zeros((count, n, n, n)) if first else None)
         # The first spinor entry of a field with a scalar part only is that part.
         tj = self._param.jet(x, order)[:, :, 0].real
         y = expm(tj[:, 0, None, None] * self.generator) @ self.base
-        my = self.generator @ y
-        dy = None
-        d2y = None
-        if order >= 1:
-            grad = tj[:, 1:1 + n]
-            dy = np.einsum("pn,pma->pnma", grad, my)
-        if order >= 2:
-            i, j = _hess_axes(n)
-            hess = np.empty((count, n, n))
-            hess[:, i, j] = hess[:, j, i] = tj[:, 1 + n:]
-            mmy = self.generator @ my
-            d2y = (np.einsum("pnr,pma->pnrma", hess, my)
-                   + np.einsum("pn,pr,pma->pnrma", grad, grad, mmy))
-        return y, dy, d2y
+        dy = np.einsum("pn,pma->pnma", tj[:, 1:], self.generator @ y) if first else None
+        return y, dy
 
     def validate(self, points, tol: float = 1e-10) -> float:
         """Max orthogonality residual over the points; raises on breach."""
@@ -768,8 +677,8 @@ class GaugeElement:
     The element keeps one entry: the jets of S, and of S^-1 once asked
     for, at the last point set it was asked about. A request for values
     alone (the set-up checks, finite-difference stencils) computes values
-    alone; any derivative brings the jets to second order, which is all a
-    verify run needs.
+    alone; any derivative brings the jets to first order, the highest there
+    is and all a verify run needs.
     """
 
     def __init__(self, s_field: MultivectorField):
@@ -802,7 +711,7 @@ class GaugeElement:
         rows = _nrows(order, self.sig.n)
         entry = self._entry
         if entry is None or not _same_points(entry[0], x) or entry[1].shape[1] < rows:
-            sjet = self.s_field.jet(x, 0 if order == 0 else 2)
+            sjet = self.s_field.jet(x, order)
             entry = self._entry = [x.copy(), _frozen(sjet), None]
         if not inverse_side:
             return entry[1][:, :rows]
@@ -899,18 +808,17 @@ def random_bivector_poly_field(sig: Signature, rng: np.random.Generator,
     """Random bivector-valued polynomial generator with bounded coefficients.
 
     Per bivector blade, in blade order: a constant, the n linear terms and,
-    for degree >= 2, the quadratic terms x^i x^j (i <= j) at half the
-    amplitude, all drawn from one uniform draw.
+    for degree >= 2, the quadratic terms x^i x^j (i <= j, row-major) at half
+    the amplitude, all drawn from one uniform draw.
     """
     n = sig.n
     masks = np.flatnonzero(tables(sig).grades == 2)
     amp = scale / max(1.0, np.sqrt(len(masks)))
     eye = np.eye(n, dtype=np.int64)
-    exps = [np.zeros((1, n), dtype=np.int64), eye]
+    exps = [np.zeros(n, dtype=np.int64)] + list(eye)
     if degree >= 2:
-        i, j = _hess_axes(n)
-        exps.append(eye[i] + eye[j])
-    exps = [tuple(e) for e in np.vstack(exps).tolist()]
+        exps += [eye[i] + eye[j] for i, j in combinations_with_replacement(range(n), 2)]
+    exps = [tuple(e) for e in np.array(exps).tolist()]
     draws = rng.uniform(-amp, amp, size=(len(masks), len(exps)))
     draws[:, 1 + n:] *= 0.5
     return PolyField(sig, {int(mask): Polynomial(n, dict(zip(exps, row)))
@@ -924,7 +832,8 @@ class CliffordFieldVector:
     jets at the last point set it was asked about, which every downstream
     consumer (the connection, the curvature, the gauge sector) reads. A
     request for values alone computes values alone; any derivative brings
-    the jets to second order. Cached jets are read-only.
+    the jets to first order, the highest there is. Cached jets are
+    read-only.
 
     grade_preserving is True only where the construction guarantees that
     the h-contraction F[h](U) = sum_rho eta_rho h^rho U h^rho is the plain
@@ -950,7 +859,7 @@ class CliffordFieldVector:
         rows = _nrows(order, self.n)
         entry = self._entry
         if entry is None or not _same_points(entry[0], x) or entry[1].shape[2] < rows:
-            entry = self._entry = (x.copy(), _frozen(self._compute_jets(x, 0 if order == 0 else 2)))
+            entry = self._entry = (x.copy(), _frozen(self._compute_jets(x, order)))
         return entry[1][:, :, :rows]
 
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
@@ -1042,7 +951,7 @@ class FrameGaugeFieldVector(CliffordFieldVector):
         return _map_chunks(self._combine, self.n * math.prod(sj.shape[1:]), sj, self.gauge.inv_jet(x, order),
                            *self.frame.jets(x, order))
 
-    def _combine(self, sj, wj, y, dy, d2y) -> np.ndarray:
+    def _combine(self, sj, wj, y, dy) -> np.ndarray:
         """h^mu = y^mu_a S^-1 e^a S on one chunk of points, by the product rule."""
         sig = self.sig
         n = self.n
@@ -1055,13 +964,7 @@ class FrameGaugeFieldVector(CliffordFieldVector):
         for a in range(1, n):
             h += y[:, :, a, None, None] * k[:, None, a]
         if self.frame.kind == "rotation" and dy is not None:
-            h[:, :, 1:1 + n] += np.einsum("pvua,pak->puvk", dy, k[:, :, 0])
-        if self.frame.kind == "rotation" and d2y is not None:
-            i, j = _hess_axes(n)
-            hess = h[:, :, 1 + n:]
-            hess += np.einsum("pqua,paqk->puqk", dy[:, i], k[:, :, 1 + j])
-            hess += np.einsum("pqua,paqk->puqk", dy[:, j], k[:, :, 1 + i])
-            hess += np.einsum("pqua,pak->puqk", d2y[:, i, j], k[:, :, 0])
+            h[:, :, 1:] += np.einsum("pvua,pak->puvk", dy, k[:, :, 0])
         return h
 
 
@@ -1072,15 +975,13 @@ class FiniteDifferenceVector(CliffordFieldVector):
     evaluated once for every stencil point of every sample point.
     """
 
-    def __init__(self, base: CliffordFieldVector, step: float = 1e-5,
-                 hess_step: float | None = None):
+    def __init__(self, base: CliffordFieldVector, step: float = 1e-5):
         super().__init__(base.sig)
         self.base = base
         self.step = float(step)
-        self.hess_step = None if hess_step is None else float(hess_step)
 
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
-        return fd_jet(self.base.values, self.sig, x, order, self.step, self.hess_step)
+        return fd_jet(self.base.values, self.sig, x, order, self.step)
 
 
 def make_clifford_field_vector(frame: FrameField, gauge: GaugeElement,

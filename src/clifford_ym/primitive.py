@@ -55,7 +55,6 @@ from .fields import (
     _jet_mul,
     _map_chunks,
     _nrows,
-    _partial_rows,
     _same_points,
     sample_points,
 )
@@ -64,7 +63,12 @@ from .fields import (
 class CovectorField:
     """n multivector fields with a lower index, evaluable with jets.
 
-    Jets come stacked as (P, n, rows, dim) over the sample points.
+    Jets come stacked as (P, n, rows, dim) over the sample points. The
+    value rows are exact; the derivative rows hold d_nu X_mu only up to a
+    part symmetric in (mu, nu), which the curl d_mu X_nu - d_nu X_mu
+    cancels. field_strength takes that curl and is the one reader of the
+    derivative rows, so it is exact. The symmetric parts left out are the
+    second derivatives of h and S, so no jet needs more than first order.
     """
 
     def __init__(self, sig: Signature):
@@ -117,47 +121,44 @@ def _contract_jet(vjets: np.ndarray, hjets: np.ndarray, sig: Signature) -> np.nd
     return (eta * terms).sum(axis=2)
 
 
-def _w_jets(hjets: np.ndarray, sig: Signature, order: int) -> np.ndarray:
-    """W_mu = (d_mu h^rho) h_rho as jets of order 0 or 1, shape (P, n, rows, dim).
+def _w_jets(hjets: np.ndarray, sig: Signature) -> np.ndarray:
+    """W_mu = (d_mu h^rho) h_rho as first-order jets, shape (P, n, 1 + n, dim),
+    from the first-order jets of h.
 
-    By the product rule, each row of the jet of d_mu h^rho times the value
-    of h^rho, plus at order 1 the products (d_mu h^rho)(d_nu h^rho) in the
-    gradient row nu.
+    The value row is sum_rho eta_rho (d_mu h^rho) h^rho and the gradient
+    row nu is sum_rho eta_rho (d_mu h^rho)(d_nu h^rho): the term
+    (d_nu d_mu h^rho) h^rho of d_nu W_mu is symmetric in (mu, nu) and left
+    out (see CovectorField).
     """
-    n = sig.n
     t = tables(sig)
-    rows = _partial_rows(n, order)
     acc = 0
     for eta, c in zip(sig.metric(), hjets.swapaxes(0, 1)):
-        drows = c[:, rows]  # (P, mu, rows, dim): jets of d_mu h^rho
-        p, mu, r, dim = drows.shape
-        w = t.batch_product(drows.reshape(p, mu * r, dim), c[:, :1])[:, :, 0].reshape(drows.shape)
-        if order == 1:
-            w[:, :, 1:] += t.batch_product(c[:, 1:1 + n], c[:, 1:1 + n])
+        grad = c[:, 1:]  # (P, mu, dim): d_mu h^rho
+        w = np.concatenate([t.batch_product(grad, c[:, :1]), t.batch_product(grad, grad)], axis=2)
         acc = acc + eta * w
     return acc
 
 
 def compute_C_jets(hjets: np.ndarray, sig: Signature, table: ContractionTable,
                    grade_preserving: bool = False) -> np.ndarray:
-    """Connection jets from field-vector jets (P, n, rows, dim), one order lower.
+    """First-order connection jets (P, n, 1 + n, dim) from the first-order
+    field-vector jets (P, n, 1 + n, dim).
 
     C_mu = sum_l w_l F[h]^l(W_mu) with the collapsed table weights w. Pass
     the field vector's grade_preserving flag: where it holds, F[h] = F, so
     this is mu_k times the grade-k part of W_mu, one scale per blade, taken
-    in blade coordinates.
+    in blade coordinates. The gradient rows are exact up to a part
+    symmetric in (mu, nu) (see CovectorField): the one of W_mu, carried
+    through the linear map F[h]^l.
     """
-    n = sig.n
-    order = {1 + n: 0, 1 + n + n * (n + 1) // 2: 1}.get(hjets.shape[2], -1)
-    if order < 0:
-        raise CliffordError("field-vector jets must carry first or second derivatives")
-    wjets = _w_jets(hjets, sig, order)
+    if hjets.shape[2] != _nrows(1, sig.n):
+        raise CliffordError("field-vector jets must carry first derivatives")
+    wjets = _w_jets(hjets, sig)
     if grade_preserving:
         mus = np.array([0.0 if m is None else float(m) for m in table.mus])
         t = tables(sig)
         return t.to_spinor(t.to_blades(wjets) * mus[t.grades])
-    htrunc = hjets[:, :, :_nrows(order, n)]
-    c = contraction_series(wjets, table.weights, lambda v: _contract_jet(v, htrunc, sig))
+    c = contraction_series(wjets, table.weights, lambda v: _contract_jet(v, hjets, sig))
     return np.zeros_like(wjets) if c is None else c
 
 
@@ -185,7 +186,7 @@ class DerivedConnection(CovectorField):
     """The closed-form connection of a field vector, as a lazy covector field.
 
     Keeps one entry: the first-order jets of C at the last point set, from
-    the second-order jets of h there.
+    the first-order jets of h there.
     """
 
     def __init__(self, h: CliffordFieldVector, table: ContractionTable | None = None):
@@ -195,14 +196,13 @@ class DerivedConnection(CovectorField):
         self._entry: tuple[np.ndarray, np.ndarray] | None = None
 
     def jets(self, x, order: int = 1) -> np.ndarray:
-        if order > 1:
-            raise CliffordError("derived connections carry at most first-order jets")
+        rows = _nrows(order, self.n)
         x = _as_points(x, self.n)
         if self._entry is None or not _same_points(self._entry[0], x):
-            cjets = compute_C_jets(self.h.jets(x, 2), self.sig, self.table,
+            cjets = compute_C_jets(self.h.jets(x, 1), self.sig, self.table,
                                    self.h.grade_preserving)
             self._entry = (x.copy(), _frozen(cjets))
-        return self._entry[1][:, :, :_nrows(order, self.n)]
+        return self._entry[1][:, :, :rows]
 
 
 def primitive_residual(h: CliffordFieldVector, c: CovectorField, x) -> np.ndarray:
@@ -262,7 +262,11 @@ class TransformedFieldVector(CliffordFieldVector):
 
 
 class TransformedConnection(CovectorField):
-    """Gauge-transformed connection S^-1 C_mu S - S^-1 d_mu S."""
+    """Gauge-transformed connection S^-1 C_mu S - S^-1 d_mu S.
+
+    The gradient rows of S^-1 d_mu S leave out S^-1 d_nu d_mu S, which is
+    symmetric in (mu, nu) (see CovectorField).
+    """
 
     def __init__(self, base: CovectorField, gauge: GaugeElement):
         if base.sig != gauge.sig:
@@ -272,16 +276,15 @@ class TransformedConnection(CovectorField):
         self.gauge = gauge
 
     def jets(self, x, order: int = 1) -> np.ndarray:
-        if order > 1:
-            raise CliffordError("transformed connections carry at most first-order jets")
         sig = self.sig
-        sfull = self.gauge.jet(x, order + 1)
-        sj = sfull[:, None, :_nrows(order, self.n)]
-        wj = self.gauge.inv_jet(x, order)[:, None]
-        conj = _jet_mul(_jet_mul(wj, self.base.jets(x, order), sig), sj, sig)
-        # Row [p, mu] of ds is the jet of d_mu S, one order below sfull.
-        ds = sfull[:, _partial_rows(self.n, order)]
-        return conj - _jet_mul(wj, ds, sig)
+        sj = self.gauge.jet(x, 1)
+        wj = self.gauge.inv_jet(x, order)
+        conj = _jet_mul(_jet_mul(wj[:, None], self.base.jets(x, order), sig),
+                        sj[:, None, :_nrows(order, self.n)], sig)
+        # wds[p, r, mu] = (row r of the jet of S^-1) d_mu S: row 0 is S^-1 d_mu S
+        # and row 1 + nu its gradient without S^-1 d_nu d_mu S.
+        wds = tables(sig).batch_product(wj, sj[:, 1:])
+        return conj - wds.swapaxes(1, 2)
 
 
 def gauge_transform(h: CliffordFieldVector, c: CovectorField, gauge: GaugeElement,

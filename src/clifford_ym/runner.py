@@ -362,7 +362,8 @@ def _gauge_check(case: dict, sol: YMSolution, cfg: RunConfig,
     # Residual conjugation on a deliberately non-flat pair, at the first
     # three points: the pointwise residual of the transformed pair must
     # equal S^-1 R S exactly. As blade rows, S^-1 R S is
-    # R @ L(S^-1).T @ R(S), on the dense blade tables.
+    # R @ L(S^-1).T @ R(S), on the dense blade tables, gathered one point
+    # at a time so that only one pair of 2^n x 2^n matrices is held.
     # Every object is evaluated on the whole point set, and the residuals
     # are sliced, so no jet entry is replaced by a second point set.
     t = tables(sol.sig)
@@ -370,9 +371,14 @@ def _gauge_check(case: dict, sol: YMSolution, cfg: RunConfig,
     pert_t = TransformedConnection(pert, gauge2)
     ref = primitive_residual(sol.h, pert, points)[:3]
     got = primitive_residual(ht, pert_t, points)[:3]
-    lt = t.left_mult_matrix(t.to_blades(gauge2.inv_value(points)[:3])).swapaxes(-1, -2)[:, None]
-    rs = t.right_mult_matrix(t.to_blades(gauge2.value(points)[:3]))[:, None]
-    conj_max = float(np.abs(got - ref @ lt @ rs).max())
+    s_inv = t.to_blades(gauge2.inv_value(points)[:3])
+    s_val = t.to_blades(gauge2.value(points)[:3])
+    errors = []
+    for k in range(len(ref)):
+        lt = t.left_mult_matrix(s_inv[k:k + 1]).swapaxes(-1, -2)[:, None]
+        rs = t.right_mult_matrix(s_val[k:k + 1])[:, None]
+        errors.append(np.abs(got[k:k + 1] - ref[k:k + 1] @ lt @ rs).max())
+    conj_max = float(np.max(errors))  # np.max, unlike max(), keeps a NaN
 
     ok = (leak <= tol["center_leak"]
           and prim_max <= tol["gauge"]

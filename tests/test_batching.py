@@ -99,7 +99,7 @@ def _evaluate(sig, vectors, h, covectors, points):
     wrong = sol.epsilon + 1.0
     out = {}
     for name, vec in vectors.items():
-        out[f"{name} jets"] = np.array(vec.jets(points, 2))
+        out[f"{name} jets"] = np.array(vec.jets(points, 1))
     for name, cov in covectors.items():
         out[f"{name} covector jets"] = np.array(cov.jets(points, 0 if name == "zero" else 1))
         out[f"{name} primitive"] = primitive_residual(h, cov, points)
@@ -186,7 +186,7 @@ def test_jets_computed_once_per_point_set(count, monkeypatch):
     # h and the derived connection; the values h.validate checks at set-up
     # are the only other evaluation of h.
     assert len(derivative_computes("h")) == 1
-    assert [order for _, order in by_label["h"]] == [0, 2]
+    assert [order for _, order in by_label["h"]] == [0, 1]
     assert len(derivative_computes("transformed h")) == 1
     assert len(by_label["C"]) == 1
     # The run's gauge (values for the set-up check, then its jets) and the

@@ -12,11 +12,10 @@ from clifford_ym.algebra import (
     commutator,
     geometric_product,
     random_multivector,
+    tables,
 )
 from clifford_ym.contraction import build_table
 from clifford_ym.fields import (
-    _nrows,
-    _partial_rows,
     ExpField,
     ExplicitFieldVector,
     FiniteDifferenceVector,
@@ -39,7 +38,6 @@ from clifford_ym.primitive import (
     TransformedFieldVector,
     ZeroCovector,
     _contract_jet,
-    _jet_mul,
     _w_jets,
     compute_C,
     compute_C_jets,
@@ -49,6 +47,7 @@ from clifford_ym.primitive import (
     primitive_residual,
     solve,
 )
+from clifford_ym.yang_mills import GaugePotential
 from conftest import build_field_vector, generator_field_vector
 
 
@@ -63,10 +62,9 @@ def test_primitive_equation_solved(p, q):
 def _projection_form_C_jets(hjets, sig, table):
     """Oracle: C_mu = sum_k mu_k pi[h]_k(W_mu), each h-grade projection rebuilt
     from its projector row over the same contraction chain F[h]^l(W_mu)."""
-    htrunc = hjets[:, :, :_nrows(1, sig.n)]
-    chain = [_w_jets(hjets, sig, 1)]
+    chain = [_w_jets(hjets, sig)]
     for _ in range(len(table.weights) - 1):
-        chain.append(_contract_jet(chain[-1], htrunc, sig))
+        chain.append(_contract_jet(chain[-1], hjets, sig))
     c = np.zeros_like(chain[0])
     for k in range(1, table.max_k + 1):
         for l, b in enumerate(table.projector_row(k)):
@@ -80,7 +78,7 @@ def test_both_forms_agree():
     for (p, q) in [(2, 0), (2, 1), (2, 2), (3, 2)]:
         sig, h, points = build_field_vector(p, q, seed=29)
         table = build_table(sig.n)
-        hjets = h.jets(points[:3], 2)
+        hjets = h.jets(points[:3], 1)
         got = compute_C_jets(hjets, sig, table)
         want = _projection_form_C_jets(hjets, sig, table)
         assert got.shape == want.shape == (3, sig.n, 1 + sig.n, sig.dim)
@@ -89,21 +87,26 @@ def test_both_forms_agree():
 
 @pytest.mark.parametrize("p,q", [(2, 1), (3, 2)])
 def test_w_jets_match_jet_products(p, q):
-    # The batched W_mu against its definition, one jet product per (mu, rho).
+    # The batched W_mu against its definition, one blade product per
+    # (mu, rho, row): the value row sum_rho eta_rho (d_mu h^rho) h^rho and
+    # the gradient row nu sum_rho eta_rho (d_mu h^rho)(d_nu h^rho).
     sig, h, points = build_field_vector(p, q, seed=89, count=1)
     metric = sig.metric()
     n = sig.n
-    hjets = h.jets(points, 2)
-    for order in (0, 1):
-        got = _w_jets(hjets, sig, order)
-        rows = _partial_rows(n, order)
-        assert got.shape == (len(points), n, _nrows(order, n), sig.dim)
+    t = tables(sig)
+    hjets = h.jets(points, 1)
+    got = t.to_blades(_w_jets(hjets, sig))
+    assert got.shape == (len(points), n, 1 + n, sig.dim)
+    hb = t.to_blades(hjets)
+    for pt in range(len(points)):
         for mu in range(n):
-            want = 0
+            want = np.zeros((1 + n, sig.dim), dtype=complex)
             for rho in range(n):
-                term = _jet_mul(hjets[:, rho, rows[mu]], hjets[:, rho, :_nrows(order, n)], sig)
-                want = want + term * metric[rho]
-            assert np.abs(got[:, mu] - want).max() < 1e-12
+                d_mu = Multivector(sig, hb[pt, rho, 1 + mu])
+                for row in range(1 + n):
+                    other = Multivector(sig, hb[pt, rho, row])
+                    want[row] += metric[rho] * geometric_product(d_mu, other).coeffs
+            assert np.abs(got[pt, mu] - want).max() < 1e-12
 
 
 def test_grade_weights_are_exact():
@@ -126,7 +129,7 @@ def test_grade_scale_matches_contraction_chain(p, q):
     sig, h, points = build_field_vector(p, q, seed=73, count=1)
     assert h.grade_preserving
     table = build_table(sig.n)
-    hjets = h.jets(points[1], 2)
+    hjets = h.jets(points[1], 1)
     fast = compute_C_jets(hjets, sig, table, grade_preserving=True)
     chain = compute_C_jets(hjets, sig, table)
     assert fast.shape == chain.shape == (1, sig.n, 1 + sig.n, sig.dim)
@@ -156,7 +159,7 @@ def test_vector_gauge_takes_the_contraction_chain(p, q, rng):
     h = make_clifford_field_vector(random_frame(sig, rng), gauge, points=points)
     assert not h.grade_preserving
     table = build_table(sig.n)
-    hjets = h.jets(points[1], 2)
+    hjets = h.jets(points[1], 1)
     chain = compute_C_jets(hjets, sig, table)
     scaled = compute_C_jets(hjets, sig, table, grade_preserving=True)
     assert np.abs(chain - scaled).max() > 1e-3
@@ -306,14 +309,23 @@ def test_gauge_transform_membership_enforced(rng):
 
 
 def test_transformed_connection_rejects_high_order(rng):
+    # Every covector refuses jets beyond first order with a CliffordError,
+    # and so does compute_C_jets on anything but first-order h-jets.
     sig, h, points = build_field_vector(2, 0, seed=61)
     c = DerivedConnection(h)
     gauge = make_gauge_element(random_bivector_poly_field(sig, rng, scale=0.2))
     t = TransformedConnection(c, gauge)
     x = points[0]
     t.jets(x, 1)
-    with pytest.raises(CliffordError):
-        t.jets(x, 2)
+    offset = OffsetCovector(c, {0: PolyField.constant(sig, Multivector.generator(sig, 1))})
+    for cov in (t, c, ZeroCovector(sig), offset, GaugePotential(h, c, 0.7)):
+        for order in (2, 3, -1):
+            with pytest.raises(CliffordError, match="jet order must be 0 or 1"):
+                cov.jets(x, order)
+    for order in (0, 1):
+        assert t.jets(x, order).shape == (1, sig.n, 1 + order * sig.n, sig.dim)
+    with pytest.raises(CliffordError, match="first derivatives"):
+        compute_C_jets(h.jets(x, 0), sig, build_table(sig.n))
 
 
 def test_solution_reports(rng):

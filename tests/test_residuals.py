@@ -12,15 +12,18 @@ returned.
 import numpy as np
 import pytest
 
+from clifford_ym import runner
 from clifford_ym.algebra import Multivector, Signature, commutator, random_multivector, tables
 from clifford_ym.fields import ExplicitFieldVector, PolyField, _jet_mul, sample_points
 from clifford_ym.primitive import (
     DerivedConnection,
     OffsetCovector,
+    TransformedConnection,
     curvature_residual,
     primitive_residual,
 )
 from clifford_ym.yang_mills import (
+    GaugePotential,
     YMSolution,
     conservation_residual,
     double_commutator_check,
@@ -168,3 +171,55 @@ def test_double_commutator_matches_oracle(p, q):
         for _ in range(sig.n)])
     assert_matches(double_commutator_check(h, points),
                    np.array([oracle_double_commutator(h, x) for x in points]))
+
+
+def _curl_from_jets(c, x):
+    """d_mu X_nu - d_nu X_mu from the first-order jet rows, (P, n, n, dim)."""
+    grad = c.jets(x, 1)[:, :, 1:].swapaxes(1, 2)  # grad[p, mu, nu] = d_mu X_nu
+    return grad - grad.swapaxes(1, 2)
+
+
+def _curl_from_values(c, x, delta):
+    """[X_nu(x + delta e_mu) - X_nu(x - delta e_mu) - (mu <-> nu)] / 2 delta."""
+    grad = np.stack([(c.values(x + delta * e) - c.values(x - delta * e)) / (2 * delta)
+                     for e in np.eye(c.n)], axis=1)
+    return grad - grad.swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("mode", ["exact", "fd"])
+@pytest.mark.parametrize("p,q", SIGNATURES)
+def test_first_order_curl_matches_central_differences_of_values(p, q, mode):
+    # Covector jets hold d_nu X_mu only up to a part symmetric in (mu, nu);
+    # their curl must still be the curl of the values, to the O(delta^2)
+    # error of the central differences. In fd mode the derivative rows of
+    # h are themselves central differences of step fd_step, and the values
+    # of C are built from them, so the check runs at delta = fd_step = 1e-4:
+    # there the nested mixed differences of h it forms are symmetric in
+    # (mu, nu), and at a different step they differ from the jets by
+    # O(fd_step^2); a smaller fd_step would also leave roundoff of
+    # eps / (fd_step delta) in the differences.
+    fine = 1e-4
+    cfg = runner.parse_config({
+        "signature": {"p": p, "q": q}, "frame": {"kind": "random"},
+        "gauge": {"kind": "random", "scale": 0.3}, "samples": {"count": 2},
+        "seed": 31, "mode": mode, "fd_step": fine,
+    })
+    case = runner.build_case(cfg)
+    h, conn, x = case["h"], case["conn"], case["points"]
+    perturbed = OffsetCovector(conn, {0: case["perturbation"]})
+    covectors = {
+        "derived": conn,
+        "potential": GaugePotential(h, conn, 0.7),
+        "transformed": TransformedConnection(perturbed, case["check_gauge"]),
+    }
+    for name, cov in covectors.items():
+        curl = _curl_from_jets(cov, x)
+        bound = 1e-8 * max(1.0, np.abs(curl).max())
+        err = {delta: np.abs(_curl_from_values(cov, x, delta) - curl).max()
+               for delta in (1e-3, fine)}
+        assert err[fine] <= bound, (name, err)
+        # A wrong antisymmetric part would leave a floor under the error:
+        # it must fall about 100-fold from delta = 1e-3 to 1e-4 wherever it
+        # is above roundoff (the curl of a Cl(2,0) connection vanishes).
+        if err[1e-3] > 0.1 * bound:
+            assert err[1e-3] / err[fine] > 50, (name, err)
