@@ -676,9 +676,9 @@ class GaugeElement:
 
     The element keeps one entry: the jets of S, and of S^-1 once asked
     for, at the last point set it was asked about. A request for values
-    alone (the set-up checks, finite-difference stencils) computes values
-    alone; any derivative brings the jets to first order, the highest there
-    is and all a verify run needs.
+    alone (finite-difference stencils, the residual conjugation check)
+    computes values alone; any derivative brings the jets to first order,
+    the highest there is and all a verify run needs.
     """
 
     def __init__(self, s_field: MultivectorField):
@@ -832,8 +832,10 @@ class CliffordFieldVector:
     jets at the last point set it was asked about, which every downstream
     consumer (the connection, the curvature, the gauge sector) reads. A
     request for values alone computes values alone; any derivative brings
-    the jets to first order, the highest there is. Cached jets are
-    read-only.
+    the jets to first order, the highest there is. validate reads the value
+    rows of the first-order jets, which a run reads next anyway. The entry
+    also keeps the bracket grids of the first-order jets once asked for
+    (bracket_grids). Cached arrays are read-only.
 
     grade_preserving is True only where the construction guarantees that
     the h-contraction F[h](U) = sum_rho eta_rho h^rho U h^rho is the plain
@@ -847,7 +849,8 @@ class CliffordFieldVector:
     def __init__(self, sig: Signature):
         self.sig = sig
         self.n = sig.n
-        self._entry: tuple[np.ndarray, np.ndarray] | None = None
+        # [points, jets, bracket grids or None]
+        self._entry: list | None = None
 
     def values(self, x) -> np.ndarray:
         """h^mu at the points x, shape (P, n, dim)."""
@@ -859,8 +862,23 @@ class CliffordFieldVector:
         rows = _nrows(order, self.n)
         entry = self._entry
         if entry is None or not _same_points(entry[0], x) or entry[1].shape[2] < rows:
-            entry = self._entry = (x.copy(), _frozen(self._compute_jets(x, order)))
+            entry = self._entry = [x.copy(), _frozen(self._compute_jets(x, order)), None]
         return entry[1][:, :, :rows]
+
+    def bracket_grids(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """K^munu = [h^mu, h^nu], shape (P, n, n, dim), and
+        D^nu = [sum_mu d_mu h^mu, h^nu] + sum_mu [h^mu, d_mu h^nu], shape
+        (P, n, dim), at the points x, from the first-order jets.
+
+        The sigma-free parts of a Yang-Mills solution on h: G^munu =
+        -sigma^2 K^munu and sum_mu d_mu G^munu = -sigma^2 D^nu. Kept in the
+        entry, so a family of solutions over h forms them once per point set.
+        """
+        hs = self.jets(x, 1)
+        entry = self._entry
+        if entry[2] is None:
+            entry[2] = tuple(_frozen(a) for a in _bracket_grids(hs, self.sig))
+        return entry[2]
 
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         raise NotImplementedError
@@ -878,7 +896,7 @@ class CliffordFieldVector:
         "circ_leak": max center leak}.
         """
         t = tables(self.sig)
-        vals = self.values(points)
+        vals = self.jets(points, 1)[:, :, 0]
         prods = t.batch_product(vals, vals)  # prods[p, mu, nu] = h^mu h^nu
         anti = t.to_blades(prods + prods.swapaxes(1, 2))
         anti[:, range(self.n), range(self.n), 0] -= 2.0 * np.array(self.sig.metric())
@@ -899,6 +917,16 @@ class CliffordFieldVector:
                 + ", ".join(f"{k}={v:.3e}" for k, v in report.items())
             )
         return report
+
+
+def _bracket_grids(hjets: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
+    """K^munu and D^nu (see CliffordFieldVector.bracket_grids) from the
+    first-order jets (P, n, 1 + n, dim) of a field vector."""
+    ad = tables(sig).commutators
+    hv = hjets[:, :, 0]
+    dh = hjets[:, :, 1:].swapaxes(1, 2)  # dh[p, mu, nu] = d_mu h^nu
+    div = np.trace(dh, axis1=1, axis2=2)
+    return ad(hv, hv[:, None]), ad(div, hv) + ad(hv, dh).sum(axis=1)
 
 
 class _FieldVectorComponent(MultivectorField):
@@ -1019,17 +1047,18 @@ def _scrambled_halton(d: int, count: int, seed: int) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     index = np.arange(count, dtype=np.int64)
-    out = np.zeros((count, d))
+    out = np.empty((count, d))
     for col, base in enumerate(_first_primes(d)):
-        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        digits = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], digits, axis=0)
         for perm in perms:
             rng.shuffle(perm)
-        q = index.copy()
-        weight = 1.0 / base
-        for perm in perms:
-            out[:, col] += perm[q % base] * weight
-            weight /= base
-            q //= base
+        # Digit j of every index, and its weight b^-(j+1) by repeated division.
+        pos = np.arange(digits)
+        digit = index[:, None] // base ** pos % base
+        weights = np.divide.accumulate(np.r_[1.0 / base, np.full(digits - 1, float(base))])
+        terms = perms[pos, digit] * weights
+        out[:, col] = np.add.accumulate(terms, axis=1)[:, -1]
     return out
 
 

@@ -69,23 +69,44 @@ class CovectorField:
     cancels. field_strength takes that curl and is the one reader of the
     derivative rows, so it is exact. The symmetric parts left out are the
     second derivatives of h and S, so no jet needs more than first order.
+
+    A covector keeps one entry, its jets at the last point set it was asked
+    about, read-only, as a field vector does: a request for values alone
+    computes values alone, and any derivative brings the jets to first
+    order. Subclasses implement _compute_jets.
     """
 
     def __init__(self, sig: Signature):
         self.sig = sig
         self.n = sig.n
+        # [points, jets, a subclass's array derived from them or None]
+        self._entry: list | None = None
 
     def values(self, x) -> np.ndarray:
         """C_mu at the points x, shape (P, n, dim)."""
         return self.jets(x, 0)[:, :, 0]
 
     def jets(self, x, order: int = 1) -> np.ndarray:
+        """Jets of every C_mu at the points x, shape (P, n, rows, dim)."""
+        x = _as_points(x, self.n)
+        rows = _nrows(order, self.n)
+        entry = self._entry
+        if entry is None or not _same_points(entry[0], x) or entry[1].shape[2] < rows:
+            entry = self._entry = [x.copy(), _frozen(self._compute_jets(x, order)), None]
+        return entry[1][:, :, :rows]
+
+    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
+        """Jets at the points x with at least the rows of order, shape (P, n, rows, dim)."""
         raise NotImplementedError
+
+    def flatness(self, h: CliffordFieldVector, x) -> np.ndarray:
+        """Max-norm of the primitive residual of the pair (h, self) at each
+        of the points x, shape (P,)."""
+        return max_per_point(primitive_residual(h, self, x))
 
 
 class ZeroCovector(CovectorField):
-    def jets(self, x, order: int = 1) -> np.ndarray:
-        x = _as_points(x, self.n)
+    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         return np.zeros((len(x), self.n, _nrows(order, self.n), self.sig.dim), dtype=np.complex128)
 
 
@@ -102,7 +123,7 @@ class OffsetCovector(CovectorField):
             if field.sig != base.sig:
                 raise CliffordError("offset field signature mismatch")
 
-    def jets(self, x, order: int = 1) -> np.ndarray:
+    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         out = np.array(self.base.jets(x, order))
         for mu, field in self.offsets.items():
             out[:, mu] = out[:, mu] + field.jet(x, order)
@@ -185,24 +206,36 @@ def compute_C(h: CliffordFieldVector, table: ContractionTable | None = None, x=N
 class DerivedConnection(CovectorField):
     """The closed-form connection of a field vector, as a lazy covector field.
 
-    Keeps one entry: the first-order jets of C at the last point set, from
-    the first-order jets of h there.
+    Its entry holds the first-order jets of C at the last point set, from
+    the first-order jets of h there, and, once asked for, the flatness
+    maxima of the pair (h, C) there. Those do not depend on sigma, so a
+    family of solutions over (h, C) checks them once per point set.
     """
 
     def __init__(self, h: CliffordFieldVector, table: ContractionTable | None = None):
         super().__init__(h.sig)
         self.h = h
         self.table = table if table is not None else build_table(h.sig.n)
-        self._entry: tuple[np.ndarray, np.ndarray] | None = None
 
     def jets(self, x, order: int = 1) -> np.ndarray:
-        rows = _nrows(order, self.n)
-        x = _as_points(x, self.n)
-        if self._entry is None or not _same_points(self._entry[0], x):
-            cjets = compute_C_jets(self.h.jets(x, 1), self.sig, self.table,
-                                   self.h.grade_preserving)
-            self._entry = (x.copy(), _frozen(cjets))
-        return self._entry[1][:, :, :rows]
+        # The inherited memo, overridden so that a profiler can count the
+        # connection's requests apart from every other covector's.
+        return super().jets(x, order)
+
+    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
+        # First order on any request: C is built from the derivatives of h.
+        return compute_C_jets(self.h.jets(x, 1), self.sig, self.table, self.h.grade_preserving)
+
+    def flatness(self, h: CliffordFieldVector, x) -> np.ndarray:
+        """As CovectorField.flatness, kept in the entry for the h of this
+        connection; any other h is checked afresh."""
+        if h is not self.h:
+            return super().flatness(h, x)
+        self.jets(x)
+        entry = self._entry
+        if entry[2] is None:
+            entry[2] = _frozen(super().flatness(h, entry[0]))
+        return entry[2]
 
 
 def primitive_residual(h: CliffordFieldVector, c: CovectorField, x) -> np.ndarray:
@@ -275,7 +308,7 @@ class TransformedConnection(CovectorField):
         self.base = base
         self.gauge = gauge
 
-    def jets(self, x, order: int = 1) -> np.ndarray:
+    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         sig = self.sig
         sj = self.gauge.jet(x, 1)
         wj = self.gauge.inv_jet(x, order)
@@ -339,7 +372,7 @@ class PrimitiveSolution:
             points = sample_points(self.h.sig.n)
         pts = _as_points(points, self.h.sig.n)
         maxima = {
-            "primitive_max": max_per_point(primitive_residual(self.h, self.c, pts)),
+            "primitive_max": self.c.flatness(self.h, pts),
             "curvature_max": max_per_point(curvature_residual(self.c, pts)),
             "center_leak": connection_center_leak(self.c, pts),
         }

@@ -12,6 +12,20 @@ d_nu J^nu - [B_nu, J^nu] = 0. This module constructs such solutions,
 refuses to build from pairs that fail the flatness check, and evaluates
 every residual in max-norm. G, B and the flux are spinor arrays
 (algebra._Tables); every residual is returned in blade coordinates.
+
+For one pair (h, C) only B, G and the flux depend on sigma. A family of
+solutions over the pair (a sigma sweep) reuses the sigma-free rest, which
+the one-entry memos of the pair compute once per point set:
+
+  - the DerivedConnection of h keeps the per-point flatness maxima of the
+    pair, which build_solution compares with its own tol on every call;
+  - h keeps K^munu = [h^mu, h^nu] and
+    D^nu = [sum_mu d_mu h^mu, h^nu] + sum_mu [h^mu, d_mu h^nu]
+    (CliffordFieldVector.bracket_grids), from which each solution forms
+    G^munu = -sigma^2 K^munu and its flux -sigma^2 D^nu - sum_mu [B_mu, G^munu].
+
+Each reused array comes from the same operations as a cold computation, so
+no report depends on which sigma came first.
 """
 
 from __future__ import annotations
@@ -38,7 +52,6 @@ from .primitive import (
     gauge_transform,
     max_per_point,
     point_entries,
-    primitive_residual,
 )
 
 __all__ = [
@@ -85,7 +98,7 @@ class GaugePotential(CovectorField):
         self.sigma = complex(sigma)
         self._scale = np.array([self.sigma * m for m in h.sig.metric()])[:, None, None]
 
-    def jets(self, x, order: int = 1) -> np.ndarray:
+    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         return self.c.jets(x, order) + self.h.jets(x, order) * self._scale
 
 
@@ -96,9 +109,11 @@ class YMSolution:
     antisymmetric G^munu = -sigma^2 [h^mu, h^nu] (and its lowered form),
     and J^nu = eps h^nu at arrays of points. eps is pinned to 4(n-1) sigma^3.
 
-    Keeps one entry: G^munu and the flux of the second equation at the
-    last point set, both computed together on the first request there and
-    read-only, so the residuals and the eps solve share them.
+    Keeps one entry: the flux of the second equation at the last point
+    set, computed on the first request there and read-only, so the
+    residuals and the eps solve share it. G^munu is formed on request from
+    the sigma-free K^munu that h keeps (bracket_grids), so a family of
+    solutions over one h holds K once rather than a G per sigma.
     """
 
     def __init__(self, h: CliffordFieldVector, c: CovectorField, sigma: complex):
@@ -119,16 +134,16 @@ class YMSolution:
     def b_values(self, x) -> np.ndarray:
         return self.b.values(x)
 
-    def _grids(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(G^munu, K^nu, h^nu) at the points x, from the entry (see _field_grids)."""
+    def _grids(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(flux, h^nu) at the points x, from the entry (see _field_grids)."""
         x = _as_points(x, self.n)
         if self._entry is None or not _same_points(self._entry[0], x):
             self._entry = (x.copy(),) + tuple(_frozen(a) for a in _field_grids(self, x))
         return self._entry[1:]
 
     def g_upper(self, x) -> np.ndarray:
-        """G^munu = -sigma^2 [h^mu, h^nu], shape (P, n, n, dim)."""
-        return self._grids(x)[0]
+        """G^munu = -sigma^2 [h^mu, h^nu], shape (P, n, n, dim), read-only."""
+        return _frozen(-self.sigma ** 2 * self.h.bracket_grids(x)[0])
 
     def g_lower(self, x) -> np.ndarray:
         eta = np.array(self.sig.metric(), dtype=float)
@@ -145,14 +160,16 @@ def build_solution(h: CliffordFieldVector, c: CovectorField, sigma: complex,
     The pair (h, C) must satisfy d_mu h_rho - [C_mu, h_rho] = 0 at the
     given sample points (default: the standard low-discrepancy set) to
     within tol in max-norm; a NaN residual fails. Pass an empty point list
-    to skip the check.
+    to skip the check. The per-point maxima come from c.flatness, which a
+    DerivedConnection of h keeps, so a sigma family checks the pair once
+    per point set and compares with tol on every call.
     """
     if points is None:
         points = sample_points(h.sig.n)
     pts = np.asarray(points, dtype=float)
     if pts.size:
         pts = _as_points(pts, h.sig.n)
-        per_point = max_per_point(primitive_residual(h, c, pts))
+        per_point = c.flatness(h, pts)
         bad = np.flatnonzero(~(per_point <= tol))
         if bad.size:
             p = bad[0]
@@ -168,31 +185,27 @@ def eq1_residual(sol: YMSolution, x) -> np.ndarray:
     return tables(sol.sig).to_blades(field_strength(sol.b, x) - sol.g_lower(x))
 
 
-def _field_grids(sol: YMSolution, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G^munu (P, n, n, dim) and K^nu = sum_mu d_mu G^munu - [B_mu, G^munu],
-    the flux of the second equation before the source term, with the h
-    value rows it used, both (P, n, dim).
+def _field_grids(sol: YMSolution, x) -> tuple[np.ndarray, np.ndarray]:
+    """The flux sum_mu d_mu G^munu - [B_mu, G^munu] of the second equation
+    before the source term, with the h value rows it used, both (P, n, dim).
 
-    By the product rule sum_mu d_mu G^munu is
-    -sigma^2 ([sum_mu d_mu h^mu, h^nu] + sum_mu [h^mu, d_mu h^nu]).
+    By the product rule sum_mu d_mu G^munu = -sigma^2 D^nu, with D^nu and
+    K^munu from h.bracket_grids.
     """
     ad = tables(sol.sig).commutators
     bv = sol.b.values(x)
-    hs = sol.h.jets(x, 1)
-    hv = hs[:, :, 0]
-    g = -sol.sigma ** 2 * ad(hv, hv[:, None])
-    dh = hs[:, :, 1:].swapaxes(1, 2)  # dh[p, mu, nu] = d_mu h^nu
-    div = np.trace(dh, axis1=1, axis2=2)
-    dg = ad(div, hv) + ad(hv, dh).sum(axis=1)
+    hv = sol.h.jets(x, 1)[:, :, 0]
+    k, dg = sol.h.bracket_grids(x)
+    g = -sol.sigma ** 2 * k
     flux = -sol.sigma ** 2 * dg - ad(bv, g).sum(axis=1)
-    return g, flux, hv
+    return flux, hv
 
 
 def eq2_residual(sol: YMSolution, x, epsilon: complex | None = None) -> np.ndarray:
     """sum_mu (d_mu G^munu - [B_mu, G^munu]) - eps h^nu, in blade coordinates,
     shape (P, n, dim)."""
     eps = sol.epsilon if epsilon is None else complex(epsilon)
-    _, flux, hv = sol._grids(x)
+    flux, hv = sol._grids(x)
     return tables(sol.sig).to_blades(flux - eps * hv)
 
 
@@ -240,7 +253,7 @@ def epsilon_from_residuals(sol: YMSolution, points) -> complex:
     inner products.
     """
     pts = _as_points(points, sol.n)
-    _, flux, hv = sol._grids(pts)
+    flux, hv = sol._grids(pts)
     blocks, d, _ = tables(sol.sig).block_shape
     hv = hv.reshape(len(pts), -1)
     proj = np.einsum("pk,pk->p", hv.conj(), flux.reshape(len(pts), -1)) / (blocks * d)

@@ -183,19 +183,19 @@ def test_jets_computed_once_per_point_set(count, monkeypatch):
         return [obj for obj, order in by_label[label] if order != 0]
 
     # Jets with derivatives: once each for h, the gauge check's transformed
-    # h and the derived connection; the values h.validate checks at set-up
-    # are the only other evaluation of h.
+    # h and the derived connection. h.validate reads the value rows of the
+    # first-order jets at set-up, so h is evaluated once, at first order.
     assert len(derivative_computes("h")) == 1
-    assert [order for _, order in by_label["h"]] == [0, 1]
+    assert [order for _, order in by_label["h"]] == [1]
     assert len(derivative_computes("transformed h")) == 1
     assert len(by_label["C"]) == 1
-    # The run's gauge (values for the set-up check, then its jets) and the
-    # check gauge: one jet series each, whatever the number of points.
+    # The run's gauge and the check gauge: one first-order jet series each,
+    # whatever the number of points, and no series of values alone.
     exp_objects = {obj for obj, _ in by_label["exp"]}
     assert len(exp_objects) == 2
     assert len(derivative_computes("exp")) == 2
     assert len(set(derivative_computes("exp"))) == 2
-    assert len(by_label["exp"]) == 3
+    assert len(by_label["exp"]) == 2
 
 
 def _verify_config(count):

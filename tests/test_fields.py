@@ -31,6 +31,7 @@ from clifford_ym.fields import (
     Polynomial,
     _jet_mul,
     _nrows,
+    _scrambled_halton,
     expm,
     fd_jet,
     invert_value_jet,
@@ -605,6 +606,37 @@ def test_sample_points_golden_bits(n, seed, box):
     # A longer draw extends the sequence without touching its first points.
     longer = sample_points(n, count=len(rows) + 5, box=box, seed=seed, include_origin=False)
     assert np.array_equal(longer[:len(rows)], expected)
+
+
+# First and last rows of _scrambled_halton(d, count, seed), written by the
+# digit-by-digit loop that the per-base vectorized digits replaced: base 2
+# (53 digit positions) up to base 29 (11), the tenth prime.
+GOLDEN_HALTON = {
+    (2, 5, 0): [["0x1.9600b82ecb948p-4", "0x1.b9a95a7ee723ap-5"],
+                ["0x1.cb005c1765ca4p-3", "0x1.a9d379362755bp-1"]],
+    (5, 4, 3): [["0x1.159b239d68260p-1", "0x1.1ae6f51e1eaa5p-3", "0x1.97ba17429ccdep-1",
+                 "0x1.b0f977e54ba28p-1", "0x1.189429ec1be55p-4"],
+                ["0x1.2b36473ad04c0p-2", "0x1.fe752e01ace33p-3", "0x1.3153b0dc36677p-1",
+                 "0x1.1eb05353027dfp-1", "0x1.0053961defb36p-2"]],
+    (10, 3, 401): [["0x1.e41cdcacc1976p-1", "0x1.29b628152f7d7p-1", "0x1.653a766f8d0bdp-2",
+                    "0x1.e3652aab367a6p-2", "0x1.85f2457377b01p-3", "0x1.1a67d959f96aap-2",
+                    "0x1.476cbcbebc617p-5", "0x1.c923a11133666p-1", "0x1.17742780cdabfp-3",
+                    "0x1.63de40a4c67d7p-1"],
+                   ["0x1.641cdcacc1976p-1", "0x1.d460d2bfda281p-1", "0x1.1903a19e2cec7p-1",
+                    "0x1.7da5c30d4862ap-3", "0x1.78c262d13b035p-1", "0x1.efaa140f72dccp-1",
+                    "0x1.ce933d3d7d31cp-2", "0x1.ab4b25f3f605bp-3", "0x1.50fe6e0cb8fbbp-1",
+                    "0x1.98d56cc815f03p-1"]],
+}
+
+
+@pytest.mark.parametrize("d,count,seed", list(GOLDEN_HALTON), ids=lambda v: str(v))
+def test_scrambled_halton_golden_bits(d, count, seed):
+    got = _scrambled_halton(d, count, seed)
+    assert got.shape == (count, d)
+    first, last = ([float.fromhex(v) for v in row] for row in GOLDEN_HALTON[(d, count, seed)])
+    assert np.array_equal(got[0], first)
+    assert np.array_equal(got[-1], last)
+    assert _scrambled_halton(d, 0, seed).shape == (0, d)
 
 
 def test_expm_closed_forms_on_every_pade_branch(monkeypatch):
