@@ -240,12 +240,18 @@ class DerivedConnection(CovectorField):
 
 def primitive_residual(h: CliffordFieldVector, c: CovectorField, x) -> np.ndarray:
     """R_{mu rho} = d_mu h_rho - [C_mu, h_rho] at the points x, in blade
-    coordinates, shape (P, n, n, dim)."""
+    coordinates, shape (P, n, n, dim).
+
+    h_rho = eta_rho h^rho is applied after the subtraction, on the rho axis;
+    eta_rho = +-1, so that is exact and reads the jets without a lowered copy.
+    """
     t = tables(h.sig)
-    eta = np.array(h.sig.metric(), dtype=float)[:, None, None]
+    eta = np.array(h.sig.metric(), dtype=float)[:, None]
     cv = c.values(x)
-    lowered = eta * h.jets(x, 1)
-    return t.to_blades(lowered[:, :, 1:].swapaxes(1, 2) - t.commutators(cv, lowered[:, None, :, 0]))
+    hj = h.jets(x, 1)
+    r = hj[:, :, 1:].swapaxes(1, 2) - t.commutators(cv, hj[:, None, :, 0])
+    r *= eta
+    return t.to_blades(r)
 
 
 def field_strength(c: CovectorField, x) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 from clifford_ym import algebra, runner
 from clifford_ym.algebra import Signature, tables
 from clifford_ym.contraction import lambdas
-from clifford_ym.fields import _jet_mul
+from clifford_ym.fields import ExpField, PolyField, Polynomial, _jet_mul, sample_points
 from conftest import on_blades
 
 # Every signature with 1 <= n <= 8 (both parities, q = 0 and p = 0), and a
@@ -24,8 +24,18 @@ SIGNATURES = ([(p, n - p) for n in range(1, 9) for p in range(n + 1)]
               + [(5, 4), (0, 9), (5, 5)])
 
 
+# The signatures whose blocks are at most 2 x 2 (n <= 3), where the kernels
+# sum broadcast multiply-adds instead of calling np.matmul.
+SMALL_SIGNATURES = [(p, n - p) for n in range(1, 4) for p in range(n + 1)]
+
+
 @pytest.fixture(params=SIGNATURES, ids=lambda pq: f"{pq[0]}-{pq[1]}")
 def table(request):
+    return tables(Signature(*request.param))
+
+
+@pytest.fixture(params=SMALL_SIGNATURES, ids=lambda pq: f"{pq[0]}-{pq[1]}")
+def small_table(request):
     return tables(Signature(*request.param))
 
 
@@ -83,6 +93,66 @@ def test_basis_blade_products_are_exact(table):
     want = np.array([t.left_mult_matrix(eye[a])[:, b] for a, b in zip(i, j)])
     assert np.array_equal(on_blades(t, t.product, eye[i], eye[j]), want)
     assert np.array_equal(t.to_spinor(eye[:1])[0], t.unit)
+
+
+def _kernel_calls(t, rng, points):
+    """(name, kernel, a, b, whether b has the point axis) for every spinor
+    kernel on point-batched rows; one b is shared by all points."""
+    dim = t.sig.dim
+    u, v = _random(rng, (points, 3, dim)), _random(rng, (points, 3, dim))
+    return [
+        ("product", t.product, u, v, True),
+        ("batch_product", t.batch_product, u[:, :1], v, True),
+        ("batch_product shared", t.batch_product, u, t.generators, False),
+        ("commutators", t.commutators, u[:, 0], v[:, None], True),
+    ]
+
+
+def test_small_blocks_are_batch_independent(small_table):
+    # A point's result does not depend on the batch it is computed in.
+    t = small_table
+    assert t.block_shape[1] <= algebra.BROADCAST_MAX_D
+    for name, kernel, a, b, batched in _kernel_calls(t, np.random.default_rng(t.sig.dim + 4), 130):
+        whole = kernel(a, b)
+        for p in (0, 57, 129):
+            alone = kernel(a[p:p + 1], b[p:p + 1] if batched else b)
+            assert np.array_equal(alone, whole[p:p + 1]), (name, p)
+
+
+def test_small_block_exp_jets_are_batch_independent(small_table):
+    # ExpField stops each point's series at its own first small term, which
+    # needs the jet products of a point to be the same in every batch.
+    sig = small_table.sig
+    n = sig.n
+    exps = [(0,) * n] + [tuple(row) for row in np.eye(n, dtype=int).tolist()]
+    rng = np.random.default_rng(sig.dim + 5)
+    draws = rng.uniform(-0.4, 0.4, size=(sig.dim, len(exps)))
+    gen = PolyField(sig, {mask: Polynomial(n, dict(zip(exps, row)))
+                          for mask, row in enumerate(draws.tolist())})
+    points = sample_points(n, 129, seed=3)
+    whole = ExpField(gen).jet(points, 1)
+    assert whole.shape[0] == 130
+    assert np.array_equal(ExpField(gen).jet(points[:3], 1), whole[:3])
+
+
+def test_small_blocks_contain_nan_to_its_point(small_table):
+    t = small_table
+    for name, kernel, a, b, _ in _kernel_calls(t, np.random.default_rng(t.sig.dim + 6), 130):
+        clean = kernel(a, b)
+        for p in (0, 57, 129):
+            bad = a.copy()
+            bad[p].flat[0] = np.nan
+            got = kernel(bad, b)
+            assert np.isnan(got[p]).any(), (name, p)
+            others = np.arange(len(got)) != p
+            assert np.array_equal(got[others], clean[others]), (name, p)
+
+
+def test_small_block_unit_products_are_exact(small_table):
+    t = small_table
+    u = _random(np.random.default_rng(t.sig.dim + 7), (130, t.sig.dim))
+    assert np.array_equal(t.product(t.unit, u), u)
+    assert np.array_equal(t.product(u, t.unit), u)
 
 
 def test_blade_images_are_products_of_generators(table):
