@@ -20,7 +20,6 @@ products are matrix products; tables(sig).to_spinor and to_blades convert.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,16 +133,18 @@ class _Tables:
     the largest entry of a spinor array bounds its largest blade coefficient
     from above.
 
-    product, batch_product and commutators multiply stacks of blocks in
-    _matmul. Up to d = BROADCAST_MAX_D = 2 (n <= 3) that is d broadcast
-    multiply-adds over the whole stack, one ufunc call per contracted index,
-    because np.matmul makes one tiny BLAS call per point and block there.
-    One batch_product of 130 points by 1 x 3 rows (Intel Xeon, one BLAS
-    thread) took 46-56 us that way against 66-108 us through np.matmul at
-    Cl(2,0), and 70-85 against 135-197 us at Cl(2,1); at Cl(3,2) (d = 4,
-    17 points) it took 61-64 us against 40-51 us, so larger blocks keep
-    np.matmul. Each term is a product of two entries, summed in order of the
-    contracted index, so a point's result does not depend on its batch.
+    block_matmul is the one kernel of stacked products. It lays a spinor
+    grid (..., I, K, dim) out as block matrices (..., blocks, I d, K d), so
+    that sum_k a[i, k] b[k, j] is one matrix product per leading index and
+    block, with contracted length K d; batch_product (K = 1),
+    commutator_grid and commutator_sum are built on it. _matmul does the
+    products. Up to d = BROADCAST_MAX_D = 2 (n <= 3) they are K d broadcast
+    multiply-adds over the whole stack, because np.matmul makes one tiny
+    BLAS call per point and block there: one batch_product of 130 points by
+    1 x 3 rows (Intel Xeon, one BLAS thread) took 46-56 against 66-108 us at
+    Cl(2,0), but 61-64 against 40-51 us at Cl(3,2) (d = 4, 17 points). Each
+    term is a product of two entries, summed in order of the contracted
+    index, so a point's result does not depend on its batch.
     """
 
     def __init__(self, sig: Signature):
@@ -273,80 +274,70 @@ class _Tables:
     def _signed_take(u: np.ndarray, index: np.ndarray) -> np.ndarray:
         return np.concatenate((u, -u), axis=-1).take(index, axis=-1)
 
-    def _blocks(self, u: np.ndarray) -> np.ndarray:
-        """Spinor rows (..., dim) as (..., blocks, d, d)."""
-        return u.reshape(u.shape[:-1] + self.block_shape)
-
-    def _tall(self, a: np.ndarray) -> np.ndarray:
-        """Spinor rows (..., m, dim) stacked as (..., blocks, m d, d)."""
+    def _block_matrix(self, u: np.ndarray) -> np.ndarray:
+        """Spinor grids (..., R, C, dim) as block matrices (..., blocks, R d, C d):
+        entry (r, c) of block b of u[i, k] goes to row i d + r, column k d + c."""
         blocks, d, _ = self.block_shape
-        lead, m = a.shape[:-2], a.shape[-2]
-        return self._blocks(a).swapaxes(-4, -3).reshape(lead + (blocks, m * d, d))
-
-    def _wide(self, b: np.ndarray) -> np.ndarray:
-        """Spinor rows (..., m, dim) side by side as (..., blocks, d, m d)."""
-        blocks, d, _ = self.block_shape
-        lead, m = b.shape[:-2], b.shape[-2]
+        lead, (rows, cols) = u.shape[:-3], u.shape[-3:-1]
         k = len(lead)
-        order = tuple(range(k)) + (k + 1, k + 2, k, k + 3)
-        return self._blocks(b).transpose(order).reshape(lead + (blocks, d, m * d))
+        order = tuple(range(k)) + (k + 2, k, k + 3, k + 1, k + 4)
+        return (u.reshape(lead + (rows, cols) + self.block_shape).transpose(order)
+                .reshape(lead + (blocks, rows * d, cols * d)))
 
-    def _pairs(self, c: np.ndarray, ma: int, mb: int) -> np.ndarray:
-        """Blockwise products (..., blocks, ma d, mb d) as rows (..., ma, mb, dim)."""
+    def _grid(self, c: np.ndarray, rows: int, cols: int) -> np.ndarray:
+        """Block matrices (..., blocks, rows d, cols d) as spinor grids (..., rows, cols, dim)."""
         blocks, d, _ = self.block_shape
         lead = c.shape[:-3]
         k = len(lead)
         order = tuple(range(k)) + (k + 1, k + 3, k, k + 2, k + 4)
-        return (c.reshape(lead + (blocks, ma, d, mb, d)).transpose(order)
-                .reshape(lead + (ma, mb, self.sig.dim)))
+        return (c.reshape(lead + (blocks, rows, d, cols, d)).transpose(order)
+                .reshape(lead + (rows, cols, self.sig.dim)))
 
     def _matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Stacked block products x @ y, whose contracted dimension is d.
-
-        Up to d = BROADCAST_MAX_D they are the sum over j of the column
-        x[..., :, j] times the row y[..., j, :], one broadcast multiply-add
-        over the whole stack per j; beyond that, np.matmul.
-        """
-        d = self.block_shape[1]
-        if d > BROADCAST_MAX_D:
+        """Stacked products x @ y of block matrices, contracted length K d: for
+        d <= BROADCAST_MAX_D the sum over j of column j of x times row j of y,
+        one broadcast multiply-add over the whole stack per j; else np.matmul."""
+        if self.block_shape[1] > BROADCAST_MAX_D:
             return np.matmul(x, y)
         out = x[..., :, :1] * y[..., :1, :]
-        for j in range(1, d):
+        for j in range(1, x.shape[-1]):
             out += x[..., :, j:j + 1] * y[..., j:j + 1, :]
         return out
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Row-by-row products u * v of spinor rows (..., dim) that broadcast."""
         shape = np.broadcast_shapes(u.shape, v.shape)
-        return self._matmul(self._blocks(u), self._blocks(v)).reshape(shape)
+        x, y = (w.reshape(w.shape[:-1] + self.block_shape) for w in (u, v))
+        return self._matmul(x, y).reshape(shape)
+
+    def block_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum_k a[..., i, k] b[..., k, j] of spinor grids a L + (I, K, dim) and
+        b L' + (K, J, dim), with L and L' broadcasting: shape L'' + (I, J, dim),
+        one matrix product per leading index and block (see the class docstring)."""
+        rows, cols = a.shape[-3], b.shape[-2]
+        return self._grid(self._matmul(self._block_matrix(a), self._block_matrix(b)), rows, cols)
 
     def batch_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """All pairwise products of the spinor rows of a and b, per leading index.
+        """All pairwise products a_i b_j of spinor rows a L + (I, dim) and
+        b L' + (J, dim), per leading index: block_matmul with K = 1."""
+        return self.block_matmul(a[..., :, None, :], b[..., None, :, :])
 
-        a has shape L + (ma, dim) and b has shape L' + (mb, dim) with L and L'
-        broadcasting; the result has shape L'' + (ma, mb, dim). Per leading
-        index and block this is one matrix product, the rows of a stacked
-        vertically times the rows of b side by side: one np.matmul, or for
-        d <= BROADCAST_MAX_D, d broadcast multiply-adds over all leading
-        indices (see the class docstring).
+    def commutator_grid(self, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+        """[a_i, b_j] of spinor rows a (..., I, dim) and b (..., J, dim), per
+        leading index, shape (..., I, J, dim).
+
+        Without b it is [a_i, a_j]: one grid P_ij = a_i a_j, and P_ij - P_ji.
         """
-        return self._pairs(self._matmul(self._tall(a), self._wide(b)), a.shape[-2], b.shape[-2])
+        ab = self.batch_product(a, a if b is None else b)
+        ba = ab if b is None else self.batch_product(b, a)
+        return ab - ba.swapaxes(-3, -2)
 
-    def commutators(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """[a[i], b[i, ...]] of spinor rows, for every leading index i of a.
-
-        a has shape L + (dim,) and b has shape L' + K + (dim,), where L'
-        broadcasts against L; the result has shape L + K + (dim,). Per
-        leading index and block, a_i times all of b_i and all of b_i times
-        a_i are one matrix product each, formed as in batch_product.
-        """
-        lead = a.shape[:-1]
-        tail = b.shape[len(lead):-1]
-        m = math.prod(tail)
-        b = b.reshape(b.shape[:len(lead)] + (m, self.sig.dim))
-        ab = self._pairs(self._matmul(self._blocks(a), self._wide(b)), 1, m)[..., 0, :, :]
-        ba = self._pairs(self._matmul(self._tall(b), self._blocks(a)), m, 1)[..., 0, :]
-        return (ab - ba).reshape(lead + tail + (self.sig.dim,))
+    def commutator_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum_i [a_i, b_ik] of spinor rows a (..., I, dim) and b (..., I, K, dim),
+        per leading index, shape (..., K, dim): two block_matmul products."""
+        ab = self.block_matmul(a[..., None, :, :], b)[..., 0, :, :]
+        ba = self.block_matmul(b.swapaxes(-3, -2), a[..., :, None, :])[..., 0, :]
+        return ab - ba
 
     @property
     def center(self) -> np.ndarray:

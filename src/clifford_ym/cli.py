@@ -98,10 +98,15 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        # Written first, so that a refused path leaves stdout empty.
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+    print(text)
     return code
 
 

@@ -922,11 +922,12 @@ class CliffordFieldVector:
 def _bracket_grids(hjets: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
     """K^munu and D^nu (see CliffordFieldVector.bracket_grids) from the
     first-order jets (P, n, 1 + n, dim) of a field vector."""
-    ad = tables(sig).commutators
+    t = tables(sig)
     hv = hjets[:, :, 0]
     dh = hjets[:, :, 1:].swapaxes(1, 2)  # dh[p, mu, nu] = d_mu h^nu
     div = np.trace(dh, axis1=1, axis2=2)
-    return ad(hv, hv[:, None]), ad(div, hv) + ad(hv, dh).sum(axis=1)
+    return (t.commutator_grid(hv),
+            t.commutator_grid(div[:, None], hv)[:, 0] + t.commutator_sum(hv, dh))
 
 
 class _FieldVectorComponent(MultivectorField):

@@ -151,13 +151,9 @@ def _w_jets(hjets: np.ndarray, sig: Signature) -> np.ndarray:
     (d_nu d_mu h^rho) h^rho of d_nu W_mu is symmetric in (mu, nu) and left
     out (see CovectorField).
     """
-    t = tables(sig)
-    acc = 0
-    for eta, c in zip(sig.metric(), hjets.swapaxes(0, 1)):
-        grad = c[:, 1:]  # (P, mu, dim): d_mu h^rho
-        w = np.concatenate([t.batch_product(grad, c[:, :1]), t.batch_product(grad, grad)], axis=2)
-        acc = acc + eta * w
-    return acc
+    eta = np.array(sig.metric(), dtype=float)[:, None]
+    # eta_rho d_mu h^rho times row r of the jet of h^rho, summed over rho.
+    return tables(sig).block_matmul(eta * hjets[:, :, 1:].swapaxes(1, 2), hjets)
 
 
 def compute_C_jets(hjets: np.ndarray, sig: Signature, table: ContractionTable,
@@ -249,7 +245,7 @@ def primitive_residual(h: CliffordFieldVector, c: CovectorField, x) -> np.ndarra
     eta = np.array(h.sig.metric(), dtype=float)[:, None]
     cv = c.values(x)
     hj = h.jets(x, 1)
-    r = hj[:, :, 1:].swapaxes(1, 2) - t.commutators(cv, hj[:, None, :, 0])
+    r = hj[:, :, 1:].swapaxes(1, 2) - t.commutator_grid(cv, hj[:, :, 0])
     r *= eta
     return t.to_blades(r)
 
@@ -259,7 +255,7 @@ def field_strength(c: CovectorField, x) -> np.ndarray:
     antisymmetric, shape (P, n, n, dim)."""
     cs = c.jets(x, 1)
     grad = cs[:, :, 1:].swapaxes(1, 2)  # grad[p, mu, nu] = d_mu C_nu
-    return grad - grad.swapaxes(1, 2) - tables(c.sig).commutators(cs[:, :, 0], cs[:, None, :, 0])
+    return grad - grad.swapaxes(1, 2) - tables(c.sig).commutator_grid(cs[:, :, 0])
 
 
 def curvature_residual(c: CovectorField, x) -> np.ndarray:

@@ -192,12 +192,11 @@ def _field_grids(sol: YMSolution, x) -> tuple[np.ndarray, np.ndarray]:
     By the product rule sum_mu d_mu G^munu = -sigma^2 D^nu, with D^nu and
     K^munu from h.bracket_grids.
     """
-    ad = tables(sol.sig).commutators
     bv = sol.b.values(x)
     hv = sol.h.jets(x, 1)[:, :, 0]
     k, dg = sol.h.bracket_grids(x)
     g = -sol.sigma ** 2 * k
-    flux = -sol.sigma ** 2 * dg - ad(bv, g).sum(axis=1)
+    flux = -sol.sigma ** 2 * dg - tables(sol.sig).commutator_sum(bv, g)
     return flux, hv
 
 
@@ -217,7 +216,7 @@ def conservation_residual(sol: YMSolution, x, epsilon: complex | None = None) ->
     bv = sol.b.values(x)
     hs = eps * sol.h.jets(x, 1)
     div = np.trace(hs[:, :, 1:], axis1=1, axis2=2)
-    return t.to_blades(div - t.commutators(bv, hs[:, :, None, 0]).sum(axis=1)[:, 0])
+    return t.to_blades(div - t.commutator_sum(bv, hs[:, :, None, 0])[:, 0])
 
 
 def _ym_maxima(sol: YMSolution, pts: np.ndarray, epsilon: complex | None) -> dict:
@@ -300,5 +299,6 @@ def double_commutator_check(h: CliffordFieldVector, x) -> np.ndarray:
     t = tables(h.sig)
     hv = h.values(x)
     eta = np.array(h.sig.metric(), dtype=float)[:, None, None]
-    return t.to_blades((eta * t.commutators(hv, t.commutators(hv, hv[:, None]))).sum(axis=1)
+    # eta_mu [h^mu, X] = [h^mu, eta_mu X]: the sign goes on the grid's mu axis.
+    return t.to_blades(t.commutator_sum(hv, eta * t.commutator_grid(hv))
                        - (4.0 * (h.sig.n - 1)) * hv)

@@ -142,24 +142,60 @@ def test_batch_product_matches_single(rng):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_commutators_match_commutator(n, rng):
-    # The commutator kernel against one Multivector commutator per pair: b
-    # stacked per row of a, one b stack broadcast to every row, and one b
-    # row per row of a.
+    # The commutator grid and sum kernels against one Multivector
+    # commutator per pair: b stacked per row of a, one b stack broadcast to
+    # every row, one b row per row of a, a with itself, and the sums over
+    # the rows of a with and without a leading axis.
     sig = Signature((n + 1) // 2, n // 2)
     t = tables(sig)
     a = np.vstack([random_multivector(sig, rng).coeffs for _ in range(3)])
     b = np.stack([[random_multivector(sig, rng).coeffs for _ in range(4)] for _ in range(3)])
 
-    def oracle(i, rows):
-        return [commutator(Multivector(sig, a[i]), Multivector(sig, r)).coeffs for r in rows]
+    def comm(u, v):
+        return commutator(Multivector(sig, u), Multivector(sig, v)).coeffs
 
-    for got, want in [(on_blades(t, t.commutators, a, b), [oracle(i, b[i]) for i in range(3)]),
-                      (on_blades(t, t.commutators, a, b[:1]), [oracle(i, b[0]) for i in range(3)]),
-                      (on_blades(t, t.commutators, a, b[:, 0]),
-                       [oracle(i, b[i, :1])[0] for i in range(3)])]:
+    def oracle(i, rows):
+        return [comm(a[i], r) for r in rows]
+
+    def grid(u, v=None):
+        return on_blades(t, t.commutator_grid, u) if v is None else on_blades(t, t.commutator_grid, u, v)
+
+    def csum(u, v):
+        return on_blades(t, t.commutator_sum, u, v)
+
+    cases = [
+        (grid(a[:, None], b), [[oracle(i, b[i])] for i in range(3)]),
+        (grid(a[:, None], b[:1]), [[oracle(i, b[0])] for i in range(3)]),
+        (grid(a[:, None], b[:, :1]), [[oracle(i, b[i, :1])] for i in range(3)]),
+        (grid(a, b[0]), [oracle(i, b[0]) for i in range(3)]),
+        (grid(a), [oracle(i, a) for i in range(3)]),
+        (csum(a, b), np.sum([oracle(i, b[i]) for i in range(3)], axis=0)),
+        (csum(a[None, :2], b[None, :2, :1]), [[comm(a[0], b[0, 0]) + comm(a[1], b[1, 0])]]),
+        (csum(b[:, :2], a[None, :2, None]),
+         [[comm(b[j, 0], a[0]) + comm(b[j, 1], a[1])] for j in range(3)]),
+    ]
+    for got, want in cases:
         want = np.array(want)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("ni,nk,nj", [(1, 1, 1), (2, 1, 3), (3, 4, 2), (1, 5, 1)])
+def test_block_matmul_matches_geometric_products(n, ni, nk, nj, rng):
+    # sum_k a_ik b_kj against Multivector products summed in Python, with a
+    # leading axis that broadcasts from b.
+    sig = Signature((n + 1) // 2, n // 2)
+    t = tables(sig)
+    a = np.stack([[[random_multivector(sig, rng).coeffs for _ in range(nk)] for _ in range(ni)]
+                  for _ in range(2)])
+    b = np.stack([[random_multivector(sig, rng).coeffs for _ in range(nj)] for _ in range(nk)])
+    got = on_blades(t, t.block_matmul, a, b[None])
+    want = np.array([[[sum(geometric_product(Multivector(sig, a[s, i, k]),
+                                             Multivector(sig, b[k, j])).coeffs for k in range(nk))
+                       for j in range(nj)] for i in range(ni)] for s in range(2)])
+    assert got.shape == want.shape == (2, ni, nj, sig.dim)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _dense_product(table, u, v):
@@ -251,8 +287,9 @@ def test_batch_product_matches_dense_oracle(p, q, ma, mb, rng):
 
 @pytest.mark.parametrize("p,q", [(2, 0), (3, 2)])
 def test_batched_kernels_match_per_index_calls(p, q, rng):
-    # Leading axes of batch_product, product and commutators against the
-    # same kernels called one leading index at a time.
+    # Leading axes of batch_product, product, block_matmul and the
+    # commutator kernels against the same kernels called one leading index
+    # at a time.
     sig = Signature(p, q)
     T = tables(sig)
     a = _random_rows(sig, rng, 2 * 3 * 4).reshape(2, 3, 4, sig.dim)
@@ -264,12 +301,18 @@ def test_batched_kernels_match_per_index_calls(p, q, rng):
             assert np.array_equal(got[i, j], T.batch_product(a[i, j], b[i, 0]))
     u, v = a[:, :, 0], b[:, 0, :3]
     prod = T.product(u, v)
-    comm = T.commutators(u, b[:, :, :3])
+    comm = T.commutator_grid(u[..., None, :], b[:, :, :3])
+    sums = T.commutator_sum(a, a[:, :1, :, None])
+    mat = T.block_matmul(a[:, :, None], a[:, :1, :, None])
+    assert comm.shape == (2, 3, 1, 3, sig.dim)
+    assert sums.shape == mat[:, :, 0].shape == (2, 3, 1, sig.dim)
     for i in range(2):
         for j in range(3):
             assert np.array_equal(prod[i, j], T.product(u[i, j], v[i, j]))
             want = [T.product(u[i, j], w) - T.product(w, u[i, j]) for w in b[i, 0, :3]]
-            assert np.max(np.abs(comm[i, j] - np.array(want))) < 1e-12
+            assert np.max(np.abs(comm[i, j, 0] - np.array(want))) < 1e-12
+            assert np.array_equal(sums[i, j], T.commutator_sum(a[i, j], a[i, 0, :, None]))
+            assert np.array_equal(mat[i, j], T.block_matmul(a[i, j, None], a[i, 0, :, None]))
 
 
 def test_grade_projection_partitions(rng):

@@ -265,6 +265,19 @@ def test_verify_output_file_matches_stdout(tmp_path, config_file):
     assert json.loads(target.read_text()) == json.loads(out)
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_verify_unwritable_output_fails_closed(tmp_path, where):
+    # A path in a missing directory, or a directory itself, is a config
+    # error: exit 2 with a message and nothing on stdout, not a traceback.
+    target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    path = tmp_path / "with_output.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, output=str(target))))
+    code, out, err = run_cli(["verify", "--config", str(path)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: cannot write output: ")
+
+
 def test_demo_passes():
     code, out, _ = run_cli(["demo", "--n", "2"])
     assert code == EXIT_OK

@@ -127,11 +127,12 @@ def test_kept_arrays_equal_a_cold_computation_and_do_not_depend_on_sigma_order()
     cold_h = cold_case["h"]
     cold_flatness = max_per_point(primitive_residual(cold_h, cold_case["conn"], points))
     hs = cold_h.jets(points, 1)
-    ad = tables(cold_h.sig).commutators
+    t = tables(cold_h.sig)
     hv = hs[:, :, 0]
     dh = hs[:, :, 1:].swapaxes(1, 2)
-    cold_k = ad(hv, hv[:, None])
-    cold_d = ad(np.trace(dh, axis1=1, axis2=2), hv) + ad(hv, dh).sum(axis=1)
+    cold_k = t.commutator_grid(hv)
+    cold_d = (t.commutator_grid(np.trace(dh, axis1=1, axis2=2)[:, None], hv)[:, 0]
+              + t.commutator_sum(hv, dh))
     for got, want in zip(kept, (cold_flatness, cold_k, cold_d)):
         assert np.array_equal(got, want)
 

@@ -75,11 +75,24 @@ def test_kernels_match_dense_product(table):
     want = _dense(table, a[..., :, None, :], b[..., None, :, :])
     _assert_close(got, want, 1e-13)
 
+    # K > 1: the sum over k runs inside the block matrix product.
+    a, b = _random(rng, (2, 3, 4, dim)), _random(rng, (1, 4, 2, dim))
+    got = on_blades(table, table.block_matmul, a, b)
+    want = _dense(table, a[..., :, :, None, :], b[..., None, :, :, :]).sum(axis=-3)
+    _assert_close(got, want, 1e-13)
+
+    # Commutators are relative to the products: for n = 1 they all vanish.
     c, w = _random(rng, (2, 3, dim)), _random(rng, (1, 3, 2, dim))
-    got = on_blades(table, table.commutators, c, w)
     cw = _dense(table, c[..., None, :], w)
-    # Relative to the products: for n = 1 every commutator vanishes.
-    _assert_close(got, cw - _dense(table, w, c[..., None, :]), 1e-13, scale=cw)
+    got = on_blades(table, table.commutator_sum, c, w)
+    _assert_close(got, (cw - _dense(table, w, c[..., None, :])).sum(axis=-3), 1e-13, scale=cw)
+
+    cw = _dense(table, c[..., :, None, :], w[..., 0, None, :, :])
+    got = on_blades(table, table.commutator_grid, c, w[..., 0, :, :])
+    _assert_close(got, cw - _dense(table, w[..., 0, None, :, :], c[..., :, None, :]), 1e-13, scale=cw)
+    cc = _dense(table, c[..., :, None, :], c[..., None, :, :])
+    got = on_blades(table, table.commutator_grid, c)
+    _assert_close(got, cc - cc.swapaxes(-3, -2), 1e-13, scale=cc)
 
 
 def test_basis_blade_products_are_exact(table):
@@ -100,11 +113,16 @@ def _kernel_calls(t, rng, points):
     kernel on point-batched rows; one b is shared by all points."""
     dim = t.sig.dim
     u, v = _random(rng, (points, 3, dim)), _random(rng, (points, 3, dim))
+    w = _random(rng, (points, 3, 2, dim))
     return [
         ("product", t.product, u, v, True),
         ("batch_product", t.batch_product, u[:, :1], v, True),
         ("batch_product shared", t.batch_product, u, t.generators, False),
-        ("commutators", t.commutators, u[:, 0], v[:, None], True),
+        ("block_matmul K = 1", t.block_matmul, u[:, :, None], v[:, None], True),
+        ("block_matmul K = 3", t.block_matmul, u[:, None], w, True),
+        ("commutator_grid", t.commutator_grid, u, v, True),
+        ("commutator_grid of a with itself", lambda a, _: t.commutator_grid(a), u, v, True),
+        ("commutator_sum", t.commutator_sum, u, w, True),
     ]
 
 
@@ -229,7 +247,10 @@ def test_kernels_never_convert(p, q, monkeypatch):
     monkeypatch.setattr(algebra._Tables, "to_blades", refuse)
     t.product(jets[:, :, 0], jets[:, :, 1])
     t.batch_product(jets[:, 0], jets[:, 1])
-    t.commutators(jets[:, :, 0], jets[:, None])
+    t.block_matmul(jets[:, :, 1:].swapaxes(1, 2), jets)
+    t.commutator_grid(jets[:, :, 0], jets[:, :, 1])
+    t.commutator_grid(jets[:, :, 0])
+    t.commutator_sum(jets[:, :, 0], jets)
     for rows in (1, 1 + n, jets.shape[-2]):
         _jet_mul(jets[:, :, :rows], jets[:, :1, :rows], t.sig)
 
