@@ -180,24 +180,6 @@ def test_commutators_match_commutator(n, rng):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("n", range(2, 8))
-@pytest.mark.parametrize("ni,nk,nj", [(1, 1, 1), (2, 1, 3), (3, 4, 2), (1, 5, 1)])
-def test_block_matmul_matches_geometric_products(n, ni, nk, nj, rng):
-    # sum_k a_ik b_kj against Multivector products summed in Python, with a
-    # leading axis that broadcasts from b.
-    sig = Signature((n + 1) // 2, n // 2)
-    t = tables(sig)
-    a = np.stack([[[random_multivector(sig, rng).coeffs for _ in range(nk)] for _ in range(ni)]
-                  for _ in range(2)])
-    b = np.stack([[random_multivector(sig, rng).coeffs for _ in range(nj)] for _ in range(nk)])
-    got = on_blades(t, t.block_matmul, a, b[None])
-    want = np.array([[[sum(geometric_product(Multivector(sig, a[s, i, k]),
-                                             Multivector(sig, b[k, j])).coeffs for k in range(nk))
-                       for j in range(nj)] for i in range(ni)] for s in range(2)])
-    assert got.shape == want.shape == (2, ni, nj, sig.dim)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
 def _dense_product(table, u, v):
     """Gather-sum oracle: result[k] = sum_i u[i] * sign_k[i, k] * v[i ^ k]."""
     return ((u[:, None] * table.sign_k) * v[table.xor]).sum(axis=0)

@@ -75,11 +75,12 @@ def test_kernels_match_dense_product(table):
     want = _dense(table, a[..., :, None, :], b[..., None, :, :])
     _assert_close(got, want, 1e-13)
 
-    # K > 1: the sum over k runs inside the block matrix product.
-    a, b = _random(rng, (2, 3, 4, dim)), _random(rng, (1, 4, 2, dim))
-    got = on_blades(table, table.block_matmul, a, b)
-    want = _dense(table, a[..., :, :, None, :], b[..., None, :, :, :]).sum(axis=-3)
-    _assert_close(got, want, 1e-13)
+    # K = 1 and K > 1: the sum over k runs inside the block matrix product.
+    for k in (1, 4):
+        a, b = _random(rng, (2, 3, k, dim)), _random(rng, (1, k, 2, dim))
+        got = on_blades(table, table.block_matmul, a, b)
+        want = _dense(table, a[..., :, :, None, :], b[..., None, :, :, :]).sum(axis=-3)
+        _assert_close(got, want, 1e-13)
 
     # Commutators are relative to the products: for n = 1 they all vanish.
     c, w = _random(rng, (2, 3, dim)), _random(rng, (1, 3, 2, dim))
