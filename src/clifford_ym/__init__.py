@@ -31,7 +31,6 @@ from .fields import (
     FrameField,
     GaugeElement,
     PolyField,
-    Polynomial,
     make_clifford_field_vector,
     make_frame_field,
     make_gauge_element,
@@ -66,7 +65,6 @@ __all__ = [
     "NotASolution",
     "NotInvertible",
     "PolyField",
-    "Polynomial",
     "SeriesDivergence",
     "Signature",
     "SignatureMismatch",

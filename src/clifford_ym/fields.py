@@ -3,7 +3,8 @@
 Coordinates are Cartesian, x = (x^1, ..., x^n), and generators are constant:
 all derivatives act on blade coefficients only. Three field flavors exist:
 
-  - polynomial: per-blade multivariate polynomials, differentiated exactly;
+  - polynomial: rows of monomial exponents and their blade coefficients,
+    differentiated exactly;
   - analytic: built compositions (exponentials, conjugations, frame
     combinations) whose derivatives propagate exactly through jets;
   - closure: arbitrary callables, differentiated by central differences.
@@ -22,10 +23,8 @@ precision, which the residual tolerances need.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -37,6 +36,32 @@ from .algebra import (
     inverse_rows,
     tables,
 )
+
+
+class ConfigError(CliffordError):
+    """Malformed or out-of-range run configuration."""
+
+
+def _integer(value, key: str) -> int:
+    """An integer config entry; booleans and fractional numbers are refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _real(value, key: str, positive: bool = False) -> float:
+    """A finite number (and > 0 when positive) from a config entry."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if not math.isfinite(out) or (positive and out <= 0):
+        kind = "finite positive" if positive else "finite"
+        raise ConfigError(f"{key} must be a {kind} number, got {value!r}")
+    return out
 
 
 class DimensionMismatch(CliffordError):
@@ -78,107 +103,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     """arr made read-only, so a cached jet stack cannot be changed through a caller's view."""
     arr.flags.writeable = False
     return arr
-
-
-class Polynomial:
-    """Multivariate polynomial with complex coefficients.
-
-    terms maps exponent tuples (one entry per variable) to coefficients.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean = {}
-        for exps, coeff in (terms or {}).items():
-            key = tuple(map(int, exps))
-            if len(key) != nvars or (key and min(key) < 0):
-                raise CliffordError(f"bad exponent tuple {exps} for {nvars} variables")
-            c = complex(coeff)
-            if c != 0:
-                clean[key] = clean.get(key, 0) + c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {})
-
-    @classmethod
-    def constant(cls, nvars: int, c: complex) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def coordinate(cls, nvars: int, axis: int) -> "Polynomial":
-        """The monomial x^(axis+1), axis 0-based."""
-        exps = [0] * nvars
-        exps[axis] = 1
-        return cls(nvars, {tuple(exps): 1.0})
-
-    def __call__(self, x) -> complex:
-        x = np.asarray(x, dtype=float)
-        total = 0j
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for xi, ei in zip(x, exps):
-                if ei:
-                    term *= xi ** ei
-            total += term
-        return total
-
-    def diff(self, axis: int) -> "Polynomial":
-        out = {}
-        for exps, coeff in self.terms.items():
-            e = exps[axis]
-            if e:
-                key = exps[:axis] + (e - 1,) + exps[axis + 1:]
-                out[key] = out.get(key, 0) + coeff * e
-        return Polynomial(self.nvars, out)
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, 0) + coeff
-        return Polynomial(self.nvars, out)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            out = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    key = tuple(a + b for a, b in zip(ea, eb))
-                    out[key] = out.get(key, 0) + ca * cb
-            return Polynomial(self.nvars, out)
-        return Polynomial(self.nvars, {e: c * complex(other) for e, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __neg__(self):
-        return self * -1.0
-
-    def to_json(self) -> dict:
-        return {
-            "monomials": [
-                {"exps": list(exps), "coeff": [coeff.real, coeff.imag]}
-                for exps, coeff in sorted(self.terms.items())
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, nvars: int, data: dict) -> "Polynomial":
-        terms = {}
-        for mono in data["monomials"]:
-            exps = tuple(int(e) for e in mono["exps"])
-            re, im = mono["coeff"]
-            coeff = complex(float(re), float(im))
-            if not cmath.isfinite(coeff):
-                raise ValueError(f"non-finite coefficient {mono['coeff']!r}")
-            terms[exps] = terms.get(exps, 0) + coeff
-        return cls(nvars, terms)
 
 
 # Jet component layout: row 0 is the value, rows 1..n the gradient.
@@ -264,81 +188,102 @@ class MultivectorField:
 
 
 class PolyField(MultivectorField):
-    """Field with polynomial blade coefficients; derivatives are exact."""
+    """Field with polynomial blade coefficients; derivatives are exact.
 
-    def __init__(self, sig: Signature, blade_polys: dict):
+    exps is a (T, n) array of monomial exponent rows E and coeffs a
+    (T, dim) array of blade coefficient rows, so the field is
+    sum_t x^(E_t) sum_m coeffs[t, m] e_m. The constructor puts them in
+    canonical form: rows in increasing lexicographic order, repeated rows
+    summed in input order, all-zero rows dropped.
+
+    Jet row r holds the derivative D^d (d = _derivative_rows(n, 1)[r], zero
+    or a unit vector), and D^d x^E = c x^(E - d) with c = E_i for d = e_i
+    and c = 1 for d = 0, which is 0 exactly when some E_i < d_i. The
+    constructor keeps those factors (1 + n, T) and exponents (1 + n, T, n)
+    and the coefficient rows as spinor arrays; a jet of order 0 reads their
+    first row.
+    """
+
+    def __init__(self, sig: Signature, exps, coeffs):
         super().__init__(sig)
-        polys = {}
-        for mask, poly in blade_polys.items():
-            mask = int(mask)
-            if not 0 <= mask < sig.dim:
-                raise CliffordError(f"blade mask {mask} out of range for {sig}")
-            if poly.nvars != sig.n:
-                raise CliffordError(f"polynomial has {poly.nvars} variables, field needs {sig.n}")
-            if poly.terms:
-                polys[mask] = poly
-        self.blade_polys = polys
-        self._diff_cache: dict[int, "PolyField"] = {}
-        self._evaluators: dict[int, tuple] = {}
-
-    def _evaluator(self, order: int) -> tuple:
-        """Stacked monomial tables for the jet rows up to order, built once per order.
-
-        Jet row r holds the derivative D^d (d = _derivative_rows(n, order)[r],
-        zero or a unit vector), and D^d x^E = c x^(E - d) with c = E_i for
-        d = e_i and c = 1 for d = 0, which is 0 exactly when some E_i < d_i.
-        Returns (coeffs (T, dim), exponents (R, T, n), factors (R, T)) over
-        the T distinct monomials; row t of coeffs is the spinor array of the
-        blade coefficients of monomial t, converted here once.
-        """
-        ev = self._evaluators.get(order)
-        if ev is None:
-            n = self.sig.n
-            monos = sorted({e for p in self.blade_polys.values() for e in p.terms})
-            index = {e: t for t, e in enumerate(monos)}
-            coeffs = np.zeros((len(monos), self.sig.dim), dtype=np.complex128)
-            for mask, poly in self.blade_polys.items():
-                for e, c in poly.terms.items():
-                    coeffs[index[e], mask] = c
-            exps = np.array(monos, dtype=np.int64).reshape(len(monos), n)
-            d = _derivative_rows(n, order)[:, None, :]
-            factors = np.where(d > 0, exps, 1).prod(axis=-1).astype(float)
-            # Clipped so that a vanishing term never evaluates 0 ** -1.
-            ev = (tables(self.sig).to_spinor(coeffs), np.maximum(exps - d, 0), factors)
-            self._evaluators[order] = ev
-        return ev
+        n = sig.n
+        exps = np.asarray(exps, dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        if exps.ndim != 2 or exps.shape[1] != n or coeffs.shape != (len(exps), sig.dim):
+            raise CliffordError(f"need (T, {n}) exponent rows and (T, {sig.dim}) coefficient "
+                                f"rows, got {exps.shape} and {coeffs.shape}")
+        if (exps < 0).any():
+            raise CliffordError("monomial exponents must be nonnegative")
+        order = np.lexsort(exps.T[::-1])  # stable: repeated rows keep input order
+        exps, coeffs = exps[order], coeffs[order]
+        first = np.ones(len(exps), dtype=bool)
+        first[1:] = (exps[1:] != exps[:-1]).any(axis=1)
+        coeffs = np.add.reduceat(coeffs, np.flatnonzero(first), axis=0)
+        keep = coeffs.any(axis=1)
+        self.exps = exps[first][keep]
+        self.coeffs = coeffs[keep]
+        d = _derivative_rows(n, 1)[:, None, :]
+        self._factors = np.where(d > 0, self.exps, 1).prod(axis=-1).astype(float)
+        # Clipped so that a vanishing term never evaluates 0 ** -1.
+        self._powers = np.maximum(self.exps - d, 0)
+        self._spinor = tables(sig).to_spinor(self.coeffs)
 
     @classmethod
     def constant(cls, sig: Signature, mv) -> "PolyField":
-        return cls(sig, {
-            mask: Polynomial.constant(sig.n, c)
-            for mask, c in enumerate(mv.coeffs) if c != 0
-        })
+        return cls(sig, np.zeros((1, sig.n), dtype=np.int64), mv.coeffs[None])
 
     @classmethod
     def zero(cls, sig: Signature) -> "PolyField":
-        return cls(sig, {})
+        return cls(sig, np.zeros((0, sig.n), dtype=np.int64), np.zeros((0, sig.dim)))
 
     def partial(self, mu: int) -> "PolyField":
         """Exact derivative field along axis mu (0-based)."""
-        if mu not in self._diff_cache:
-            self._diff_cache[mu] = PolyField(
-                self.sig, {m: p.diff(mu) for m, p in self.blade_polys.items()}
-            )
-        return self._diff_cache[mu]
+        e = self.exps[:, mu]
+        live = e > 0
+        return PolyField(self.sig, self.exps[live] - np.eye(self.sig.n, dtype=np.int64)[mu],
+                         self.coeffs[live] * e[live, None])
 
     def jet(self, x, order: int = 1) -> np.ndarray:
         x = _as_points(x, self.sig.n)
-        coeffs, exps, factors = self._evaluator(order)
+        rows = _nrows(order, self.sig.n)
         # Monomial values per point, row and monomial: (P, R, T) @ (T, dim).
-        return (factors * np.prod(x[:, None, None, :] ** exps, axis=-1)) @ coeffs
+        return (self._factors[:rows]
+                * np.prod(x[:, None, None, :] ** self._powers[:rows], axis=-1)) @ self._spinor
 
     def scale(self, c: complex) -> "PolyField":
-        return PolyField(self.sig, {m: p * c for m, p in self.blade_polys.items()})
+        return PolyField(self.sig, self.exps, self.coeffs * complex(c))
 
     def grades_present(self) -> tuple[int, ...]:
         g = tables(self.sig).grades
-        return tuple(sorted({int(g[m]) for m in self.blade_polys}))
+        return tuple(np.unique(g[self.coeffs.any(axis=0)]).tolist())
+
+
+def poly_rows(sig: Signature, data, key: str, mask: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent rows (T, n) and coefficient rows (T, dim), on blade mask, of
+    a JSON polynomial {"monomials": [{"exps": [n integers], "coeff": [re, im]}, ...]}.
+
+    Exponents follow the integer rule of config entries and lie in
+    0..2^63 - 1; a coefficient is a list of two finite numbers. Anything
+    else raises ConfigError naming key.
+    """
+    monos = data.get("monomials") if isinstance(data, dict) else None
+    if not isinstance(monos, list):
+        raise ConfigError(f"{key} must be an object with a 'monomials' list")
+    exps = np.zeros((len(monos), sig.n), dtype=np.int64)
+    coeffs = np.zeros((len(monos), sig.dim), dtype=np.complex128)
+    for t, mono in enumerate(monos):
+        where = f"{key}.monomials[{t}]"
+        e, c = (mono.get("exps"), mono.get("coeff")) if isinstance(mono, dict) else (None, None)
+        if not isinstance(e, list) or len(e) != sig.n:
+            raise ConfigError(f"{where}.exps must be a list of {sig.n} integers, got {e!r}")
+        if not isinstance(c, list) or len(c) != 2:
+            raise ConfigError(f"{where}.coeff must be a [re, im] pair, got {c!r}")
+        row = [_integer(v, f"{where}.exps") for v in e]
+        if not all(0 <= v <= np.iinfo(np.int64).max for v in row):
+            raise ConfigError(f"{where}.exps must lie in 0..2^63 - 1, got {e!r}")
+        exps[t] = row
+        coeffs[t, mask] = complex(_real(c[0], f"{where}.coeff"), _real(c[1], f"{where}.coeff"))
+    return exps, coeffs
 
 
 class CallableField(MultivectorField):
@@ -536,8 +481,8 @@ class FrameField:
     """n x n real frame y^mu_a(x) with y eta y^T = eta pointwise.
 
     Kinds: identity, constant (a fixed pseudo-orthogonal matrix), and
-    rotation (exp(t(x) M) P for a pseudo-rotation generator M and a
-    polynomial parameter t). Rotation derivatives are closed form:
+    rotation (exp(t(x) M) P for a pseudo-rotation generator M and a real
+    scalar PolyField t). Rotation derivatives are closed form:
     d_nu Y = (d_nu t) M Y.
 
     The constructor checks the base matrix, and for rotations the generator
@@ -546,7 +491,7 @@ class FrameField:
     """
 
     def __init__(self, sig: Signature, kind: str, base: np.ndarray,
-                 generator: np.ndarray | None = None, poly: Polynomial | None = None,
+                 generator: np.ndarray | None = None, poly: PolyField | None = None,
                  tol: float = 1e-10):
         n = sig.n
         if kind not in ("identity", "constant", "rotation"):
@@ -561,10 +506,11 @@ class FrameField:
             # exp(tM) stays pseudo-orthogonal iff M eta + eta M^T = 0
             if not np.max(np.abs(generator @ eta + eta @ generator.T)) <= 1e-12:
                 raise FrameError("rotation generator is not in the pseudo-orthogonal Lie algebra")
-            if not isinstance(poly, Polynomial) or poly.nvars != n:
-                raise FrameError(f"rotation parameter must be a polynomial in {n} variables")
+            if not (isinstance(poly, PolyField) and poly.sig == sig
+                    and poly.grades_present() in ((), (0,))):
+                raise FrameError(f"rotation parameter must be a scalar PolyField over {sig}")
             # A real parameter keeps exp(tM) real, and its derivatives with it.
-            if any(c.imag != 0 for c in poly.terms.values()):
+            if poly.coeffs.imag.any():
                 raise FrameError("rotation parameter must have real coefficients")
         elif generator is not None or poly is not None:
             raise FrameError(f"a {kind} frame takes no generator or parameter")
@@ -572,8 +518,6 @@ class FrameField:
         self.kind = kind
         self.generator = generator
         self.poly = poly
-        # The parameter t as the scalar part of a field, for its jets.
-        self._param = PolyField(sig, {0: poly}) if kind == "rotation" else None
 
     @classmethod
     def identity(cls, sig: Signature) -> "FrameField":
@@ -584,7 +528,7 @@ class FrameField:
         return cls(sig, "constant", matrix, tol=tol)
 
     @classmethod
-    def rotation(cls, sig: Signature, poly: Polynomial, generator, base=None,
+    def rotation(cls, sig: Signature, poly: PolyField, generator, base=None,
                  tol: float = 1e-10) -> "FrameField":
         return cls(sig, "rotation", np.eye(sig.n) if base is None else base,
                    generator, poly, tol=tol)
@@ -604,7 +548,7 @@ class FrameField:
             y = np.broadcast_to(self.base, (count, n, n)).copy()
             return y, (np.zeros((count, n, n, n)) if first else None)
         # The first spinor entry of a field with a scalar part only is that part.
-        tj = self._param.jet(x, order)[:, :, 0].real
+        tj = self.poly.jet(x, order)[:, :, 0].real
         y = expm(tj[:, 0, None, None] * self.generator) @ self.base
         dy = np.einsum("pn,pma->pnma", tj[:, 1:], self.generator @ y) if first else None
         return y, dy
@@ -650,7 +594,7 @@ def make_frame_field(sig: Signature, spec: dict) -> FrameField:
 
     if kind == "constant":
         return FrameField.constant(sig, entry("matrix"))
-    poly = entry("poly", lambda v: Polynomial.from_json(sig.n, v))
+    poly = entry("poly", lambda v: PolyField(sig, *poly_rows(sig, v, "frame.poly")))
     base = entry("base") if spec.get("base") is not None else None
     return FrameField.rotation(sig, poly, entry("generator"), base)
 
@@ -815,14 +759,13 @@ def random_bivector_poly_field(sig: Signature, rng: np.random.Generator,
     masks = np.flatnonzero(tables(sig).grades == 2)
     amp = scale / max(1.0, np.sqrt(len(masks)))
     eye = np.eye(n, dtype=np.int64)
-    exps = [np.zeros(n, dtype=np.int64)] + list(eye)
-    if degree >= 2:
-        exps += [eye[i] + eye[j] for i, j in combinations_with_replacement(range(n), 2)]
-    exps = [tuple(e) for e in np.array(exps).tolist()]
+    i, j = np.triu_indices(n) if degree >= 2 else ([], [])
+    exps = np.concatenate([np.zeros((1, n), dtype=np.int64), eye, eye[i] + eye[j]])
     draws = rng.uniform(-amp, amp, size=(len(masks), len(exps)))
     draws[:, 1 + n:] *= 0.5
-    return PolyField(sig, {int(mask): Polynomial(n, dict(zip(exps, row)))
-                           for mask, row in zip(masks, draws.tolist())})
+    coeffs = np.zeros((len(exps), sig.dim), dtype=np.complex128)
+    coeffs[:, masks] = draws.T
+    return PolyField(sig, exps, coeffs)
 
 
 class CliffordFieldVector:

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import cmath
 import copy
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import (
-    CliffordError,
     Multivector,
     Signature,
     n_max,
@@ -27,12 +25,15 @@ from .algebra import (
 from . import golden
 from .contraction import build_table, contraction_series
 from .fields import (
+    ConfigError,
     FiniteDifferenceVector,
     FrameGaugeFieldVector,
     GaugeElement,
     PolyField,
-    Polynomial,
+    _integer,
+    _real,
     make_frame_field,
+    poly_rows,
     make_gauge_element,
     random_bivector_poly_field,
     random_frame,
@@ -65,10 +66,6 @@ __all__ = [
     "run_demo",
     "explicit_connection",
 ]
-
-
-class ConfigError(CliffordError):
-    """Malformed or out-of-range run configuration."""
 
 
 EXACT_TOLERANCES = {
@@ -151,28 +148,6 @@ def parse_blade(label: str, n: int) -> int:
             raise ConfigError(f"repeated generator index {a} in blade {label!r}")
         mask |= bit
     return mask
-
-
-def _integer(value, key: str) -> int:
-    """An integer config entry; booleans and fractional numbers are refused, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-
-
-def _real(value, key: str, positive: bool = False) -> float:
-    """A finite number (and > 0 when positive) from a config entry."""
-    try:
-        out = float(value)
-    except (TypeError, ValueError, OverflowError):
-        out = math.nan
-    if not math.isfinite(out) or (positive and out <= 0):
-        kind = "finite positive" if positive else "finite"
-        raise ConfigError(f"{key} must be a {kind} number, got {value!r}")
-    return out
 
 
 def _as_complex(value, what: str) -> complex:
@@ -286,17 +261,15 @@ def _gauge_generator(sig: Signature, spec: dict, rng: np.random.Generator) -> Po
     terms = spec.get("terms", [])
     if not isinstance(terms, (list, tuple)):
         raise ConfigError("gauge.terms must be a list")
-    blade_polys: dict[int, Polynomial] = {}
-    for term in terms:
+    exps, coeffs = [np.zeros((0, sig.n), dtype=np.int64)], [np.zeros((0, sig.dim))]
+    for k, term in enumerate(terms):
         if not isinstance(term, dict) or "blade" not in term or "poly" not in term:
             raise ConfigError("each gauge term needs 'blade' and 'poly'")
-        mask = parse_blade(term["blade"], sig.n)
-        try:
-            poly = Polynomial.from_json(sig.n, term["poly"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad polynomial in gauge term: {exc}") from None
-        blade_polys[mask] = (blade_polys[mask] + poly) if mask in blade_polys else poly
-    return PolyField(sig, blade_polys)
+        rows = poly_rows(sig, term["poly"], f"gauge.terms[{k}].poly",
+                         parse_blade(term["blade"], sig.n))
+        exps.append(rows[0])
+        coeffs.append(rows[1])
+    return PolyField(sig, np.concatenate(exps), np.concatenate(coeffs))
 
 
 def build_case(cfg: RunConfig) -> dict:

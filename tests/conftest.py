@@ -35,6 +35,15 @@ def generator_field_vector(sig):
     ])
 
 
+def poly_field(sig, *terms):
+    """The PolyField sum of coeff x^exps e_mask over (mask, exps, coeff) terms."""
+    coeffs = np.zeros((len(terms), sig.dim), dtype=complex)
+    for row, (mask, _, coeff) in zip(coeffs, terms):
+        row[mask] = coeff
+    return PolyField(sig, np.array([exps for _, exps, _ in terms], dtype=np.int64)
+                     .reshape(len(terms), sig.n), coeffs)
+
+
 def on_blades(table, kernel, *args):
     """A spinor-array kernel of table applied to blade arrays, its result in blades."""
     return table.to_blades(kernel(*(table.to_spinor(a) for a in args)))

@@ -22,7 +22,7 @@ from clifford_ym.algebra import (
     trace,
 )
 from clifford_ym.contraction import build_table, contract, lambdas
-from clifford_ym.fields import PolyField, Polynomial, sample_points
+from clifford_ym.fields import PolyField, sample_points
 from clifford_ym.primitive import (
     DerivedConnection,
     OffsetCovector,
@@ -298,17 +298,16 @@ def test_criterion_8_fd_convergence():
         n = int(rng.integers(2, 5))
         sig = Signature(n, 0)
         mu = int(rng.integers(0, n))
-        # Random degree-3 field with a guaranteed cubic term along axis mu.
-        blade_polys = {}
-        for mask in rng.choice(sig.dim, size=3, replace=False):
-            terms = {}
-            for _ in range(4):
-                exps = tuple(int(e) for e in rng.integers(0, 2, size=n))
-                terms[exps] = terms.get(exps, 0.0) + rng.standard_normal()
-            cubic = tuple(3 if i == mu else 0 for i in range(n))
-            terms[cubic] = 0.5 + rng.random()
-            blade_polys[int(mask)] = Polynomial(n, terms)
-        f = PolyField(sig, blade_polys)
+        # Random degree-3 field with a guaranteed cubic term along axis mu;
+        # repeated monomials of a blade are summed.
+        exps, coeffs = [], np.zeros((15, sig.dim))
+        for k, mask in enumerate(rng.choice(sig.dim, size=3, replace=False)):
+            for t in range(5 * k, 5 * k + 4):
+                exps.append(rng.integers(0, 2, size=n))
+                coeffs[t, mask] = rng.standard_normal()
+            exps.append(3 * np.eye(n, dtype=np.int64)[mu])
+            coeffs[5 * k + 4, mask] = 0.5 + rng.random()
+        f = PolyField(sig, exps, coeffs)
         x = rng.uniform(-0.5, 0.5, size=n)
         exact = f.partial(mu).value(x)
 

@@ -19,7 +19,6 @@ from clifford_ym.fields import (
     FrameField,
     FrameGaugeFieldVector,
     PolyField,
-    Polynomial,
     make_gauge_element,
     random_bivector_poly_field,
     random_frame,
@@ -64,7 +63,11 @@ def _field_vectors(sig, rng):
     check = make_gauge_element(random_bivector_poly_field(sig, rng, scale=0.25))
     spin = np.zeros((n, n))
     spin[0, 1], spin[1, 0] = 1.0, -1.0
-    theta = Polynomial(n, {(1,) + (0,) * (n - 1): 0.5, (0, 2) + (0,) * (n - 2): 0.3})
+    exps = np.zeros((2, n), dtype=np.int64)
+    exps[0, 0], exps[1, 1] = 1, 2
+    coeffs = np.zeros((2, sig.dim))
+    coeffs[:, 0] = 0.5, 0.3
+    theta = PolyField(sig, exps, coeffs)  # 0.5 x^1 + 0.3 (x^2)^2
     frames = {"identity": FrameField.identity(sig), "constant": random_frame(sig, rng),
               "rotation": FrameField.rotation(sig, theta, spin)}
     vectors = {f"frame-{kind}": FrameGaugeFieldVector(f, gauge) for kind, f in frames.items()}

@@ -119,6 +119,17 @@ def test_verify_runs_and_passes(config_file):
     assert len(report["per_point"]) == report["samples"]
 
 
+def test_readme_minimal_config_verifies(tmp_path):
+    # The config shown after "A minimal config:" in README.md certifies.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A minimal config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    code, out, err = run_cli(["verify", "--config", str(path)])
+    assert code == EXIT_OK, err
+    assert json.loads(out)["pass"] is True
+
+
 def test_verify_derives_connection_once_per_point_set(config_file, monkeypatch):
     from clifford_ym import primitive
 
@@ -227,6 +238,17 @@ def test_verify_non_bivector_gauge(tmp_path):
     pytest.param(("frame",), {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0]],
                               "poly": {"monomials": [{"exps": [1, 0], "coeff": [1e300, 0.0]}]}},
                  [], "frame", id="frame-angle-overflow"),
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [0.5, 0], [], "exps",
+                 id="exps-fraction"),
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [True, 0], [], "exps",
+                 id="exps-bool"),
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [10 ** 30, 0], [],
+                 "exps", id="exps-past-int64"),
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "coeff"), "12", [], "coeff",
+                 id="coeff-string"),
+    pytest.param(("frame",), {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0]],
+                              "poly": {"monomials": [{"exps": [1.9, 0], "coeff": [0.5, 0.0]}]}},
+                 [], "exps", id="frame-exps-fraction"),
 ])
 def test_verify_rejects_malformed_or_non_finite_entries(tmp_path, path, value, flags, key):
     cfg = json.loads(json.dumps(BASE_CONFIG))

@@ -12,7 +12,7 @@ import copy
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from clifford_ym.algebra import CliffordError  # noqa: E402
@@ -120,6 +120,24 @@ def test_frame_and_gauge_specs_build_or_refuse(mutations, frame):
     try:
         build_case(parse_config(_mutate(dict(VALID, frame=frame), mutations)))
     except CliffordError:  # ConfigError included
+        pass
+
+
+# A monomial entry: arbitrary JSON, or a list of scalars as long as a valid
+# exps (n = 3) or coeff (2) entry, so that its items reach the number rules.
+ENTRY = JSON | st.lists(SCALARS | st.integers(min_value=2 ** 62), min_size=2, max_size=3)
+
+
+@FUZZ
+@given(st.sampled_from(["gauge", "frame"]), st.sampled_from(["exps", "coeff"]), ENTRY)
+@example("gauge", "exps", [10 ** 30, 0, 0])
+def test_monomial_entries_build_or_refuse(spec, key, value):
+    data = copy.deepcopy(VALID)
+    poly = data["gauge"]["terms"][0]["poly"] if spec == "gauge" else data["frame"]["poly"]
+    poly["monomials"][0][key] = value
+    try:
+        build_case(parse_config(data))
+    except CliffordError:
         pass
 
 

@@ -1,5 +1,7 @@
 """Polynomial fields, jets, frames, gauge elements, field vectors."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,6 @@ from clifford_ym.fields import (
     GaugeElement,
     GaugeMembershipError,
     PolyField,
-    Polynomial,
     _jet_mul,
     _nrows,
     _scrambled_halton,
@@ -38,32 +39,25 @@ from clifford_ym.fields import (
     make_clifford_field_vector,
     make_frame_field,
     make_gauge_element,
+    poly_rows,
     random_bivector_poly_field,
     random_frame,
     sample_points,
 )
-from conftest import build_field_vector, generator_field_vector
-
-
-def test_polynomial_eval_diff_arith():
-    x0 = Polynomial.coordinate(2, 0)
-    x1 = Polynomial.coordinate(2, 1)
-    p = x0 * x0 + x0 * x1 + Polynomial.constant(2, 3.0)
-    pt = np.array([2.0, -1.0])
-    assert p(pt) == pytest.approx(4.0 - 2.0 + 3.0)
-    assert p.diff(0)(pt) == pytest.approx(2 * 2.0 - 1.0)
-    assert p.diff(1)(pt) == pytest.approx(2.0)
-    assert p.diff(1).diff(1)(pt) == 0
-    assert (-x0)(pt) == pytest.approx(-2.0)
-    assert p.degree() == 2
+from conftest import build_field_vector, generator_field_vector, poly_field
 
 
 def test_polynomial_json_round_trip():
-    p = Polynomial(3, {(1, 0, 2): 2.5 - 1.0j, (0, 0, 0): 4.0})
-    q = Polynomial.from_json(3, p.to_json())
-    assert q.terms == p.terms
-    pt = np.array([0.3, 0.7, -0.4])
-    assert q(pt) == pytest.approx(p(pt))
+    # The config parser reads back the rows of a field written as JSON.
+    sig = Signature(3, 0)
+    field = poly_field(sig, (0, (1, 0, 2), 2.5 - 1.0j), (0, (0, 0, 0), 4.0))
+    text = json.dumps({"monomials": [{"exps": e.tolist(), "coeff": [c.real, c.imag]}
+                                     for e, c in zip(field.exps, field.coeffs[:, 0])]})
+    exps, coeffs = poly_rows(sig, json.loads(text), "poly")
+    assert np.array_equal(exps, field.exps) and np.array_equal(coeffs, field.coeffs)
+    on_e12 = PolyField(sig, *poly_rows(sig, json.loads(text), "poly", mask=3))
+    assert np.array_equal(on_e12.coeffs[:, 3], field.coeffs[:, 0])
+    assert on_e12.grades_present() == (2,)
 
 
 def test_mvjet_product_rule_matches_finite_differences(rng):
@@ -109,24 +103,25 @@ def test_mvjet_product_rule_matches_pointwise_products(p, q, order, rng):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_polyfield_jets_match_polynomial_oracle(n, rng):
-    # Exponent-matrix evaluation against per-polynomial evaluation and
-    # differentiation (Polynomial.__call__ and diff).
+    # Exponent-matrix evaluation against a plain loop over the monomials,
+    # with repeated exponent rows and an all-zero coefficient row.
     sig = Signature(n, 0)
-    blade_polys = {}
-    for mask in rng.choice(sig.dim, size=4, replace=False):
-        terms = {}
-        for _ in range(6):
-            exps = tuple(int(e) for e in rng.integers(0, 4, size=n))
-            terms[exps] = complex(*rng.standard_normal(2))
-        blade_polys[int(mask)] = Polynomial(n, terms)
-    field = PolyField(sig, blade_polys)
+    terms = [(int(mask), tuple(rng.integers(0, 4, size=n)), complex(*rng.standard_normal(2)))
+             for mask in rng.choice(sig.dim, size=4, replace=False) for _ in range(6)]
+    terms += [terms[0], (terms[1][0], terms[1][1], -terms[1][2]), (sig.dim - 1, (4,) * n, 0.0)]
+    field = poly_field(sig, *terms)
+    # Canonical rows: strictly increasing, none all zero.
+    assert all(tuple(a) < tuple(b) for a, b in zip(field.exps, field.exps[1:]))
+    assert field.coeffs.any(axis=1).all()
     x = rng.uniform(-1.2, 1.2, size=n)
     for order in (0, 1):
         want = np.zeros((_nrows(order, n), sig.dim), dtype=complex)
-        for mask, poly in blade_polys.items():
-            want[0, mask] = poly(x)
+        for mask, exps, coeff in terms:
+            want[0, mask] += coeff * np.prod(x ** np.array(exps))
             for i in range(n if order >= 1 else 0):
-                want[1 + i, mask] = poly.diff(i)(x)
+                if exps[i]:
+                    lowered = np.array(exps) - np.eye(n, dtype=int)[i]
+                    want[1 + i, mask] += coeff * exps[i] * np.prod(x ** lowered)
         got = tables(sig).to_blades(field.jet(x, order)[0])
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     got = tables(sig).to_blades(field.value(x)[0])
@@ -164,8 +159,7 @@ def test_expfield_scalar_series_oracle():
     # exp(t*e12) in Cl(2,0): e12 squares to -1, so the series gives
     # cos(t) + sin(t) e12 and derivatives follow by the chain rule.
     sig = Signature(2, 0)
-    t = Polynomial.coordinate(2, 0)
-    s = ExpField(PolyField(sig, {3: t}))
+    s = ExpField(poly_field(sig, (3, (1, 0), 1.0)))
     x = np.array([0.7, 0.0])
     jet = tables(sig).to_blades(s.jet(x, 1)[0])
     assert jet[0, 0] == pytest.approx(np.cos(0.7), abs=1e-13)
@@ -222,17 +216,19 @@ def test_frame_identity_and_constant(rng):
     with pytest.raises(FrameError):
         FrameField(sig, "constant", rot, generator=np.zeros((3, 3)))
     with pytest.raises(FrameError):
-        FrameField(sig, "rotation", rot, generator=np.eye(3), poly=Polynomial.coordinate(3, 0))
+        FrameField(sig, "rotation", rot, generator=np.eye(3), poly=poly_field(sig, (0, (1, 0, 0), 1)))
     spin = np.zeros((3, 3))
     spin[0, 1], spin[1, 0] = 1.0, -1.0
-    with pytest.raises(FrameError):
-        FrameField(sig, "rotation", rot, generator=spin,
-                   poly=Polynomial.coordinate(3, 0) * 1j)
+    # The parameter must be a real scalar field over the frame's algebra.
+    for poly in (poly_field(sig, (0, (1, 0, 0), 1j)), poly_field(sig, (1, (1, 0, 0), 1)),
+                 poly_field(Signature(3, 0), (0, (1, 0, 0), 1)), None):
+        with pytest.raises(FrameError):
+            FrameField(sig, "rotation", rot, generator=spin, poly=poly)
 
 
 def test_frame_rotation_jets_match_fd(rng):
     sig = Signature(3, 0)
-    theta = Polynomial.coordinate(3, 0) * Polynomial.constant(3, 0.5)
+    theta = poly_field(sig, (0, (1, 0, 0), 0.5))
     gen = np.zeros((3, 3))
     gen[0, 1], gen[1, 0] = 1.0, -1.0
     frame = FrameField.rotation(sig, theta, gen)
@@ -328,9 +324,9 @@ def test_non_bivector_gauge_inverts_by_formula(rng):
     # exp(vector) and exp(scalar) are not exp(bivector): no reversion shortcut.
     sig = Signature(2, 1)
     x = np.array([0.3, -0.2, 0.5])
-    gens = [PolyField(sig, {1: Polynomial.coordinate(3, 0) * 0.4, 2: Polynomial.constant(3, 0.3)}),
-            PolyField(sig, {0: Polynomial.coordinate(3, 1)}),
-            PolyField(sig, {3: Polynomial.coordinate(3, 2), 5: Polynomial.constant(3, 0.2)})]
+    gens = [poly_field(sig, (1, (1, 0, 0), 0.4), (2, (0, 0, 0), 0.3)),
+            poly_field(sig, (0, (0, 1, 0), 1.0)),
+            poly_field(sig, (3, (0, 0, 1), 1.0), (5, (0, 0, 0), 0.2))]
     t = tables(sig)
     for gen, qualifies in zip(gens, (False, False, True)):
         gauge = GaugeElement(ExpField(gen))
@@ -346,7 +342,7 @@ def test_non_bivector_gauge_inverts_by_formula(rng):
 def test_gauge_membership_enforced(rng):
     sig = Signature(2, 1)
     # A generator with a grade-1 part is outside the bivector family.
-    bad = PolyField(sig, {1: Polynomial.constant(3, 0.5)})
+    bad = poly_field(sig, (1, (0, 0, 0), 0.5))
     with pytest.raises(GaugeMembershipError):
         make_gauge_element(bad)
 
@@ -424,27 +420,31 @@ def test_finite_difference_vector_tracks_exact(rng):
             assert np.abs(exact[rho, 1 + mu] - approx[rho, 1 + mu]).max() < 1e-8
 
 
-def _bivector_terms_term_by_term(sig, rng, scale=0.25, degree=2):
-    """random_bivector_poly_field's terms drawn one rng.uniform call at a time."""
+def _bivector_rows_term_by_term(sig, rng, scale=0.25, degree=2):
+    """random_bivector_poly_field's rows, its terms drawn one rng.uniform call
+    at a time and its rows sorted here."""
     n = sig.n
     masks = [m for m in range(sig.dim) if int(tables(sig).grades[m]) == 2]
     amp = scale / max(1.0, np.sqrt(len(masks)))
-    out = {}
+    terms = {}
     for mask in masks:
-        terms = {(0,) * n: complex(rng.uniform(-amp, amp))}
+        terms[(0,) * n, mask] = rng.uniform(-amp, amp)
         for mu in range(n):
             exps = [0] * n
             exps[mu] = 1
-            terms[tuple(exps)] = complex(rng.uniform(-amp, amp))
+            terms[tuple(exps), mask] = rng.uniform(-amp, amp)
         if degree >= 2:
             for i in range(n):
                 for j in range(i, n):
                     exps = [0] * n
                     exps[i] += 1
                     exps[j] += 1
-                    terms[tuple(exps)] = complex(rng.uniform(-amp, amp) * 0.5)
-        out[mask] = list(Polynomial(n, terms).terms.items())
-    return out
+                    terms[tuple(exps), mask] = rng.uniform(-amp, amp) * 0.5
+    monos = sorted({exps for exps, _ in terms})
+    coeffs = np.zeros((len(monos), sig.dim), dtype=complex)
+    for (exps, mask), value in terms.items():
+        coeffs[monos.index(exps), mask] = value
+    return np.array(monos), coeffs
 
 
 @pytest.mark.parametrize("p,q", [(2, 0), (3, 2), (4, 3)])
@@ -455,8 +455,8 @@ def test_random_bivector_field_matches_term_by_term_draws(p, q, seed):
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     for degree in (2, 1):
         field = random_bivector_poly_field(sig, ours, degree=degree)
-        want = _bivector_terms_term_by_term(sig, theirs, degree=degree)
-        assert {m: list(poly.terms.items()) for m, poly in field.blade_polys.items()} == want
+        exps, coeffs = _bivector_rows_term_by_term(sig, theirs, degree=degree)
+        assert np.array_equal(field.exps, exps) and np.array_equal(field.coeffs, coeffs)
     assert ours.uniform() == theirs.uniform()
 
 
@@ -556,7 +556,7 @@ def test_jets_beyond_first_order_fail_closed(order, rng):
     x = points[:2]
     gen = random_bivector_poly_field(sig, rng, scale=0.3)
     gauge = make_gauge_element(gen)
-    theta = Polynomial.coordinate(3, 0) * Polynomial.constant(3, 0.5)
+    theta = poly_field(sig, (0, (1, 0, 0), 0.5))
     spin = np.zeros((3, 3))
     spin[0, 1], spin[1, 0] = 1.0, -1.0
     field_jets = [gen.jet, ExpField(gen).jet, gen.scale(2.0).jet, gauge.jet, gauge.inv_jet,

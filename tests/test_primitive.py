@@ -23,7 +23,6 @@ from clifford_ym.fields import (
     GaugeElement,
     GaugeMembershipError,
     PolyField,
-    Polynomial,
     make_clifford_field_vector,
     make_gauge_element,
     random_bivector_poly_field,
@@ -138,14 +137,11 @@ def test_grade_scale_matches_contraction_chain(p, q):
 
 def _vector_gauge(sig, rng):
     """S = exp(v) for a polynomial vector field v: conjugation mixes grades."""
-    polys = {}
+    exps = np.vstack([np.zeros((1, sig.n), dtype=np.int64), np.eye(sig.n, dtype=np.int64)])
+    coeffs = np.zeros((sig.n + 1, sig.dim))
     for a in range(sig.n):
-        coeffs = 0.3 * rng.standard_normal(sig.n + 1)
-        terms = {(0,) * sig.n: coeffs[0]}
-        for mu in range(sig.n):
-            terms[tuple(int(i == mu) for i in range(sig.n))] = coeffs[1 + mu]
-        polys[1 << a] = Polynomial(sig.n, terms)
-    return GaugeElement(ExpField(PolyField(sig, polys)))
+        coeffs[:, 1 << a] = 0.3 * rng.standard_normal(sig.n + 1)
+    return GaugeElement(ExpField(PolyField(sig, exps, coeffs)))
 
 
 # Not n = 3: its one paired projection keeps all but the center, which any
@@ -299,8 +295,7 @@ def test_gauge_transform_membership_enforced(rng):
     c = DerivedConnection(h)
     # A scalar generator makes S^-1 dS land in the center, which the
     # admissible class excludes.
-    from clifford_ym.fields import ExpField, Polynomial
-    bad_gen = PolyField(sig, {0: Polynomial.coordinate(2, 0)})
+    bad_gen = PolyField(sig, [[1, 0]], [[1.0, 0.0, 0.0, 0.0]])  # x^1 on the scalar blade
     bad = GaugeElement(ExpField(bad_gen))
     with pytest.raises(GaugeMembershipError):
         gauge_transform(h, c, bad, points=points)
