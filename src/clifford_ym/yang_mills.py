@@ -71,12 +71,6 @@ __all__ = [
 ]
 
 
-# epsilon_from_residuals refuses to solve when the summed |h|^2 is at most
-# this fraction of the projected flux: the roundoff of the sums is then too
-# large a share of it to leave a meaningful eps.
-_DEGENERATE_REL = 1e-12
-
-
 class NotASolution(CliffordError):
     """Candidate pair fails the flatness check required of a solution."""
 
@@ -251,7 +245,9 @@ def epsilon_from_residuals(sol: YMSolution, points) -> complex:
 
     The residual flux K^nu - eps h^nu is affine in eps; projecting onto
     h^nu and aggregating over points and indices gives a scalar affine
-    function whose values at trial eps 0 and 1 determine the root. The blade
+    function, whose root is the projected flux over the summed |h^nu|^2.
+    Both sums are formed directly, so no difference of two sums of size
+    |eps| times the summed |h|^2 cancels at large sigma. The blade
     images are orthogonal, each with squared Frobenius norm blocks * d, so
     the Frobenius products of the spinor arrays over that are the blade
     inner products.
@@ -263,18 +259,16 @@ def epsilon_from_residuals(sol: YMSolution, points) -> complex:
     proj = np.einsum("pk,pk->p", hv.conj(), flux.reshape(len(pts), -1)) / (blocks * d)
     norms = np.einsum("pk,pk->p", hv.conj(), hv) / (blocks * d)
     a = complex(proj.sum())
-    b = complex((proj - norms).sum())
-    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+    total = float(norms.sum().real)
+    if not (cmath.isfinite(a) and np.isfinite(total)):
         raise CliffordError(
             f"sigma = {sol.sigma} overflows the flux sums of the second equation: "
             "cannot solve for eps")
-    # a - b is the summed |h^nu|^2, the denominator of eps = a / (a - b).
-    if abs(a - b) <= _DEGENERATE_REL * max(abs(a), abs(b)):
+    if not total > 0:
         raise CliffordError(
-            f"degenerate field vector: the summed |h|^2 {abs(a - b):.3e} is within the "
-            f"roundoff of the projected flux {max(abs(a), abs(b)):.3e} at sigma = {sol.sigma}: "
+            f"degenerate field vector: the summed |h|^2 is {total:.3e} at sigma = {sol.sigma}: "
             "cannot solve for eps")
-    return a / (a - b)
+    return a / total
 
 
 def gauge_transform_solution(sol: YMSolution, gauge: GaugeElement, points=None,

@@ -189,19 +189,31 @@ def test_epsilon_recovery_from_flux():
         assert abs(eps - want) <= 1e-10 * max(1.0, abs(want))
 
 
-def test_epsilon_recovery_refuses_a_near_zero_field_vector():
-    # h = 1e-6 e^a with sigma = 1e8: the flux is ~1e12 times |h|^2, whose sum
-    # is then within the roundoff of the projected flux. The exact a == b
-    # test let this through and returned an eps wrong in its third digit.
+def test_epsilon_recovery_at_large_sigma():
+    # eps is the projected flux over the summed |h|^2, both formed directly.
+    # Forming the summed |h|^2 as the difference of two sums of size
+    # |eps| |h|^2 cancelled: at sigma = 1e4 (eps = 4e12) it refused to solve.
+    for sigma in (1e4, -1e4, 1e4j):
+        sig, sol, points = certified(2, 0, sigma)
+        eps = epsilon_from_residuals(sol, points)
+        assert abs(eps - sol.epsilon) <= 1e-10 * abs(sol.epsilon)
+
+
+def test_epsilon_recovery_refuses_only_a_zero_field_vector():
     sig = Signature(2, 0)
-    h = ExplicitFieldVector([PolyField.constant(sig, 1e-6 * Multivector.generator(sig, a))
-                             for a in (1, 2)])
     points = sample_points(2, count=3)
+
+    def scaled(c):
+        return ExplicitFieldVector([PolyField.constant(sig, c * Multivector.generator(sig, a))
+                                    for a in (1, 2)])
+
     with pytest.raises(CliffordError, match="degenerate"):
-        epsilon_from_residuals(YMSolution(h, ZeroCovector(sig), 1e8), points)
-    # At sigma = 1 the same h is not degenerate: eps = 4 sigma^3 |h|^2 = 4e-12.
-    eps = epsilon_from_residuals(YMSolution(h, ZeroCovector(sig), 1.0), points)
-    assert abs(eps - 4e-12) < 1e-24
+        epsilon_from_residuals(YMSolution(scaled(0.0), ZeroCovector(sig), 1.0), points)
+    # h = 1e-6 e^a: eps = 4 sigma^3 |h|^2, to roundoff even when the flux is
+    # 1e12 times |h|^2 (sigma = 1e8).
+    for sigma in (1.0, 1e8):
+        eps = epsilon_from_residuals(YMSolution(scaled(1e-6), ZeroCovector(sig), sigma), points)
+        assert abs(eps - 4e-12 * sigma ** 3) <= 1e-14 * 4e-12 * sigma ** 3
 
 
 def test_ym_residuals_and_verify_schema():
