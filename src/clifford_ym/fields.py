@@ -255,7 +255,7 @@ class PolyField(MultivectorField):
 
     def grades_present(self) -> tuple[int, ...]:
         g = tables(self.sig).grades
-        return tuple(np.unique(g[self.coeffs.any(axis=0)]).tolist())
+        return tuple(sorted(set(g[self.coeffs.any(axis=0)].tolist())))
 
 
 def poly_rows(sig: Signature, data, key: str, mask: int = 0) -> tuple[np.ndarray, np.ndarray]:
