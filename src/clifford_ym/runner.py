@@ -33,8 +33,8 @@ from .fields import (
     _integer,
     _real,
     make_frame_field,
-    poly_rows,
     make_gauge_element,
+    poly_rows,
     random_bivector_poly_field,
     random_frame,
     sample_points,
@@ -265,10 +265,10 @@ def _gauge_generator(sig: Signature, spec: dict, rng: np.random.Generator) -> Po
     for k, term in enumerate(terms):
         if not isinstance(term, dict) or "blade" not in term or "poly" not in term:
             raise ConfigError("each gauge term needs 'blade' and 'poly'")
-        rows = poly_rows(sig, term["poly"], f"gauge.terms[{k}].poly",
+        e, c = poly_rows(sig, term["poly"], f"gauge.terms[{k}].poly",
                          parse_blade(term["blade"], sig.n))
-        exps.append(rows[0])
-        coeffs.append(rows[1])
+        exps.append(e)
+        coeffs.append(c)
     return PolyField(sig, np.concatenate(exps), np.concatenate(coeffs))
 
 
