@@ -8,8 +8,9 @@ Generators obey e^a e^b + e^b e^a = 2 eta^{ab} e with eta diagonal,
 
 The product sign between blades is the parity of the number of
 transpositions needed to interleave the two generator lists, times the
-metric factors contributed by repeated generators. Sign tables are built
-once per signature and cached.
+metric factors contributed by repeated generators. The dense 2^n x 2^n
+sign tables are built once per signature, on the first Multivector product
+or inverse that needs them; the spinor kernels never read them.
 
 Two bases share that trailing length 2^n. Blade arrays, the coefficients
 above, are the interface: Multivector, polynomial inputs, grade, center and
@@ -23,7 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -110,7 +111,9 @@ def _popcount(a: np.ndarray) -> np.ndarray:
 
 
 class _Tables:
-    """Cached per-signature tables: blade sign tables and the block-spinor kernels.
+    """Cached per-signature tables: the block-spinor kernels, grades and
+    reversion signs, and the dense 2^n x 2^n blade tables, built on first
+    use (left_mult_matrix, for Multivector products and inverse_rows).
 
     Blade arrays hold 2^n coefficients over the basis blades. Spinor arrays
     hold the image of the same element under the faithful representation
@@ -148,8 +151,19 @@ class _Tables:
     """
 
     def __init__(self, sig: Signature):
-        n, dim = sig.n, sig.dim
         self.sig = sig
+        self.grades = _popcount(np.arange(sig.dim, dtype=np.int64))
+        self.reversion_signs = np.where((self.grades * (self.grades - 1) // 2) % 2 == 0, 1.0, -1.0)
+        self._build_spinor_tables()
+
+    @cached_property
+    def xor(self) -> np.ndarray:
+        idx = np.arange(self.sig.dim, dtype=np.int64)
+        return idx[:, None] ^ idx[None, :]
+
+    def _blade_signs(self) -> np.ndarray:
+        """sign[i, j], the scalar in blade_i * blade_j = sign * blade_{i^j}."""
+        n, dim = self.sig.n, self.sig.dim
         idx = np.arange(dim, dtype=np.int64)
         i = idx[:, None]
         j = idx[None, :]
@@ -158,22 +172,23 @@ class _Tables:
         for s in range(1, n):
             swaps += _popcount((i >> s) & j)
         neg_mask = 0
-        for a in range(sig.p, n):
+        for a in range(self.sig.p, n):
             neg_mask |= 1 << a
         negs = _popcount(i & j & neg_mask)
-        # sign_ij[i, j] is the scalar in  blade_i * blade_j = sign * blade_{i^j}
-        sign_ij = np.where((swaps + negs) % 2 == 0, 1.0, -1.0)
-        self.xor = i ^ j
-        # Gather form: result[k] = sum_i u[i] * sign_k[i, k] * v[i ^ k]
-        self.sign_k = sign_ij[i, self.xor]
-        sign_l = sign_ij[self.xor, j]
+        return np.where((swaps + negs) % 2 == 0, 1.0, -1.0)
+
+    @cached_property
+    def sign_k(self) -> np.ndarray:
+        """Gather form: result[k] = sum_i u[i] * sign_k[i, k] * v[i ^ k]."""
+        i = np.arange(self.sig.dim, dtype=np.int64)[:, None]
+        return self._blade_signs()[i, self.xor]
+
+    @cached_property
+    def _left_index(self) -> np.ndarray:
         # Multiplication matrices are gathered from the concatenation (u, -u),
         # so an index past dim picks up the sign without a separate multiply.
-        self._left_index = self.xor + dim * (sign_l < 0)
-        self._right_index = self.xor + dim * (self.sign_k < 0)
-        self.grades = _popcount(idx)
-        self.reversion_signs = np.where((self.grades * (self.grades - 1) // 2) % 2 == 0, 1.0, -1.0)
-        self._build_spinor_tables()
+        j = np.arange(self.sig.dim, dtype=np.int64)[None, :]
+        return self.xor + self.sig.dim * (self._blade_signs()[self.xor, j] < 0)
 
     def _build_spinor_tables(self):
         sig = self.sig
@@ -227,7 +242,8 @@ class _Tables:
         self._hadamard = np.where(_popcount(r & c) % 2 == 0, 1.0, -1.0).reshape(d, d)
         self._shift = (d * d * np.arange(blocks)[:, None] + (r ^ c) * d + c).ravel()
         self.unit = np.tile(np.eye(d, dtype=np.complex128).ravel(), blocks)
-        self.generators = self.to_spinor(np.eye(dim, dtype=np.complex128)[1 << np.arange(n)])
+        gens = (blade == 1 << np.arange(n)[:, None]).astype(np.complex128)
+        self.generators = self.to_spinor(gens)
 
     def _hadamard_rows(self, u: np.ndarray) -> np.ndarray:
         d = self._hadamard.shape[0]
@@ -261,18 +277,7 @@ class _Tables:
 
         L[..., k, j] = u[..., k ^ j] times the sign of blade_{k^j} * blade_j.
         """
-        return self._signed_take(u, self._left_index)
-
-    def right_mult_matrix(self, v: np.ndarray) -> np.ndarray:
-        """Matrix R with u @ R = u * v on blade arrays, for v of shape (dim,) or (rows, dim).
-
-        R[..., i, k] = v[..., i ^ k] * sign_k[i, k], the sign of blade_i * blade_{i^k}.
-        """
-        return self._signed_take(v, self._right_index)
-
-    @staticmethod
-    def _signed_take(u: np.ndarray, index: np.ndarray) -> np.ndarray:
-        return np.concatenate((u, -u), axis=-1).take(index, axis=-1)
+        return np.concatenate((u, -u), axis=-1).take(self._left_index, axis=-1)
 
     def _block_matrix(self, u: np.ndarray) -> np.ndarray:
         """Spinor grids (..., R, C, dim) as block matrices (..., blocks, R d, C d):

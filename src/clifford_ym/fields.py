@@ -43,8 +43,10 @@ class ConfigError(CliffordError):
 
 
 def _integer(value, key: str) -> int:
-    """An integer config entry; booleans and fractional numbers are refused, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer config entry; booleans, fractional numbers and strings are refused,
+    not truncated or parsed."""
+    if (isinstance(value, (bool, str))
+            or (isinstance(value, float) and not value.is_integer())):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     try:
         return int(value)
@@ -53,9 +55,10 @@ def _integer(value, key: str) -> int:
 
 
 def _real(value, key: str, positive: bool = False) -> float:
-    """A finite number (and > 0 when positive) from a config entry."""
+    """A finite number (and > 0 when positive) from a config entry; booleans and
+    strings are refused, not converted or parsed."""
     try:
-        out = float(value)
+        out = math.nan if isinstance(value, (bool, str)) else float(value)
     except (TypeError, ValueError, OverflowError):
         out = math.nan
     if not math.isfinite(out) or (positive and out <= 0):
@@ -183,15 +186,13 @@ class MultivectorField:
         """Jets at the points x, shape (P, rows, dim)."""
         raise NotImplementedError
 
-    def scale(self, c: complex) -> "MultivectorField":
-        return ScaledField(self, c)
-
 
 class PolyField(MultivectorField):
     """Field with polynomial blade coefficients; derivatives are exact.
 
-    exps is a (T, n) array of monomial exponent rows E and coeffs a
-    (T, dim) array of blade coefficient rows, so the field is
+    exps is a (T, n) array of integer monomial exponent rows E (booleans,
+    fractions and values past int64 are refused) and coeffs a (T, dim)
+    array of blade coefficient rows, so the field is
     sum_t x^(E_t) sum_m coeffs[t, m] e_m. The constructor puts them in
     canonical form: rows in increasing lexicographic order, repeated rows
     summed in input order, all-zero rows dropped.
@@ -207,7 +208,12 @@ class PolyField(MultivectorField):
     def __init__(self, sig: Signature, exps, coeffs):
         super().__init__(sig)
         n = sig.n
-        exps = np.asarray(exps, dtype=np.int64)
+        exps = np.asarray(exps)
+        if exps.dtype.kind not in "iuf" or not np.all((exps == np.floor(exps))
+                                                      & (abs(exps) < 2.0 ** 63)):
+            raise CliffordError("monomial exponents must be integers below 2^63, not "
+                                f"booleans or fractions, got {exps.tolist()!r}")
+        exps = exps.astype(np.int64)
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if exps.ndim != 2 or exps.shape[1] != n or coeffs.shape != (len(exps), sig.dim):
             raise CliffordError(f"need (T, {n}) exponent rows and (T, {sig.dim}) coefficient "
@@ -328,18 +334,6 @@ def fd_jet(valuefn, sig: Signature, x, order: int, step: float) -> np.ndarray:
     vals = flat.reshape((len(stencil), len(x)) + flat.shape[1:])
     rows = [vals[0]] + [(vals[k] - vals[k + 1]) / (2 * step) for k in range(1, len(stencil), 2)]
     return np.stack(rows, axis=-2)
-
-
-class ScaledField(MultivectorField):
-    """A field multiplied by a constant scalar; keeps the base differentiation."""
-
-    def __init__(self, base: MultivectorField, factor: complex):
-        super().__init__(base.sig)
-        self.base = base
-        self.factor = complex(factor)
-
-    def jet(self, x, order: int = 1) -> np.ndarray:
-        return self.base.jet(x, order) * self.factor
 
 
 class ExpField(MultivectorField):
@@ -584,7 +578,13 @@ def make_frame_field(sig: Signature, spec: dict) -> FrameField:
     if kind not in ("constant", "rotation"):
         raise FrameError(f"unknown frame kind {kind!r}")
 
-    def entry(key, parse=lambda v: np.asarray(v, dtype=float)):
+    def numbers(v):
+        arr = np.asarray(v)
+        if arr.dtype.kind not in "iuf":  # a float cast would parse strings
+            raise ValueError(f"entries must be numbers, got {v!r}")
+        return arr.astype(float)
+
+    def entry(key, parse=numbers):
         if key not in spec:
             raise FrameError(f"{kind} frame spec needs a {key!r} entry")
         try:
@@ -676,10 +676,11 @@ class GaugeElement:
         return self._memo_jet(x, order, True)
 
     def inverse(self) -> "GaugeElement":
-        """The gauge element S^-1 = exp(-A) of an S = exp(A)."""
-        if not isinstance(self.s_field, ExpField):
-            raise CliffordError("only a gauge element exp(A) has an explicit inverse field")
+        """The gauge element S^-1 = exp(-A) of an S = exp(A) with a PolyField A."""
         s = self.s_field
+        if not (isinstance(s, ExpField) and isinstance(s.generator, PolyField)):
+            raise CliffordError("only a gauge element exp(A) of a PolyField A has an "
+                                "explicit inverse field")
         return GaugeElement(ExpField(s.generator.scale(-1.0), tol=s.tol, max_terms=s.max_terms))
 
     def connection(self, x) -> np.ndarray:

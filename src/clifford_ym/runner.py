@@ -43,8 +43,7 @@ from .primitive import (
     DerivedConnection,
     OffsetCovector,
     PrimitiveSolution,
-    TransformedConnection,
-    TransformedFieldVector,
+    gauge_transform,
     primitive_residual,
 )
 from .yang_mills import (
@@ -331,8 +330,7 @@ def _gauge_check(case: dict, sol: YMSolution, cfg: RunConfig,
     gauge2: GaugeElement = case["check_gauge"]
     leak, _ = gauge2.membership_report(points)
 
-    ht = TransformedFieldVector(sol.h, gauge2)
-    ct = TransformedConnection(sol.c, gauge2)
+    ht, ct = gauge_transform(sol.h, sol.c, gauge2)
     solT = YMSolution(ht, ct, sol.sigma)
     prim_max = float(np.abs(primitive_residual(ht, ct, points)).max())
     ym = verify_solution(solT, points, epsilon=epsilon)
@@ -340,26 +338,18 @@ def _gauge_check(case: dict, sol: YMSolution, cfg: RunConfig,
 
     # Residual conjugation on a deliberately non-flat pair, at the first
     # three points: the pointwise residual of the transformed pair must
-    # equal S^-1 R S exactly. As blade rows, S^-1 R S is
-    # (R @ L(S^-1).T) @ R(S), on the dense blade tables, gathered one point
-    # and one factor at a time so that only one 2^n x 2^n matrix is held,
-    # and no transformed object's jet entry beside it.
-    # Every object is evaluated on the whole point set, and the residuals
-    # are sliced (copies, so the whole arrays go), so no jet entry is
+    # equal S^-1 R S exactly. Every array is evaluated on the whole point
+    # set and sliced (copies, so the whole arrays go), so no jet entry is
     # replaced by a second point set.
     t = tables(sol.sig)
     pert = OffsetCovector(sol.c, {0: case["perturbation"]})
     ref = primitive_residual(sol.h, pert, points)[:3].copy()
-    got = primitive_residual(ht, TransformedConnection(pert, gauge2), points)[:3].copy()
+    got = primitive_residual(ht, gauge_transform(sol.h, pert, gauge2)[1], points)[:3].copy()
     del ht, pert
-    s_inv = t.to_blades(gauge2.inv_value(points)[:3])
-    s_val = t.to_blades(gauge2.value(points)[:3])
-    errors = []
-    for k in range(len(ref)):
-        rows = ref[k:k + 1] @ t.left_mult_matrix(s_inv[k:k + 1]).swapaxes(-1, -2)[:, None]
-        rows = rows @ t.right_mult_matrix(s_val[k:k + 1])[:, None]
-        errors.append(np.abs(got[k:k + 1] - rows).max())
-    conj_max = float(np.max(errors))  # np.max, unlike max(), keeps a NaN
+    s_inv = gauge2.inv_value(points)[:3, None, None]
+    s_val = gauge2.value(points)[:3, None, None]
+    want = t.to_blades(t.product(t.product(s_inv, t.to_spinor(ref)), s_val))
+    conj_max = float(np.abs(got - want).max())
 
     ok = (leak <= tol["center_leak"]
           and prim_max <= tol["gauge"]

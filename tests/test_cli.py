@@ -248,6 +248,28 @@ def test_verify_non_bivector_gauge(tmp_path):
     pytest.param(("frame",), {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0]],
                               "poly": {"monomials": [{"exps": [1.9, 0], "coeff": [0.5, 0.0]}]}},
                  [], "exps", id="frame-exps-fraction"),
+    # Numbers given as strings are refused, not parsed.
+    pytest.param(("signature", "p"), "2", [], "signature.p", id="p-numeric-string"),
+    pytest.param(("samples", "count"), "3", [], "samples.count", id="count-numeric-string"),
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), ["1", "0"], [], "exps",
+                 id="exps-numeric-strings"),
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "coeff"), ["0.3", "0"], [],
+                 "coeff", id="coeff-numeric-strings"),
+    pytest.param(("tolerances",), {"eq1": "1e-7"}, [], "tolerances.eq1",
+                 id="tolerance-numeric-string"),
+    pytest.param(("fd_step",), "1e-5", [], "fd_step", id="fd_step-numeric-string"),
+    pytest.param(("frame",), {"kind": "constant", "matrix": [["1", "0"], ["0", "1"]]}, [],
+                 "matrix", id="frame-matrix-numeric-strings"),
+    pytest.param(("frame",), {"kind": "rotation", "generator": [["0", "1"], ["-1", "0"]],
+                              "poly": {"monomials": [{"exps": [1, 0], "coeff": [0.5, 0.0]}]}},
+                 [], "generator", id="frame-generator-numeric-strings"),
+    pytest.param(("frame",), {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0]],
+                              "base": [["1", "0"], ["0", "1"]],
+                              "poly": {"monomials": [{"exps": [1, 0], "coeff": [0.5, 0.0]}]}},
+                 [], "base", id="frame-base-numeric-strings"),
+    pytest.param(("tolerances",), {"eq1": True}, [], "tolerances.eq1", id="tolerance-bool"),
+    pytest.param(("frame",), {"kind": "constant", "matrix": [[10 ** 400, 0], [0, 1]]}, [],
+                 "matrix", id="frame-matrix-huge-integer"),
 ])
 def test_verify_rejects_malformed_or_non_finite_entries(tmp_path, path, value, flags, key):
     cfg = json.loads(json.dumps(BASE_CONFIG))

@@ -143,6 +143,16 @@ def test_polyfield_partial_is_exact_derivative(rng):
         assert np.abs(exact - f.jet(x, 1)[0, 1 + mu]).max() < 1e-8
 
 
+@pytest.mark.parametrize("exps", [[[0.5, 1.9]], [[True, False]], [["1", "0"]],
+                                  [[2.0 ** 63, 0.0]], [[np.nan, 0.0]]])
+def test_polyfield_refuses_non_integer_exponents(exps):
+    # As poly_rows does for configs: refused, not truncated, cast or parsed.
+    sig = Signature(2, 0)
+    with pytest.raises(CliffordError, match="exponents must be integers"):
+        PolyField(sig, exps, [[1, 0, 0, 0]])
+    assert PolyField(sig, [[1.0, 2.0]], [[1, 0, 0, 0]]).exps.tolist() == [[1, 2]]
+
+
 def test_expfield_jets_match_finite_differences(rng):
     sig = Signature(3, 0)
     gen = random_bivector_poly_field(sig, rng, scale=0.4, degree=2)
@@ -300,6 +310,14 @@ def test_gauge_inverse_round_trip(rng):
     u = random_multivector(sig, rng)
     back = inv.conjugate(gauge.conjugate(u.coeffs, x), x)[0]
     assert np.abs(back - u.coeffs).max() < 1e-11
+
+
+def test_gauge_inverse_needs_a_polyfield_generator():
+    # exp(-A) is built from A.scale, which only a PolyField has.
+    sig = Signature(2, 0)
+    gauge = GaugeElement(ExpField(CallableField(sig, lambda y: Multivector.zero(sig))))
+    with pytest.raises(CliffordError, match="PolyField"):
+        gauge.inverse()
 
 
 @pytest.mark.parametrize("p,q", [(2, 0), (2, 1), (3, 2), (4, 3)])

@@ -12,8 +12,15 @@ returned.
 import numpy as np
 import pytest
 
-from clifford_ym import runner
-from clifford_ym.algebra import Multivector, Signature, commutator, random_multivector, tables
+from clifford_ym import algebra, runner
+from clifford_ym.algebra import (
+    Multivector,
+    Signature,
+    commutator,
+    geometric_product,
+    random_multivector,
+    tables,
+)
 from clifford_ym.fields import ExplicitFieldVector, PolyField, _jet_mul, sample_points
 from clifford_ym.primitive import (
     DerivedConnection,
@@ -31,6 +38,8 @@ from clifford_ym.yang_mills import (
     eq2_residual,
 )
 from conftest import build_field_vector
+from test_golden_reports import RUNS
+from test_golden_reports import run as golden_run
 
 SIGNATURES = [(2, 0), (2, 1), (3, 2), (4, 3)]
 
@@ -223,3 +232,50 @@ def test_first_order_curl_matches_central_differences_of_values(p, q, mode):
         # is above roundoff (the curl of a Cl(2,0) connection vanishes).
         if err[1e-3] > 0.1 * bound:
             assert err[1e-3] / err[fine] > 50, (name, err)
+
+
+@pytest.mark.parametrize("name", ["verify_cl20_exact", "verify_cl32_exact", "verify_cl43_exact"])
+def test_spinor_conjugation_matches_dense_oracle(name):
+    # The gauge check forms S^-1 R S of the perturbed residual R in the
+    # spinor basis; the oracle is two dense Multivector products per entry.
+    case = runner.build_case(runner.parse_config(RUNS[name]["verify"]))
+    sig, points, gauge = case["sig"], case["points"], case["check_gauge"]
+    t = tables(sig)
+    pert = OffsetCovector(case["conn"], {0: case["perturbation"]})
+    ref = primitive_residual(case["h"], pert, points)[:3]
+    s_inv = gauge.inv_value(points)[:3]
+    s_val = gauge.value(points)[:3]
+    got = t.to_blades(t.product(t.product(s_inv[:, None, None], t.to_spinor(ref)),
+                                s_val[:, None, None]))
+    want = np.empty_like(got)
+    for k, (wk, sk) in enumerate(zip(_rows(sig, s_inv), _rows(sig, s_val))):
+        for idx in np.ndindex(ref.shape[1:3]):
+            r = Multivector(sig, ref[(k,) + idx])
+            want[(k,) + idx] = geometric_product(geometric_product(wk, r), sk).coeffs
+    assert np.abs(want).max() > 1e-3  # a non-flat pair, not roundoff
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_verify_and_demo_build_no_dense_tables():
+    # The dense 2^n x 2^n blade tables serve Multivector arithmetic and
+    # inverse_rows only; a verify or demo run reads spinor arrays alone.
+    dense = ("xor", "sign_k", "_left_index")
+    algebra._tables_cached.cache_clear()
+    for spec in RUNS.values():
+        report, code = golden_run(spec)
+        assert code == 0
+        p, q = (report["signature"][k] for k in ("p", "q"))
+        assert not set(dense) & set(vars(tables(Signature(p, q))))
+    # The guard sees a built table: the first Multivector product builds two.
+    geometric_product(Multivector.unit(Signature(2, 0)), Multivector.unit(Signature(2, 0)))
+    assert {"xor", "_left_index"} <= set(vars(tables(Signature(2, 0))))
+
+
+def test_verify_certifies_past_the_default_dimension_cap(monkeypatch):
+    # n = 11, past the default cap of 10, at 2 points.
+    monkeypatch.setenv("CLIFFORD_YM_NMAX", "11")
+    spec = {"signature": {"p": 6, "q": 5}, "frame": {"kind": "random"},
+            "gauge": {"kind": "random", "scale": 0.3}, "samples": {"count": 1},
+            "seed": 7, "sigma": [1.0, 0.0]}
+    report, code = runner.run_verify(runner.parse_config(spec))
+    assert code == 0 and report["pass"] and report["samples"] == 2
