@@ -29,9 +29,9 @@ from .algebra import (
 from .contraction import ContractionTable, build_table, contract, lambdas
 from .fields import (
     FrameField,
+    FrameGaugeFieldVector,
     GaugeElement,
     PolyField,
-    make_clifford_field_vector,
     make_frame_field,
     make_gauge_element,
     random_bivector_poly_field,
@@ -39,7 +39,6 @@ from .fields import (
 )
 from .primitive import (
     DerivedConnection,
-    compute_C,
     curvature_residual,
     gauge_transform,
     primitive_residual,
@@ -60,6 +59,7 @@ __all__ = [
     "DerivedConnection",
     "DimensionLimitError",
     "FrameField",
+    "FrameGaugeFieldVector",
     "GaugeElement",
     "Multivector",
     "NotASolution",
@@ -76,7 +76,6 @@ __all__ = [
     "center_project",
     "circ_project",
     "commutator",
-    "compute_C",
     "contract",
     "curvature_residual",
     "exponential",
@@ -86,7 +85,6 @@ __all__ = [
     "grade_project",
     "inverse",
     "lambdas",
-    "make_clifford_field_vector",
     "make_frame_field",
     "make_gauge_element",
     "random_bivector_poly_field",

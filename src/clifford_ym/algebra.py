@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -111,9 +110,10 @@ def _popcount(a: np.ndarray) -> np.ndarray:
 
 
 class _Tables:
-    """Cached per-signature tables: the block-spinor kernels, grades and
-    reversion signs, and the dense 2^n x 2^n blade tables, built on first
-    use (left_mult_matrix, for Multivector products and inverse_rows).
+    """Cached per-signature tables: the block-spinor kernels and reversion,
+    grades and reversion signs, and the dense 2^n x 2^n blade tables, built
+    on first use (left_mult_matrix, for Multivector products and
+    inverse_rows).
 
     Blade arrays hold 2^n coefficients over the basis blades. Spinor arrays
     hold the image of the same element under the faithful representation
@@ -244,6 +244,15 @@ class _Tables:
         self.unit = np.tile(np.eye(d, dtype=np.complex128).ravel(), blocks)
         gens = (blade == 1 << np.arange(n)[:, None]).astype(np.complex128)
         self.generators = self.to_spinor(gens)
+        # Reversion is an anti-automorphism that fixes the gammas, so on a
+        # block it is M -> C M^T C^-1 for a Pauli string C: it moves every
+        # spinor entry to one other entry, times a phase that is real for
+        # these gammas (tests/test_spinor.py checks every n <= 10). Read the
+        # gather and the signs off the blade round trip of one probe whose
+        # entries 1..dim are distinct.
+        probe = self.to_spinor(self.to_blades(np.arange(1.0, dim + 1.0)) * self.reversion_signs)
+        self._reverse_index = np.rint(np.abs(probe)).astype(np.int64) - 1
+        self._reverse_sign = np.sign(probe.real)
 
     def _hadamard_rows(self, u: np.ndarray) -> np.ndarray:
         d = self._hadamard.shape[0]
@@ -271,6 +280,10 @@ class _Tables:
         """Blade arrays of spinor arrays s (..., dim)."""
         g = self._fold_blocks(self._hadamard_rows(s[..., self._shift]))
         return g[..., self._blade_slot] * self._blade_weight
+
+    def reverse(self, s: np.ndarray) -> np.ndarray:
+        """Reversions of spinor arrays s (..., dim): a gather and a sign, so exact."""
+        return s[..., self._reverse_index] * self._reverse_sign
 
     def left_mult_matrix(self, u: np.ndarray) -> np.ndarray:
         """Matrix L with L @ v = u * v on blade arrays, for u of shape (dim,) or (rows, dim).
@@ -587,7 +600,3 @@ def random_multivector(sig: Signature, rng: np.random.Generator, grades=None,
         keep = np.isin(g, np.asarray(list(grades)))
         c = np.where(keep, c, 0.0 + 0.0j)
     return Multivector(sig, scale * c, copy=False)
-
-
-def fraction_to_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}

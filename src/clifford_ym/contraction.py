@@ -212,10 +212,13 @@ def grade_project_paired(u: Multivector, k: int) -> Multivector:
     return out
 
 
-def table_to_json(table: ContractionTable) -> dict:
-    """JSON form with rationals as {"num": str, "den": str} to keep exactness."""
-    from .algebra import fraction_to_json
+def fraction_to_json(x: Fraction) -> dict:
+    """A rational as {"num": str, "den": str}, exact at any size."""
+    return {"num": str(x.numerator), "den": str(x.denominator)}
 
+
+def table_to_json(table: ContractionTable) -> dict:
+    """JSON form with rationals as fraction_to_json dicts to keep exactness."""
     def fmat(rows):
         return None if rows is None else [[fraction_to_json(Fraction(x)) for x in row] for row in rows]
 

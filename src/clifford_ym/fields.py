@@ -1,13 +1,12 @@
 """Multivector-valued fields over R^{p,q} and their differentiation.
 
 Coordinates are Cartesian, x = (x^1, ..., x^n), and generators are constant:
-all derivatives act on blade coefficients only. Three field flavors exist:
+all derivatives act on blade coefficients only. Two field flavors exist:
 
   - polynomial: rows of monomial exponents and their blade coefficients,
     differentiated exactly;
   - analytic: built compositions (exponentials, conjugations, frame
-    combinations) whose derivatives propagate exactly through jets;
-  - closure: arbitrary callables, differentiated by central differences.
+    combinations) whose derivatives propagate exactly through jets.
 
 Everything is evaluated at an array of P sample points at once, and a
 single point is a batch of one. A jet carries the value and the
@@ -30,7 +29,6 @@ import numpy as np
 
 from .algebra import (
     CliffordError,
-    Multivector,
     SeriesDivergence,
     Signature,
     inverse_rows,
@@ -209,8 +207,11 @@ class PolyField(MultivectorField):
         super().__init__(sig)
         n = sig.n
         exps = np.asarray(exps)
-        if exps.dtype.kind not in "iuf" or not np.all((exps == np.floor(exps))
-                                                      & (abs(exps) < 2.0 ** 63)):
+        if exps.dtype.kind == "f":
+            exact = np.all((exps == np.floor(exps)) & (abs(exps) < 2.0 ** 63))
+        else:  # integers are compared as integers: 2^63 - 1 has no float
+            exact = exps.dtype.kind in "iu" and np.all(exps <= np.iinfo(np.int64).max)
+        if not exact:
             raise CliffordError("monomial exponents must be integers below 2^63, not "
                                 f"booleans or fractions, got {exps.tolist()!r}")
         exps = exps.astype(np.int64)
@@ -256,9 +257,6 @@ class PolyField(MultivectorField):
         return (self._factors[:rows]
                 * np.prod(x[:, None, None, :] ** self._powers[:rows], axis=-1)) @ self._spinor
 
-    def scale(self, c: complex) -> "PolyField":
-        return PolyField(self.sig, self.exps, self.coeffs * complex(c))
-
     def grades_present(self) -> tuple[int, ...]:
         g = tables(self.sig).grades
         return tuple(sorted(set(g[self.coeffs.any(axis=0)].tolist())))
@@ -292,32 +290,6 @@ def poly_rows(sig: Signature, data, key: str, mask: int = 0) -> tuple[np.ndarray
     return exps, coeffs
 
 
-class CallableField(MultivectorField):
-    """Field defined by an arbitrary callable; derivatives via central differences.
-
-    The callable takes one point and returns a Multivector, so this is the
-    one field evaluated point by point; its blade coefficients are
-    converted once per batch of points.
-    """
-
-    def __init__(self, sig: Signature, fn, fd_step: float = 1e-5):
-        super().__init__(sig)
-        self.fn = fn
-        self.fd_step = float(fd_step)
-
-    def _values(self, points: np.ndarray) -> np.ndarray:
-        out = np.empty((len(points), self.sig.dim), dtype=np.complex128)
-        for row, x in zip(out, points):
-            v = self.fn(x)
-            if not isinstance(v, Multivector) or v.sig != self.sig:
-                raise CliffordError("closure returned a value outside the field's algebra")
-            row[:] = v.coeffs
-        return tables(self.sig).to_spinor(out)
-
-    def jet(self, x, order: int = 1) -> np.ndarray:
-        return fd_jet(self._values, self.sig, x, order, self.fd_step)
-
-
 def fd_jet(valuefn, sig: Signature, x, order: int, step: float) -> np.ndarray:
     """First-order finite-difference jets of a batched evaluator, shape (P, ..., rows, dim).
 
@@ -336,23 +308,26 @@ def fd_jet(valuefn, sig: Signature, x, order: int, step: float) -> np.ndarray:
     return np.stack(rows, axis=-2)
 
 
+# ExpField's series stops at terms below _EXP_TOL and fails past _EXP_MAX_TERMS.
+_EXP_TOL = 1e-14
+_EXP_MAX_TERMS = 64
+
+
 class ExpField(MultivectorField):
     """Pointwise exponential of a generator field, with exact series jets.
 
     The jet of exp(A(x)) is the jet-series sum of A(x)-jet powers over k!,
     which at order 0 is the value series, term by term. The series runs
-    until every point's term is below tol, and each point stops
+    until every point's term is below _EXP_TOL, and each point stops
     accumulating at its own first such term, so a point's jet does not
     depend on the batch it is evaluated in. The stop reads the largest
     entry of the term's spinor array, which bounds its largest blade
     coefficient from above: it can cost an extra term, never stop early.
     """
 
-    def __init__(self, generator: MultivectorField, tol: float = 1e-14, max_terms: int = 64):
+    def __init__(self, generator: MultivectorField):
         super().__init__(generator.sig)
         self.generator = generator
-        self.tol = float(tol)
-        self.max_terms = int(max_terms)
 
     def jet(self, x, order: int = 1) -> np.ndarray:
         x = _as_points(x, self.sig.n)
@@ -364,18 +339,18 @@ class ExpField(MultivectorField):
         term = acc
         live = np.ones(len(a), dtype=bool)
         norms = np.full(len(a), np.inf)
-        for k in range(1, self.max_terms + 1):
+        for k in range(1, _EXP_MAX_TERMS + 1):
             term = _jet_mul(term, a, self.sig) / k
             if live.all():
                 acc += term
             else:
                 acc[live] += term[live]
             norms = np.abs(term).max(axis=(1, 2), initial=0.0)
-            live &= ~(norms < self.tol)
+            live &= ~(norms < _EXP_TOL)
             if not live.any():
                 return acc
         raise SeriesDivergence(
-            f"exponential jet series did not reach tol={self.tol} within {self.max_terms} terms",
+            f"exponential jet series did not reach tol={_EXP_TOL} within {_EXP_MAX_TERMS} terms",
             float(norms[live].max()),
         )
 
@@ -614,9 +589,10 @@ class GaugeElement:
     bivector_exp is set, from the type of the field alone, when S = exp(B)
     for a PolyField B with no grade but 2. Reversion is an anti-automorphism
     that negates bivectors, so reversion(exp B) = exp(-B) = S^-1: the
-    inverse value and jet are those of S with the per-grade reversion signs,
-    and conjugation by S keeps every grade. Any other invertible field
-    falls back to the linear solve and the inverse-jet formula.
+    inverse value and jet are the reversions of those of S, a signed gather
+    of their spinor entries (_Tables.reverse), and conjugation by S keeps
+    every grade. Any other invertible field falls back to the linear solve
+    and the inverse-jet formula.
 
     The element keeps one entry: the jets of S, and of S^-1 once asked
     for, at the last point set it was asked about. A request for values
@@ -646,8 +622,7 @@ class GaugeElement:
 
     def _inverted(self, sjet: np.ndarray) -> np.ndarray:
         if self.bivector_exp:
-            t = tables(self.sig)
-            return t.to_spinor(t.to_blades(sjet) * t.reversion_signs)
+            return tables(self.sig).reverse(sjet)
         return invert_value_jet(sjet, self.sig)
 
     def _memo_jet(self, x, order: int, inverse_side: bool) -> np.ndarray:
@@ -674,14 +649,6 @@ class GaugeElement:
     def inv_jet(self, x, order: int = 1) -> np.ndarray:
         """Jets of S^-1 at the points x, shape (P, rows, dim)."""
         return self._memo_jet(x, order, True)
-
-    def inverse(self) -> "GaugeElement":
-        """The gauge element S^-1 = exp(-A) of an S = exp(A) with a PolyField A."""
-        s = self.s_field
-        if not (isinstance(s, ExpField) and isinstance(s.generator, PolyField)):
-            raise CliffordError("only a gauge element exp(A) of a PolyField A has an "
-                                "explicit inverse field")
-        return GaugeElement(ExpField(s.generator.scale(-1.0), tol=s.tol, max_terms=s.max_terms))
 
     def connection(self, x) -> np.ndarray:
         """S^-1 d_mu S at the points x, shape (P, n, dim)."""
@@ -714,38 +681,18 @@ class GaugeElement:
         return leak
 
 
-def make_gauge_element(a_field: MultivectorField, tol: float = 1e-9,
-                       require_bivector: bool = True, exp_tol: float = 1e-14,
-                       max_terms: int = 64, sample_points_: np.ndarray | None = None) -> GaugeElement:
+def make_gauge_element(a_field: PolyField) -> GaugeElement:
     """Gauge element S = exp(A) from a generator field A.
 
-    By default A must be pure bivector, which keeps S^-1 dS inside the
-    grade-2 subalgebra and hence away from the center structurally. When
-    sample points are supplied, membership is also checked numerically.
+    A must be a pure-bivector PolyField, which keeps S^-1 dS inside the
+    grade-2 subalgebra and hence away from the center structurally.
     """
-    if require_bivector:
-        if isinstance(a_field, PolyField):
-            grades = a_field.grades_present()
-            if any(g != 2 for g in grades):
-                raise GaugeMembershipError(
-                    f"generator field has grades {grades}; pure bivector required")
-        elif sample_points_ is None:
-            raise GaugeMembershipError(
-                "cannot certify a non-polynomial generator without sample points")
-        else:
-            pts = _as_points(sample_points_, a_field.sig.n)
-            t = tables(a_field.sig)
-            off = np.where(t.grades == 2, 0, t.to_blades(a_field.value(pts)))
-            bad = np.abs(off).max(axis=1, initial=0.0)
-            over = np.flatnonzero(bad > tol)
-            if over.size:
-                p = over[0]
-                raise GaugeMembershipError(
-                    f"generator leaves grade 2 by {bad[p]:.3e} at {list(pts[p])}", point=pts[p])
-    gauge = GaugeElement(ExpField(a_field, tol=exp_tol, max_terms=max_terms))
-    if sample_points_ is not None:
-        gauge.validate_membership(sample_points_, tol=tol)
-    return gauge
+    if not isinstance(a_field, PolyField):
+        raise CliffordError(f"a gauge generator must be a PolyField, got {type(a_field).__name__}")
+    grades = a_field.grades_present()
+    if any(g != 2 for g in grades):
+        raise GaugeMembershipError(f"generator field has grades {grades}; pure bivector required")
+    return GaugeElement(ExpField(a_field))
 
 
 def random_bivector_poly_field(sig: Signature, rng: np.random.Generator,
@@ -827,12 +774,6 @@ class CliffordFieldVector:
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         raise NotImplementedError
 
-    def component(self, mu: int) -> MultivectorField:
-        """The field h^mu, mu 1-based."""
-        if not 1 <= mu <= self.n:
-            raise CliffordError(f"index {mu} out of range 1..{self.n}")
-        return _FieldVectorComponent(self, mu - 1)
-
     def validate(self, points, tol: float = 1e-10) -> dict:
         """Check the defining identities at the points; raise on breach.
 
@@ -872,18 +813,6 @@ def _bracket_grids(hjets: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.nd
     div = np.trace(dh, axis1=1, axis2=2)
     return (t.commutator_grid(hv),
             t.commutator_grid(div[:, None], hv)[:, 0] + t.commutator_sum(hv, dh))
-
-
-class _FieldVectorComponent(MultivectorField):
-    """View of one component of a field vector as a standalone field."""
-
-    def __init__(self, vec: CliffordFieldVector, index0: int):
-        super().__init__(vec.sig)
-        self.vec = vec
-        self.index0 = index0
-
-    def jet(self, x, order: int = 1) -> np.ndarray:
-        return self.vec.jets(x, order)[:, self.index0]
 
 
 class ExplicitFieldVector(CliffordFieldVector):
@@ -955,17 +884,6 @@ class FiniteDifferenceVector(CliffordFieldVector):
 
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         return fd_jet(self.base.values, self.sig, x, order, self.step)
-
-
-def make_clifford_field_vector(frame: FrameField, gauge: GaugeElement,
-                               points=None, tol: float = 1e-10) -> FrameGaugeFieldVector:
-    """Construct h^mu = y^mu_a S^-1 e^a S and validate its identities."""
-    vec = FrameGaugeFieldVector(frame, gauge)
-    if points is None:
-        points = sample_points(frame.sig.n)
-    frame.validate(points, tol=tol)
-    vec.validate(points, tol=tol)
-    return vec
 
 
 def _first_primes(count: int) -> list[int]:

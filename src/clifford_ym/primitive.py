@@ -179,26 +179,6 @@ def compute_C_jets(hjets: np.ndarray, sig: Signature, table: ContractionTable,
     return np.zeros_like(wjets) if c is None else c
 
 
-def compute_C(h: CliffordFieldVector, table: ContractionTable | None = None, x=None,
-              validate: bool = True, validate_tol: float = 1e-8) -> np.ndarray:
-    """Connection values C_mu at the points x solving the primitive equation
-    for h, shape (P, n, dim).
-
-    Validates the anticommutation identity of h at x by default, since the
-    closed form is meaningless on an invalid field vector.
-    """
-    if x is None:
-        raise CliffordError("compute_C needs evaluation points")
-    if table is None:
-        table = build_table(h.sig.n)
-    if table.n != h.sig.n:
-        raise CliffordError(f"table is for n={table.n}, field vector has n={h.sig.n}")
-    x = _as_points(x, h.sig.n)
-    if validate:
-        h.validate(x, tol=validate_tol)
-    return compute_C_jets(h.jets(x, 1), h.sig, table, h.grade_preserving)[:, :, 0]
-
-
 class DerivedConnection(CovectorField):
     """The closed-form connection of a field vector, as a lazy covector field.
 

@@ -23,7 +23,7 @@ from .algebra import (
     tables,
 )
 from . import golden
-from .contraction import build_table, contraction_series
+from .contraction import build_table, contraction_series, fraction_to_json
 from .fields import (
     ConfigError,
     FiniteDifferenceVector,
@@ -253,8 +253,10 @@ def parse_config(data: dict, sigma_override: complex | None = None,
 def _gauge_generator(sig: Signature, spec: dict, rng: np.random.Generator) -> PolyField:
     kind = spec.get("kind", "exp_bivector")
     if kind == "random":
-        return random_bivector_poly_field(
-            sig, rng, scale=_real(spec.get("scale", 0.3), "gauge.scale"))
+        scale = _real(spec.get("scale", 0.3), "gauge.scale")
+        if scale < 0:  # 0 is the identity gauge
+            raise ConfigError(f"gauge.scale must be nonnegative, got {scale!r}")
+        return random_bivector_poly_field(sig, rng, scale=scale)
     if kind != "exp_bivector":
         raise ConfigError(f"unknown gauge kind {kind!r}")
     terms = spec.get("terms", [])
@@ -484,8 +486,7 @@ def run_demo(n: int, seed: int = 12345) -> tuple[dict, int]:
     explicit_dev = float(np.abs(tables(case["sig"]).to_blades(derived - literal)).max())
 
     report, code = run_verify(cfg)
-    report["explicit_weights"] = [
-        {"num": str(f.numerator), "den": str(f.denominator)} for f in _GOLDEN_WEIGHTS[n]]
+    report["explicit_weights"] = [fraction_to_json(f) for f in _GOLDEN_WEIGHTS[n]]
     report["explicit_formula_max_dev"] = explicit_dev
     report["lambdas"] = [int(v) for v in table.lambdas]
     if explicit_dev > cfg.tolerances["primitive"]:

@@ -99,9 +99,11 @@ class GaugePotential(CovectorField):
 class YMSolution:
     """Assembled solution data: potential B, strength G, current J.
 
-    Carries the defining fields (h, C, sigma) and evaluates B_mu, the
-    antisymmetric G^munu = -sigma^2 [h^mu, h^nu] (and its lowered form),
-    and J^nu = eps h^nu at arrays of points. eps is pinned to 4(n-1) sigma^3.
+    Carries the defining fields (h, C, sigma) and the potential b, a
+    covector whose values are B_mu, and evaluates the antisymmetric
+    G^munu = -sigma^2 [h^mu, h^nu] (and its lowered form) at arrays of
+    points. The current is J^nu = eps h^nu, with eps pinned to
+    4(n-1) sigma^3.
 
     Keeps one entry: the flux of the second equation at the last point
     set, computed on the first request there and read-only, so the
@@ -125,9 +127,6 @@ class YMSolution:
     def n(self) -> int:
         return self.sig.n
 
-    def b_values(self, x) -> np.ndarray:
-        return self.b.values(x)
-
     def _grids(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(flux, h^nu) at the points x, from the entry (see _field_grids)."""
         x = _as_points(x, self.n)
@@ -142,9 +141,6 @@ class YMSolution:
     def g_lower(self, x) -> np.ndarray:
         eta = np.array(self.sig.metric(), dtype=float)
         return np.multiply.outer(eta, eta)[:, :, None] * self.g_upper(x)
-
-    def j_values(self, x) -> np.ndarray:
-        return self.epsilon * self.h.values(x)
 
 
 def build_solution(h: CliffordFieldVector, c: CovectorField, sigma: complex,

@@ -6,8 +6,8 @@ import pytest
 from clifford_ym.algebra import Multivector, Signature
 from clifford_ym.fields import (
     ExplicitFieldVector,
+    FrameGaugeFieldVector,
     PolyField,
-    make_clifford_field_vector,
     make_gauge_element,
     random_bivector_poly_field,
     random_frame,
@@ -24,7 +24,8 @@ def build_field_vector(p, q, seed, frame_scale=0.4, gauge_scale=0.3, count=8):
         sig, np.random.default_rng(s_gauge), scale=gauge_scale)
     gauge = make_gauge_element(generator)
     points = sample_points(sig.n, count=count, seed=seed)
-    h = make_clifford_field_vector(frame, gauge, points=points)
+    h = FrameGaugeFieldVector(frame, gauge)
+    h.validate(points)
     return sig, h, points
 
 

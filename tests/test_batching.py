@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from clifford_ym import algebra, fields, primitive, runner, yang_mills
-from clifford_ym.algebra import Multivector, Signature, random_multivector
+from clifford_ym.algebra import Signature, random_multivector
 from clifford_ym.fields import (
-    CallableField,
     ExplicitFieldVector,
     FiniteDifferenceVector,
     FrameField,
@@ -45,18 +44,6 @@ from clifford_ym.yang_mills import (
 REL = 1e-14
 
 
-def _callable_vector(sig):
-    """A field vector whose components are closures, one point at a time."""
-    n = sig.n
-    e12 = Multivector.blade(sig, (1, 2))
-
-    def component(a):
-        gen = Multivector.generator(sig, a + 1)
-        return CallableField(sig, lambda x: gen * np.cos(x[a]) + e12 * (x[0] * x[a % n]))
-
-    return ExplicitFieldVector([component(a) for a in range(n)])
-
-
 def _field_vectors(sig, rng):
     n = sig.n
     gauge = make_gauge_element(random_bivector_poly_field(sig, rng, scale=0.3))
@@ -76,7 +63,6 @@ def _field_vectors(sig, rng):
     vectors["explicit"] = ExplicitFieldVector(
         [random_bivector_poly_field(sig, rng, scale=0.5) for _ in range(n)])
     vectors["finite-difference"] = FiniteDifferenceVector(base)
-    vectors["callable"] = _callable_vector(sig)
     return vectors, base, check
 
 

@@ -243,6 +243,10 @@ def test_verify_non_bivector_gauge(tmp_path):
                  id="exps-bool"),
     pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [10 ** 30, 0], [],
                  "exps", id="exps-past-int64"),
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [2 ** 63, 0], [],
+                 "exps", id="exps-2^63"),
+    pytest.param(("gauge",), {"kind": "random", "scale": -0.3}, [], "gauge.scale",
+                 id="gauge-scale-negative"),
     pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "coeff"), "12", [], "coeff",
                  id="coeff-string"),
     pytest.param(("frame",), {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0]],
@@ -284,6 +288,26 @@ def test_verify_rejects_malformed_or_non_finite_entries(tmp_path, path, value, f
     assert out == ""
     assert "Traceback" not in err
     assert key in err
+
+
+@pytest.mark.parametrize("path,value", [
+    # The largest exponent poly_rows and PolyField accept, 2^63 - 1.
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [2 ** 63 - 1, 0],
+                 id="exps-int64-max"),
+    # Scale 0 draws the identity gauge.
+    pytest.param(("gauge",), {"kind": "random", "scale": 0}, id="gauge-scale-zero"),
+])
+def test_verify_accepts_boundary_entries(tmp_path, path, value):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    target = cfg
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = value
+    config = tmp_path / "boundary.json"
+    config.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["verify", "--config", str(config)])
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["pass"] is True
 
 
 @pytest.mark.parametrize("sigma", ["1e4", "1e100"])

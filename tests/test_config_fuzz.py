@@ -1,13 +1,18 @@
-"""Property-based fuzzing of parse_config and of the specs build_case reads.
+"""Property-based fuzzing of parse_config, of the specs build_case reads,
+and of whole verify campaigns.
 
 Whatever JSON object a config file holds, parse_config either resolves it
 into a RunConfig or refuses it with ConfigError, and build_case either
 builds the frame and gauge specs or refuses them with a CliffordError. The
 command line maps both refusals to exit 2; any other exception would
-surface as a traceback.
+surface as a traceback. A whole campaign exits 0, 2 or 3 and prints the
+same report when run again.
 """
 
+import contextlib
 import copy
+import io
+import json
 
 import pytest
 
@@ -16,6 +21,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from clifford_ym.algebra import CliffordError  # noqa: E402
+from clifford_ym.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, main  # noqa: E402
 from clifford_ym.runner import ConfigError, RunConfig, build_case, parse_config  # noqa: E402
 
 VALID = {
@@ -145,3 +151,76 @@ def _has(node, key):
     if isinstance(node, dict):
         return key in node
     return isinstance(node, list) and isinstance(key, int) and key < len(node)
+
+
+# Whole campaigns, run through the command line. Small algebras and point
+# sets keep an example to milliseconds. One entry of each config, or none,
+# is an arbitrary float (NaN, infinities and huge magnitudes included); the
+# others lie where a campaign runs to its verdict.
+WILD = (None, "frame", "gauge", "box", "sigma", "fd_step")
+
+
+@st.composite
+def campaigns(draw):
+    n = draw(st.integers(2, 4))
+    p = draw(st.integers(0, n))
+    wild = draw(st.sampled_from(WILD))
+
+    def number(key, lo, hi):
+        return draw(st.floats() if key == wild else st.floats(lo, hi))
+
+    def poly(key, real):
+        return {"monomials": [
+            {"exps": draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+             "coeff": [number(key, -0.5, 0.5), 0.0 if real else number(key, -0.5, 0.5)]}
+            for _ in range(draw(st.integers(1, 2)))]}
+
+    if draw(st.booleans()):
+        frame = {"kind": "random", "scale": number("frame", 0.0, 1.0)}
+    else:
+        # A rotation in the (e1, e2) plane: M eta + eta M^T = 0.
+        eta = [1.0] * p + [-1.0] * (n - p)
+        generator = [[0.0] * n for _ in range(n)]
+        generator[0][1], generator[1][0] = 1.0, -eta[1] / eta[0]
+        frame = {"kind": "rotation", "generator": generator, "poly": poly("frame", real=True)}
+    if draw(st.booleans()):
+        gauge = {"kind": "random", "scale": number("gauge", 0.0, 1.0)}
+    else:
+        blades = [f"e{a}{b}" for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        gauge = {"kind": "exp_bivector", "terms": [
+            {"blade": draw(st.sampled_from(blades)), "poly": poly("gauge", real=False)}
+            for _ in range(draw(st.integers(0, 2)))]}
+    lo = number("box", -2.0, 1.0)
+    return {
+        "signature": {"p": p, "q": n - p},
+        "frame": frame,
+        "gauge": gauge,
+        "samples": {"count": draw(st.integers(1, 4)),
+                    "box": [lo, lo + number("box", 0.1, 2.0)],
+                    "seed": draw(st.integers(0, 2 ** 16))},
+        "seed": draw(st.integers(0, 2 ** 16)),
+        "sigma": [number("sigma", -2.0, 2.0), number("sigma", -2.0, 2.0)],
+        "mode": draw(st.sampled_from(["exact", "fd"])),
+        "fd_step": number("fd_step", 1e-6, 1e-3),
+    }
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("campaign") / "config.json"
+
+
+def _verify(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--config", str(path)])
+    return code, out.getvalue()
+
+
+@FUZZ
+@given(campaigns())
+def test_campaigns_exit_cleanly_and_repeat(config_path, data):
+    config_path.write_text(json.dumps(data))  # NaN and Infinity as JSON literals
+    code, out = _verify(config_path)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_TOLERANCE)
+    assert _verify(config_path) == (code, out)

@@ -20,13 +20,13 @@ from clifford_ym.algebra import (
 from clifford_ym import fields
 from clifford_ym.contraction import build_table, grade_project_paired, project
 from clifford_ym.fields import (
-    CallableField,
     ExpField,
     ExplicitFieldVector,
     FieldVectorError,
     FiniteDifferenceVector,
     FrameError,
     FrameField,
+    FrameGaugeFieldVector,
     GaugeElement,
     GaugeMembershipError,
     PolyField,
@@ -36,7 +36,6 @@ from clifford_ym.fields import (
     expm,
     fd_jet,
     invert_value_jet,
-    make_clifford_field_vector,
     make_frame_field,
     make_gauge_element,
     poly_rows,
@@ -144,13 +143,22 @@ def test_polyfield_partial_is_exact_derivative(rng):
 
 
 @pytest.mark.parametrize("exps", [[[0.5, 1.9]], [[True, False]], [["1", "0"]],
-                                  [[2.0 ** 63, 0.0]], [[np.nan, 0.0]]])
+                                  [[2.0 ** 63, 0.0]], [[2 ** 63, 0]], [[np.nan, 0.0]]])
 def test_polyfield_refuses_non_integer_exponents(exps):
     # As poly_rows does for configs: refused, not truncated, cast or parsed.
     sig = Signature(2, 0)
     with pytest.raises(CliffordError, match="exponents must be integers"):
         PolyField(sig, exps, [[1, 0, 0, 0]])
     assert PolyField(sig, [[1.0, 2.0]], [[1, 0, 0, 0]]).exps.tolist() == [[1, 2]]
+
+
+def test_polyfield_accepts_exponents_up_to_the_int64_maximum():
+    # The bound poly_rows documents, 2^63 - 1, which rounds to 2^63 as a float:
+    # integer exponents are checked as integers.
+    sig = Signature(2, 0)
+    top = np.iinfo(np.int64).max
+    for exps in ([[top, 0]], np.array([[top, 0]], dtype=np.uint64)):
+        assert PolyField(sig, exps, [[1, 0, 0, 0]]).exps.tolist() == [[top, 0]]
 
 
 def test_expfield_jets_match_finite_differences(rng):
@@ -303,21 +311,15 @@ def test_gauge_connection_matches_fd(rng):
 
 
 def test_gauge_inverse_round_trip(rng):
+    # exp(-A) undoes the conjugation by exp(A).
     sig = Signature(3, 0)
-    gauge = make_gauge_element(random_bivector_poly_field(sig, rng, scale=0.3))
-    inv = gauge.inverse()
+    gen = random_bivector_poly_field(sig, rng, scale=0.3)
+    gauge = make_gauge_element(gen)
+    inv = make_gauge_element(PolyField(sig, gen.exps, -gen.coeffs))
     x = np.array([0.2, 0.4, -0.1])
     u = random_multivector(sig, rng)
     back = inv.conjugate(gauge.conjugate(u.coeffs, x), x)[0]
     assert np.abs(back - u.coeffs).max() < 1e-11
-
-
-def test_gauge_inverse_needs_a_polyfield_generator():
-    # exp(-A) is built from A.scale, which only a PolyField has.
-    sig = Signature(2, 0)
-    gauge = GaugeElement(ExpField(CallableField(sig, lambda y: Multivector.zero(sig))))
-    with pytest.raises(CliffordError, match="PolyField"):
-        gauge.inverse()
 
 
 @pytest.mark.parametrize("p,q", [(2, 0), (2, 1), (3, 2), (4, 3)])
@@ -327,11 +329,12 @@ def test_reversed_gauge_jet_is_the_inverse_jet(p, q, rng):
     sig = Signature(p, q)
     gen = random_bivector_poly_field(sig, rng, scale=0.3)
     gauge = make_gauge_element(gen)
-    assert gauge.bivector_exp and gauge.inverse().bivector_exp
+    assert gauge.bivector_exp
     x = rng.uniform(-1.0, 1.0, size=sig.n)
     t = tables(sig)
     got = gauge.inv_jet(x, 1)
-    for want in (ExpField(gen.scale(-1.0)).jet(x, 1), invert_value_jet(gauge.jet(x, 1), sig)):
+    minus = PolyField(sig, gen.exps, -gen.coeffs)
+    for want in (ExpField(minus).jet(x, 1), invert_value_jet(gauge.jet(x, 1), sig)):
         assert np.abs(t.to_blades(got - want)).max() < 1e-12
     want = inverse_rows(sig, t.to_blades(gauge.value(x)))
     assert np.abs(t.to_blades(gauge.inv_value(x)) - want).max() < 1e-12
@@ -353,7 +356,8 @@ def test_non_bivector_gauge_inverts_by_formula(rng):
         assert np.abs(t.to_blades(gauge.inv_value(x)) - want).max() < 1e-12
         want = invert_value_jet(gauge.jet(x, 1), sig)
         assert np.abs(t.to_blades(gauge.inv_jet(x, 1) - want)).max() < 1e-12
-    assert not GaugeElement(CallableField(sig, lambda y: Multivector.unit(sig))).bivector_exp
+    # A field that is not an exponential takes the formula too.
+    assert not GaugeElement(PolyField.constant(sig, Multivector.unit(sig))).bivector_exp
     assert GaugeElement.identity(sig).bivector_exp
 
 
@@ -364,13 +368,12 @@ def test_gauge_membership_enforced(rng):
     with pytest.raises(GaugeMembershipError):
         make_gauge_element(bad)
 
-    # Non-polynomial generators need sample points to check membership.
-    fn = CallableField(sig, lambda x: Multivector.blade(sig, (1, 2)) * x[0])
-    with pytest.raises(GaugeMembershipError):
-        make_gauge_element(fn)
+    # A generator that is not a PolyField is refused, whatever its grades.
+    good = poly_field(sig, (3, (1, 0, 0), 1.0))
+    with pytest.raises(CliffordError, match="PolyField"):
+        make_gauge_element(ExpField(good))
     pts = sample_points(3, count=5)
-    elem = make_gauge_element(fn, sample_points_=pts)
-    assert elem.validate_membership(pts) < 1e-9
+    assert make_gauge_element(good).validate_membership(pts) < 1e-9
 
 
 def test_field_vector_values_match_direct_conjugation(rng):
@@ -404,7 +407,7 @@ def test_field_vector_jets_match_fd(rng):
 
 def test_identity_everything_gives_generators():
     sig = Signature(2, 2)
-    h = make_clifford_field_vector(FrameField.identity(sig), GaugeElement.identity(sig))
+    h = FrameGaugeFieldVector(FrameField.identity(sig), GaugeElement.identity(sig))
     x = np.zeros(4)
     vals = tables(sig).to_blades(h.values(x)[0])
     for a in range(sig.n):
@@ -577,8 +580,7 @@ def test_jets_beyond_first_order_fail_closed(order, rng):
     theta = poly_field(sig, (0, (1, 0, 0), 0.5))
     spin = np.zeros((3, 3))
     spin[0, 1], spin[1, 0] = 1.0, -1.0
-    field_jets = [gen.jet, ExpField(gen).jet, gen.scale(2.0).jet, gauge.jet, gauge.inv_jet,
-                  CallableField(sig, lambda y: Multivector.unit(sig)).jet, h.component(1).jet,
+    field_jets = [gen.jet, ExpField(gen).jet, gauge.jet, gauge.inv_jet,
                   lambda y, k: fd_jet(gen.value, sig, y, k, 1e-5)]
     vector_jets = [h.jets, FiniteDifferenceVector(h).jets,
                    ExplicitFieldVector([PolyField.constant(sig, Multivector.generator(sig, a))

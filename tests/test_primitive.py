@@ -19,11 +19,12 @@ from clifford_ym.fields import (
     ExpField,
     ExplicitFieldVector,
     FiniteDifferenceVector,
+    FieldVectorError,
     FrameField,
+    FrameGaugeFieldVector,
     GaugeElement,
     GaugeMembershipError,
     PolyField,
-    make_clifford_field_vector,
     make_gauge_element,
     random_bivector_poly_field,
     random_frame,
@@ -38,7 +39,6 @@ from clifford_ym.primitive import (
     ZeroCovector,
     _contract_jet,
     _w_jets,
-    compute_C,
     compute_C_jets,
     connection_center_leak,
     curvature_residual,
@@ -152,7 +152,8 @@ def test_vector_gauge_takes_the_contraction_chain(p, q, rng):
     gauge = _vector_gauge(sig, rng)
     assert not gauge.bivector_exp
     points = sample_points(sig.n, count=3, seed=79)
-    h = make_clifford_field_vector(random_frame(sig, rng), gauge, points=points)
+    h = FrameGaugeFieldVector(random_frame(sig, rng), gauge)
+    h.validate(points)
     assert not h.grade_preserving
     table = build_table(sig.n)
     hjets = h.jets(points[1], 1)
@@ -174,14 +175,14 @@ def test_grade_preserving_is_structural(rng):
     assert not TransformedFieldVector(h, vector).grade_preserving
     assert not FiniteDifferenceVector(h).grade_preserving
     assert not generator_field_vector(sig).grade_preserving
-    assert not ExplicitFieldVector([h.component(mu + 1) for mu in range(sig.n)]).grade_preserving
 
 
 def test_constant_field_vector_yields_zero_connection():
     sig = Signature(3, 0)
     h = generator_field_vector(sig)
     x = np.zeros(3)
-    assert np.abs(compute_C(h, None, x)).max() < 1e-13
+    h.validate(x)
+    assert np.abs(DerivedConnection(h).values(x)).max() < 1e-13
 
 
 def test_identity_frame_connection_is_gauge_connection(rng):
@@ -190,9 +191,10 @@ def test_identity_frame_connection_is_gauge_connection(rng):
     # is a pure bivector so there is no center ambiguity to remove.
     sig = Signature(2, 0)
     gauge = make_gauge_element(random_bivector_poly_field(sig, rng, scale=0.3))
-    h = make_clifford_field_vector(FrameField.identity(sig), gauge)
+    h = FrameGaugeFieldVector(FrameField.identity(sig), gauge)
     x = np.array([0.3, -0.2])
-    c = compute_C(h, None, x)
+    h.validate(x)
+    c = DerivedConnection(h).values(x)
     conn = gauge.connection(x)
     assert c.shape == conn.shape == (1, sig.n, sig.dim)
     assert np.abs(c + conn).max() < 1e-10
@@ -351,14 +353,14 @@ def test_solution_reports_on_a_given_connection():
         PrimitiveSolution(other, conn=conn)
 
 
-def test_compute_c_validates_field_vector(rng):
-    from clifford_ym.fields import ExplicitFieldVector, FieldVectorError
+def test_validate_refuses_a_field_vector_before_its_connection(rng):
+    # The closed form is meaningless on an invalid field vector, so a run
+    # validates h before it derives C: h^1 = h^2 = e1 breaks anticommutation.
     sig = Signature(2, 0)
     e1 = PolyField.constant(sig, Multivector.generator(sig, 1))
     bad = ExplicitFieldVector([e1, e1])
-    x = np.zeros(2)
-    with pytest.raises(FieldVectorError):
-        compute_C(bad, None, x, validate=True)
+    with pytest.raises(FieldVectorError, match="anticommutation"):
+        bad.validate(np.zeros(2))
 
 
 def test_derived_connection_jets_memo_safe(rng):

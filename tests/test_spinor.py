@@ -233,6 +233,22 @@ def test_blade_operations_commute_with_the_conversion(table):
                   t.product(in_blades(s[1], rev), in_blades(s[0], rev)), 1e-13)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_spinor_reversion_is_the_blade_round_trip(n):
+    # reverse is a signed gather of spinor entries; the conversion to
+    # blades, the per-grade signs and the conversion back are its oracle.
+    for p in range(n + 1):
+        t = algebra._Tables(Signature(p, n - p))  # uncached: the cache keeps 64 signatures
+        dim = t.sig.dim
+        s = _random(np.random.default_rng(dim + p), (3, dim))
+        got = t.reverse(s)
+        want = t.to_spinor(t.to_blades(s) * t.reversion_signs)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(s).max(), (p, n - p)
+        assert np.array_equal(t.reverse(got), s), (p, n - p)
+        images = t.to_spinor(np.eye(dim, dtype=np.complex128))
+        assert np.array_equal(t.reverse(images), t.reversion_signs[:, None] * images), (p, n - p)
+
+
 @pytest.mark.parametrize("p,q", [(2, 0), (3, 2), (4, 3)])
 def test_kernels_never_convert(p, q, monkeypatch):
     t = tables(Signature(p, q))

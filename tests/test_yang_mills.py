@@ -17,7 +17,7 @@ from clifford_ym.algebra import (
 from clifford_ym.fields import (
     ExplicitFieldVector,
     FrameField,
-    make_clifford_field_vector,
+    FrameGaugeFieldVector,
     GaugeMembershipError,
     GaugeElement,
     PolyField,
@@ -88,7 +88,7 @@ def test_zero_coupling_gives_flat_sourceless_potential():
     assert sol.epsilon == 0.0
     assert np.abs(eq1_residual(sol, x)).max() < 1e-9
     assert np.abs(sol.g_upper(x)).max() < 1e-12
-    assert np.abs(sol.j_values(x)).max() < 1e-12
+    assert np.abs(eq2_residual(sol, x)).max() < 1e-12
 
 
 def test_field_strength_antisymmetric_and_center_free():
@@ -121,15 +121,13 @@ def test_field_strength_of_flat_connection_vanishes(rng):
 
 
 def test_current_equals_scaled_field_vector():
+    # The source term of the second equation is J^nu = eps h^nu: it is
+    # what eq2_residual subtracts from the flux.
     sig, sol, points = certified(3, 0, 0.5)
     x = points[1]
-    j = sol.j_values(x)[0]
-    metric = sig.metric()
-    hv = sol.h.values(x)[0]
-    eps = sol.epsilon
-    for nu in range(sig.n):
-        want = hv[nu] * (eps * metric[nu])
-        assert np.abs(j[nu] - want).max() < 1e-12
+    j = eq2_residual(sol, x, epsilon=0.0)[0] - eq2_residual(sol, x)[0]
+    want = tables(sig).to_blades(sol.epsilon * sol.h.values(x)[0])
+    assert np.abs(j - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_build_solution_rejects_non_solutions(rng):
@@ -149,7 +147,8 @@ def test_build_solution_refuses_a_nan_primitive_residual(rng):
     sig = Signature(2, 0)
     gauge = make_gauge_element(random_bivector_poly_field(sig, rng, scale=0.3))
     points = sample_points(2, count=4, seed=3)
-    h = make_clifford_field_vector(FrameField.identity(sig), gauge, points=points)
+    h = FrameGaugeFieldVector(FrameField.identity(sig), gauge)
+    h.validate(points)
     offset = Multivector.scalar(sig, float("nan")) + Multivector.generator(sig, 1)
     broken = OffsetCovector(DerivedConnection(h), {0: PolyField.constant(sig, offset)})
     with pytest.raises(NotASolution, match=re.escape(f"at point {list(points[0])}")):
@@ -242,19 +241,20 @@ def test_gauge_transformed_solution_still_solves(rng):
 
     # Pointwise conjugation of the potential.
     x = points[1]
-    bv = sol.b_values(x)[0]
-    mv = moved.b_values(x)[0]
+    bv = sol.b.values(x)[0]
+    mv = moved.b.values(x)[0]
     want = gauge.conjugate(bv, x) - gauge.connection(x)[0]
     assert np.abs(mv - want).max() < 1e-10
 
 
 def test_double_gauge_transform_recovers_potential(rng):
     sig, sol, points = certified(2, 0, 1.0)
-    gauge = make_gauge_element(random_bivector_poly_field(sig, rng, scale=0.25))
-    moved = gauge_transform_solution(sol, gauge, points=points[:3])
-    back = gauge_transform_solution(moved, gauge.inverse(), points=points[:3])
+    gen = random_bivector_poly_field(sig, rng, scale=0.25)
+    moved = gauge_transform_solution(sol, make_gauge_element(gen), points=points[:3])
+    inverse = make_gauge_element(PolyField(sig, gen.exps, -gen.coeffs))
+    back = gauge_transform_solution(moved, inverse, points=points[:3])
     x = points[2]
-    assert np.abs(back.b_values(x) - sol.b_values(x)).max() < 1e-9
+    assert np.abs(back.b.values(x) - sol.b.values(x)).max() < 1e-9
 
 
 def test_gauge_transform_solution_checks_membership(rng):
@@ -269,7 +269,7 @@ def test_identity_gauge_is_no_op():
     sig, sol, points = certified(2, 0, 1.0)
     moved = gauge_transform_solution(sol, GaugeElement.identity(sig), points=points[:2])
     x = points[1]
-    assert np.abs(moved.b_values(x) - sol.b_values(x)).max() < 1e-12
+    assert np.abs(moved.b.values(x) - sol.b.values(x)).max() < 1e-12
 
 
 def test_double_commutator_identity_constant_and_transported(rng):
@@ -293,7 +293,7 @@ def test_gauge_potential_with_zero_h_is_pure_connection():
     c = DerivedConnection(h)
     sol = YMSolution(h, c, 0.0)
     x = points[1]
-    assert np.abs(sol.b_values(x) - c.values(x)).max() < 1e-13
+    assert np.abs(sol.b.values(x) - c.values(x)).max() < 1e-13
 
 
 def test_intermediate_product_identity():
