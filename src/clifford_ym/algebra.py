@@ -9,8 +9,8 @@ Generators obey e^a e^b + e^b e^a = 2 eta^{ab} e with eta diagonal,
 The product sign between blades is the parity of the number of
 transpositions needed to interleave the two generator lists, times the
 metric factors contributed by repeated generators. The dense 2^n x 2^n
-sign tables are built once per signature, on the first Multivector product
-or inverse that needs them; the spinor kernels never read them.
+sign tables are built once per signature, on the first Multivector product;
+the spinor kernels and the inverses never read them.
 
 Two bases share that trailing length 2^n. Blade arrays, the coefficients
 above, are the interface: Multivector, polynomial inputs, grade, center and
@@ -112,8 +112,7 @@ def _popcount(a: np.ndarray) -> np.ndarray:
 class _Tables:
     """Cached per-signature tables: the block-spinor kernels and reversion,
     grades and reversion signs, and the dense 2^n x 2^n blade tables, built
-    on first use (left_mult_matrix, for Multivector products and
-    inverse_rows).
+    on first use (left_mult_matrix, for Multivector products alone).
 
     Blade arrays hold 2^n coefficients over the basis blades. Spinor arrays
     hold the image of the same element under the faithful representation
@@ -554,38 +553,43 @@ def exponential(u: Multivector, tol: float = 1e-14, max_terms: int = 64) -> Mult
 
 
 def inverse(u: Multivector, max_condition: float = 1e12) -> Multivector:
-    """Multiplicative inverse via the 2^n x 2^n left-multiplication linear system."""
+    """Multiplicative inverse, block by block in the spinor basis (inverse_rows)."""
     return Multivector(u.sig, inverse_rows(u.sig, u.coeffs[None], max_condition)[0], copy=False)
 
 
 def inverse_rows(sig: Signature, u: np.ndarray, max_condition: float = 1e12) -> np.ndarray:
     """Inverses of the stacked elements u (..., 2^n), row by row.
 
-    The inverse of L(u) has the coefficients of u^-1 as its first column,
-    since L(u) w = coeffs(e); a one-sided inverse in a finite-dimensional
-    unital algebra is automatically two-sided. Raises NotInvertible when a
-    row has a non-finite coefficient, when its L(u) is singular or has no
-    finite inverse, or when its 1-norm condition number ||L|| ||L^-1||
-    exceeds max_condition.
+    Each d x d block of the spinor image of u is inverted on its own, and
+    the inverse goes back to blade coordinates; a one-sided inverse in a
+    finite-dimensional unital algebra is automatically two-sided. The bound
+    is the 1-norm condition number ||L|| ||L^-1|| of the left-multiplication
+    operator L(u) on blade arrays, formed without L: every column of L(u) is
+    a signed permutation of u and L(u)^-1 = L(u^-1), so it is
+    ||u||_1 ||u^-1||_1 over blade coefficients. Raises NotInvertible when a
+    row has a non-finite coefficient, is zero, has a singular block or no
+    finite inverse, or when that condition number exceeds max_condition.
     """
+    u = np.asarray(u)
     if not np.all(np.isfinite(u)):
         raise NotInvertible("element has a non-finite coefficient")
-    mat = tables(sig).left_mult_matrix(u)
-    anorm = np.linalg.norm(mat, 1, axis=(-2, -1))
-    if np.any(anorm == 0.0):
+    unorm = np.abs(u).sum(axis=-1)
+    if np.any(unorm == 0.0):
         raise NotInvertible("zero element has no inverse")
+    t = tables(sig)
     with np.errstate(all="ignore"):
         try:
-            inv = np.linalg.inv(mat)
+            inv = np.linalg.inv(t.to_spinor(u).reshape(u.shape[:-1] + t.block_shape))
         except np.linalg.LinAlgError as exc:
-            raise NotInvertible(f"left-multiplication operator is singular: {exc}") from exc
+            raise NotInvertible(f"a spinor block is singular: {exc}") from exc
         if not np.all(np.isfinite(inv)):
-            raise NotInvertible("left-multiplication operator has no finite inverse")
-        cond = anorm * np.linalg.norm(inv, 1, axis=(-2, -1))
+            raise NotInvertible("element has no finite inverse")
+        w = t.to_blades(inv.reshape(u.shape))
+        cond = unorm * np.abs(w).sum(axis=-1)
     if not np.all(cond <= max_condition):
         worst = float(np.max(np.where(cond <= max_condition, 0.0, cond)))
         raise NotInvertible(f"condition number {worst:.3e} exceeds max_condition={max_condition:.3e}")
-    return inv[..., :, 0].copy()
+    return w
 
 
 def random_multivector(sig: Signature, rng: np.random.Generator, grades=None,

@@ -322,7 +322,8 @@ class ExpField(MultivectorField):
     accumulating at its own first such term, so a point's jet does not
     depend on the batch it is evaluated in. The stop reads the largest
     entry of the term's spinor array, which bounds its largest blade
-    coefficient from above: it can cost an extra term, never stop early.
+    coefficient from above: it can cost an extra term, never stop early. A
+    term that is not finite ends the series at once.
     """
 
     def __init__(self, generator: MultivectorField):
@@ -346,6 +347,8 @@ class ExpField(MultivectorField):
             else:
                 acc[live] += term[live]
             norms = np.abs(term).max(axis=(1, 2), initial=0.0)
+            if not np.isfinite(norms).all():
+                raise SeriesDivergence(f"exponential jet series term {k} is not finite", float(norms.max()))
             live &= ~(norms < _EXP_TOL)
             if not live.any():
                 return acc
@@ -359,8 +362,8 @@ def invert_value_jet(sjet: np.ndarray, sig: Signature) -> np.ndarray:
     """Jets of the pointwise inverse field from the jets (P, rows, dim) of the field.
 
     The jets are of first order at most; the gradient rows follow from
-    d(W) = -W dS W for W = S^-1. The value is inverted on the dense blade
-    tables (inverse_rows, with its condition test), converted once each way.
+    d(W) = -W dS W for W = S^-1. The value is inverted block by block, with
+    the condition test of inverse_rows, which takes blade rows.
     """
     t = tables(sig)
     w = t.to_spinor(inverse_rows(sig, t.to_blades(sjet[:, 0])))[:, None]
@@ -531,7 +534,7 @@ class FrameField:
         bad = np.flatnonzero(~(res <= tol))  # NaN entries fail too
         if bad.size:
             p = bad[0]
-            raise FrameError(f"frame fails orthogonality at {list(pts[p])}: residual {res[p]:.3e}")
+            raise FrameError(f"frame fails orthogonality at {pts[p].tolist()}: residual {res[p]:.3e}")
         return float(res.max(initial=0.0))
 
 
@@ -591,14 +594,15 @@ class GaugeElement:
     that negates bivectors, so reversion(exp B) = exp(-B) = S^-1: the
     inverse value and jet are the reversions of those of S, a signed gather
     of their spinor entries (_Tables.reverse), and conjugation by S keeps
-    every grade. Any other invertible field falls back to the linear solve
-    and the inverse-jet formula.
+    every grade. Any other invertible field falls back to the per-block
+    inverse and the inverse-jet formula (invert_value_jet).
 
-    The element keeps one entry: the jets of S, and of S^-1 once asked
-    for, at the last point set it was asked about. A request for values
-    alone (finite-difference stencils, the residual conjugation check)
-    computes values alone; any derivative brings the jets to first order,
-    the highest there is and all a verify run needs.
+    The element keeps one entry: the jets of S at the last point set it was
+    asked about. S^-1 is formed from them on every request, in either
+    branch. A request for values alone (finite-difference stencils, the
+    residual conjugation check) computes values alone; any derivative
+    brings the jets to first order, the highest there is and all a verify
+    run needs.
     """
 
     def __init__(self, s_field: MultivectorField):
@@ -606,7 +610,7 @@ class GaugeElement:
         self.s_field = s_field
         gen = s_field.generator if isinstance(s_field, ExpField) else None
         self.bivector_exp = isinstance(gen, PolyField) and set(gen.grades_present()) <= {2}
-        self._entry: list | None = None
+        self._entry: tuple | None = None
 
     @classmethod
     def identity(cls, sig: Signature) -> "GaugeElement":
@@ -620,27 +624,18 @@ class GaugeElement:
         """S^-1 at the points x, shape (P, dim)."""
         return self.inv_jet(x, 0)[:, 0]
 
-    def _inverted(self, sjet: np.ndarray) -> np.ndarray:
-        if self.bivector_exp:
-            return tables(self.sig).reverse(sjet)
-        return invert_value_jet(sjet, self.sig)
-
     def _memo_jet(self, x, order: int, inverse_side: bool) -> np.ndarray:
         x = _as_points(x, self.sig.n)
         rows = _nrows(order, self.sig.n)
         entry = self._entry
         if entry is None or not _same_points(entry[0], x) or entry[1].shape[1] < rows:
-            sjet = self.s_field.jet(x, order)
-            entry = self._entry = [x.copy(), _frozen(sjet), None]
+            entry = self._entry = (x.copy(), _frozen(self.s_field.jet(x, order)))
+        sjet = entry[1][:, :rows]
         if not inverse_side:
-            return entry[1][:, :rows]
-        # An exp(bivector) reverses the jets of S on request; only the
-        # fallback inverse is kept in the entry.
+            return sjet
         if self.bivector_exp:
-            return _frozen(self._inverted(entry[1][:, :rows]))
-        if entry[2] is None:
-            entry[2] = _frozen(self._inverted(entry[1]))
-        return entry[2][:, :rows]
+            return _frozen(tables(self.sig).reverse(sjet))
+        return _frozen(invert_value_jet(sjet, self.sig))
 
     def jet(self, x, order: int = 1) -> np.ndarray:
         """Jets of S at the points x, shape (P, rows, dim)."""
@@ -675,7 +670,7 @@ class GaugeElement:
         if not leak <= tol:
             raise GaugeMembershipError(
                 f"gauge element leaves the admissible class: center leak {leak:.3e} "
-                f"at point {None if where is None else list(where)}",
+                f"at point {None if where is None else where.tolist()}",
                 point=where, leak=leak,
             )
         return leak
@@ -925,15 +920,11 @@ def _scrambled_halton(d: int, count: int, seed: int) -> np.ndarray:
     return out
 
 
-def sample_points(n: int, count: int = 16, box=(-1.0, 1.0), seed: int = 0,
-                  include_origin: bool = True) -> np.ndarray:
+def sample_points(n: int, count: int = 16, box=(-1.0, 1.0), seed: int = 0) -> np.ndarray:
     """Deterministic quasi-random sample points in a box, origin first.
 
-    Uses a scrambled Halton sequence; returns count (+1 with the origin)
-    rows of length n.
+    Uses a scrambled Halton sequence; returns count + 1 rows of length n,
+    the origin and then the sequence.
     """
     lo, hi = float(box[0]), float(box[1])
-    pts = lo + (hi - lo) * _scrambled_halton(n, count, seed)
-    if include_origin:
-        pts = np.vstack([np.zeros((1, n)), pts])
-    return pts
+    return np.vstack([np.zeros((1, n)), lo + (hi - lo) * _scrambled_halton(n, count, seed)])

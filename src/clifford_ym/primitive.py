@@ -302,21 +302,12 @@ class TransformedConnection(CovectorField):
         return conj - wds.swapaxes(1, 2)
 
 
-def gauge_transform(h: CliffordFieldVector, c: CovectorField, gauge: GaugeElement,
-                    x=None, points=None, membership_tol: float = 1e-9):
-    """Transformed pair (S^-1 h S, S^-1 C S - S^-1 dS).
-
-    With x given, returns the two value arrays (P, n, dim) at those points;
-    otherwise returns the transformed field objects. Membership of the
-    gauge element is validated when points are supplied.
-    """
+def gauge_transform(h: CliffordFieldVector, c: CovectorField, gauge: GaugeElement, points=None):
+    """Transformed field objects (S^-1 h S, S^-1 C S - S^-1 dS). Membership
+    of the gauge element is validated when points are supplied."""
     if points is not None:
-        gauge.validate_membership(points, tol=membership_tol)
-    ht = TransformedFieldVector(h, gauge)
-    ct = TransformedConnection(c, gauge)
-    if x is not None:
-        return ht.values(x), ct.values(x)
-    return ht, ct
+        gauge.validate_membership(points)
+    return TransformedFieldVector(h, gauge), TransformedConnection(c, gauge)
 
 
 def max_per_point(r: np.ndarray) -> np.ndarray:

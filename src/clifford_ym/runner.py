@@ -332,11 +332,12 @@ def _gauge_check(case: dict, sol: YMSolution, cfg: RunConfig,
     gauge2: GaugeElement = case["check_gauge"]
     leak, _ = gauge2.membership_report(points)
 
+    # The residuals bring the transformed connection to first order, and
+    # the primitive residual reads the value rows of the same jets.
     ht, ct = gauge_transform(sol.h, sol.c, gauge2)
-    solT = YMSolution(ht, ct, sol.sigma)
+    ym = verify_solution(YMSolution(ht, ct, sol.sigma), points, epsilon=epsilon)
     prim_max = float(np.abs(primitive_residual(ht, ct, points)).max())
-    ym = verify_solution(solT, points, epsilon=epsilon)
-    del ct, solT  # their jet entries are not held through the conjugation check
+    del ct  # its jet entry is not held through the conjugation check
 
     # Residual conjugation on a deliberately non-flat pair, at the first
     # three points: the pointwise residual of the transformed pair must

@@ -165,7 +165,7 @@ def build_solution(h: CliffordFieldVector, c: CovectorField, sigma: complex,
             p = bad[0]
             raise NotASolution(
                 f"pair fails the flatness check: residual {per_point[p]:.3e} > {tol:.1e} "
-                f"at point {list(pts[p])}")
+                f"at point {pts[p].tolist()}")
     return YMSolution(h, c, sigma)
 
 
@@ -258,7 +258,7 @@ def epsilon_from_residuals(sol: YMSolution, points) -> complex:
     total = float(norms.sum().real)
     if not (cmath.isfinite(a) and np.isfinite(total)):
         raise CliffordError(
-            f"sigma = {sol.sigma} overflows the flux sums of the second equation: "
+            f"the flux sums of the second equation are not finite (sigma = {sol.sigma}): "
             "cannot solve for eps")
     if not total > 0:
         raise CliffordError(
@@ -267,8 +267,7 @@ def epsilon_from_residuals(sol: YMSolution, points) -> complex:
     return a / total
 
 
-def gauge_transform_solution(sol: YMSolution, gauge: GaugeElement, points=None,
-                             membership_tol: float = 1e-9, tol: float = 1e-8) -> YMSolution:
+def gauge_transform_solution(sol: YMSolution, gauge: GaugeElement, points=None) -> YMSolution:
     """Transformed solution with h -> S^-1 h S and C -> S^-1 C S - S^-1 dS.
 
     The potential, strength, and current of the result are exactly the
@@ -278,9 +277,8 @@ def gauge_transform_solution(sol: YMSolution, gauge: GaugeElement, points=None,
     """
     if points is None:
         points = sample_points(sol.n)
-    ht, ct = gauge_transform(sol.h, sol.c, gauge, points=points,
-                             membership_tol=membership_tol)
-    return build_solution(ht, ct, sol.sigma, points=points, tol=tol)
+    ht, ct = gauge_transform(sol.h, sol.c, gauge, points=points)
+    return build_solution(ht, ct, sol.sigma, points=points)
 
 
 def double_commutator_check(h: CliffordFieldVector, x) -> np.ndarray:

@@ -23,6 +23,7 @@ from clifford_ym.algebra import (
     grade_project,
     grades_present,
     inverse,
+    inverse_rows,
     n_max,
     random_multivector,
     reversion,
@@ -432,6 +433,28 @@ def test_inverse_refuses_ill_conditioned_and_overflowing_elements():
     # Well conditioned, but the inverse of a subnormal element overflows.
     with pytest.raises(NotInvertible):
         inverse(1e-310 * (Multivector.unit(sig) + 0.5 * e1))
+
+
+@pytest.mark.parametrize("p,q", [(p, n - p) for n in range(1, 9) for p in range(n + 1)])
+def test_block_inverse_matches_the_dense_operator(p, q):
+    # The oracle: u^-1 is the first column of L(u)^-1, and the condition
+    # bound is the 1-norm ||L(u)||_1 ||L(u)^-1||_1 of the dense operator.
+    sig = Signature(p, q)
+    rng = np.random.default_rng(100 * p + q)
+    u = 0.4 * (rng.standard_normal((3, sig.dim))
+               + 1j * rng.standard_normal((3, sig.dim))) / np.sqrt(sig.dim)
+    u[:, 0] += 1.0
+    mat = tables(sig).left_mult_matrix(u)
+    inv = np.linalg.inv(mat)
+    want = inv[..., :, 0]
+    got = inverse_rows(sig, u)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    cond = np.linalg.norm(mat, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
+    worst = float(cond.max())
+    inverse_rows(sig, u, max_condition=worst * (1 + 1e-12))
+    with pytest.raises(NotInvertible, match="condition"):
+        inverse_rows(sig, u, max_condition=worst * (1 - 1e-12))
+
 
 def test_signature_mismatch_raises(rng):
     u = random_multivector(Signature(2, 0), rng)

@@ -10,9 +10,11 @@ import sys
 from importlib.metadata import entry_points
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import clifford_ym
+from clifford_ym import primitive, runner
 from clifford_ym.cli import (
     EXIT_CONFIG,
     EXIT_GOLDEN,
@@ -20,6 +22,7 @@ from clifford_ym.cli import (
     EXIT_TOLERANCE,
     main,
 )
+from clifford_ym.fields import FrameField, FrameGaugeFieldVector, PolyField
 
 
 def run_cli(argv):
@@ -308,6 +311,54 @@ def test_verify_accepts_boundary_entries(tmp_path, path, value):
     code, out, err = run_cli(["verify", "--config", str(config)])
     assert (code, err) == (EXIT_OK, "")
     assert json.loads(out)["pass"] is True
+
+
+def _nan_frame(original):
+    def jets(self, x, order=1):
+        y, dy = original(self, x, order)
+        y = y.copy()
+        y[:, 0, 0] = np.nan
+        return y, dy
+    return jets
+
+
+def _nan_generator(original):
+    def generator(sig, spec, rng):
+        gen = original(sig, spec, rng)
+        return PolyField(sig, gen.exps, np.where(gen.coeffs != 0, np.nan, 0.0))
+    return generator
+
+
+def _nan_jets(original):
+    def jets(*args):
+        out = original(*args).copy()
+        out[:, 0, 0, 0] = np.nan
+        return out
+    return jets
+
+
+# (patched object, attribute, wrapper, the refusal that names the stage)
+NAN_STAGES = {
+    "frame": (FrameField, "jets", _nan_frame, "frame fails orthogonality"),
+    "gauge-generator": (runner, "_gauge_generator", _nan_generator,
+                        "exponential jet series term 1 is not finite"),
+    "h-jets": (FrameGaugeFieldVector, "_compute_jets", _nan_jets,
+               "field vector fails its defining identities"),
+    "c-jets": (primitive, "compute_C_jets", _nan_jets,
+               "the flux sums of the second equation are not finite"),
+}
+
+
+@pytest.mark.parametrize("stage", NAN_STAGES)
+def test_verify_fails_closed_on_nan_at_each_stage(config_file, monkeypatch, stage):
+    # A NaN that enters at any stage is refused with exit 2 and a message
+    # that names the stage, never a traceback, a pass or a blamed sigma.
+    target, name, wrap, message = NAN_STAGES[stage]
+    monkeypatch.setattr(target, name, wrap(getattr(target, name)))
+    code, out, err = run_cli(["verify", "--config", config_file])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and "np.float64" not in err
 
 
 @pytest.mark.parametrize("sigma", ["1e4", "1e100"])

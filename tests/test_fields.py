@@ -490,7 +490,7 @@ def test_sample_points_shape_and_determinism():
     assert np.all(pts >= -2.0) and np.all(pts <= 2.0)
     other = sample_points(3, count=10, box=(-2.0, 2.0), seed=10)
     assert not np.array_equal(pts[1:], other[1:])
-    no_origin = sample_points(3, count=4, include_origin=False, seed=9)
+    no_origin = sample_points(3, count=4, seed=9)[1:]
     assert no_origin.shape == (4, 3)
     assert not np.array_equal(no_origin[0], np.zeros(3))
 
@@ -624,7 +624,7 @@ def test_sample_points_golden_bits(n, seed, box):
     assert np.array_equal(got[0], np.zeros(n))
     assert np.array_equal(got[1:], expected)
     # A longer draw extends the sequence without touching its first points.
-    longer = sample_points(n, count=len(rows) + 5, box=box, seed=seed, include_origin=False)
+    longer = sample_points(n, count=len(rows) + 5, box=box, seed=seed)[1:]
     assert np.array_equal(longer[:len(rows)], expected)
 
 

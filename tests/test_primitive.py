@@ -299,8 +299,11 @@ def test_gauge_transform_membership_enforced(rng):
     # admissible class excludes.
     bad_gen = PolyField(sig, [[1, 0]], [[1.0, 0.0, 0.0, 0.0]])  # x^1 on the scalar blade
     bad = GaugeElement(ExpField(bad_gen))
-    with pytest.raises(GaugeMembershipError):
+    with pytest.raises(GaugeMembershipError) as err:
         gauge_transform(h, c, bad, points=points)
+    # The point prints as plain floats.
+    assert f"at point {err.value.point.tolist()}" in str(err.value)
+    assert "np.float64" not in str(err.value)
     # Without points there is nothing to check against, so it goes through.
     gauge_transform(h, c, bad)
 

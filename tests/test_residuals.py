@@ -21,7 +21,14 @@ from clifford_ym.algebra import (
     random_multivector,
     tables,
 )
-from clifford_ym.fields import ExplicitFieldVector, PolyField, _jet_mul, sample_points
+from clifford_ym.fields import (
+    ExpField,
+    ExplicitFieldVector,
+    GaugeElement,
+    PolyField,
+    _jet_mul,
+    sample_points,
+)
 from clifford_ym.primitive import (
     DerivedConnection,
     OffsetCovector,
@@ -37,7 +44,7 @@ from clifford_ym.yang_mills import (
     eq1_residual,
     eq2_residual,
 )
-from conftest import build_field_vector
+from conftest import build_field_vector, poly_field
 from test_golden_reports import RUNS
 from test_golden_reports import run as golden_run
 
@@ -257,8 +264,8 @@ def test_spinor_conjugation_matches_dense_oracle(name):
 
 
 def test_verify_and_demo_build_no_dense_tables():
-    # The dense 2^n x 2^n blade tables serve Multivector arithmetic and
-    # inverse_rows only; a verify or demo run reads spinor arrays alone.
+    # The dense 2^n x 2^n blade tables serve Multivector arithmetic only; a
+    # verify or demo run reads spinor arrays alone.
     dense = ("xor", "sign_k", "_left_index")
     algebra._tables_cached.cache_clear()
     for spec in RUNS.values():
@@ -269,6 +276,46 @@ def test_verify_and_demo_build_no_dense_tables():
     # The guard sees a built table: the first Multivector product builds two.
     geometric_product(Multivector.unit(Signature(2, 0)), Multivector.unit(Signature(2, 0)))
     assert {"xor", "_left_index"} <= set(vars(tables(Signature(2, 0))))
+
+
+def _near_unit_rows(sig, rows, rng):
+    u = 0.3 * (rng.standard_normal((rows, sig.dim))
+               + 1j * rng.standard_normal((rows, sig.dim))) / np.sqrt(sig.dim)
+    u[:, 0] += 1.0
+    return u
+
+
+def test_inverses_build_no_dense_tables(monkeypatch):
+    # inverse_rows inverts the spinor blocks, and a gauge element that is not
+    # exp(bivector) inverts through it: neither builds a 2^n x 2^n table.
+    dense = ("xor", "sign_k", "_left_index")
+    algebra._tables_cached.cache_clear()
+    rng = np.random.default_rng(11)
+    sig = Signature(5, 5)
+    u = _near_unit_rows(sig, 4, rng)
+    w = algebra.inverse_rows(sig, u)
+    t = tables(sig)
+    assert np.abs(t.product(t.to_spinor(u), t.to_spinor(w)) - t.unit).max() < 1e-12
+    sig = Signature(3, 2)
+    gauge = GaugeElement(ExpField(poly_field(sig, (1, (1, 0, 0, 0, 0), 0.4),
+                                             (4, (0, 0, 0, 0, 0), 0.3))))
+    assert not gauge.bivector_exp
+    x = sample_points(sig.n, count=3, seed=2)
+    wj = gauge.inv_jet(x, 1)
+    t = tables(sig)
+    assert np.abs(t.product(wj[:, 0], gauge.value(x)) - t.unit).max() < 1e-12
+    # The element keeps the jets of S alone; S^-1 is formed on request.
+    points, sjet = gauge._entry
+    assert np.array_equal(points, x) and np.array_equal(sjet, gauge.jet(x, 1))
+    # Past the default cap: two Cl(6,6) rows, where L(u) would be 4096 x 4096.
+    monkeypatch.setenv("CLIFFORD_YM_NMAX", "12")
+    sig = Signature(6, 6)
+    u = _near_unit_rows(sig, 2, rng)
+    w = algebra.inverse_rows(sig, u)
+    t = tables(sig)
+    assert np.abs(t.product(t.to_spinor(u), t.to_spinor(w)) - t.unit).max() < 1e-12
+    for p, q in ((5, 5), (3, 2), (6, 6)):
+        assert not set(dense) & set(vars(algebra._tables_cached(p, q)))
 
 
 def test_verify_certifies_past_the_default_dimension_cap(monkeypatch):

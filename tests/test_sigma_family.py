@@ -166,12 +166,13 @@ def test_covectors_compute_each_order_once_per_point_set(monkeypatch):
         by_object.setdefault(id(obj), (name, []))[1].append(order)
     # The derived connection and the potentials of the run's and the
     # transformed solution compute first order once. The transformed
-    # connection gives values to the primitive residual, then jets to the
-    # field strength; the perturbation and its transform give values only.
+    # connection computes its jets once, for the field strength, and the
+    # primitive residual reads their value rows; the perturbation and its
+    # transform give values only.
     assert sorted((name, orders) for name, orders in by_object.values()) == [
         ("DerivedConnection", [1]), ("GaugePotential", [1]), ("GaugePotential", [1]),
         ("OffsetCovector", [0]), ("TransformedConnection", [0]),
-        ("TransformedConnection", [0, 1])]
+        ("TransformedConnection", [1])]
 
 
 def test_covector_entry_serves_values_from_the_jets_once_computed():
