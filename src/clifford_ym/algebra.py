@@ -558,10 +558,19 @@ def inverse(u: Multivector, max_condition: float = 1e12) -> Multivector:
 
 
 def inverse_rows(sig: Signature, u: np.ndarray, max_condition: float = 1e12) -> np.ndarray:
-    """Inverses of the stacked elements u (..., 2^n), row by row.
+    """Blade rows of the inverses of the blade rows u (invert_spinor_rows)."""
+    u = np.asarray(u)
+    with np.errstate(all="ignore"):  # a non-finite row is refused, not warned about
+        s = tables(sig).to_spinor(u)
+    return invert_spinor_rows(sig, s, u, max_condition)[1]
 
-    Each d x d block of the spinor image of u is inverted on its own, and
-    the inverse goes back to blade coordinates; a one-sided inverse in a
+
+def invert_spinor_rows(sig: Signature, s: np.ndarray, u: np.ndarray,
+                       max_condition: float = 1e12) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of the spinor rows s (..., 2^n), whose blade rows are u, as
+    spinor and as blade rows.
+
+    Each d x d block of s is inverted on its own; a one-sided inverse in a
     finite-dimensional unital algebra is automatically two-sided. The bound
     is the 1-norm condition number ||L|| ||L^-1|| of the left-multiplication
     operator L(u) on blade arrays, formed without L: every column of L(u) is
@@ -570,7 +579,6 @@ def inverse_rows(sig: Signature, u: np.ndarray, max_condition: float = 1e12) -> 
     row has a non-finite coefficient, is zero, has a singular block or no
     finite inverse, or when that condition number exceeds max_condition.
     """
-    u = np.asarray(u)
     if not np.all(np.isfinite(u)):
         raise NotInvertible("element has a non-finite coefficient")
     unorm = np.abs(u).sum(axis=-1)
@@ -579,17 +587,17 @@ def inverse_rows(sig: Signature, u: np.ndarray, max_condition: float = 1e12) -> 
     t = tables(sig)
     with np.errstate(all="ignore"):
         try:
-            inv = np.linalg.inv(t.to_spinor(u).reshape(u.shape[:-1] + t.block_shape))
+            inv = np.linalg.inv(s.reshape(s.shape[:-1] + t.block_shape)).reshape(s.shape)
         except np.linalg.LinAlgError as exc:
             raise NotInvertible(f"a spinor block is singular: {exc}") from exc
         if not np.all(np.isfinite(inv)):
             raise NotInvertible("element has no finite inverse")
-        w = t.to_blades(inv.reshape(u.shape))
+        w = t.to_blades(inv)
         cond = unorm * np.abs(w).sum(axis=-1)
     if not np.all(cond <= max_condition):
         worst = float(np.max(np.where(cond <= max_condition, 0.0, cond)))
         raise NotInvertible(f"condition number {worst:.3e} exceeds max_condition={max_condition:.3e}")
-    return w
+    return inv, w
 
 
 def random_multivector(sig: Signature, rng: np.random.Generator, grades=None,

@@ -31,7 +31,7 @@ from .algebra import (
     CliffordError,
     SeriesDivergence,
     Signature,
-    inverse_rows,
+    invert_spinor_rows,
     tables,
 )
 
@@ -168,6 +168,12 @@ def _jet_mul(a: np.ndarray, b: np.ndarray, sig: Signature) -> np.ndarray:
     out += t.batch_product(a, b[..., :1, :])[..., 0, :]
     out[..., 0, :] = value
     return out
+
+
+def conjugate_jets(wj: np.ndarray, xj: np.ndarray, sj: np.ndarray, sig: Signature) -> np.ndarray:
+    """W X S of spinor jets (..., rows, dim) with broadcasting leading axes, W =
+    S^-1, by the product rule: the one conjugation kernel."""
+    return _jet_mul(_jet_mul(wj, xj, sig), sj, sig)
 
 
 class MultivectorField:
@@ -362,11 +368,11 @@ def invert_value_jet(sjet: np.ndarray, sig: Signature) -> np.ndarray:
     """Jets of the pointwise inverse field from the jets (P, rows, dim) of the field.
 
     The jets are of first order at most; the gradient rows follow from
-    d(W) = -W dS W for W = S^-1. The value is inverted block by block, with
-    the condition test of inverse_rows, which takes blade rows.
+    d(W) = -W dS W for W = S^-1. The value is inverted block by block
+    (invert_spinor_rows), whose bound reads the blade rows of S and S^-1.
     """
     t = tables(sig)
-    w = t.to_spinor(inverse_rows(sig, t.to_blades(sjet[:, 0])))[:, None]
+    w = invert_spinor_rows(sig, sjet[:, 0], t.to_blades(sjet[:, 0]))[0][:, None]
     out = np.empty_like(sjet)
     out[:, :1] = w
     if sjet.shape[1] > 1:
@@ -599,10 +605,9 @@ class GaugeElement:
 
     The element keeps one entry: the jets of S at the last point set it was
     asked about. S^-1 is formed from them on every request, in either
-    branch. A request for values alone (finite-difference stencils, the
-    residual conjugation check) computes values alone; any derivative
-    brings the jets to first order, the highest there is and all a verify
-    run needs.
+    branch. A request for values alone (finite-difference stencils) computes
+    values alone; any derivative brings the jets to first order, the
+    highest there is and all a verify run needs.
     """
 
     def __init__(self, s_field: MultivectorField):
@@ -651,9 +656,9 @@ class GaugeElement:
         return tables(self.sig).product(self.inv_jet(x, 0), sj[:, 1:])
 
     def conjugate(self, u: np.ndarray, x) -> np.ndarray:
-        """S^-1 u S at the points x, for rows u of shape (dim,) or (P, dim)."""
-        t = tables(self.sig)
-        return t.product(t.product(self.inv_value(x), u), self.value(x))
+        """S^-1 u S at the points x, for rows u (..., dim) that broadcast with (P, dim)."""
+        return conjugate_jets(self.inv_jet(x, 0), np.asarray(u)[..., None, :],
+                              self.jet(x, 0), self.sig)[..., 0, :]
 
     def membership_report(self, points) -> tuple[float, np.ndarray | None]:
         """Worst center leak of S^-1 dS over the points, with its argmax."""
@@ -711,17 +716,52 @@ def random_bivector_poly_field(sig: Signature, rng: np.random.Generator,
     return PolyField(sig, exps, coeffs)
 
 
-class CliffordFieldVector:
+class JetStack:
+    """One-entry memo of n stacked jets (P, n, rows, dim), the base of field
+    vectors and covectors, whose subclasses implement _compute_jets(x, order).
+
+    The entry holds the read-only jets at the last point set asked about.
+    A request for values alone computes values alone; any derivative brings
+    the jets to first order, the highest there is. The entry's one derived
+    slot (derived) is built from the first-order jets, so it never depends
+    on which order was asked for first.
+    """
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        self.n = sig.n
+        self._entry: list | None = None  # [points, jets, derived slot or None]
+
+    def values(self, x) -> np.ndarray:
+        """The n values at the points x, shape (P, n, dim)."""
+        return self.jets(x, 0)[:, :, 0]
+
+    def jets(self, x, order: int = 1) -> np.ndarray:
+        """The n jets at the points x, shape (P, n, rows, dim)."""
+        x = _as_points(x, self.n)
+        rows = _nrows(order, self.n)
+        entry = self._entry
+        if entry is None or not _same_points(entry[0], x) or entry[1].shape[2] < rows:
+            entry = self._entry = [x.copy(), _frozen(self._compute_jets(x, order)), None]
+        return entry[1][:, :, :rows]
+
+    def derived(self, x, build):
+        """build() at the points x, kept in the entry, read-only. It runs once
+        per point set, after the entry holds the first-order jets, so
+        whatever it reads through this memo comes from them."""
+        self.jets(x, 1)
+        entry = self._entry
+        if entry[2] is None:
+            out = build()
+            entry[2] = tuple(map(_frozen, out)) if isinstance(out, tuple) else _frozen(out)
+        return entry[2]
+
+
+class CliffordFieldVector(JetStack):
     """n multivector fields h^mu forming a moving copy of the generator set.
 
-    Jets come stacked as (P, n, rows, dim). The vector keeps one entry, the
-    jets at the last point set it was asked about, which every downstream
-    consumer (the connection, the curvature, the gauge sector) reads. A
-    request for values alone computes values alone; any derivative brings
-    the jets to first order, the highest there is. validate reads the value
-    rows of the first-order jets, which a run reads next anyway. The entry
-    also keeps the bracket grids of the first-order jets once asked for
-    (bracket_grids). Cached arrays are read-only.
+    validate reads the value rows of its first-order jets, which a run reads
+    next anyway, and its derived slot keeps the bracket grids of h.
 
     grade_preserving is True only where the construction guarantees that
     the h-contraction F[h](U) = sum_rho eta_rho h^rho U h^rho is the plain
@@ -732,24 +772,9 @@ class CliffordFieldVector:
 
     grade_preserving = False
 
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        self.n = sig.n
-        # [points, jets, bracket grids or None]
-        self._entry: list | None = None
-
-    def values(self, x) -> np.ndarray:
-        """h^mu at the points x, shape (P, n, dim)."""
-        return self.jets(x, 0)[:, :, 0]
-
     def jets(self, x, order: int = 1) -> np.ndarray:
-        """Jets of every h^mu at the points x, shape (P, n, rows, dim)."""
-        x = _as_points(x, self.n)
-        rows = _nrows(order, self.n)
-        entry = self._entry
-        if entry is None or not _same_points(entry[0], x) or entry[1].shape[2] < rows:
-            entry = self._entry = [x.copy(), _frozen(self._compute_jets(x, order)), None]
-        return entry[1][:, :, :rows]
+        # Defined here so that a profiler can count the field vector's requests.
+        return super().jets(x, order)
 
     def bracket_grids(self, x) -> tuple[np.ndarray, np.ndarray]:
         """K^munu = [h^mu, h^nu], shape (P, n, n, dim), and
@@ -757,17 +782,10 @@ class CliffordFieldVector:
         (P, n, dim), at the points x, from the first-order jets.
 
         The sigma-free parts of a Yang-Mills solution on h: G^munu =
-        -sigma^2 K^munu and sum_mu d_mu G^munu = -sigma^2 D^nu. Kept in the
-        entry, so a family of solutions over h forms them once per point set.
+        -sigma^2 K^munu and sum_mu d_mu G^munu = -sigma^2 D^nu, kept in the
+        derived slot, so a family of solutions over h forms them once.
         """
-        hs = self.jets(x, 1)
-        entry = self._entry
-        if entry[2] is None:
-            entry[2] = tuple(_frozen(a) for a in _bracket_grids(hs, self.sig))
-        return entry[2]
-
-    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
-        raise NotImplementedError
+        return self.derived(x, lambda: _bracket_grids(self.jets(x, 1), self.sig))
 
     def validate(self, points, tol: float = 1e-10) -> dict:
         """Check the defining identities at the points; raise on breach.

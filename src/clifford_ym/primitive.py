@@ -50,54 +50,25 @@ from .contraction import ContractionTable, build_table, contraction_series
 from .fields import (
     CliffordFieldVector,
     GaugeElement,
+    JetStack,
     _as_points,
-    _frozen,
     _jet_mul,
     _map_chunks,
     _nrows,
-    _same_points,
+    conjugate_jets,
     sample_points,
 )
 
 
-class CovectorField:
-    """n multivector fields with a lower index, evaluable with jets.
+class CovectorField(JetStack):
+    """n multivector fields with a lower index, with jets in a JetStack memo.
 
-    Jets come stacked as (P, n, rows, dim) over the sample points. The
-    value rows are exact; the derivative rows hold d_nu X_mu only up to a
-    part symmetric in (mu, nu), which the curl d_mu X_nu - d_nu X_mu
+    The value rows are exact; the derivative rows hold d_nu X_mu only up to
+    a part symmetric in (mu, nu), which the curl d_mu X_nu - d_nu X_mu
     cancels. field_strength takes that curl and is the one reader of the
     derivative rows, so it is exact. The symmetric parts left out are the
     second derivatives of h and S, so no jet needs more than first order.
-
-    A covector keeps one entry, its jets at the last point set it was asked
-    about, read-only, as a field vector does: a request for values alone
-    computes values alone, and any derivative brings the jets to first
-    order. Subclasses implement _compute_jets.
     """
-
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        self.n = sig.n
-        # [points, jets, a subclass's array derived from them or None]
-        self._entry: list | None = None
-
-    def values(self, x) -> np.ndarray:
-        """C_mu at the points x, shape (P, n, dim)."""
-        return self.jets(x, 0)[:, :, 0]
-
-    def jets(self, x, order: int = 1) -> np.ndarray:
-        """Jets of every C_mu at the points x, shape (P, n, rows, dim)."""
-        x = _as_points(x, self.n)
-        rows = _nrows(order, self.n)
-        entry = self._entry
-        if entry is None or not _same_points(entry[0], x) or entry[1].shape[2] < rows:
-            entry = self._entry = [x.copy(), _frozen(self._compute_jets(x, order)), None]
-        return entry[1][:, :, :rows]
-
-    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
-        """Jets at the points x with at least the rows of order, shape (P, n, rows, dim)."""
-        raise NotImplementedError
 
     def flatness(self, h: CliffordFieldVector, x) -> np.ndarray:
         """Max-norm of the primitive residual of the pair (h, self) at each
@@ -183,9 +154,10 @@ class DerivedConnection(CovectorField):
     """The closed-form connection of a field vector, as a lazy covector field.
 
     Its entry holds the first-order jets of C at the last point set, from
-    the first-order jets of h there, and, once asked for, the flatness
-    maxima of the pair (h, C) there. Those do not depend on sigma, so a
-    family of solutions over (h, C) checks them once per point set.
+    the first-order jets of h there, and its derived slot, once asked for,
+    the flatness maxima of the pair (h, C) there. Those do not depend on
+    sigma, so a family of solutions over (h, C) checks them once per point
+    set.
     """
 
     def __init__(self, h: CliffordFieldVector, table: ContractionTable | None = None):
@@ -203,31 +175,32 @@ class DerivedConnection(CovectorField):
         return compute_C_jets(self.h.jets(x, 1), self.sig, self.table, self.h.grade_preserving)
 
     def flatness(self, h: CliffordFieldVector, x) -> np.ndarray:
-        """As CovectorField.flatness, kept in the entry for the h of this
-        connection; any other h is checked afresh."""
+        """As CovectorField.flatness, kept in the derived slot for the h of
+        this connection; any other h is checked afresh."""
         if h is not self.h:
             return super().flatness(h, x)
-        self.jets(x)
-        entry = self._entry
-        if entry[2] is None:
-            entry[2] = _frozen(super().flatness(h, entry[0]))
-        return entry[2]
+        return self.derived(x, lambda: max_per_point(primitive_residual(h, self, x)))
 
 
-def primitive_residual(h: CliffordFieldVector, c: CovectorField, x) -> np.ndarray:
-    """R_{mu rho} = d_mu h_rho - [C_mu, h_rho] at the points x, in blade
-    coordinates, shape (P, n, n, dim).
+def flatness_residual(hjets: np.ndarray, cvalues: np.ndarray, sig: Signature) -> np.ndarray:
+    """R_{mu rho} = d_mu h_rho - [C_mu, h_rho] in blade coordinates, shape
+    (P, n, n, dim), from the first-order jets (P, n, 1 + n, dim) of h and the
+    values (P, n, dim) of C.
 
     h_rho = eta_rho h^rho is applied after the subtraction, on the rho axis;
     eta_rho = +-1, so that is exact and reads the jets without a lowered copy.
     """
-    t = tables(h.sig)
-    eta = np.array(h.sig.metric(), dtype=float)[:, None]
-    cv = c.values(x)
-    hj = h.jets(x, 1)
-    r = hj[:, :, 1:].swapaxes(1, 2) - t.commutator_grid(cv, hj[:, :, 0])
+    t = tables(sig)
+    eta = np.array(sig.metric(), dtype=float)[:, None]
+    r = hjets[:, :, 1:].swapaxes(1, 2) - t.commutator_grid(cvalues, hjets[:, :, 0])
     r *= eta
     return t.to_blades(r)
+
+
+def primitive_residual(h: CliffordFieldVector, c: CovectorField, x) -> np.ndarray:
+    """R_{mu rho} = d_mu h_rho - [C_mu, h_rho] at the points x, in blade
+    coordinates, shape (P, n, n, dim) (see flatness_residual)."""
+    return flatness_residual(h.jets(x, 1), c.values(x), h.sig)
 
 
 def field_strength(c: CovectorField, x) -> np.ndarray:
@@ -254,10 +227,8 @@ def connection_center_leak(c: CovectorField, x) -> np.ndarray:
 
 
 class TransformedFieldVector(CliffordFieldVector):
-    """Conjugated field vector S^-1 h^mu S.
-
-    Grade-preserving when h is and conjugation by S keeps grades.
-    """
+    """Conjugated field vector S^-1 h^mu S, grade-preserving when h is and
+    conjugation by S keeps grades."""
 
     def __init__(self, base: CliffordFieldVector, gauge: GaugeElement):
         if base.sig != gauge.sig:
@@ -269,19 +240,27 @@ class TransformedFieldVector(CliffordFieldVector):
 
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         base = self.base.jets(x, order)
-        return _map_chunks(self._conjugate, math.prod(base.shape[1:]), base,
+        return _map_chunks(lambda b, sj, wj: conjugate_jets(wj[:, None], b, sj[:, None], self.sig),
+                           math.prod(base.shape[1:]), base,
                            self.gauge.jet(x, order), self.gauge.inv_jet(x, order))
 
-    def _conjugate(self, base: np.ndarray, sj: np.ndarray, wj: np.ndarray) -> np.ndarray:
-        return _jet_mul(_jet_mul(wj[:, None], base, self.sig), sj[:, None], self.sig)
+
+def transform_connection(cjets: np.ndarray, sjets: np.ndarray, wjets: np.ndarray,
+                         sig: Signature) -> np.ndarray:
+    """Jets of S^-1 C_mu S - S^-1 d_mu S, shape (P, n, rows, dim), from the
+    jets cjets (P, n, rows, dim) of C, the first-order jets sjets of S and
+    the jets wjets of S^-1 with the rows of cjets.
+    """
+    conj = conjugate_jets(wjets[:, None], cjets, sjets[:, None, :cjets.shape[2]], sig)
+    # wds[p, r, mu] = (row r of the jet of S^-1) d_mu S: row 0 is S^-1 d_mu S
+    # and row 1 + nu its gradient without S^-1 d_nu d_mu S, which is
+    # symmetric in (mu, nu) (see CovectorField).
+    wds = tables(sig).batch_product(wjets, sjets[:, 1:])
+    return conj - wds.swapaxes(1, 2)
 
 
 class TransformedConnection(CovectorField):
-    """Gauge-transformed connection S^-1 C_mu S - S^-1 d_mu S.
-
-    The gradient rows of S^-1 d_mu S leave out S^-1 d_nu d_mu S, which is
-    symmetric in (mu, nu) (see CovectorField).
-    """
+    """Gauge-transformed connection S^-1 C_mu S - S^-1 d_mu S (transform_connection)."""
 
     def __init__(self, base: CovectorField, gauge: GaugeElement):
         if base.sig != gauge.sig:
@@ -291,15 +270,9 @@ class TransformedConnection(CovectorField):
         self.gauge = gauge
 
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
-        sig = self.sig
-        sj = self.gauge.jet(x, 1)
-        wj = self.gauge.inv_jet(x, order)
-        conj = _jet_mul(_jet_mul(wj[:, None], self.base.jets(x, order), sig),
-                        sj[:, None, :_nrows(order, self.n)], sig)
-        # wds[p, r, mu] = (row r of the jet of S^-1) d_mu S: row 0 is S^-1 d_mu S
-        # and row 1 + nu its gradient without S^-1 d_nu d_mu S.
-        wds = tables(sig).batch_product(wj, sj[:, 1:])
-        return conj - wds.swapaxes(1, 2)
+        sjets = self.gauge.jet(x, 1)
+        return transform_connection(self.base.jets(x, order), sjets,
+                                    self.gauge.inv_jet(x, order), self.sig)
 
 
 def gauge_transform(h: CliffordFieldVector, c: CovectorField, gauge: GaugeElement, points=None):

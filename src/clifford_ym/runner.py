@@ -32,6 +32,7 @@ from .fields import (
     PolyField,
     _integer,
     _real,
+    conjugate_jets,
     make_frame_field,
     make_gauge_element,
     poly_rows,
@@ -41,10 +42,11 @@ from .fields import (
 )
 from .primitive import (
     DerivedConnection,
-    OffsetCovector,
     PrimitiveSolution,
+    flatness_residual,
     gauge_transform,
     primitive_residual,
+    transform_connection,
 )
 from .yang_mills import (
     YMSolution,
@@ -326,7 +328,15 @@ def _c2pair(z: complex) -> list[float]:
 
 def _gauge_check(case: dict, sol: YMSolution, cfg: RunConfig,
                  epsilon: complex | None) -> dict:
-    """Invariance check: transform by a random admissible gauge element."""
+    """Invariance check: transform by a random admissible gauge element S.
+
+    The transformed pair must pass every residual at every point, and at
+    the first three points the residual of a non-flat pair (h, C + a
+    perturbation of C_0) must transform as R -> S^-1 R S exactly. That
+    check runs the kernels of primitive_residual, TransformedConnection and
+    conjugation on [:3] slices of the jets of h, S, S^-1 and S^-1 h S and
+    the values of C, so nothing is evaluated at a second point set.
+    """
     tol = cfg.tolerances
     points = case["points"]
     gauge2: GaugeElement = case["check_gauge"]
@@ -339,19 +349,15 @@ def _gauge_check(case: dict, sol: YMSolution, cfg: RunConfig,
     prim_max = float(np.abs(primitive_residual(ht, ct, points)).max())
     del ct  # its jet entry is not held through the conjugation check
 
-    # Residual conjugation on a deliberately non-flat pair, at the first
-    # three points: the pointwise residual of the transformed pair must
-    # equal S^-1 R S exactly. Every array is evaluated on the whole point
-    # set and sliced (copies, so the whole arrays go), so no jet entry is
-    # replaced by a second point set.
-    t = tables(sol.sig)
-    pert = OffsetCovector(sol.c, {0: case["perturbation"]})
-    ref = primitive_residual(sol.h, pert, points)[:3].copy()
-    got = primitive_residual(ht, gauge_transform(sol.h, pert, gauge2)[1], points)[:3].copy()
-    del ht, pert
-    s_inv = gauge2.inv_value(points)[:3, None, None]
-    s_val = gauge2.value(points)[:3, None, None]
-    want = t.to_blades(t.product(t.product(s_inv, t.to_spinor(ref)), s_val))
+    sig, t = sol.sig, tables(sol.sig)
+    cp = np.array(sol.c.values(points)[:3])
+    cp[:, 0] = cp[:, 0] + case["perturbation"].value(points)[:3]
+    sj, wj = gauge2.jet(points, 1)[:3], gauge2.inv_jet(points, 0)[:3]
+    ref = flatness_residual(sol.h.jets(points, 1)[:3], cp, sig)
+    ct_pert = transform_connection(cp[:, :, None], sj, wj, sig)[:, :, 0]
+    got = flatness_residual(ht.jets(points, 1)[:3], ct_pert, sig)
+    want = t.to_blades(conjugate_jets(wj[:, None, None], t.to_spinor(ref)[..., None, :],
+                                      sj[:, None, None, :1], sig)[..., 0, :])
     conj_max = float(np.abs(got - want).max())
 
     ok = (leak <= tol["center_leak"]

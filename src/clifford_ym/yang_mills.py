@@ -15,7 +15,7 @@ every residual in max-norm. G, B and the flux are spinor arrays
 
 For one pair (h, C) only B, G and the flux depend on sigma. A family of
 solutions over the pair (a sigma sweep) reuses the sigma-free rest, which
-the one-entry memos of the pair compute once per point set:
+the derived slots of the pair's memos keep once per point set:
 
   - the DerivedConnection of h keeps the per-point flatness maxima of the
     pair, which build_solution compares with its own tol on every call;
@@ -43,7 +43,6 @@ from .fields import (
     GaugeElement,
     _as_points,
     _frozen,
-    _same_points,
     sample_points,
 )
 from .primitive import (
@@ -105,34 +104,24 @@ class YMSolution:
     points. The current is J^nu = eps h^nu, with eps pinned to
     4(n-1) sigma^3.
 
-    Keeps one entry: the flux of the second equation at the last point
-    set, computed on the first request there and read-only, so the
-    residuals and the eps solve share it. G^munu is formed on request from
-    the sigma-free K^munu that h keeps (bracket_grids), so a family of
-    solutions over one h holds K once rather than a G per sigma.
+    Holds no memo of its own. The flux of the second equation lives in the
+    derived slot of b, so the residuals and the eps solve share it, and
+    G^munu is formed on request from the sigma-free K^munu that h keeps
+    (bracket_grids), so a family of solutions over one h holds K once
+    rather than a G per sigma.
     """
 
     def __init__(self, h: CliffordFieldVector, c: CovectorField, sigma: complex):
-        if h.sig != c.sig:
-            raise CliffordError("field vector and connection signature mismatch")
+        self.b = GaugePotential(h, c, sigma)  # refuses a pair from two algebras
         self.sig = h.sig
         self.h = h
         self.c = c
         self.sigma = complex(sigma)
         self.epsilon = epsilon_value(self.sig.n, self.sigma)
-        self.b = GaugePotential(h, c, sigma)
-        self._entry: tuple | None = None
 
     @property
     def n(self) -> int:
         return self.sig.n
-
-    def _grids(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(flux, h^nu) at the points x, from the entry (see _field_grids)."""
-        x = _as_points(x, self.n)
-        if self._entry is None or not _same_points(self._entry[0], x):
-            self._entry = (x.copy(),) + tuple(_frozen(a) for a in _field_grids(self, x))
-        return self._entry[1:]
 
     def g_upper(self, x) -> np.ndarray:
         """G^munu = -sigma^2 [h^mu, h^nu], shape (P, n, n, dim), read-only."""
@@ -175,27 +164,26 @@ def eq1_residual(sol: YMSolution, x) -> np.ndarray:
     return tables(sol.sig).to_blades(field_strength(sol.b, x) - sol.g_lower(x))
 
 
-def _field_grids(sol: YMSolution, x) -> tuple[np.ndarray, np.ndarray]:
+def _field_grids(sol: YMSolution, x) -> np.ndarray:
     """The flux sum_mu d_mu G^munu - [B_mu, G^munu] of the second equation
-    before the source term, with the h value rows it used, both (P, n, dim).
+    before the source term, shape (P, n, dim), which the derived slot of B
+    keeps.
 
     By the product rule sum_mu d_mu G^munu = -sigma^2 D^nu, with D^nu and
     K^munu from h.bracket_grids.
     """
     bv = sol.b.values(x)
-    hv = sol.h.jets(x, 1)[:, :, 0]
     k, dg = sol.h.bracket_grids(x)
     g = -sol.sigma ** 2 * k
-    flux = -sol.sigma ** 2 * dg - tables(sol.sig).commutator_sum(bv, g)
-    return flux, hv
+    return -sol.sigma ** 2 * dg - tables(sol.sig).commutator_sum(bv, g)
 
 
 def eq2_residual(sol: YMSolution, x, epsilon: complex | None = None) -> np.ndarray:
     """sum_mu (d_mu G^munu - [B_mu, G^munu]) - eps h^nu, in blade coordinates,
     shape (P, n, dim)."""
     eps = sol.epsilon if epsilon is None else complex(epsilon)
-    flux, hv = sol._grids(x)
-    return tables(sol.sig).to_blades(flux - eps * hv)
+    flux = sol.b.derived(x, lambda: _field_grids(sol, x))
+    return tables(sol.sig).to_blades(flux - eps * sol.h.jets(x, 1)[:, :, 0])
 
 
 def conservation_residual(sol: YMSolution, x, epsilon: complex | None = None) -> np.ndarray:
@@ -249,10 +237,10 @@ def epsilon_from_residuals(sol: YMSolution, points) -> complex:
     inner products.
     """
     pts = _as_points(points, sol.n)
-    flux, hv = sol._grids(pts)
+    flux = sol.b.derived(pts, lambda: _field_grids(sol, pts)).reshape(len(pts), -1)
+    hv = sol.h.jets(pts, 1)[:, :, 0].reshape(len(pts), -1)
     blocks, d, _ = tables(sol.sig).block_shape
-    hv = hv.reshape(len(pts), -1)
-    proj = np.einsum("pk,pk->p", hv.conj(), flux.reshape(len(pts), -1)) / (blocks * d)
+    proj = np.einsum("pk,pk->p", hv.conj(), flux) / (blocks * d)
     norms = np.einsum("pk,pk->p", hv.conj(), hv) / (blocks * d)
     a = complex(proj.sum())
     total = float(norms.sum().real)

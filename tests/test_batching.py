@@ -129,6 +129,25 @@ def test_point_axis_rows_match_one_point_batches_across_chunks():
     _check_point_axis(sig, points, rows=range(len(points)))
 
 
+@pytest.mark.parametrize("p,q,mode", [(2, 0, "exact"), (3, 2, "exact"), (4, 3, "exact"),
+                                     (3, 2, "fd")])
+def test_a_report_on_fewer_points_is_a_prefix_of_one_on_more(p, q, mode):
+    # A point's entries do not depend on the batch it is computed in, and
+    # the conjugation check reads the first three points of any batch.
+    reports = []
+    for count in (6, 16):
+        report, code = runner.run_verify(runner.parse_config({
+            "signature": {"p": p, "q": q}, "frame": {"kind": "random"},
+            "gauge": {"kind": "random", "scale": 0.3},
+            "samples": {"count": count}, "seed": 7, "mode": mode,
+        }))
+        assert code == 0 and report["pass"]
+        reports.append(report)
+    small, large = reports
+    assert small["per_point"] == large["per_point"][:7]
+    assert small["gauge_check"]["conjugation_max"] == large["gauge_check"]["conjugation_max"]
+
+
 def _count_computes(monkeypatch):
     """Record every jet computation during a run, by the object that made it."""
     calls = []

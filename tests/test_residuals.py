@@ -34,6 +34,7 @@ from clifford_ym.primitive import (
     OffsetCovector,
     TransformedConnection,
     curvature_residual,
+    gauge_transform,
     primitive_residual,
 )
 from clifford_ym.yang_mills import (
@@ -261,6 +262,38 @@ def test_spinor_conjugation_matches_dense_oracle(name):
             want[(k,) + idx] = geometric_product(geometric_product(wk, r), sk).coeffs
     assert np.abs(want).max() > 1e-3  # a non-flat pair, not roundoff
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _whole_set_conjugation_max(cfg):
+    """conjugation_max as the check formed it on field objects: an
+    OffsetCovector and a transformed connection over it, both evaluated on
+    the whole point set, sliced to the first 3 points."""
+    case = runner.build_case(cfg)
+    points, h, gauge = case["points"], case["h"], case["check_gauge"]
+    t = tables(case["sig"])
+    pert = OffsetCovector(case["conn"], {0: case["perturbation"]})
+    ht, ct = gauge_transform(h, pert, gauge)
+    ref = primitive_residual(h, pert, points)[:3]
+    got = primitive_residual(ht, ct, points)[:3]
+    want = t.to_blades(t.product(t.product(gauge.inv_value(points)[:3, None, None],
+                                           t.to_spinor(ref)),
+                                 gauge.value(points)[:3, None, None]))
+    return float(np.abs(got - want).max())
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_sliced_conjugation_check_equals_the_whole_set_oracle(name):
+    # The report's check runs the array kernels on 3-point slices; the
+    # oracle runs the field objects on every point. The bits must agree.
+    spec = RUNS[name]
+    if "verify" in spec:
+        cfg = runner.parse_config(spec["verify"])
+    else:  # the run inside runner.run_demo
+        cfg = runner.RunConfig(p=spec["demo"], q=0, sigma=1.0, seed=12345, sample_seed=12345,
+                               count=8, frame_spec={"kind": "random"},
+                               gauge_spec={"kind": "random", "scale": 0.3})
+    report, _ = golden_run(spec)
+    assert report["gauge_check"]["conjugation_max"] == _whole_set_conjugation_max(cfg)
 
 
 def test_verify_and_demo_build_no_dense_tables():

@@ -149,29 +149,49 @@ def test_kept_arrays_equal_a_cold_computation_and_do_not_depend_on_sigma_order()
             assert np.array_equal(a, b)
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 def test_covectors_compute_each_order_once_per_point_set(monkeypatch):
-    calls = []
-    for cls in (DerivedConnection, TransformedConnection, OffsetCovector, GaugePotential):
-        def counted(self, x, order, original=cls._compute_jets, name=cls.__name__):
-            calls.append((name, self, order))  # held, so that no two objects share an id
-            return original(self, x, order)
-        monkeypatch.setattr(cls, "_compute_jets", counted)
-    report, code = runner.run_verify(runner.parse_config({
+    calls, seen = [], []
+    for cls in _subclasses(fields.JetStack):
+        if "_compute_jets" in vars(cls):
+            def counted(self, x, order, original=vars(cls)["_compute_jets"], name=cls.__name__):
+                calls.append((name, self, order))  # held, so that no two objects share an id
+                seen.append(np.array(x))
+                return original(self, x, order)
+            monkeypatch.setattr(cls, "_compute_jets", counted)
+    memo = fields.GaugeElement._memo_jet
+
+    def memo_counted(self, x, *args):
+        seen.append(np.array(x))
+        return memo(self, x, *args)
+    monkeypatch.setattr(fields.GaugeElement, "_memo_jet", memo_counted)
+    cfg = runner.parse_config({
         "signature": {"p": 2, "q": 1}, "frame": {"kind": "random"},
         "gauge": {"kind": "random", "scale": 0.3}, "samples": {"count": 6}, "seed": 3,
-    }))
+    })
+    report, code = runner.run_verify(cfg)
     assert code == 0 and report["pass"]
+    # Every jet the run computes, and every request to a gauge element, is
+    # at the run's own point set: the conjugation check slices, it never
+    # evaluates at 3 points.
+    points = fields.sample_points(cfg.n, count=cfg.count, box=cfg.box, seed=cfg.sample_seed)
+    assert seen and all(np.array_equal(x, points) for x in seen)
     by_object = {}
     for name, obj, order in calls:
         by_object.setdefault(id(obj), (name, []))[1].append(order)
     # The derived connection and the potentials of the run's and the
     # transformed solution compute first order once. The transformed
     # connection computes its jets once, for the field strength, and the
-    # primitive residual reads their value rows; the perturbation and its
-    # transform give values only.
-    assert sorted((name, orders) for name, orders in by_object.values()) == [
+    # primitive residual reads their value rows. No perturbed covector is
+    # built.
+    covectors = {"DerivedConnection", "TransformedConnection", "OffsetCovector", "GaugePotential"}
+    assert sorted((name, orders) for name, orders in by_object.values() if name in covectors) == [
         ("DerivedConnection", [1]), ("GaugePotential", [1]), ("GaugePotential", [1]),
-        ("OffsetCovector", [0]), ("TransformedConnection", [0]),
         ("TransformedConnection", [1])]
 
 
