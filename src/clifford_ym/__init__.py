@@ -50,7 +50,6 @@ from .yang_mills import (
     build_solution,
     gauge_transform_solution,
     verify_solution,
-    ym_residuals,
 )
 
 __all__ = [
@@ -95,7 +94,6 @@ __all__ = [
     "solve",
     "trace",
     "verify_solution",
-    "ym_residuals",
 ]
 
 __version__ = "0.1.0"

@@ -147,42 +147,18 @@ def build_table(n: int) -> ContractionTable:
         raise CliffordError(f"dimension must be >= 1, got {n}")
     lam = lambdas(n)
     mus = tuple(None if n - lk == 0 else Fraction(1, n - lk) for lk in lam)
-    if n % 2 == 0:
-        a_rows = [[lam[l] ** k for l in range(n + 1)] for k in range(n + 1)]
-        b_rows = invert_rational_matrix([[Fraction(x) for x in row] for row in a_rows])
-        weights = tuple(
-            sum((mus[k] * b_rows[k][l] for k in range(1, n + 1)), Fraction(0))
-            for l in range(n + 1)
-        )
-        return ContractionTable(
-            n=n,
-            lambdas=lam,
-            a=tuple(tuple(row) for row in a_rows),
-            b=tuple(tuple(row) for row in b_rows),
-            d=None,
-            g=None,
-            mus=mus,
-            weights=weights,
-        )
-    # Odd n: lambda_k = lambda_{n-k}, so use the distinct values lambda_0..
-    # lambda_{(n-1)/2} and solve for the paired projections.
-    half = (n + 1) // 2
-    d_rows = [[lam[l] ** k for l in range(half)] for k in range(half)]
-    g_rows = invert_rational_matrix([[Fraction(x) for x in row] for row in d_rows])
+    # Odd n has lambda_k = lambda_{n-k}, so its system uses the distinct
+    # values lambda_0..lambda_{(n-1)/2} and solves for the paired projections.
+    size = n + 1 if n % 2 == 0 else (n + 1) // 2
+    power = [[lam[l] ** k for l in range(size)] for k in range(size)]
+    inverse = invert_rational_matrix([[Fraction(x) for x in row] for row in power])
     weights = tuple(
-        sum((mus[k] * g_rows[k][l] for k in range(1, half)), Fraction(0))
-        for l in range(half)
+        sum((mus[k] * inverse[k][l] for k in range(1, size)), Fraction(0))
+        for l in range(size)
     )
-    return ContractionTable(
-        n=n,
-        lambdas=lam,
-        a=None,
-        b=None,
-        d=tuple(tuple(row) for row in d_rows),
-        g=tuple(tuple(row) for row in g_rows),
-        mus=mus,
-        weights=weights,
-    )
+    pair = (tuple(tuple(row) for row in power), tuple(tuple(row) for row in inverse))
+    a, b, d, g = pair + (None, None) if n % 2 == 0 else (None, None) + pair
+    return ContractionTable(n=n, lambdas=lam, a=a, b=b, d=d, g=g, mus=mus, weights=weights)
 
 
 def project(u: Multivector, k: int, vectors=None,

@@ -299,16 +299,10 @@ def point_entries(points: np.ndarray, maxima: dict) -> list[dict]:
 
 
 class PrimitiveSolution:
-    """A field vector with its derived connection and residual reporting."""
+    """A derived connection with residual reporting on its field vector."""
 
-    def __init__(self, h: CliffordFieldVector, table: ContractionTable | None = None,
-                 conn: DerivedConnection | None = None):
-        """Derive the connection of h, or report on conn, an existing derivation from h."""
-        if conn is None:
-            conn = DerivedConnection(h, table)
-        elif conn.h is not h:
-            raise CliffordError("conn was derived from a different field vector")
-        self.h = h
+    def __init__(self, conn: DerivedConnection):
+        self.h = conn.h
         self.table = conn.table
         self.c = conn
 
@@ -328,4 +322,4 @@ class PrimitiveSolution:
 
 
 def solve(h: CliffordFieldVector, table: ContractionTable | None = None) -> PrimitiveSolution:
-    return PrimitiveSolution(h, table)
+    return PrimitiveSolution(DerivedConnection(h, table))

@@ -326,8 +326,7 @@ def _c2pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _gauge_check(case: dict, sol: YMSolution, cfg: RunConfig,
-                 epsilon: complex | None) -> dict:
+def _gauge_check(case: dict, sol: YMSolution, cfg: RunConfig) -> dict:
     """Invariance check: transform by a random admissible gauge element S.
 
     The transformed pair must pass every residual at every point, and at
@@ -345,7 +344,7 @@ def _gauge_check(case: dict, sol: YMSolution, cfg: RunConfig,
     # The residuals bring the transformed connection to first order, and
     # the primitive residual reads the value rows of the same jets.
     ht, ct = gauge_transform(sol.h, sol.c, gauge2)
-    ym = verify_solution(YMSolution(ht, ct, sol.sigma), points, epsilon=epsilon)
+    ym = verify_solution(YMSolution(ht, ct, sol.sigma, sol.epsilon), points)
     prim_max = float(np.abs(primitive_residual(ht, ct, points)).max())
     del ct  # its jet entry is not held through the conjugation check
 
@@ -383,18 +382,17 @@ def run_verify(cfg: RunConfig) -> tuple[dict, int]:
     points = case["points"]
     tol = cfg.tolerances
 
-    prim = PrimitiveSolution(case["h"], conn=case["conn"]).campaign(points)
+    prim = PrimitiveSolution(case["conn"]).campaign(points)
     prim_summary = prim["summary"]
 
-    sol = YMSolution(case["h"], case["conn"], cfg.sigma)
-    eps_used = cfg.epsilon_override if cfg.epsilon_override is not None else sol.epsilon
-    ym = verify_solution(sol, points, epsilon=cfg.epsilon_override)
+    sol = YMSolution(case["h"], case["conn"], cfg.sigma, cfg.epsilon_override)
+    ym = verify_solution(sol, points)
     eps_solved = epsilon_from_residuals(sol, points)
-    eps_formula = sol.epsilon
+    eps_formula = epsilon_value(cfg.n, cfg.sigma)
     eps_rel = (abs(eps_solved - eps_formula) / abs(eps_formula)
                if eps_formula != 0 else abs(eps_solved))
 
-    gauge_check = _gauge_check(case, sol, cfg, cfg.epsilon_override)
+    gauge_check = _gauge_check(case, sol, cfg)
 
     per_point = []
     for prim_entry, ym_entry in zip(prim["per_point"], ym["per_point"]):
@@ -414,7 +412,7 @@ def run_verify(cfg: RunConfig) -> tuple[dict, int]:
     report = {
         "signature": {"p": cfg.p, "q": cfg.q},
         "sigma": _c2pair(cfg.sigma),
-        "epsilon": _c2pair(complex(eps_used)),
+        "epsilon": _c2pair(sol.epsilon),
         "epsilon_formula": _c2pair(eps_formula),
         "epsilon_solved": _c2pair(eps_solved),
         "epsilon_rel_error": float(eps_rel),

@@ -55,14 +55,12 @@ from .primitive import (
 
 __all__ = [
     "NotASolution",
-    "GaugePotential",
     "YMSolution",
     "epsilon_value",
     "build_solution",
     "eq1_residual",
     "eq2_residual",
     "conservation_residual",
-    "ym_residuals",
     "verify_solution",
     "epsilon_from_residuals",
     "gauge_transform_solution",
@@ -79,49 +77,36 @@ def epsilon_value(n: int, sigma: complex) -> complex:
     return 4 * (n - 1) * complex(sigma) ** 3
 
 
-class GaugePotential(CovectorField):
-    """Covector B_mu = sigma h_mu + C_mu with the index lowered by eta."""
+class YMSolution(CovectorField):
+    """A solution as its potential B_mu = sigma h_mu + C_mu, a covector
+    with the index lowered by eta, whose jets are the jets of B.
 
-    def __init__(self, h: CliffordFieldVector, c: CovectorField, sigma: complex):
+    Carries the defining fields (h, C, sigma) and the source strength eps
+    of the current J^nu = eps h^nu: 4(n-1) sigma^3 unless epsilon is
+    given. Evaluates the antisymmetric G^munu = -sigma^2 [h^mu, h^nu] (and
+    its lowered form) at arrays of points.
+
+    The flux of the second equation lives in the derived slot of B's
+    memo, so the residuals and the eps solve share it, and G^munu is
+    formed on request from the sigma-free K^munu that h keeps
+    (bracket_grids), so a family of solutions over one h holds K once
+    rather than a G per sigma.
+    """
+
+    def __init__(self, h: CliffordFieldVector, c: CovectorField, sigma: complex,
+                 epsilon: complex | None = None):
         if h.sig != c.sig:
             raise CliffordError("field vector and connection signature mismatch")
         super().__init__(h.sig)
         self.h = h
         self.c = c
         self.sigma = complex(sigma)
+        self.epsilon = (epsilon_value(self.n, self.sigma) if epsilon is None
+                        else complex(epsilon))
         self._scale = np.array([self.sigma * m for m in h.sig.metric()])[:, None, None]
 
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         return self.c.jets(x, order) + self.h.jets(x, order) * self._scale
-
-
-class YMSolution:
-    """Assembled solution data: potential B, strength G, current J.
-
-    Carries the defining fields (h, C, sigma) and the potential b, a
-    covector whose values are B_mu, and evaluates the antisymmetric
-    G^munu = -sigma^2 [h^mu, h^nu] (and its lowered form) at arrays of
-    points. The current is J^nu = eps h^nu, with eps pinned to
-    4(n-1) sigma^3.
-
-    Holds no memo of its own. The flux of the second equation lives in the
-    derived slot of b, so the residuals and the eps solve share it, and
-    G^munu is formed on request from the sigma-free K^munu that h keeps
-    (bracket_grids), so a family of solutions over one h holds K once
-    rather than a G per sigma.
-    """
-
-    def __init__(self, h: CliffordFieldVector, c: CovectorField, sigma: complex):
-        self.b = GaugePotential(h, c, sigma)  # refuses a pair from two algebras
-        self.sig = h.sig
-        self.h = h
-        self.c = c
-        self.sigma = complex(sigma)
-        self.epsilon = epsilon_value(self.sig.n, self.sigma)
-
-    @property
-    def n(self) -> int:
-        return self.sig.n
 
     def g_upper(self, x) -> np.ndarray:
         """G^munu = -sigma^2 [h^mu, h^nu], shape (P, n, n, dim), read-only."""
@@ -161,7 +146,7 @@ def build_solution(h: CliffordFieldVector, c: CovectorField, sigma: complex,
 def eq1_residual(sol: YMSolution, x) -> np.ndarray:
     """Field strength (curvature) of B minus the claimed G_munu, in blade
     coordinates, shape (P, n, n, dim)."""
-    return tables(sol.sig).to_blades(field_strength(sol.b, x) - sol.g_lower(x))
+    return tables(sol.sig).to_blades(field_strength(sol, x) - sol.g_lower(x))
 
 
 def _field_grids(sol: YMSolution, x) -> np.ndarray:
@@ -172,51 +157,36 @@ def _field_grids(sol: YMSolution, x) -> np.ndarray:
     By the product rule sum_mu d_mu G^munu = -sigma^2 D^nu, with D^nu and
     K^munu from h.bracket_grids.
     """
-    bv = sol.b.values(x)
     k, dg = sol.h.bracket_grids(x)
     g = -sol.sigma ** 2 * k
-    return -sol.sigma ** 2 * dg - tables(sol.sig).commutator_sum(bv, g)
+    return -sol.sigma ** 2 * dg - tables(sol.sig).commutator_sum(sol.values(x), g)
 
 
-def eq2_residual(sol: YMSolution, x, epsilon: complex | None = None) -> np.ndarray:
+def eq2_residual(sol: YMSolution, x) -> np.ndarray:
     """sum_mu (d_mu G^munu - [B_mu, G^munu]) - eps h^nu, in blade coordinates,
     shape (P, n, dim)."""
-    eps = sol.epsilon if epsilon is None else complex(epsilon)
-    flux = sol.b.derived(x, lambda: _field_grids(sol, x))
-    return tables(sol.sig).to_blades(flux - eps * sol.h.jets(x, 1)[:, :, 0])
+    flux = sol.derived(x, lambda: _field_grids(sol, x))
+    return tables(sol.sig).to_blades(flux - sol.epsilon * sol.h.jets(x, 1)[:, :, 0])
 
 
-def conservation_residual(sol: YMSolution, x, epsilon: complex | None = None) -> np.ndarray:
+def conservation_residual(sol: YMSolution, x) -> np.ndarray:
     """d_nu J^nu - [B_nu, J^nu] with J^nu = eps h^nu, summed over nu, in blade
     coordinates, shape (P, dim)."""
     t = tables(sol.sig)
-    eps = sol.epsilon if epsilon is None else complex(epsilon)
-    bv = sol.b.values(x)
-    hs = eps * sol.h.jets(x, 1)
+    hs = sol.epsilon * sol.h.jets(x, 1)
     div = np.trace(hs[:, :, 1:], axis1=1, axis2=2)
-    return t.to_blades(div - t.commutator_sum(bv, hs[:, :, None, 0])[:, 0])
+    return t.to_blades(div - t.commutator_sum(sol.values(x), hs[:, :, None, 0])[:, 0])
 
 
-def _ym_maxima(sol: YMSolution, pts: np.ndarray, epsilon: complex | None) -> dict:
-    """Per-point max-norms of the three residuals, each of shape (P,)."""
-    return {
-        "eq1_max": max_per_point(eq1_residual(sol, pts)),
-        "eq2_max": max_per_point(eq2_residual(sol, pts, epsilon)),
-        "conservation_max": max_per_point(conservation_residual(sol, pts, epsilon)),
-    }
-
-
-def ym_residuals(sol: YMSolution, x, epsilon: complex | None = None) -> list[dict]:
-    """Max-norm residual entries {point, eq1_max, eq2_max, conservation_max},
-    one per point of x."""
-    pts = _as_points(x, sol.n)
-    return point_entries(pts, _ym_maxima(sol, pts, epsilon))
-
-
-def verify_solution(sol: YMSolution, points, epsilon: complex | None = None) -> dict:
-    """Residual campaign over points; maxima plus the per-point breakdown."""
+def verify_solution(sol: YMSolution, points) -> dict:
+    """Residual campaign over points: the max-norm of each residual, and the
+    per-point entries {point, eq1_max, eq2_max, conservation_max}."""
     pts = _as_points(points, sol.n)
-    maxima = _ym_maxima(sol, pts, epsilon)
+    maxima = {
+        "eq1_max": max_per_point(eq1_residual(sol, pts)),
+        "eq2_max": max_per_point(eq2_residual(sol, pts)),
+        "conservation_max": max_per_point(conservation_residual(sol, pts)),
+    }
     report = {"samples": len(pts)}
     for key, vals in maxima.items():
         report[key] = float(np.max(vals))  # np.max keeps a NaN
@@ -237,7 +207,7 @@ def epsilon_from_residuals(sol: YMSolution, points) -> complex:
     inner products.
     """
     pts = _as_points(points, sol.n)
-    flux = sol.b.derived(pts, lambda: _field_grids(sol, pts)).reshape(len(pts), -1)
+    flux = sol.derived(pts, lambda: _field_grids(sol, pts)).reshape(len(pts), -1)
     hv = sol.h.jets(pts, 1)[:, :, 0].reshape(len(pts), -1)
     blocks, d, _ = tables(sol.sig).block_shape
     proj = np.einsum("pk,pk->p", hv.conj(), flux) / (blocks * d)

@@ -32,13 +32,13 @@ from clifford_ym.primitive import (
     solve,
 )
 from clifford_ym.yang_mills import (
+    YMSolution,
     build_solution,
     epsilon_from_residuals,
     epsilon_value,
     eq2_residual,
     gauge_transform_solution,
     verify_solution,
-    ym_residuals,
 )
 from conftest import build_field_vector
 
@@ -112,7 +112,7 @@ def test_criterion_4_yang_mills_certificate():
             c = DerivedConnection(h)
             for sigma in (1.0, -1.0, 0.5):
                 sol = build_solution(h, c, sigma, points=points[:0])
-                for res in ym_residuals(sol, points[:4]):
+                for res in verify_solution(sol, points[:4])["per_point"]:
                     for key in worst:
                         worst[key] = max(worst[key], res[key])
                 eps = epsilon_from_residuals(sol, points[:4])
@@ -150,8 +150,8 @@ def test_criterion_5_gauge_invariance():
         # Residuals come in blade coordinates, conjugate acts on spinor arrays.
         t = tables(sig)
         wrong = sol.epsilon + 1.0
-        base = t.to_spinor(eq2_residual(sol, points[:3], epsilon=wrong))
-        after = eq2_residual(moved, points[:3], epsilon=wrong)
+        base = t.to_spinor(eq2_residual(YMSolution(sol.h, sol.c, sol.sigma, wrong), points[:3]))
+        after = eq2_residual(YMSolution(moved.h, moved.c, moved.sigma, wrong), points[:3])
         conjugated = t.to_blades(gauge.conjugate(base.swapaxes(0, 1), points[:3]).swapaxes(0, 1))
         worst_conj = max(worst_conj, np.abs(after - conjugated).max())
 

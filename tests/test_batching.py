@@ -33,7 +33,6 @@ from clifford_ym.primitive import (
     primitive_residual,
 )
 from clifford_ym.yang_mills import (
-    GaugePotential,
     YMSolution,
     conservation_residual,
     double_commutator_check,
@@ -74,7 +73,7 @@ def _covectors(sig, h, check, rng):
         "offset": OffsetCovector(derived, {0: bump}),
         "transformed": TransformedConnection(derived, check),
         "zero": ZeroCovector(sig),
-        "potential": GaugePotential(h, derived, 0.7 - 0.2j),
+        "potential": YMSolution(h, derived, 0.7 - 0.2j),
     }
 
 
@@ -85,7 +84,7 @@ def _evaluate(sig, vectors, h, covectors, points):
     through the same sequence of requests as the whole set did.
     """
     sol = YMSolution(h, covectors["offset"], 0.8 - 0.3j)
-    wrong = sol.epsilon + 1.0
+    wrong = YMSolution(sol.h, sol.c, sol.sigma, sol.epsilon + 1.0)
     out = {}
     for name, vec in vectors.items():
         out[f"{name} jets"] = np.array(vec.jets(points, 1))
@@ -94,8 +93,8 @@ def _evaluate(sig, vectors, h, covectors, points):
         out[f"{name} primitive"] = primitive_residual(h, cov, points)
         out[f"{name} curvature"] = curvature_residual(cov, points)
     out["eq1"] = eq1_residual(sol, points)
-    out["eq2"] = eq2_residual(sol, points, wrong)
-    out["conservation"] = conservation_residual(sol, points, wrong)
+    out["eq2"] = eq2_residual(wrong, points)
+    out["conservation"] = conservation_residual(wrong, points)
     out["G"] = sol.g_upper(points)
     out["double commutator"] = double_commutator_check(h, points)
     return out

@@ -384,6 +384,13 @@ def test_verify_epsilon_override_breaches_tolerance(tmp_path):
     assert report["pass"] is False
     assert report["epsilon"] == [13.0, 0.0]
     assert report["eq2_max"] > 1.0
+    # The override reaches the transformed solution of the gauge check,
+    # while the eps solve is still held to the formula 4(n-1) sigma^3.
+    gauge = report["gauge_check"]
+    assert gauge["eq2_max"] > report["tolerances"]["gauge"]
+    assert gauge["pass"] is False
+    assert report["epsilon_formula"] == [4.0, 0.0]
+    assert report["epsilon_rel_error"] <= 1e-10
 
 
 def test_verify_output_file_matches_stdout(tmp_path, config_file):

@@ -106,6 +106,24 @@ def test_table_n1_degenerate_case():
     assert t1.weights == (Fraction(0),)
 
 
+def test_power_matrix_and_inverse_fill_the_pair_of_their_parity():
+    # Even n fills (a, b) with the (n + 1)-sized system, odd n fills (d, g)
+    # with the (n + 1)/2-sized one; power x inverse is exactly the identity.
+    for n in range(1, 13):
+        t = build_table(n)
+        lam = lambdas(n)
+        if n % 2 == 0:
+            size, (power, inverse), unused = n + 1, (t.a, t.b), (t.d, t.g)
+        else:
+            size, (power, inverse), unused = (n + 1) // 2, (t.d, t.g), (t.a, t.b)
+        assert unused == (None, None), n
+        assert power == tuple(tuple(lam[l] ** k for l in range(size)) for k in range(size)), n
+        assert all(isinstance(v, Fraction) for row in inverse for v in row), n
+        product = [[sum((power[i][k] * inverse[k][j] for k in range(size)), Fraction(0))
+                    for j in range(size)] for i in range(size)]
+        assert product == [[Fraction(int(i == j)) for j in range(size)] for i in range(size)], n
+
+
 def test_even_projectors_reproduce_grade_projection(rng):
     for (p, q) in [(2, 0), (1, 1), (4, 0), (2, 2)]:
         sig = Signature(p, q)

@@ -38,7 +38,6 @@ from clifford_ym.primitive import (
     primitive_residual,
 )
 from clifford_ym.yang_mills import (
-    GaugePotential,
     YMSolution,
     conservation_residual,
     double_commutator_check,
@@ -91,7 +90,7 @@ def oracle_g_upper_jets(sol, x):
 def oracle_eq1(sol, x):
     eta = sol.sig.metric()
     gj = oracle_g_upper_jets(sol, x)
-    fs = oracle_curvature(sol.b, x)
+    fs = oracle_curvature(sol, x)
     return np.array([[fs[mu, nu] - eta[mu] * eta[nu] * gj[mu, nu, 0]
                       for nu in range(sol.n)] for mu in range(sol.n)])
 
@@ -99,7 +98,7 @@ def oracle_eq1(sol, x):
 def oracle_eq2(sol, x, eps):
     sig = sol.sig
     gj = oracle_g_upper_jets(sol, x)
-    bv = _rows(sig, sol.b.values(x)[0])
+    bv = _rows(sig, sol.values(x)[0])
     hv = _rows(sig, sol.h.values(x)[0])
     out = []
     for nu in range(sol.n):
@@ -114,7 +113,7 @@ def oracle_eq2(sol, x, eps):
 def oracle_conservation(sol, x, eps):
     sig = sol.sig
     hj = _blades(sig, sol.h.jets(x, 1)[0])
-    bv = _rows(sig, sol.b.values(x)[0])
+    bv = _rows(sig, sol.values(x)[0])
     acc = Multivector.zero(sig)
     for nu in range(sol.n):
         acc = (acc + eps * Multivector(sig, hj[nu, 1 + nu])
@@ -169,11 +168,11 @@ def test_field_strength_and_eq1_match_oracle(perturbed):
 
 def test_eq2_and_conservation_match_oracle(perturbed):
     sig, h, broken, sol, points = perturbed
-    wrong = sol.epsilon + 1.0
-    assert_matches(eq2_residual(sol, points, wrong),
-                   np.array([oracle_eq2(sol, x, wrong) for x in points]))
-    assert_matches(conservation_residual(sol, points, wrong),
-                   np.array([oracle_conservation(sol, x, wrong) for x in points]))
+    wrong = YMSolution(sol.h, sol.c, sol.sigma, sol.epsilon + 1.0)
+    assert_matches(eq2_residual(wrong, points),
+                   np.array([oracle_eq2(sol, x, wrong.epsilon) for x in points]))
+    assert_matches(conservation_residual(wrong, points),
+                   np.array([oracle_conservation(sol, x, wrong.epsilon) for x in points]))
 
 
 @pytest.mark.parametrize("p,q", SIGNATURES)
@@ -226,7 +225,7 @@ def test_first_order_curl_matches_central_differences_of_values(p, q, mode):
     perturbed = OffsetCovector(conn, {0: case["perturbation"]})
     covectors = {
         "derived": conn,
-        "potential": GaugePotential(h, conn, 0.7),
+        "potential": YMSolution(h, conn, 0.7),
         "transformed": TransformedConnection(perturbed, case["check_gauge"]),
     }
     for name, cov in covectors.items():

@@ -22,7 +22,6 @@ from clifford_ym.primitive import (
     primitive_residual,
 )
 from clifford_ym.yang_mills import (
-    GaugePotential,
     NotASolution,
     build_solution,
     epsilon_from_residuals,
@@ -189,10 +188,10 @@ def test_covectors_compute_each_order_once_per_point_set(monkeypatch):
     # connection computes its jets once, for the field strength, and the
     # primitive residual reads their value rows. No perturbed covector is
     # built.
-    covectors = {"DerivedConnection", "TransformedConnection", "OffsetCovector", "GaugePotential"}
+    covectors = {"DerivedConnection", "TransformedConnection", "OffsetCovector", "YMSolution"}
     assert sorted((name, orders) for name, orders in by_object.values() if name in covectors) == [
-        ("DerivedConnection", [1]), ("GaugePotential", [1]), ("GaugePotential", [1]),
-        ("TransformedConnection", [1])]
+        ("DerivedConnection", [1]), ("TransformedConnection", [1]),
+        ("YMSolution", [1]), ("YMSolution", [1])]
 
 
 def test_covector_entry_serves_values_from_the_jets_once_computed():

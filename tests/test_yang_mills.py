@@ -43,7 +43,6 @@ from clifford_ym.yang_mills import (
     eq2_residual,
     gauge_transform_solution,
     verify_solution,
-    ym_residuals,
 )
 from conftest import build_field_vector, generator_field_vector
 
@@ -69,7 +68,7 @@ def certified(p, q, sigma, seed=79):
 ])
 def test_equations_hold_on_constructed_solutions(p, q, sigma):
     sig, sol, points = certified(p, q, sigma)
-    for res in ym_residuals(sol, points[:3]):
+    for res in verify_solution(sol, points[:3])["per_point"]:
         assert res["eq1_max"] < 1e-7
         assert res["eq2_max"] < 1e-7
         assert res["conservation_max"] < 1e-7
@@ -78,7 +77,7 @@ def test_equations_hold_on_constructed_solutions(p, q, sigma):
 def test_complex_coupling_works():
     sig, sol, points = certified(2, 1, 2.0j)
     assert sol.epsilon == pytest.approx(epsilon_value(3, 2.0j))
-    for res in ym_residuals(sol, points[:2]):
+    for res in verify_solution(sol, points[:2])["per_point"]:
         assert res["eq2_max"] < 1e-7
 
 
@@ -106,7 +105,7 @@ def test_field_strength_antisymmetric_and_center_free():
 def test_field_strength_matches_jet_formula():
     sig, sol, points = certified(2, 0, 1.0)
     x = points[1]
-    direct = curvature_residual(sol.b, x)[0]
+    direct = curvature_residual(sol, x)[0]
     expected = tables(sig).to_blades(sol.g_lower(x)[0])
     for mu in range(sig.n):
         for nu in range(sig.n):
@@ -117,7 +116,7 @@ def test_field_strength_of_flat_connection_vanishes(rng):
     sig, h, points = build_field_vector(2, 0, seed=83)
     c = DerivedConnection(h)
     sol = YMSolution(h, c, 0.0)
-    assert np.abs(curvature_residual(sol.b, points[:3])).max() < 1e-9
+    assert np.abs(curvature_residual(sol, points[:3])).max() < 1e-9
 
 
 def test_current_equals_scaled_field_vector():
@@ -125,7 +124,7 @@ def test_current_equals_scaled_field_vector():
     # what eq2_residual subtracts from the flux.
     sig, sol, points = certified(3, 0, 0.5)
     x = points[1]
-    j = eq2_residual(sol, x, epsilon=0.0)[0] - eq2_residual(sol, x)[0]
+    j = eq2_residual(YMSolution(sol.h, sol.c, sol.sigma, 0.0), x)[0] - eq2_residual(sol, x)[0]
     want = tables(sig).to_blades(sol.epsilon * sol.h.values(x)[0])
     assert np.abs(j - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
@@ -163,7 +162,7 @@ def test_wrong_epsilon_scales_linearly():
     base = np.abs(eq2_residual(sol, x)).max()
     assert base < 1e-9
     for delta in (0.5, 1.0, 2.0):
-        res = eq2_residual(sol, x, epsilon=sol.epsilon + delta)[0]
+        res = eq2_residual(YMSolution(sol.h, sol.c, sol.sigma, sol.epsilon + delta), x)[0]
         # residual is exactly -delta * h^nu once the true part cancels
         metric = sig.metric()
         for nu in range(sig.n):
@@ -177,7 +176,7 @@ def test_conservation_residual_zero_and_epsilon_independent():
         r = conservation_residual(sol, x)
         assert np.abs(r).max() < 1e-8
     # Scaling epsilon scales the whole residual, still zero here.
-    r2 = conservation_residual(sol, points[1], epsilon=123.0)
+    r2 = conservation_residual(YMSolution(sol.h, sol.c, sol.sigma, 123.0), points[1])
     assert np.abs(r2).max() < 1e-5
 
 
@@ -218,7 +217,7 @@ def test_epsilon_recovery_refuses_only_a_zero_field_vector():
 
 def test_ym_residuals_and_verify_schema():
     sig, sol, points = certified(2, 0, 1.0)
-    entries = ym_residuals(sol, points[1])
+    entries = verify_solution(sol, points[1])["per_point"]
     assert len(entries) == 1
     assert set(entries[0]) == {"point", "eq1_max", "eq2_max", "conservation_max"}
     rep = verify_solution(sol, points[:4])
@@ -235,15 +234,15 @@ def test_gauge_transformed_solution_still_solves(rng):
     moved = gauge_transform_solution(sol, gauge, points=points[:3])
     assert isinstance(moved, YMSolution)
     assert moved.sigma == sol.sigma
-    for res in ym_residuals(moved, points[:3]):
+    for res in verify_solution(moved, points[:3])["per_point"]:
         assert res["eq1_max"] < 1e-7
         assert res["eq2_max"] < 1e-7
         assert res["conservation_max"] < 1e-7
 
     # Pointwise conjugation of the potential.
     x = points[1]
-    bv = sol.b.values(x)[0]
-    mv = moved.b.values(x)[0]
+    bv = sol.values(x)[0]
+    mv = moved.values(x)[0]
     want = gauge.conjugate(bv, x) - gauge.connection(x)[0]
     assert np.abs(mv - want).max() < 1e-10
 
@@ -255,7 +254,7 @@ def test_double_gauge_transform_recovers_potential(rng):
     inverse = make_gauge_element(PolyField(sig, gen.exps, -gen.coeffs))
     back = gauge_transform_solution(moved, inverse, points=points[:3])
     x = points[2]
-    assert np.abs(back.b.values(x) - sol.b.values(x)).max() < 1e-9
+    assert np.abs(back.values(x) - sol.values(x)).max() < 1e-9
 
 
 def test_gauge_transform_solution_checks_membership(rng):
@@ -270,7 +269,7 @@ def test_identity_gauge_is_no_op():
     sig, sol, points = certified(2, 0, 1.0)
     moved = gauge_transform_solution(sol, GaugeElement.identity(sig), points=points[:2])
     x = points[1]
-    assert np.abs(moved.b.values(x) - sol.b.values(x)).max() < 1e-12
+    assert np.abs(moved.values(x) - sol.values(x)).max() < 1e-12
 
 
 def test_double_commutator_identity_constant_and_transported(rng):
@@ -294,7 +293,7 @@ def test_gauge_potential_with_zero_h_is_pure_connection():
     c = DerivedConnection(h)
     sol = YMSolution(h, c, 0.0)
     x = points[1]
-    assert np.abs(sol.b.values(x) - c.values(x)).max() < 1e-13
+    assert np.abs(sol.values(x) - c.values(x)).max() < 1e-13
 
 
 def test_intermediate_product_identity():
