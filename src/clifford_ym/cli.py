@@ -85,15 +85,8 @@ def cmd_verify(args) -> int:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     sigma = _parse_sigma(args.sigma) if args.sigma is not None else None
-    try:
-        cfg = parse_config(data, sigma_override=sigma,
-                           seed_override=args.seed, fd=args.fd)
-        report, code = run_verify(cfg)
-    except CliffordError as exc:  # ConfigError among them
-        # Bad frame matrices, non-bivector gauge terms, and the like are
-        # configuration mistakes, not tolerance breaches.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = parse_config(data, sigma_override=sigma, seed_override=args.seed, fd=args.fd)
+    report, code = run_verify(cfg)
     text = json.dumps(report, indent=2, sort_keys=True)
     if cfg.output:
         # Written first, so that a refused path leaves stdout empty.
@@ -121,11 +114,7 @@ def cmd_golden(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    try:
-        report, code = run_demo(args.n)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    report, code = run_demo(args.n)
     n = args.n
     print(f"Cl({n},0) demo, seed {report['seed']}")
     print("  lambda:", report["lambdas"])
@@ -179,7 +168,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except CliffordError as exc:  # ConfigError among them
+        # Bad frame matrices, non-bivector gauge terms, and the like are
+        # configuration mistakes, not tolerance breaches. Every command
+        # prints only after its work is done, so a refusal leaves stdout empty.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

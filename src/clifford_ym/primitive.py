@@ -160,10 +160,10 @@ class DerivedConnection(CovectorField):
     set.
     """
 
-    def __init__(self, h: CliffordFieldVector, table: ContractionTable | None = None):
+    def __init__(self, h: CliffordFieldVector):
         super().__init__(h.sig)
         self.h = h
-        self.table = table if table is not None else build_table(h.sig.n)
+        self.table = build_table(h.sig.n)
 
     def jets(self, x, order: int = 1) -> np.ndarray:
         # The inherited memo, overridden so that a profiler can count the
@@ -288,14 +288,17 @@ def max_per_point(r: np.ndarray) -> np.ndarray:
     return np.abs(r).reshape(len(r), math.prod(r.shape[1:])).max(axis=1, initial=0.0)
 
 
-def point_entries(points: np.ndarray, maxima: dict) -> list[dict]:
-    """Report entries {"point": [...], key: value, ...}, one per point, from
-    per-point arrays of maxima."""
+def point_report(points: np.ndarray, maxima: dict) -> dict:
+    """The one report shape of per-point arrays of maxima: {"samples": P,
+    key: largest value, ..., "per_point": [{"point": [...], key: value, ...}]}."""
+    report = {"samples": len(points)}
     entries = [{"point": [float(v) for v in x]} for x in points]
     for key, vals in maxima.items():
+        report[key] = float(np.max(vals))  # np.max keeps a NaN
         for entry, v in zip(entries, vals.tolist()):
             entry[key] = v
-    return entries
+    report["per_point"] = entries
+    return report
 
 
 class PrimitiveSolution:
@@ -307,7 +310,7 @@ class PrimitiveSolution:
         self.c = conn
 
     def campaign(self, points=None) -> dict:
-        """Per-point primitive, curvature and center-leak maxima, with their summary."""
+        """Per-point primitive, curvature and center-leak maxima (point_report)."""
         if points is None:
             points = sample_points(self.h.sig.n)
         pts = _as_points(points, self.h.sig.n)
@@ -316,10 +319,8 @@ class PrimitiveSolution:
             "curvature_max": max_per_point(curvature_residual(self.c, pts)),
             "center_leak": connection_center_leak(self.c, pts),
         }
-        summary = {key: {"max": float(vals.max()), "mean": float(np.mean(vals))}
-                   for key, vals in maxima.items()}
-        return {"per_point": point_entries(pts, maxima), "summary": summary}
+        return point_report(pts, maxima)
 
 
-def solve(h: CliffordFieldVector, table: ContractionTable | None = None) -> PrimitiveSolution:
-    return PrimitiveSolution(DerivedConnection(h, table))
+def solve(h: CliffordFieldVector) -> PrimitiveSolution:
+    return PrimitiveSolution(DerivedConnection(h))

@@ -50,7 +50,7 @@ from .primitive import (
     field_strength,
     gauge_transform,
     max_per_point,
-    point_entries,
+    point_report,
 )
 
 __all__ = [
@@ -179,19 +179,15 @@ def conservation_residual(sol: YMSolution, x) -> np.ndarray:
 
 
 def verify_solution(sol: YMSolution, points) -> dict:
-    """Residual campaign over points: the max-norm of each residual, and the
-    per-point entries {point, eq1_max, eq2_max, conservation_max}."""
+    """Residual campaign over points: the max-norm of each residual, overall
+    and per point (point_report)."""
     pts = _as_points(points, sol.n)
     maxima = {
         "eq1_max": max_per_point(eq1_residual(sol, pts)),
         "eq2_max": max_per_point(eq2_residual(sol, pts)),
         "conservation_max": max_per_point(conservation_residual(sol, pts)),
     }
-    report = {"samples": len(pts)}
-    for key, vals in maxima.items():
-        report[key] = float(np.max(vals))  # np.max keeps a NaN
-    report["per_point"] = point_entries(pts, maxima)
-    return report
+    return point_report(pts, maxima)
 
 
 def epsilon_from_residuals(sol: YMSolution, points) -> complex:
@@ -226,17 +222,20 @@ def epsilon_from_residuals(sol: YMSolution, points) -> complex:
 
 
 def gauge_transform_solution(sol: YMSolution, gauge: GaugeElement, points=None) -> YMSolution:
-    """Transformed solution with h -> S^-1 h S and C -> S^-1 C S - S^-1 dS.
+    """Transformed solution with h -> S^-1 h S and C -> S^-1 C S - S^-1 dS,
+    keeping the eps of sol.
 
     The potential, strength, and current of the result are exactly the
     conjugated/shifted transforms of the originals, so the rebuilt object
-    is the transformed solution. Membership of S and flatness of the
+    is the transformed solution, and a sol that breaches the second
+    equation breaches it after the transformation too. Membership of S and flatness of the
     transformed pair are validated at the sample points.
     """
     if points is None:
         points = sample_points(sol.n)
     ht, ct = gauge_transform(sol.h, sol.c, gauge, points=points)
-    return build_solution(ht, ct, sol.sigma, points=points)
+    moved = build_solution(ht, ct, sol.sigma, points=points)
+    return YMSolution(moved.h, moved.c, moved.sigma, sol.epsilon)
 
 
 def double_commutator_check(h: CliffordFieldVector, x) -> np.ndarray:

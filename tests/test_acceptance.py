@@ -93,8 +93,8 @@ def test_criterion_3_primitive_solver():
             sig, h, points = build_field_vector(p, q, seed=seed, count=16)
             n_points = len(points)
             camp = solve(h).campaign(points)
-            worst_primitive = max(worst_primitive, camp["summary"]["primitive_max"]["max"])
-            worst_curvature = max(worst_curvature, camp["summary"]["curvature_max"]["max"])
+            worst_primitive = max(worst_primitive, camp["primitive_max"])
+            worst_curvature = max(worst_curvature, camp["curvature_max"])
     elapsed = time.perf_counter() - t0
     ok = worst_primitive < 1e-8 and worst_curvature < 1e-7 and elapsed < 30.0
     report(3, "primitive solver", ok,

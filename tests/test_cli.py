@@ -423,6 +423,16 @@ def test_demo_passes():
     assert "lambda" in out
 
 
+def test_demo_refusal_exits_2_with_empty_stdout(monkeypatch):
+    # Any CliffordError is a refusal, not a traceback, in every command.
+    def refuse(n):
+        raise clifford_ym.CliffordError("no such field")
+
+    monkeypatch.setattr("clifford_ym.cli.run_demo", refuse)
+    code, out, err = run_cli(["demo", "--n", "2"])
+    assert (code, out, err) == (EXIT_CONFIG, "", "error: no such field\n")
+
+
 def test_demo_rejects_bad_n():
     with pytest.raises(SystemExit) as exc:
         run_cli(["demo", "--n", "9"])

@@ -247,6 +247,18 @@ def test_gauge_transformed_solution_still_solves(rng):
     assert np.abs(mv - want).max() < 1e-10
 
 
+def test_gauge_transform_keeps_the_epsilon_of_a_non_solution():
+    # eps = 13 is not the formula's 4(n-1) sigma^3 = 8, so the second
+    # equation fails, and it must fail after the transformation too.
+    sig, h, points = build_field_vector(2, 1, seed=79)
+    sol = YMSolution(h, DerivedConnection(h), 1.0, 13.0)
+    assert verify_solution(sol, points[:3])["eq2_max"] > 1.0
+    gen = random_bivector_poly_field(sig, np.random.default_rng(3), scale=0.25)
+    moved = gauge_transform_solution(sol, make_gauge_element(gen), points=points[:3])
+    assert moved.epsilon == 13.0
+    assert verify_solution(moved, points[:3])["eq2_max"] > 1.0
+
+
 def test_double_gauge_transform_recovers_potential(rng):
     sig, sol, points = certified(2, 0, 1.0)
     gen = random_bivector_poly_field(sig, rng, scale=0.25)
