@@ -259,9 +259,10 @@ class PolyField(MultivectorField):
     def jet(self, x, order: int = 1) -> np.ndarray:
         x = _as_points(x, self.sig.n)
         rows = _nrows(order, self.sig.n)
-        # Monomial values per point, row and monomial: (P, R, T) @ (T, dim).
-        return (self._factors[:rows]
-                * np.prod(x[:, None, None, :] ** self._powers[:rows], axis=-1)) @ self._spinor
+        # Monomial values per point, row and monomial: (P, R, T) @ (T, dim). The
+        # value row is a product of its own, so its bits do not depend on the order.
+        mono = self._factors[:rows] * np.prod(x[:, None, None, :] ** self._powers[:rows], axis=-1)
+        return np.concatenate([mono[:, :1] @ self._spinor, mono[:, 1:] @ self._spinor], axis=1)
 
     def grades_present(self) -> tuple[int, ...]:
         g = tables(self.sig).grades
@@ -326,10 +327,12 @@ class ExpField(MultivectorField):
     which at order 0 is the value series, term by term. The series runs
     until every point's term is below _EXP_TOL, and each point stops
     accumulating at its own first such term, so a point's jet does not
-    depend on the batch it is evaluated in. The stop reads the largest
-    entry of the term's spinor array, which bounds its largest blade
-    coefficient from above: it can cost an extra term, never stop early. A
-    term that is not finite ends the series at once.
+    depend on the batch it is evaluated in. The value row stops on its own
+    term, so it is the value series at either order; the gradient rows stop
+    on the whole jet's. The stop reads the largest entry of the spinor
+    array, which bounds its largest blade coefficient from above: it can
+    cost an extra term, never stop early. A term that is not finite ends
+    the series at once.
     """
 
     def __init__(self, generator: MultivectorField):
@@ -344,23 +347,21 @@ class ExpField(MultivectorField):
     def _series(self, a: np.ndarray, order: int) -> np.ndarray:
         acc = _unit_jets(self.sig, len(a), order)
         term = acc
-        live = np.ones(len(a), dtype=bool)
-        norms = np.full(len(a), np.inf)
+        live = np.ones(acc.shape[:2] + (1,), dtype=bool)  # per point and row
         for k in range(1, _EXP_MAX_TERMS + 1):
             term = _jet_mul(term, a, self.sig) / k
-            if live.all():
-                acc += term
-            else:
-                acc[live] += term[live]
-            norms = np.abs(term).max(axis=(1, 2), initial=0.0)
+            np.add(acc, term, out=acc, where=live)
+            mag = np.abs(term)
+            norms = mag.max(axis=(1, 2), initial=0.0)
             if not np.isfinite(norms).all():
                 raise SeriesDivergence(f"exponential jet series term {k} is not finite", float(norms.max()))
-            live &= ~(norms < _EXP_TOL)
+            live[:, 1:] &= ~(norms < _EXP_TOL)[:, None, None]
+            live[:, 0, 0] &= ~(mag[:, 0].max(axis=1, initial=0.0) < _EXP_TOL)
             if not live.any():
                 return acc
         raise SeriesDivergence(
             f"exponential jet series did not reach tol={_EXP_TOL} within {_EXP_MAX_TERMS} terms",
-            float(norms[live].max()),
+            float(norms[live.any(axis=(1, 2))].max()),
         )
 
 

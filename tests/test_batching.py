@@ -13,10 +13,12 @@ import pytest
 from clifford_ym import algebra, fields, primitive, runner, yang_mills
 from clifford_ym.algebra import Signature, random_multivector
 from clifford_ym.fields import (
+    ExpField,
     ExplicitFieldVector,
     FiniteDifferenceVector,
     FrameField,
     FrameGaugeFieldVector,
+    GaugeElement,
     PolyField,
     make_gauge_element,
     random_bivector_poly_field,
@@ -258,3 +260,54 @@ def test_field_grids_do_not_depend_on_call_order():
     assert np.array_equal(eq2_residual(second, points), eq2)
     assert np.array_equal(second.g_upper(points), g)
     assert not g.flags.writeable
+
+
+def _objects(sig, seed):
+    """Every field and covector type a config reaches, all built afresh."""
+    rng = np.random.default_rng(seed)
+    n = sig.n
+    gen = random_bivector_poly_field(sig, rng, scale=0.3)
+    gauge = make_gauge_element(gen)
+    check = make_gauge_element(random_bivector_poly_field(sig, rng, scale=0.25))
+    linear = np.zeros((n, sig.dim))
+    linear[np.arange(n), 1 << np.arange(n)] = rng.uniform(-0.2, 0.2, n)
+    h = FrameGaugeFieldVector(random_frame(sig, rng), gauge)
+    derived = DerivedConnection(h)
+    bump = PolyField.constant(sig, 0.05 * random_multivector(sig, rng, grades=(1, 2), real=True))
+    return {
+        "PolyField": gen,
+        "ExpField": ExpField(gen),
+        "GaugeElement, exp(bivector)": gauge,
+        "GaugeElement, exp(vector)": GaugeElement(
+            ExpField(PolyField(sig, np.eye(n, dtype=np.int64), linear))),
+        "FrameGaugeFieldVector": h,
+        "FiniteDifferenceVector": FiniteDifferenceVector(h),
+        "TransformedFieldVector": TransformedFieldVector(h, check),
+        "DerivedConnection": derived,
+        "YMSolution": YMSolution(h, derived, 0.7 - 0.2j),
+        "TransformedConnection": TransformedConnection(derived, check),
+        "OffsetCovector": OffsetCovector(derived, {0: bump}),
+    }
+
+
+def _values(obj, x, order):
+    """The values of obj at x, read from a request of the given order."""
+    if isinstance(obj, GaugeElement):
+        return obj.jet(x, order)[:, 0], obj.inv_jet(x, order)[:, 0]
+    if hasattr(obj, "jets"):
+        return (obj.jets(x, order)[:, :, 0],)
+    return (obj.jet(x, order)[:, 0],)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("p,q", [(2, 0), (3, 2), (4, 3)])
+def test_values_do_not_depend_on_the_order_asked_first(p, q, seed):
+    # A cold request for values and the value rows of a cold first-order
+    # request, each on its own fresh objects, agree bit for bit.
+    sig = Signature(p, q)
+    x = sample_points(sig.n, count=4, seed=seed)
+    for name in _objects(sig, seed):
+        alone = _values(_objects(sig, seed)[name], x, 0)
+        with_gradient = _values(_objects(sig, seed)[name], x, 1)
+        for a, b in zip(alone, with_gradient):
+            assert np.array_equal(a, b), f"{name}: {np.abs(a - b).max():.3e}"
