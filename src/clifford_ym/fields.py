@@ -459,29 +459,30 @@ def expm(a) -> np.ndarray:
 class FrameField:
     """n x n real frame y^mu_a(x) with y eta y^T = eta pointwise.
 
-    Kinds: identity, constant (a fixed pseudo-orthogonal matrix), and
-    rotation (exp(t(x) M) P for a pseudo-rotation generator M and a real
-    scalar PolyField t). Rotation derivatives are closed form:
-    d_nu Y = (d_nu t) M Y.
+    A frame is constant, the pseudo-orthogonal matrix base (the identity
+    when base is None), unless it has a pseudo-rotation generator M and a
+    real scalar PolyField t: then it is the rotation exp(t(x) M) base, whose
+    derivatives are closed form: d_nu Y = (d_nu t) M Y.
 
     The constructor checks the base matrix, and for rotations the generator
     and the parameter, so every frame is pseudo-orthogonal at every point by
     construction; field vectors rely on this for their contraction shortcut.
     """
 
-    def __init__(self, sig: Signature, kind: str, base: np.ndarray,
-                 generator: np.ndarray | None = None, poly: PolyField | None = None,
-                 tol: float = 1e-10):
+    def __init__(self, sig: Signature, base=None, generator=None,
+                 poly: PolyField | None = None, tol: float = 1e-10):
         n = sig.n
-        if kind not in ("identity", "constant", "rotation"):
-            raise FrameError(f"unknown frame kind {kind!r}")
-        self.base = np.asarray(base, dtype=float)
-        _check_pseudo_orthogonal(sig, self.base, tol)
-        if kind == "rotation":
+        self.base = np.eye(n) if base is None else np.asarray(base, dtype=float)
+        if self.base.shape != (n, n):
+            raise FrameError(f"frame matrix must be {n}x{n}, got {self.base.shape}")
+        res = float(_orthogonality_residual(sig, self.base))
+        if not res <= tol:  # NaN entries fail too
+            raise FrameError(f"matrix fails y eta y^T = eta by {res:.3e} (tol {tol:.1e})")
+        if generator is not None:
             generator = np.asarray(generator, dtype=float)
             if generator.shape != (n, n):
                 raise FrameError(f"rotation generator must be {n}x{n}")
-            eta = np.diag(np.array(sig.metric(), dtype=float))
+            eta = _eta(sig)
             # exp(tM) stays pseudo-orthogonal iff M eta + eta M^T = 0
             if not np.max(np.abs(generator @ eta + eta @ generator.T)) <= 1e-12:
                 raise FrameError("rotation generator is not in the pseudo-orthogonal Lie algebra")
@@ -491,26 +492,11 @@ class FrameField:
             # A real parameter keeps exp(tM) real, and its derivatives with it.
             if poly.coeffs.imag.any():
                 raise FrameError("rotation parameter must have real coefficients")
-        elif generator is not None or poly is not None:
-            raise FrameError(f"a {kind} frame takes no generator or parameter")
+        elif poly is not None:
+            raise FrameError("a constant frame takes no rotation parameter")
         self.sig = sig
-        self.kind = kind
         self.generator = generator
         self.poly = poly
-
-    @classmethod
-    def identity(cls, sig: Signature) -> "FrameField":
-        return cls(sig, "identity", np.eye(sig.n))
-
-    @classmethod
-    def constant(cls, sig: Signature, matrix, tol: float = 1e-10) -> "FrameField":
-        return cls(sig, "constant", matrix, tol=tol)
-
-    @classmethod
-    def rotation(cls, sig: Signature, poly: PolyField, generator, base=None,
-                 tol: float = 1e-10) -> "FrameField":
-        return cls(sig, "rotation", np.eye(sig.n) if base is None else base,
-                   generator, poly, tol=tol)
 
     def matrix(self, x) -> np.ndarray:
         """Frame matrices at the points x, shape (P, n, n)."""
@@ -518,14 +504,12 @@ class FrameField:
 
     def jets(self, x, order: int = 1):
         """Returns the first-order jets (Y, dY) at the points x: Y (P, n, n)
-        and dY[p, nu, mu, a] = d_nu y^mu_a, None at order 0."""
+        and dY[p, nu, mu, a] = d_nu y^mu_a, None at order 0 and for a
+        constant frame."""
         x = _as_points(x, self.sig.n)
-        n = self.sig.n
-        count = len(x)
-        first = _nrows(order, n) > 1
-        if self.kind in ("identity", "constant"):
-            y = np.broadcast_to(self.base, (count, n, n)).copy()
-            return y, (np.zeros((count, n, n, n)) if first else None)
+        first = _nrows(order, self.sig.n) > 1
+        if self.generator is None:
+            return np.broadcast_to(self.base, (len(x),) + self.base.shape).copy(), None
         # The first spinor entry of a field with a scalar part only is that part.
         tj = self.poly.jet(x, order)[:, :, 0].real
         y = expm(tj[:, 0, None, None] * self.generator) @ self.base
@@ -535,9 +519,7 @@ class FrameField:
     def validate(self, points, tol: float = 1e-10) -> float:
         """Max orthogonality residual over the points; raises on breach."""
         pts = _as_points(points, self.sig.n)
-        eta = np.diag(np.array(self.sig.metric(), dtype=float))
-        y = self.matrix(pts)
-        res = np.abs(y @ eta @ y.swapaxes(-1, -2) - eta).max(axis=(1, 2), initial=0.0)
+        res = _orthogonality_residual(self.sig, self.matrix(pts))
         bad = np.flatnonzero(~(res <= tol))  # NaN entries fail too
         if bad.size:
             p = bad[0]
@@ -545,21 +527,22 @@ class FrameField:
         return float(res.max(initial=0.0))
 
 
-def _check_pseudo_orthogonal(sig: Signature, mat: np.ndarray, tol: float):
-    n = sig.n
-    if mat.shape != (n, n):
-        raise FrameError(f"frame matrix must be {n}x{n}, got {mat.shape}")
-    eta = np.diag(np.array(sig.metric(), dtype=float))
-    res = float(np.max(np.abs(mat @ eta @ mat.T - eta)))
-    if not res <= tol:  # NaN entries fail too
-        raise FrameError(f"matrix fails y eta y^T = eta by {res:.3e} (tol {tol:.1e})")
+def _eta(sig: Signature) -> np.ndarray:
+    """The metric eta as an n x n diagonal float matrix."""
+    return np.diag(np.array(sig.metric(), dtype=float))
+
+
+def _orthogonality_residual(sig: Signature, y: np.ndarray) -> np.ndarray:
+    """max |y eta y^T - eta| over each n x n matrix of y, shape y.shape[:-2]."""
+    eta = _eta(sig)
+    return np.abs(y @ eta @ y.swapaxes(-1, -2) - eta).max(axis=(-2, -1), initial=0.0)
 
 
 def make_frame_field(sig: Signature, spec: dict) -> FrameField:
     """Build a frame from a JSON-style spec: identity, constant, or rotation."""
     kind = spec.get("kind", "identity")
     if kind == "identity":
-        return FrameField.identity(sig)
+        return FrameField(sig)
     if kind not in ("constant", "rotation"):
         raise FrameError(f"unknown frame kind {kind!r}")
 
@@ -578,10 +561,10 @@ def make_frame_field(sig: Signature, spec: dict) -> FrameField:
             raise FrameError(f"frame {key} is malformed: {exc}") from None
 
     if kind == "constant":
-        return FrameField.constant(sig, entry("matrix"))
+        return FrameField(sig, entry("matrix"))
     poly = entry("poly", lambda v: PolyField(sig, *poly_rows(sig, v, "frame.poly")))
     base = entry("base") if spec.get("base") is not None else None
-    return FrameField.rotation(sig, poly, entry("generator"), base)
+    return FrameField(sig, base, entry("generator"), poly)
 
 
 def random_frame(sig: Signature, rng: np.random.Generator, scale: float = 0.4) -> FrameField:
@@ -589,77 +572,104 @@ def random_frame(sig: Signature, rng: np.random.Generator, scale: float = 0.4) -
     n = sig.n
     s = rng.standard_normal((n, n)) * scale
     s = s - s.T
-    eta = np.diag(np.array(sig.metric(), dtype=float))
-    return FrameField.constant(sig, expm(s @ eta), tol=1e-9)
+    return FrameField(sig, expm(s @ _eta(sig)), tol=1e-9)
 
 
-class GaugeElement:
+class JetStack:
+    """One-entry memo of jets, with the jet-row axis second from the end:
+    the jets (P, rows, dim) of a gauge element, or the n stacked jets
+    (P, n, rows, dim) of a field vector or covector. Subclasses implement
+    _compute_jets(x, order), and those with a derived slot _derive(x).
+
+    The entry holds the read-only jets at the last point set asked about.
+    A request for values alone computes values alone; any derivative brings
+    the jets to first order, the highest there is. The entry's one derived
+    slot (derived) is built from the first-order jets, so it never depends
+    on which order was asked for first.
+    """
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        self.n = sig.n
+        self._entry: list | None = None  # [points, jets, derived slot or None]
+
+    def values(self, x) -> np.ndarray:
+        """The values at the points x, the jets without their row axis."""
+        return self.jets(x, 0)[..., 0, :]
+
+    def jets(self, x, order: int = 1) -> np.ndarray:
+        """The jets at the points x, shape (P, rows, dim) or (P, n, rows, dim)."""
+        x = _as_points(x, self.n)
+        rows = _nrows(order, self.n)
+        entry = self._entry
+        if entry is None or not _same_points(entry[0], x) or entry[1].shape[-2] < rows:
+            entry = self._entry = [x.copy(), _frozen(self._compute_jets(x, order)), None]
+        return entry[1][..., :rows, :]
+
+    def derived(self, x):
+        """_derive at the points x, kept in the entry, read-only. It runs once
+        per point set, after the entry holds the first-order jets, so
+        whatever it reads through this memo comes from them."""
+        self.jets(x, 1)
+        entry = self._entry
+        if entry[2] is None:
+            out = self._derive(entry[0])
+            entry[2] = tuple(map(_frozen, out)) if isinstance(out, tuple) else _frozen(out)
+        return entry[2]
+
+
+class GaugeElement(JetStack):
     """Invertible field S(x) whose logarithmic derivatives avoid the center.
 
     bivector_exp is set, from the type of the field alone, when S = exp(B)
     for a PolyField B with no grade but 2. Reversion is an anti-automorphism
     that negates bivectors, so reversion(exp B) = exp(-B) = S^-1: the
-    inverse value and jet are the reversions of those of S, a signed gather
-    of their spinor entries (_Tables.reverse), and conjugation by S keeps
-    every grade. Any other invertible field falls back to the per-block
-    inverse and the inverse-jet formula (invert_value_jet).
+    inverse jets are the reversions of those of S, a signed gather of their
+    spinor entries (_Tables.reverse), and conjugation by S keeps every
+    grade. Any other invertible field falls back to the per-block inverse
+    and the inverse-jet formula (invert_value_jet).
 
-    The element keeps one entry: the jets of S at the last point set it was
-    asked about. S^-1 is formed from them on every request, in either
-    branch. A request for values alone (finite-difference stencils) computes
-    values alone; any derivative brings the jets to first order, the
-    highest there is and all a verify run needs.
+    The JetStack entry holds the jets of S, read through jets and values;
+    inv_jets forms the jets of S^-1 from them on every request, in either
+    branch.
     """
 
     def __init__(self, s_field: MultivectorField):
-        self.sig = s_field.sig
+        super().__init__(s_field.sig)
         self.s_field = s_field
         gen = s_field.generator if isinstance(s_field, ExpField) else None
         self.bivector_exp = isinstance(gen, PolyField) and set(gen.grades_present()) <= {2}
-        self._entry: tuple | None = None
 
-    @classmethod
-    def identity(cls, sig: Signature) -> "GaugeElement":
-        return cls(ExpField(PolyField.zero(sig)))
-
-    def value(self, x) -> np.ndarray:
-        """S at the points x, shape (P, dim)."""
-        return self.jet(x, 0)[:, 0]
-
-    def inv_value(self, x) -> np.ndarray:
-        """S^-1 at the points x, shape (P, dim)."""
-        return self.inv_jet(x, 0)[:, 0]
+    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
+        return self.s_field.jet(x, order)
 
     def _memo_jet(self, x, order: int, inverse_side: bool) -> np.ndarray:
-        x = _as_points(x, self.sig.n)
-        rows = _nrows(order, self.sig.n)
-        entry = self._entry
-        if entry is None or not _same_points(entry[0], x) or entry[1].shape[1] < rows:
-            entry = self._entry = (x.copy(), _frozen(self.s_field.jet(x, order)))
-        sjet = entry[1][:, :rows]
+        # Every request for S or S^-1 passes here, so that a profiler can
+        # count them, and the computes under them, in one place.
+        sjet = super().jets(x, order)
         if not inverse_side:
             return sjet
         if self.bivector_exp:
             return _frozen(tables(self.sig).reverse(sjet))
         return _frozen(invert_value_jet(sjet, self.sig))
 
-    def jet(self, x, order: int = 1) -> np.ndarray:
+    def jets(self, x, order: int = 1) -> np.ndarray:
         """Jets of S at the points x, shape (P, rows, dim)."""
         return self._memo_jet(x, order, False)
 
-    def inv_jet(self, x, order: int = 1) -> np.ndarray:
+    def inv_jets(self, x, order: int = 1) -> np.ndarray:
         """Jets of S^-1 at the points x, shape (P, rows, dim)."""
         return self._memo_jet(x, order, True)
 
     def connection(self, x) -> np.ndarray:
         """S^-1 d_mu S at the points x, shape (P, n, dim)."""
-        sj = self.jet(x, 1)
-        return tables(self.sig).product(self.inv_jet(x, 0), sj[:, 1:])
+        sj = self.jets(x, 1)
+        return tables(self.sig).product(self.inv_jets(x, 0), sj[:, 1:])
 
     def conjugate(self, u: np.ndarray, x) -> np.ndarray:
         """S^-1 u S at the points x, for rows u (..., dim) that broadcast with (P, dim)."""
-        return conjugate_jets(self.inv_jet(x, 0), np.asarray(u)[..., None, :],
-                              self.jet(x, 0), self.sig)[..., 0, :]
+        return conjugate_jets(self.inv_jets(x, 0), np.asarray(u)[..., None, :],
+                              self.jets(x, 0), self.sig)[..., 0, :]
 
     def membership_report(self, points) -> tuple[float, np.ndarray | None]:
         """Worst center leak of S^-1 dS over the points, with its argmax."""
@@ -717,47 +727,6 @@ def random_bivector_poly_field(sig: Signature, rng: np.random.Generator,
     return PolyField(sig, exps, coeffs)
 
 
-class JetStack:
-    """One-entry memo of n stacked jets (P, n, rows, dim), the base of field
-    vectors and covectors, whose subclasses implement _compute_jets(x, order).
-
-    The entry holds the read-only jets at the last point set asked about.
-    A request for values alone computes values alone; any derivative brings
-    the jets to first order, the highest there is. The entry's one derived
-    slot (derived) is built from the first-order jets, so it never depends
-    on which order was asked for first.
-    """
-
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        self.n = sig.n
-        self._entry: list | None = None  # [points, jets, derived slot or None]
-
-    def values(self, x) -> np.ndarray:
-        """The n values at the points x, shape (P, n, dim)."""
-        return self.jets(x, 0)[:, :, 0]
-
-    def jets(self, x, order: int = 1) -> np.ndarray:
-        """The n jets at the points x, shape (P, n, rows, dim)."""
-        x = _as_points(x, self.n)
-        rows = _nrows(order, self.n)
-        entry = self._entry
-        if entry is None or not _same_points(entry[0], x) or entry[1].shape[2] < rows:
-            entry = self._entry = [x.copy(), _frozen(self._compute_jets(x, order)), None]
-        return entry[1][:, :, :rows]
-
-    def derived(self, x, build):
-        """build() at the points x, kept in the entry, read-only. It runs once
-        per point set, after the entry holds the first-order jets, so
-        whatever it reads through this memo comes from them."""
-        self.jets(x, 1)
-        entry = self._entry
-        if entry[2] is None:
-            out = build()
-            entry[2] = tuple(map(_frozen, out)) if isinstance(out, tuple) else _frozen(out)
-        return entry[2]
-
-
 class CliffordFieldVector(JetStack):
     """n multivector fields h^mu forming a moving copy of the generator set.
 
@@ -786,7 +755,10 @@ class CliffordFieldVector(JetStack):
         -sigma^2 K^munu and sum_mu d_mu G^munu = -sigma^2 D^nu, kept in the
         derived slot, so a family of solutions over h forms them once.
         """
-        return self.derived(x, lambda: _bracket_grids(self.jets(x, 1), self.sig))
+        return self.derived(x)
+
+    def _derive(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _bracket_grids(self.jets(x, 1), self.sig)
 
     def validate(self, points, tol: float = 1e-10) -> dict:
         """Check the defining identities at the points; raise on breach.
@@ -863,8 +835,8 @@ class FrameGaugeFieldVector(CliffordFieldVector):
         self.grade_preserving = gauge.bivector_exp
 
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
-        sj = self.gauge.jet(x, order)
-        return _map_chunks(self._combine, self.n * math.prod(sj.shape[1:]), sj, self.gauge.inv_jet(x, order),
+        sj = self.gauge.jets(x, order)
+        return _map_chunks(self._combine, self.n * math.prod(sj.shape[1:]), sj, self.gauge.inv_jets(x, order),
                            *self.frame.jets(x, order))
 
     def _combine(self, sj, wj, y, dy) -> np.ndarray:
@@ -879,7 +851,7 @@ class FrameGaugeFieldVector(CliffordFieldVector):
         h = y[:, :, 0, None, None] * k[:, None, 0]
         for a in range(1, n):
             h += y[:, :, a, None, None] * k[:, None, a]
-        if self.frame.kind == "rotation" and dy is not None:
+        if dy is not None:
             h[:, :, 1:] += np.einsum("pvua,pak->puvk", dy, k[:, :, 0])
         return h
 

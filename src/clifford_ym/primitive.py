@@ -179,7 +179,10 @@ class DerivedConnection(CovectorField):
         this connection; any other h is checked afresh."""
         if h is not self.h:
             return super().flatness(h, x)
-        return self.derived(x, lambda: max_per_point(primitive_residual(h, self, x)))
+        return self.derived(x)
+
+    def _derive(self, x: np.ndarray) -> np.ndarray:
+        return super().flatness(self.h, x)
 
 
 def flatness_residual(hjets: np.ndarray, cvalues: np.ndarray, sig: Signature) -> np.ndarray:
@@ -242,7 +245,7 @@ class TransformedFieldVector(CliffordFieldVector):
         base = self.base.jets(x, order)
         return _map_chunks(lambda b, sj, wj: conjugate_jets(wj[:, None], b, sj[:, None], self.sig),
                            math.prod(base.shape[1:]), base,
-                           self.gauge.jet(x, order), self.gauge.inv_jet(x, order))
+                           self.gauge.jets(x, order), self.gauge.inv_jets(x, order))
 
 
 def transform_connection(cjets: np.ndarray, sjets: np.ndarray, wjets: np.ndarray,
@@ -270,9 +273,9 @@ class TransformedConnection(CovectorField):
         self.gauge = gauge
 
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
-        sjets = self.gauge.jet(x, 1)
+        sjets = self.gauge.jets(x, 1)
         return transform_connection(self.base.jets(x, order), sjets,
-                                    self.gauge.inv_jet(x, order), self.sig)
+                                    self.gauge.inv_jets(x, order), self.sig)
 
 
 def gauge_transform(h: CliffordFieldVector, c: CovectorField, gauge: GaugeElement, points=None):

@@ -364,7 +364,7 @@ def _gauge_check(case: dict, sol: YMSolution, cfg: RunConfig) -> dict:
     sig, t = sol.sig, tables(sol.sig)
     cp = np.array(sol.c.values(points)[:3])
     cp[:, 0] = cp[:, 0] + case["perturbation"].value(points)[:3]
-    sj, wj = gauge2.jet(points, 1)[:3], gauge2.inv_jet(points, 0)[:3]
+    sj, wj = gauge2.jets(points, 1)[:3], gauge2.inv_jets(points, 0)[:3]
     ref = flatness_residual(sol.h.jets(points, 1)[:3], cp, sig)
     ct_pert = transform_connection(cp[:, :, None], sj, wj, sig)[:, :, 0]
     got = flatness_residual(ht.jets(points, 1)[:3], ct_pert, sig)
@@ -381,7 +381,11 @@ def _gauge_check(case: dict, sol: YMSolution, cfg: RunConfig) -> dict:
 
 def run_verify(cfg: RunConfig) -> tuple[dict, int]:
     """Full pipeline: h, C, solution, residuals, gauge check. Returns (report, exit)."""
-    case = build_case(cfg)
+    return _certify(build_case(cfg), cfg)
+
+
+def _certify(case: dict, cfg: RunConfig) -> tuple[dict, int]:
+    """The report and exit code of run_verify for a case built from cfg."""
     points = case["points"]
     tol = cfg.tolerances
 
@@ -460,8 +464,8 @@ def run_demo(n: int, seed: int = 12345) -> tuple[dict, int]:
     """End-to-end small-n showcase in Cl(n,0).
 
     Builds a seeded random field vector, checks the derived connection
-    against the literal explicit-weight formula, runs the residual
-    campaign, and reports the table data alongside.
+    against the literal explicit-weight formula, certifies that same case
+    as run_verify would, and reports the table data alongside.
     """
     if n not in (2, 3, 4):
         raise ConfigError(f"demo supports n in (2, 3, 4), got {n}")
@@ -476,7 +480,7 @@ def run_demo(n: int, seed: int = 12345) -> tuple[dict, int]:
     literal = explicit_connection(case["h"], case["points"], n)[:4]
     explicit_dev = float(np.abs(tables(case["sig"]).to_blades(derived - literal)).max())
 
-    report, code = run_verify(cfg)
+    report, code = _certify(case, cfg)
     report["explicit_weights"] = [fraction_to_json(f) for f in _GOLDEN_WEIGHTS[n]]
     report["explicit_formula_max_dev"] = explicit_dev
     report["lambdas"] = [int(v) for v in case["conn"].table.lambdas]

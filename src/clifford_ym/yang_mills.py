@@ -108,6 +108,9 @@ class YMSolution(CovectorField):
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         return self.c.jets(x, order) + self.h.jets(x, order) * self._scale
 
+    def _derive(self, x: np.ndarray) -> np.ndarray:
+        return _field_grids(self, x)
+
     def g_upper(self, x) -> np.ndarray:
         """G^munu = -sigma^2 [h^mu, h^nu], shape (P, n, n, dim), read-only."""
         return _frozen(-self.sigma ** 2 * self.h.bracket_grids(x)[0])
@@ -165,7 +168,7 @@ def _field_grids(sol: YMSolution, x) -> np.ndarray:
 def eq2_residual(sol: YMSolution, x) -> np.ndarray:
     """sum_mu (d_mu G^munu - [B_mu, G^munu]) - eps h^nu, in blade coordinates,
     shape (P, n, dim)."""
-    flux = sol.derived(x, lambda: _field_grids(sol, x))
+    flux = sol.derived(x)
     return tables(sol.sig).to_blades(flux - sol.epsilon * sol.h.jets(x, 1)[:, :, 0])
 
 
@@ -203,7 +206,7 @@ def epsilon_from_residuals(sol: YMSolution, points) -> complex:
     inner products.
     """
     pts = _as_points(points, sol.n)
-    flux = sol.derived(pts, lambda: _field_grids(sol, pts)).reshape(len(pts), -1)
+    flux = sol.derived(pts).reshape(len(pts), -1)
     hv = sol.h.jets(pts, 1)[:, :, 0].reshape(len(pts), -1)
     blocks, d, _ = tables(sol.sig).block_shape
     proj = np.einsum("pk,pk->p", hv.conj(), flux) / (blocks * d)

@@ -56,8 +56,8 @@ def _field_vectors(sig, rng):
     coeffs = np.zeros((2, sig.dim))
     coeffs[:, 0] = 0.5, 0.3
     theta = PolyField(sig, exps, coeffs)  # 0.5 x^1 + 0.3 (x^2)^2
-    frames = {"identity": FrameField.identity(sig), "constant": random_frame(sig, rng),
-              "rotation": FrameField.rotation(sig, theta, spin)}
+    frames = {"identity": FrameField(sig), "constant": random_frame(sig, rng),
+              "rotation": FrameField(sig, generator=spin, poly=theta)}
     vectors = {f"frame-{kind}": FrameGaugeFieldVector(f, gauge) for kind, f in frames.items()}
     base = vectors["frame-constant"]
     vectors["transformed"] = TransformedFieldVector(base, check)
@@ -293,7 +293,7 @@ def _objects(sig, seed):
 def _values(obj, x, order):
     """The values of obj at x, read from a request of the given order."""
     if isinstance(obj, GaugeElement):
-        return obj.jet(x, order)[:, 0], obj.inv_jet(x, order)[:, 0]
+        return obj.jets(x, order)[:, 0], obj.inv_jets(x, order)[:, 0]
     if hasattr(obj, "jets"):
         return (obj.jets(x, order)[:, :, 0],)
     return (obj.jet(x, order)[:, 0],)
@@ -303,11 +303,27 @@ def _values(obj, x, order):
 @pytest.mark.parametrize("p,q", [(2, 0), (3, 2), (4, 3)])
 def test_values_do_not_depend_on_the_order_asked_first(p, q, seed):
     # A cold request for values and the value rows of a cold first-order
-    # request, each on its own fresh objects, agree bit for bit.
+    # request, each on its own fresh objects, agree bit for bit. So does the
+    # derived slot of each class that declares one, whether values,
+    # first-order jets or the slot itself was asked for first.
     sig = Signature(p, q)
     x = sample_points(sig.n, count=4, seed=seed)
-    for name in _objects(sig, seed):
+    derived = set()
+    for name, obj in _objects(sig, seed).items():
         alone = _values(_objects(sig, seed)[name], x, 0)
         with_gradient = _values(_objects(sig, seed)[name], x, 1)
         for a, b in zip(alone, with_gradient):
             assert np.array_equal(a, b), f"{name}: {np.abs(a - b).max():.3e}"
+        if not hasattr(obj, "_derive"):
+            continue
+        derived.add(name)
+        slots = []
+        for first in (lambda o: o.values(x), lambda o: o.jets(x, 1), lambda o: o.derived(x)):
+            fresh = _objects(sig, seed)[name]
+            first(fresh)
+            slot = fresh.derived(x)
+            slots.append(slot if isinstance(slot, tuple) else (slot,))
+        for slot in slots[1:]:
+            for a, b in zip(slots[0], slot):
+                assert np.array_equal(a, b), f"{name} derived: {np.abs(a - b).max():.3e}"
+    assert {"FrameGaugeFieldVector", "DerivedConnection", "YMSolution"} <= derived

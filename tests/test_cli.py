@@ -423,6 +423,22 @@ def test_demo_passes():
     assert "lambda" in out
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_demo_certifies_the_case_it_compares(n, monkeypatch):
+    # The h compared with the literal formula is the h that is certified:
+    # one run_demo builds one case.
+    built = []
+    original = runner.build_case
+
+    def counted(cfg):
+        built.append(original(cfg))
+        return built[-1]
+    monkeypatch.setattr(runner, "build_case", counted)
+    report, code = runner.run_demo(n)
+    assert code == 0 and report["pass"]
+    assert len(built) == 1
+
+
 def test_demo_refusal_exits_2_with_empty_stdout(monkeypatch):
     # Any CliffordError is a refusal, not a traceback, in every command.
     def refuse(n):

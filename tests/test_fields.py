@@ -202,7 +202,7 @@ def test_invert_value_jet_matches_fd_of_inverse(rng):
 
 def test_frame_identity_and_constant(rng):
     sig = Signature(2, 1)
-    ident = FrameField.identity(sig)
+    ident = FrameField(sig)
     x = np.array([0.1, 0.2, 0.3])
     m = ident.matrix(x)
     assert np.allclose(m, np.eye(3))
@@ -212,36 +212,38 @@ def test_frame_identity_and_constant(rng):
     # preserve the metric diag(1, 1, -1).
     c, s = np.cos(0.4), np.sin(0.4)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    const = FrameField.constant(sig, rot)
+    const = FrameField(sig, rot)
     assert np.allclose(const.matrix(x), rot)
+    assert const.jets(x, 1)[1] is None  # a constant frame has no derivative jets
     const.validate(x)
     ch, sh = np.cosh(0.3), np.sinh(0.3)
     boost = np.array([[ch, 0.0, sh], [0.0, 1.0, 0.0], [sh, 0.0, ch]])
-    FrameField.constant(sig, boost).validate(x)
+    FrameField(sig, boost).validate(x)
 
     # Matrices that break y eta y^T = eta (or have the wrong shape) are refused.
     with pytest.raises(FrameError):
-        FrameField.constant(sig, np.eye(3) + 0.2 * rng.standard_normal((3, 3)))
+        FrameField(sig, np.eye(3) + 0.2 * rng.standard_normal((3, 3)))
     with pytest.raises(FrameError):
-        FrameField.constant(sig, np.zeros((3, 3)))
+        FrameField(sig, np.zeros((3, 3)))
     with pytest.raises(FrameError):
-        FrameField.constant(sig, np.eye(2))
+        FrameField(sig, np.eye(2))
     # The constructor itself checks, so no frame skips the orthogonality test.
     with pytest.raises(FrameError):
-        FrameField(sig, "constant", np.eye(3) * 1.1)
+        FrameField(sig, np.eye(3) * 1.1)
+    # A constant frame takes no parameter, and a rotation needs one.
+    with pytest.raises(FrameError, match="takes no rotation parameter"):
+        FrameField(sig, rot, poly=poly_field(sig, (0, (1, 0, 0), 1)))
     with pytest.raises(FrameError):
-        FrameField(sig, "moebius", np.eye(3))
+        FrameField(sig, rot, generator=np.zeros((3, 3)))
     with pytest.raises(FrameError):
-        FrameField(sig, "constant", rot, generator=np.zeros((3, 3)))
-    with pytest.raises(FrameError):
-        FrameField(sig, "rotation", rot, generator=np.eye(3), poly=poly_field(sig, (0, (1, 0, 0), 1)))
+        FrameField(sig, rot, generator=np.eye(3), poly=poly_field(sig, (0, (1, 0, 0), 1)))
     spin = np.zeros((3, 3))
     spin[0, 1], spin[1, 0] = 1.0, -1.0
     # The parameter must be a real scalar field over the frame's algebra.
     for poly in (poly_field(sig, (0, (1, 0, 0), 1j)), poly_field(sig, (1, (1, 0, 0), 1)),
                  poly_field(Signature(3, 0), (0, (1, 0, 0), 1)), None):
         with pytest.raises(FrameError):
-            FrameField(sig, "rotation", rot, generator=spin, poly=poly)
+            FrameField(sig, rot, generator=spin, poly=poly)
 
 
 def test_frame_rotation_jets_match_fd(rng):
@@ -249,7 +251,7 @@ def test_frame_rotation_jets_match_fd(rng):
     theta = poly_field(sig, (0, (1, 0, 0), 0.5))
     gen = np.zeros((3, 3))
     gen[0, 1], gen[1, 0] = 1.0, -1.0
-    frame = FrameField.rotation(sig, theta, gen)
+    frame = FrameField(sig, generator=gen, poly=theta)
     x = np.array([0.4, -0.2, 0.1])
     frame.validate(x)
     jets = frame.jets(x, 1)
@@ -276,17 +278,17 @@ def test_make_frame_field_specs(rng):
 def test_gauge_identity_and_conjugation(rng):
     sig = Signature(2, 1)
     t = tables(sig)
-    ident = GaugeElement.identity(sig)
+    ident = make_gauge_element(PolyField.zero(sig))
     x = np.array([0.1, -0.3, 0.2])
-    assert np.abs(t.to_blades(ident.value(x)[0]) - Multivector.unit(sig).coeffs).max() == 0.0
+    assert np.abs(t.to_blades(ident.values(x)[0]) - Multivector.unit(sig).coeffs).max() == 0.0
     u = random_multivector(sig, rng)
     su = t.to_spinor(u.coeffs)
     assert np.abs(t.to_blades(ident.conjugate(su, x)[0]) - u.coeffs).max() < 1e-14
     assert np.abs(ident.connection(x)).max() < 1e-14
 
     gauge = make_gauge_element(random_bivector_poly_field(sig, rng, scale=0.3))
-    s = Multivector(sig, t.to_blades(gauge.value(x)[0]))
-    sinv = Multivector(sig, t.to_blades(gauge.inv_value(x)[0]))
+    s = Multivector(sig, t.to_blades(gauge.values(x)[0]))
+    sinv = Multivector(sig, t.to_blades(gauge.inv_jets(x, 0)[0, 0]))
     assert (geometric_product(s, sinv) - Multivector.unit(sig)).max_norm() < 1e-12
     got = t.to_blades(gauge.conjugate(su, x)[0])
     ref = geometric_product(geometric_product(sinv, u), s)
@@ -304,8 +306,8 @@ def test_gauge_connection_matches_fd(rng):
     for mu in range(2):
         e = np.zeros(2)
         e[mu] = step
-        ds = t.to_blades(gauge.value(x + e)[0] - gauge.value(x - e)[0]) / (2 * step)
-        s = Multivector(sig, t.to_blades(gauge.value(x)[0]))
+        ds = t.to_blades(gauge.values(x + e)[0] - gauge.values(x - e)[0]) / (2 * step)
+        s = Multivector(sig, t.to_blades(gauge.values(x)[0]))
         ref = geometric_product(inverse(s), Multivector(sig, ds))
         assert np.abs(conn[mu] - ref.coeffs).max() < 1e-9
 
@@ -332,13 +334,13 @@ def test_reversed_gauge_jet_is_the_inverse_jet(p, q, rng):
     assert gauge.bivector_exp
     x = rng.uniform(-1.0, 1.0, size=sig.n)
     t = tables(sig)
-    got = gauge.inv_jet(x, 1)
+    got = gauge.inv_jets(x, 1)
     minus = PolyField(sig, gen.exps, -gen.coeffs)
-    for want in (ExpField(minus).jet(x, 1), invert_value_jet(gauge.jet(x, 1), sig)):
+    for want in (ExpField(minus).jet(x, 1), invert_value_jet(gauge.jets(x, 1), sig)):
         assert np.abs(t.to_blades(got - want)).max() < 1e-12
-    want = inverse_rows(sig, t.to_blades(gauge.value(x)))
-    assert np.abs(t.to_blades(gauge.inv_value(x)) - want).max() < 1e-12
-    assert np.array_equal(gauge.inv_jet(x, 0), got[:, :1])
+    want = inverse_rows(sig, t.to_blades(gauge.values(x)))
+    assert np.abs(t.to_blades(gauge.inv_jets(x, 0)[:, 0]) - want).max() < 1e-12
+    assert np.array_equal(gauge.inv_jets(x, 0), got[:, :1])
 
 
 def test_non_bivector_gauge_inverts_by_formula(rng):
@@ -352,13 +354,13 @@ def test_non_bivector_gauge_inverts_by_formula(rng):
     for gen, qualifies in zip(gens, (False, False, True)):
         gauge = GaugeElement(ExpField(gen))
         assert gauge.bivector_exp is qualifies
-        want = inverse_rows(sig, t.to_blades(gauge.value(x)))
-        assert np.abs(t.to_blades(gauge.inv_value(x)) - want).max() < 1e-12
-        want = invert_value_jet(gauge.jet(x, 1), sig)
-        assert np.abs(t.to_blades(gauge.inv_jet(x, 1) - want)).max() < 1e-12
+        want = inverse_rows(sig, t.to_blades(gauge.values(x)))
+        assert np.abs(t.to_blades(gauge.inv_jets(x, 0)[:, 0]) - want).max() < 1e-12
+        want = invert_value_jet(gauge.jets(x, 1), sig)
+        assert np.abs(t.to_blades(gauge.inv_jets(x, 1) - want)).max() < 1e-12
     # A field that is not an exponential takes the formula too.
     assert not GaugeElement(PolyField.constant(sig, Multivector.unit(sig))).bivector_exp
-    assert GaugeElement.identity(sig).bivector_exp
+    assert make_gauge_element(PolyField.zero(sig)).bivector_exp
 
 
 def test_gauge_membership_enforced(rng):
@@ -407,7 +409,7 @@ def test_field_vector_jets_match_fd(rng):
 
 def test_identity_everything_gives_generators():
     sig = Signature(2, 2)
-    h = FrameGaugeFieldVector(FrameField.identity(sig), GaugeElement.identity(sig))
+    h = FrameGaugeFieldVector(FrameField(sig), make_gauge_element(PolyField.zero(sig)))
     x = np.zeros(4)
     vals = tables(sig).to_blades(h.values(x)[0])
     for a in range(sig.n):
@@ -580,19 +582,19 @@ def test_jets_beyond_first_order_fail_closed(order, rng):
     theta = poly_field(sig, (0, (1, 0, 0), 0.5))
     spin = np.zeros((3, 3))
     spin[0, 1], spin[1, 0] = 1.0, -1.0
-    field_jets = [gen.jet, ExpField(gen).jet, gauge.jet, gauge.inv_jet,
+    field_jets = [gen.jet, ExpField(gen).jet, gauge.jets, gauge.inv_jets,
                   lambda y, k: fd_jet(gen.value, sig, y, k, 1e-5)]
     vector_jets = [h.jets, FiniteDifferenceVector(h).jets,
                    ExplicitFieldVector([PolyField.constant(sig, Multivector.generator(sig, a))
                                         for a in (1, 2, 3)]).jets]
-    frame_jets = [FrameField.identity(sig).jets, random_frame(sig, rng).jets,
-                  FrameField.rotation(sig, theta, spin).jets]
+    frame_jets = [FrameField(sig).jets, random_frame(sig, rng).jets,
+                  FrameField(sig, generator=spin, poly=theta).jets]
     for jet in field_jets + vector_jets + frame_jets:
         with pytest.raises(CliffordError, match="jet order must be 0 or 1"):
             jet(x, order)
     # The refusals left no entry behind: first-order jets still come out.
     assert h.jets(x, 1).shape == (2, sig.n, 1 + sig.n, sig.dim)
-    assert gauge.jet(x, 1).shape == (2, 1 + sig.n, sig.dim)
+    assert gauge.jets(x, 1).shape == (2, 1 + sig.n, sig.dim)
 
 
 GOLDEN_POINTS = {

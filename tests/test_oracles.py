@@ -63,7 +63,7 @@ def test_expm_matches_scipy_on_a_rotation_frame():
     gen = np.zeros((3, 3))
     gen[0, 2] = gen[2, 0] = 1.0  # a boost in the 1-3 plane
     theta = poly_field(sig, (0, (1, 0, 0), 1.7), (0, (0, 0, 0), 0.2))
-    frame = FrameField.rotation(sig, theta, gen)
+    frame = FrameField(sig, generator=gen, poly=theta)
     for x in sample_points(3, count=8, box=(-2.0, 2.0), seed=4):
         t = 1.7 * x[0] + 0.2
         exact = np.eye(3) + np.sinh(t) * gen + (np.cosh(t) - 1.0) * (gen @ gen)

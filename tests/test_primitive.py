@@ -191,7 +191,7 @@ def test_identity_frame_connection_is_gauge_connection(rng):
     # is a pure bivector so there is no center ambiguity to remove.
     sig = Signature(2, 0)
     gauge = make_gauge_element(random_bivector_poly_field(sig, rng, scale=0.3))
-    h = FrameGaugeFieldVector(FrameField.identity(sig), gauge)
+    h = FrameGaugeFieldVector(FrameField(sig), gauge)
     x = np.array([0.3, -0.2])
     h.validate(x)
     c = DerivedConnection(h).values(x)

@@ -250,8 +250,8 @@ def test_spinor_conjugation_matches_dense_oracle(name):
     t = tables(sig)
     pert = OffsetCovector(case["conn"], {0: case["perturbation"]})
     ref = primitive_residual(case["h"], pert, points)[:3]
-    s_inv = gauge.inv_value(points)[:3]
-    s_val = gauge.value(points)[:3]
+    s_inv = gauge.inv_jets(points, 0)[:3, 0]
+    s_val = gauge.values(points)[:3]
     got = t.to_blades(t.product(t.product(s_inv[:, None, None], t.to_spinor(ref)),
                                 s_val[:, None, None]))
     want = np.empty_like(got)
@@ -274,9 +274,9 @@ def _whole_set_conjugation_max(cfg):
     ht, ct = gauge_transform(h, pert, gauge)
     ref = primitive_residual(h, pert, points)[:3]
     got = primitive_residual(ht, ct, points)[:3]
-    want = t.to_blades(t.product(t.product(gauge.inv_value(points)[:3, None, None],
+    want = t.to_blades(t.product(t.product(gauge.inv_jets(points, 0)[:3, None, None, 0],
                                            t.to_spinor(ref)),
-                                 gauge.value(points)[:3, None, None]))
+                                 gauge.values(points)[:3, None, None]))
     return float(np.abs(got - want).max())
 
 
@@ -333,12 +333,13 @@ def test_inverses_build_no_dense_tables(monkeypatch):
                                              (4, (0, 0, 0, 0, 0), 0.3))))
     assert not gauge.bivector_exp
     x = sample_points(sig.n, count=3, seed=2)
-    wj = gauge.inv_jet(x, 1)
+    wj = gauge.inv_jets(x, 1)
     t = tables(sig)
-    assert np.abs(t.product(wj[:, 0], gauge.value(x)) - t.unit).max() < 1e-12
+    assert np.abs(t.product(wj[:, 0], gauge.values(x)) - t.unit).max() < 1e-12
     # The element keeps the jets of S alone; S^-1 is formed on request.
-    points, sjet = gauge._entry
-    assert np.array_equal(points, x) and np.array_equal(sjet, gauge.jet(x, 1))
+    points, sjet, derived = gauge._entry
+    assert np.array_equal(points, x) and np.array_equal(sjet, gauge.jets(x, 1))
+    assert derived is None
     # Past the default cap: two Cl(6,6) rows, where L(u) would be 4096 x 4096.
     monkeypatch.setenv("CLIFFORD_YM_NMAX", "12")
     sig = Signature(6, 6)

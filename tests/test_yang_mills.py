@@ -146,7 +146,7 @@ def test_build_solution_refuses_a_nan_primitive_residual(rng):
     sig = Signature(2, 0)
     gauge = make_gauge_element(random_bivector_poly_field(sig, rng, scale=0.3))
     points = sample_points(2, count=4, seed=3)
-    h = FrameGaugeFieldVector(FrameField.identity(sig), gauge)
+    h = FrameGaugeFieldVector(FrameField(sig), gauge)
     h.validate(points)
     offset = Multivector.scalar(sig, float("nan")) + Multivector.generator(sig, 1)
     broken = OffsetCovector(DerivedConnection(h), {0: PolyField.constant(sig, offset)})
@@ -279,7 +279,7 @@ def test_gauge_transform_solution_checks_membership(rng):
 
 def test_identity_gauge_is_no_op():
     sig, sol, points = certified(2, 0, 1.0)
-    moved = gauge_transform_solution(sol, GaugeElement.identity(sig), points=points[:2])
+    moved = gauge_transform_solution(sol, make_gauge_element(PolyField.zero(sig)), points=points[:2])
     x = points[1]
     assert np.abs(moved.values(x) - sol.values(x)).max() < 1e-12
 
