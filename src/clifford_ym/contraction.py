@@ -17,6 +17,11 @@ solver: mu_k = 1/(n - lambda_k) where defined, and the collapsed weights
 r_l = sum_k mu_k b_kl (even n) or s_l = sum_k mu_k g_kl (odd n, k up to
 (n-1)/2).
 
+F[h] has one implementation, contract_jets, on spinor jets (see
+algebra._Tables): the solver runs it on the jets of a field vector, and
+contract and project run it on one point, converting blades to spinor
+once on the way in and back once on the way out.
+
 Index convention: k and l are 0-based everywhere in this module, so
 A[k][l] = lambda_l ** k. One-based presentations of the same tables write
 a_{kl} = (lambda_{l-1})^{k-1}; entries are identical, only labels shift.
@@ -28,12 +33,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .algebra import (
     CliffordError,
     Multivector,
-    geometric_product,
+    Signature,
+    SignatureMismatch,
     grade_project,
+    tables,
 )
+from .fields import _jet_mul
 
 
 class SingularMatrixError(CliffordError):
@@ -45,29 +55,53 @@ def lambdas(n: int) -> tuple[int, ...]:
     return tuple((-1) ** k * (n - 2 * k) for k in range(n + 1))
 
 
+def contract_jets(vjets: np.ndarray, hjets: np.ndarray, sig: Signature) -> np.ndarray:
+    """F[h](V) = sum_rho eta_rho h^rho V h^rho on spinor jets: the one contraction routine.
+
+    vjets (P, m, rows, dim) holds m jets per point and hjets (P, n, rows,
+    dim) the field vector; the result has the shape of vjets.
+    """
+    eta = np.array(sig.metric(), dtype=float)[:, None, None]
+    h = hjets[:, None]
+    terms = _jet_mul(_jet_mul(h, vjets[:, :, None], sig), h, sig)
+    return (eta * terms).sum(axis=2)
+
+
+def _at_one_point(u: Multivector, vectors, fn) -> Multivector:
+    """fn(s, h) on u and the n contracting vectors, the generators e^a by
+    default, as one point of spinor jets, shapes (1, 1, 1, dim) and (1, n,
+    1, dim); its result in blades, zero for None."""
+    sig = u.sig
+    t = tables(sig)
+    if vectors is None:
+        h = t.generators
+    else:
+        vectors = list(vectors)
+        if len(vectors) != sig.n:
+            raise CliffordError(f"need {sig.n} vectors to contract with, got {len(vectors)}")
+        for v in vectors:
+            if v.sig != sig:
+                raise SignatureMismatch(f"{sig} vs {v.sig}")
+        h = t.to_spinor(np.array([v.coeffs for v in vectors]))
+    out = fn(t.to_spinor(u.coeffs)[None, None, None], h[None, :, None])
+    return Multivector.zero(sig) if out is None else Multivector(sig, t.to_blades(out[0, 0, 0]), copy=False)
+
+
 def contract(u: Multivector, vectors=None) -> Multivector:
-    """F(U) = sum_a eta_a v^a U v^a over n vectors, the generators e^a by default.
+    """F(U) = sum_a eta_a v^a U v^a over n vectors, the generators e^a by default,
+    by contract_jets on one point.
 
     The metric eta comes from u.sig. With the values of a Clifford field
     vector h at a point this is the h-contraction F[h].
     """
-    sig = u.sig
-    if vectors is None:
-        vectors = [Multivector.generator(sig, a) for a in range(1, sig.n + 1)]
-    vectors = list(vectors)
-    if len(vectors) != sig.n:
-        raise CliffordError(f"need {sig.n} vectors to contract with, got {len(vectors)}")
-    acc = Multivector.zero(sig)
-    for eta, v in zip(sig.metric(), vectors):
-        acc = acc + eta * geometric_product(geometric_product(v, u), v)
-    return acc
+    return _at_one_point(u, vectors, lambda s, h: contract_jets(s, h, u.sig))
 
 
 def contraction_series(u, coeffs, step):
     """sum_l c_l F^l(u) with F = step, skipping zero c_l; None if every c_l is 0.
 
     Needs only scalar multiplication and addition, so the one loop serves
-    multivectors (project) and jets (the connection) alike.
+    spinor arrays (project) and jets (the connection) alike.
     """
     acc = None
     power = u
@@ -175,8 +209,9 @@ def project(u: Multivector, k: int, vectors=None,
         table = build_table(n)
     if table.n != n:
         raise CliffordError(f"table is for n={table.n}, element lives in n={n}")
-    acc = contraction_series(u, table.projector_row(k), lambda v: contract(v, vectors))
-    return Multivector.zero(u.sig) if acc is None else acc
+    row = table.projector_row(k)
+    return _at_one_point(u, vectors, lambda s, h: contraction_series(
+        s, row, lambda v: contract_jets(v, h, u.sig)))
 
 
 def grade_project_paired(u: Multivector, k: int) -> Multivector:

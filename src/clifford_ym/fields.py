@@ -120,28 +120,6 @@ def _derivative_rows(n: int, order: int) -> np.ndarray:
     return rows[:_nrows(order, n)]
 
 
-# Jet stacks are built in chunks of points of at most this many complex
-# entries (512 KiB, or one point where a point holds more), which bounds
-# the temporaries of the products at any number of points.
-_CHUNK_ENTRIES = 1 << 15
-
-
-def _map_chunks(fn, per_point: int, *arrays) -> np.ndarray:
-    """fn over chunks of the leading point axis of the arrays (None passes
-    through), each chunk within _CHUNK_ENTRIES at per_point entries a
-    point, written into one output array."""
-    count = len(arrays[0])
-    step = max(1, _CHUNK_ENTRIES // per_point)
-    out = None
-    for lo in range(0, max(count, 1), step):  # an empty set still gives its shape
-        part = fn(*(None if a is None else a[lo:lo + step] for a in arrays))
-        if out is None:
-            out = np.empty((count,) + part.shape[1:], dtype=part.dtype)
-        out[lo:lo + step] = part
-        del part  # not held while the next chunk is computed
-    return out
-
-
 def _unit_jets(sig: Signature, count: int, order: int) -> np.ndarray:
     """Jets of the constant field e at count points."""
     out = np.zeros((count, _nrows(order, sig.n), sig.dim), dtype=np.complex128)
@@ -340,11 +318,7 @@ class ExpField(MultivectorField):
         self.generator = generator
 
     def jet(self, x, order: int = 1) -> np.ndarray:
-        x = _as_points(x, self.sig.n)
-        return _map_chunks(lambda pts: self._series(self.generator.jet(pts, order), order),
-                           _nrows(order, self.sig.n) * self.sig.dim, x)
-
-    def _series(self, a: np.ndarray, order: int) -> np.ndarray:
+        a = self.generator.jet(_as_points(x, self.sig.n), order)
         acc = _unit_jets(self.sig, len(a), order)
         term = acc
         live = np.ones(acc.shape[:2] + (1,), dtype=bool)  # per point and row
@@ -836,11 +810,8 @@ class FrameGaugeFieldVector(CliffordFieldVector):
 
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         sj = self.gauge.jets(x, order)
-        return _map_chunks(self._combine, self.n * math.prod(sj.shape[1:]), sj, self.gauge.inv_jets(x, order),
-                           *self.frame.jets(x, order))
-
-    def _combine(self, sj, wj, y, dy) -> np.ndarray:
-        """h^mu = y^mu_a S^-1 e^a S on one chunk of points, by the product rule."""
+        wj = self.gauge.inv_jets(x, order)
+        y, dy = self.frame.jets(x, order)
         sig = self.sig
         n = self.n
         # k[p, a] = S^-1 e^a S; the spinor gamma_a has one unit-modulus
@@ -899,9 +870,7 @@ def _scrambled_halton(d: int, count: int, seed: int) -> np.ndarray:
     out = np.empty((count, d))
     for col, base in enumerate(_first_primes(d)):
         digits = math.ceil(54 / math.log2(base)) - 1
-        perms = np.repeat(np.arange(base)[None], digits, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
+        perms = rng.permuted(np.repeat(np.arange(base)[None], digits, axis=0), axis=1)
         # Digit j of every index, and its weight b^-(j+1) by repeated division.
         pos = np.arange(digits)
         digit = index[:, None] // base ** pos % base

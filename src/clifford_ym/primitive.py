@@ -46,14 +46,12 @@ from .algebra import (
     Signature,
     tables,
 )
-from .contraction import ContractionTable, build_table, contraction_series
+from .contraction import ContractionTable, build_table, contract_jets, contraction_series
 from .fields import (
     CliffordFieldVector,
     GaugeElement,
     JetStack,
     _as_points,
-    _jet_mul,
-    _map_chunks,
     _nrows,
     conjugate_jets,
     sample_points,
@@ -101,18 +99,6 @@ class OffsetCovector(CovectorField):
         return out
 
 
-def _contract_jet(vjets: np.ndarray, hjets: np.ndarray, sig: Signature) -> np.ndarray:
-    """F[h](V) = sum_rho eta_rho h^rho V h^rho on jets.
-
-    vjets (P, m, rows, dim) holds m jets per point and hjets (P, n, rows,
-    dim) the field vector; the result has the shape of vjets.
-    """
-    eta = np.array(sig.metric(), dtype=float)[:, None, None]
-    h = hjets[:, None]
-    terms = _jet_mul(_jet_mul(h, vjets[:, :, None], sig), h, sig)
-    return (eta * terms).sum(axis=2)
-
-
 def _w_jets(hjets: np.ndarray, sig: Signature) -> np.ndarray:
     """W_mu = (d_mu h^rho) h_rho as first-order jets, shape (P, n, 1 + n, dim),
     from the first-order jets of h.
@@ -146,7 +132,7 @@ def compute_C_jets(hjets: np.ndarray, sig: Signature, table: ContractionTable,
         mus = np.array([0.0 if m is None else float(m) for m in table.mus])
         t = tables(sig)
         return t.to_spinor(t.to_blades(wjets) * mus[t.grades])
-    c = contraction_series(wjets, table.weights, lambda v: _contract_jet(v, hjets, sig))
+    c = contraction_series(wjets, table.weights, lambda v: contract_jets(v, hjets, sig))
     return np.zeros_like(wjets) if c is None else c
 
 
@@ -243,9 +229,8 @@ class TransformedFieldVector(CliffordFieldVector):
 
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         base = self.base.jets(x, order)
-        return _map_chunks(lambda b, sj, wj: conjugate_jets(wj[:, None], b, sj[:, None], self.sig),
-                           math.prod(base.shape[1:]), base,
-                           self.gauge.jets(x, order), self.gauge.inv_jets(x, order))
+        sj = self.gauge.jets(x, order)
+        return conjugate_jets(self.gauge.inv_jets(x, order)[:, None], base, sj[:, None], self.sig)
 
 
 def transform_connection(cjets: np.ndarray, sjets: np.ndarray, wjets: np.ndarray,
@@ -295,7 +280,7 @@ def point_report(points: np.ndarray, maxima: dict) -> dict:
     """The one report shape of per-point arrays of maxima: {"samples": P,
     key: largest value, ..., "per_point": [{"point": [...], key: value, ...}]}."""
     report = {"samples": len(points)}
-    entries = [{"point": [float(v) for v in x]} for x in points]
+    entries = [{"point": x} for x in points.tolist()]
     for key, vals in maxima.items():
         report[key] = float(np.max(vals))  # np.max keeps a NaN
         for entry, v in zip(entries, vals.tolist()):

@@ -3,8 +3,8 @@ once per point set.
 
 Every jet and residual carries a leading point axis. Row p of a batch must
 be what the one-point batch [x_p] gives, for every field-vector and
-covector kind, on a set of more than 128 points and on a Cl(4,3) set whose
-points fall into different chunks of points.
+covector kind, on a set of more than 128 points and on a Cl(4,3) set, the
+widest jet stack per point of the two.
 """
 
 import numpy as np
@@ -122,9 +122,9 @@ def test_point_axis_rows_match_one_point_batches_past_128_points():
     _check_point_axis(Signature(2, 0), points, rows=(0, 1, 2, 64, 127, 128, 129))
 
 
-def test_point_axis_rows_match_one_point_batches_across_chunks():
-    # At n = 7 one point's field-vector jets fill a chunk, so these three
-    # points are multiplied in different chunks.
+def test_point_axis_rows_match_one_point_batches_at_n7():
+    # One point's field-vector jets hold 7 x 8 x 128 entries here, the
+    # widest per-point stack this module checks.
     sig = Signature(4, 3)
     points = sample_points(7, count=2, seed=6)
     _check_point_axis(sig, points, rows=range(len(points)))

@@ -9,6 +9,8 @@ from clifford_ym.algebra import (
     CliffordError,
     Multivector,
     Signature,
+    SignatureMismatch,
+    geometric_product,
     grade_project,
     random_multivector,
     tables,
@@ -25,7 +27,7 @@ from clifford_ym.contraction import (
     table_to_json,
 )
 from clifford_ym import golden
-from conftest import generator_field_vector
+from conftest import build_field_vector, generator_field_vector
 
 
 def test_lambda_values_small_n():
@@ -53,6 +55,38 @@ def test_contract_with_explicit_generators_matches_default(rng):
     assert (contract(u, gens) - contract(u)).max_norm() == 0.0
     with pytest.raises(CliffordError):
         contract(u, gens[:-1])
+
+
+def _dense_contract(u, vectors):
+    """Oracle: sum_a eta_a v^a u v^a by Multivector products on the dense blade tables."""
+    acc = Multivector.zero(u.sig)
+    for eta, v in zip(u.sig.metric(), vectors):
+        acc = acc + eta * geometric_product(geometric_product(v, u), v)
+    return acc
+
+
+@pytest.mark.parametrize("p,q", [(2, 0), (2, 1), (3, 2), (4, 4)])
+def test_contract_matches_the_dense_oracle(p, q):
+    # contract runs the solver's spinor-jet F[h] on one point; the dense
+    # products are an independent route to the same element.
+    sig, h, points = build_field_vector(p, q, seed=31, count=1)
+    rng = np.random.default_rng(10 * p + q)
+    u = random_multivector(sig, rng)
+    gens = [Multivector.generator(sig, a) for a in range(1, sig.n + 1)]
+    vecs = [random_multivector(sig, rng, grades=(1,)) for _ in range(sig.n)]
+    h_at_x = [Multivector(sig, r) for r in tables(sig).to_blades(h.values(points[1])[0])]
+    tol = 1e-13 * max(1.0, u.max_norm())
+    assert (contract(u) - _dense_contract(u, gens)).max_norm() < tol
+    for vectors in (vecs, h_at_x):
+        assert (contract(u, vectors) - _dense_contract(u, vectors)).max_norm() < tol
+
+
+def test_contract_refuses_vectors_of_another_algebra(rng):
+    # Cl(1,1) vectors have the 4 entries of Cl(2,0) ones.
+    u = random_multivector(Signature(2, 0), rng)
+    other = Signature(1, 1)
+    with pytest.raises(SignatureMismatch):
+        contract(u, [Multivector.generator(other, a) for a in (1, 2)])
 
 
 def test_rational_inverse_exact():

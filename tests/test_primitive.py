@@ -14,7 +14,7 @@ from clifford_ym.algebra import (
     random_multivector,
     tables,
 )
-from clifford_ym.contraction import build_table
+from clifford_ym.contraction import build_table, contract_jets
 from clifford_ym.fields import (
     ExpField,
     ExplicitFieldVector,
@@ -37,7 +37,6 @@ from clifford_ym.primitive import (
     TransformedConnection,
     TransformedFieldVector,
     ZeroCovector,
-    _contract_jet,
     _w_jets,
     compute_C_jets,
     connection_center_leak,
@@ -63,7 +62,7 @@ def _projection_form_C_jets(hjets, sig, table):
     from its projector row over the same contraction chain F[h]^l(W_mu)."""
     chain = [_w_jets(hjets, sig)]
     for _ in range(len(table.weights) - 1):
-        chain.append(_contract_jet(chain[-1], hjets, sig))
+        chain.append(contract_jets(chain[-1], hjets, sig))
     c = np.zeros_like(chain[0])
     for k in range(1, table.max_k + 1):
         for l, b in enumerate(table.projector_row(k)):
