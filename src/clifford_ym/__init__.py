@@ -18,7 +18,6 @@ from .algebra import (
     center_project,
     circ_project,
     commutator,
-    exponential,
     geometric_product,
     grade_project,
     inverse,
@@ -32,6 +31,7 @@ from .fields import (
     FrameGaugeFieldVector,
     GaugeElement,
     PolyField,
+    exponential,
     make_frame_field,
     make_gauge_element,
     random_bivector_poly_field,

@@ -10,7 +10,7 @@ The product sign between blades is the parity of the number of
 transpositions needed to interleave the two generator lists, times the
 metric factors contributed by repeated generators. The dense 2^n x 2^n
 sign tables are built once per signature, on the first Multivector product;
-the spinor kernels and the inverses never read them.
+the spinor kernels, the exponential and the inverses never read them.
 
 Two bases share that trailing length 2^n. Blade arrays, the coefficients
 above, are the interface: Multivector, polynomial inputs, grade, center and
@@ -110,9 +110,10 @@ def _popcount(a: np.ndarray) -> np.ndarray:
 
 
 class _Tables:
-    """Cached per-signature tables: the block-spinor kernels and reversion,
-    grades and reversion signs, and the dense 2^n x 2^n blade tables, built
-    on first use (left_mult_matrix, for Multivector products alone).
+    """Cached per-signature tables: the metric diagonal eta, the block-spinor
+    kernels and reversion, grades and reversion signs, and the dense
+    2^n x 2^n blade tables, built on first use (left_mult_matrix, for
+    geometric_product, commutator and anticommutator alone).
 
     Blade arrays hold 2^n coefficients over the basis blades. Spinor arrays
     hold the image of the same element under the faithful representation
@@ -151,6 +152,7 @@ class _Tables:
 
     def __init__(self, sig: Signature):
         self.sig = sig
+        self.eta = np.array(sig.metric(), dtype=float)
         self.grades = _popcount(np.arange(sig.dim, dtype=np.int64))
         self.reversion_signs = np.where((self.grades * (self.grades - 1) // 2) % 2 == 0, 1.0, -1.0)
         self._build_spinor_tables()
@@ -175,12 +177,6 @@ class _Tables:
             neg_mask |= 1 << a
         negs = _popcount(i & j & neg_mask)
         return np.where((swaps + negs) % 2 == 0, 1.0, -1.0)
-
-    @cached_property
-    def sign_k(self) -> np.ndarray:
-        """Gather form: result[k] = sum_i u[i] * sign_k[i, k] * v[i ^ k]."""
-        i = np.arange(self.sig.dim, dtype=np.int64)[:, None]
-        return self._blade_signs()[i, self.xor]
 
     @cached_property
     def _left_index(self) -> np.ndarray:
@@ -535,21 +531,6 @@ def circ_project(u: Multivector) -> Multivector:
 def center_leak(u: Multivector) -> float:
     """Max-norm of the central part; zero iff u lies in the complement subspace."""
     return center_project(u).max_norm()
-
-
-def exponential(u: Multivector, tol: float = 1e-14, max_terms: int = 64) -> Multivector:
-    """exp(u) by the power series, truncated when a term's max-norm drops below tol."""
-    acc = Multivector.unit(u.sig).coeffs
-    term = acc.copy()
-    for k in range(1, max_terms + 1):
-        term = _blade_product(u.sig, term, u.coeffs) / k
-        acc = acc + term
-        norm = float(np.max(np.abs(term)))
-        if norm < tol:
-            return Multivector(u.sig, acc, copy=False)
-    raise SeriesDivergence(
-        f"exponential series did not reach tol={tol} within {max_terms} terms", norm
-    )
 
 
 def inverse(u: Multivector, max_condition: float = 1e12) -> Multivector:

@@ -40,7 +40,6 @@ from .algebra import (
     Multivector,
     Signature,
     SignatureMismatch,
-    grade_project,
     tables,
 )
 from .fields import _jet_mul
@@ -61,7 +60,7 @@ def contract_jets(vjets: np.ndarray, hjets: np.ndarray, sig: Signature) -> np.nd
     vjets (P, m, rows, dim) holds m jets per point and hjets (P, n, rows,
     dim) the field vector; the result has the shape of vjets.
     """
-    eta = np.array(sig.metric(), dtype=float)[:, None, None]
+    eta = tables(sig).eta[:, None, None]
     h = hjets[:, None]
     terms = _jet_mul(_jet_mul(h, vjets[:, :, None], sig), h, sig)
     return (eta * terms).sum(axis=2)
@@ -195,32 +194,17 @@ def build_table(n: int) -> ContractionTable:
     return ContractionTable(n=n, lambdas=lam, a=a, b=b, d=d, g=g, mus=mus, weights=weights)
 
 
-def project(u: Multivector, k: int, vectors=None,
-            table: ContractionTable | None = None) -> Multivector:
+def project(u: Multivector, k: int, vectors=None) -> Multivector:
     """Grade projection through contraction powers alone.
 
     With the generators (the default), even n gives grade_project(u, k) and
-    odd n the paired grade_project_paired(u, k) for k up to (n-1)/2. With
-    the values of a field vector h it gives the h-grade projection pi[h]_k
-    (paired likewise for odd n).
+    odd n the paired projection grade_project(u, k) + grade_project(u, n - k)
+    for k up to (n-1)/2. With the values of a field vector h it gives the
+    h-grade projection pi[h]_k (paired likewise for odd n).
     """
-    n = u.sig.n
-    if table is None:
-        table = build_table(n)
-    if table.n != n:
-        raise CliffordError(f"table is for n={table.n}, element lives in n={n}")
-    row = table.projector_row(k)
+    row = build_table(u.sig.n).projector_row(k)
     return _at_one_point(u, vectors, lambda s, h: contraction_series(
         s, row, lambda v: contract_jets(v, h, u.sig)))
-
-
-def grade_project_paired(u: Multivector, k: int) -> Multivector:
-    """Direct popcount-filter oracle for the paired projection pi_{k,n-k}."""
-    n = u.sig.n
-    out = grade_project(u, k)
-    if k != n - k:
-        out = out + grade_project(u, n - k)
-    return out
 
 
 def fraction_to_json(x: Fraction) -> dict:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .algebra import (
     CliffordError,
+    Multivector,
     SeriesDivergence,
     Signature,
     invert_spinor_rows,
@@ -223,17 +224,6 @@ class PolyField(MultivectorField):
     def constant(cls, sig: Signature, mv) -> "PolyField":
         return cls(sig, np.zeros((1, sig.n), dtype=np.int64), mv.coeffs[None])
 
-    @classmethod
-    def zero(cls, sig: Signature) -> "PolyField":
-        return cls(sig, np.zeros((0, sig.n), dtype=np.int64), np.zeros((0, sig.dim)))
-
-    def partial(self, mu: int) -> "PolyField":
-        """Exact derivative field along axis mu (0-based)."""
-        e = self.exps[:, mu]
-        live = e > 0
-        return PolyField(self.sig, self.exps[live] - np.eye(self.sig.n, dtype=np.int64)[mu],
-                         self.coeffs[live] * e[live, None])
-
     def jet(self, x, order: int = 1) -> np.ndarray:
         x = _as_points(x, self.sig.n)
         rows = _nrows(order, self.sig.n)
@@ -337,6 +327,13 @@ class ExpField(MultivectorField):
             f"exponential jet series did not reach tol={_EXP_TOL} within {_EXP_MAX_TERMS} terms",
             float(norms[live.any(axis=(1, 2))].max()),
         )
+
+
+def exponential(u: Multivector) -> Multivector:
+    """exp(u) by ExpField's series at one point, that of the constant field u;
+    raises SeriesDivergence where the series does."""
+    s = ExpField(PolyField.constant(u.sig, u)).jet(np.zeros((1, u.sig.n)), 0)[0, 0]
+    return Multivector(u.sig, tables(u.sig).to_blades(s), copy=False)
 
 
 def invert_value_jet(sjet: np.ndarray, sig: Signature) -> np.ndarray:
@@ -456,7 +453,7 @@ class FrameField:
             generator = np.asarray(generator, dtype=float)
             if generator.shape != (n, n):
                 raise FrameError(f"rotation generator must be {n}x{n}")
-            eta = _eta(sig)
+            eta = np.diag(tables(sig).eta)
             # exp(tM) stays pseudo-orthogonal iff M eta + eta M^T = 0
             if not np.max(np.abs(generator @ eta + eta @ generator.T)) <= 1e-12:
                 raise FrameError("rotation generator is not in the pseudo-orthogonal Lie algebra")
@@ -501,14 +498,9 @@ class FrameField:
         return float(res.max(initial=0.0))
 
 
-def _eta(sig: Signature) -> np.ndarray:
-    """The metric eta as an n x n diagonal float matrix."""
-    return np.diag(np.array(sig.metric(), dtype=float))
-
-
 def _orthogonality_residual(sig: Signature, y: np.ndarray) -> np.ndarray:
     """max |y eta y^T - eta| over each n x n matrix of y, shape y.shape[:-2]."""
-    eta = _eta(sig)
+    eta = np.diag(tables(sig).eta)
     return np.abs(y @ eta @ y.swapaxes(-1, -2) - eta).max(axis=(-2, -1), initial=0.0)
 
 
@@ -546,7 +538,7 @@ def random_frame(sig: Signature, rng: np.random.Generator, scale: float = 0.4) -
     n = sig.n
     s = rng.standard_normal((n, n)) * scale
     s = s - s.T
-    return FrameField(sig, expm(s @ _eta(sig)), tol=1e-9)
+    return FrameField(sig, expm(s @ np.diag(tables(sig).eta)), tol=1e-9)
 
 
 class JetStack:
@@ -639,11 +631,6 @@ class GaugeElement(JetStack):
         """S^-1 d_mu S at the points x, shape (P, n, dim)."""
         sj = self.jets(x, 1)
         return tables(self.sig).product(self.inv_jets(x, 0), sj[:, 1:])
-
-    def conjugate(self, u: np.ndarray, x) -> np.ndarray:
-        """S^-1 u S at the points x, for rows u (..., dim) that broadcast with (P, dim)."""
-        return conjugate_jets(self.inv_jets(x, 0), np.asarray(u)[..., None, :],
-                              self.jets(x, 0), self.sig)[..., 0, :]
 
     def membership_report(self, points) -> tuple[float, np.ndarray | None]:
         """Worst center leak of S^-1 dS over the points, with its argmax."""
@@ -744,7 +731,7 @@ class CliffordFieldVector(JetStack):
         vals = self.jets(points, 1)[:, :, 0]
         prods = t.batch_product(vals, vals)  # prods[p, mu, nu] = h^mu h^nu
         anti = t.to_blades(prods + prods.swapaxes(1, 2))
-        anti[:, range(self.n), range(self.n), 0] -= 2.0 * np.array(self.sig.metric())
+        anti[:, range(self.n), range(self.n), 0] -= 2.0 * t.eta
         worst_trace = 0.0
         if self.n % 2 == 1:
             prod = vals[:, 0]
@@ -773,23 +760,6 @@ def _bracket_grids(hjets: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.nd
     div = np.trace(dh, axis1=1, axis2=2)
     return (t.commutator_grid(hv),
             t.commutator_grid(div[:, None], hv)[:, 0] + t.commutator_sum(hv, dh))
-
-
-class ExplicitFieldVector(CliffordFieldVector):
-    """Field vector given directly by n component fields."""
-
-    def __init__(self, fields):
-        fields = list(fields)
-        if not fields:
-            raise CliffordError("field vector needs at least one component")
-        sig = fields[0].sig
-        if len(fields) != sig.n or any(f.sig != sig for f in fields):
-            raise CliffordError(f"need exactly {sig.n} components over {sig}")
-        super().__init__(sig)
-        self.fields = fields
-
-    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
-        return np.stack([f.jet(x, order) for f in self.fields], axis=1)
 
 
 class FrameGaugeFieldVector(CliffordFieldVector):

@@ -21,8 +21,8 @@ F[h](U) = S^-1 F(S U S^-1) S = F(U): conjugation by exp(B) keeps grades,
 since ad_B does. Then pi[h]_k = pi_k and C_mu is mu_k times the grade-k
 part of W_mu, one scale per blade. Field vectors carry this as the
 structural flag grade_preserving, set from their types, never from a
-numerical probe; every other h (S = exp(vector), explicit or
-finite-difference field vectors) takes the contraction chain. The residuals
+numerical probe; every other h (S = exp(vector), finite-difference
+field vectors, any other subclass) takes the contraction chain. The residuals
 are computed from C by the same code either way, so a wrong flag would
 breach a tolerance rather than pass.
 
@@ -74,31 +74,6 @@ class CovectorField(JetStack):
         return max_per_point(primitive_residual(h, self, x))
 
 
-class ZeroCovector(CovectorField):
-    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
-        return np.zeros((len(x), self.n, _nrows(order, self.n), self.sig.dim), dtype=np.complex128)
-
-
-class OffsetCovector(CovectorField):
-    """Base covector plus per-component offset fields (for perturbation tests)."""
-
-    def __init__(self, base: CovectorField, offsets: dict):
-        super().__init__(base.sig)
-        self.base = base
-        self.offsets = {int(mu): field for mu, field in offsets.items()}
-        for mu, field in self.offsets.items():
-            if not 0 <= mu < self.n:
-                raise CliffordError(f"offset index {mu} out of range")
-            if field.sig != base.sig:
-                raise CliffordError("offset field signature mismatch")
-
-    def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
-        out = np.array(self.base.jets(x, order))
-        for mu, field in self.offsets.items():
-            out[:, mu] = out[:, mu] + field.jet(x, order)
-        return out
-
-
 def _w_jets(hjets: np.ndarray, sig: Signature) -> np.ndarray:
     """W_mu = (d_mu h^rho) h_rho as first-order jets, shape (P, n, 1 + n, dim),
     from the first-order jets of h.
@@ -108,7 +83,7 @@ def _w_jets(hjets: np.ndarray, sig: Signature) -> np.ndarray:
     (d_nu d_mu h^rho) h^rho of d_nu W_mu is symmetric in (mu, nu) and left
     out (see CovectorField).
     """
-    eta = np.array(sig.metric(), dtype=float)[:, None]
+    eta = tables(sig).eta[:, None]
     # eta_rho d_mu h^rho times row r of the jet of h^rho, summed over rho.
     return tables(sig).block_matmul(eta * hjets[:, :, 1:].swapaxes(1, 2), hjets)
 
@@ -180,7 +155,7 @@ def flatness_residual(hjets: np.ndarray, cvalues: np.ndarray, sig: Signature) ->
     eta_rho = +-1, so that is exact and reads the jets without a lowered copy.
     """
     t = tables(sig)
-    eta = np.array(sig.metric(), dtype=float)[:, None]
+    eta = t.eta[:, None]
     r = hjets[:, :, 1:].swapaxes(1, 2) - t.commutator_grid(cvalues, hjets[:, :, 0])
     r *= eta
     return t.to_blades(r)

@@ -103,7 +103,7 @@ class YMSolution(CovectorField):
         self.sigma = complex(sigma)
         self.epsilon = (epsilon_value(self.n, self.sigma) if epsilon is None
                         else complex(epsilon))
-        self._scale = np.array([self.sigma * m for m in h.sig.metric()])[:, None, None]
+        self._scale = (self.sigma * tables(h.sig).eta)[:, None, None]
 
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         return self.c.jets(x, order) + self.h.jets(x, order) * self._scale
@@ -116,7 +116,7 @@ class YMSolution(CovectorField):
         return _frozen(-self.sigma ** 2 * self.h.bracket_grids(x)[0])
 
     def g_lower(self, x) -> np.ndarray:
-        eta = np.array(self.sig.metric(), dtype=float)
+        eta = tables(self.sig).eta
         return np.multiply.outer(eta, eta)[:, :, None] * self.g_upper(x)
 
 
@@ -246,7 +246,7 @@ def double_commutator_check(h: CliffordFieldVector, x) -> np.ndarray:
     shape (P, n, dim); zero for valid h."""
     t = tables(h.sig)
     hv = h.values(x)
-    eta = np.array(h.sig.metric(), dtype=float)[:, None, None]
+    eta = t.eta[:, None, None]
     # eta_mu [h^mu, X] = [h^mu, eta_mu X]: the sign goes on the grid's mu axis.
     return t.to_blades(t.commutator_sum(hv, eta * t.commutator_grid(hv))
                        - (4.0 * (h.sig.n - 1)) * hv)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from clifford_ym import exponential
 from clifford_ym.algebra import (
     CliffordError,
     DimensionLimitError,
@@ -18,7 +19,6 @@ from clifford_ym.algebra import (
     center_project,
     circ_project,
     commutator,
-    exponential,
     geometric_product,
     grade_project,
     grades_present,
@@ -182,8 +182,9 @@ def test_commutators_match_commutator(n, rng):
 
 
 def _dense_product(table, u, v):
-    """Gather-sum oracle: result[k] = sum_i u[i] * sign_k[i, k] * v[i ^ k]."""
-    return ((u[:, None] * table.sign_k) * v[table.xor]).sum(axis=0)
+    """Gather-sum oracle: result[k] = sum_i u[i] * sign[i, i ^ k] * v[i ^ k]."""
+    i = np.arange(table.sig.dim)[:, None]
+    return ((u[:, None] * table._blade_signs()[i, table.xor]) * v[table.xor]).sum(axis=0)
 
 
 def _blade_product_by_definition(sig, i, j):
@@ -388,6 +389,28 @@ def test_exponential_divergence_guard():
     with pytest.raises(SeriesDivergence) as err:
         exponential(Multivector.scalar(sig, 500.0))
     assert err.value.last_term_norm > 0
+
+
+def _dense_exponential(u):
+    """exp(u) by the power series on the dense product, stopped at the first
+    term whose blade max-norm is below 1e-14: the oracle of exponential."""
+    acc = term = Multivector.unit(u.sig)
+    for k in range(1, 65):
+        term = geometric_product(term, u) / k
+        acc = acc + term
+        if term.max_norm() < 1e-14:
+            return acc
+    raise AssertionError(f"dense exponential series of {u} did not converge")
+
+
+@pytest.mark.parametrize("p,q", [(2, 0), (1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 3), (4, 4)])
+def test_exponential_matches_dense_series(p, q, rng):
+    sig = Signature(p, q)
+    bivector = random_multivector(sig, rng, grades=(2,))
+    for u in (bivector, random_multivector(sig, rng, grades=(1,)),
+              random_multivector(sig, rng, scale=0.5), Multivector.scalar(sig, 0.7) + bivector):
+        want = _dense_exponential(u)
+        assert (exponential(u) - want).max_norm() <= 1e-13 * max(1.0, want.max_norm())
 
 
 def test_inverse_roundtrip_and_failures(rng):

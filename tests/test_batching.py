@@ -14,7 +14,6 @@ from clifford_ym import algebra, fields, primitive, runner, yang_mills
 from clifford_ym.algebra import Signature, random_multivector
 from clifford_ym.fields import (
     ExpField,
-    ExplicitFieldVector,
     FiniteDifferenceVector,
     FrameField,
     FrameGaugeFieldVector,
@@ -27,10 +26,8 @@ from clifford_ym.fields import (
 )
 from clifford_ym.primitive import (
     DerivedConnection,
-    OffsetCovector,
     TransformedConnection,
     TransformedFieldVector,
-    ZeroCovector,
     curvature_residual,
     primitive_residual,
 )
@@ -41,6 +38,7 @@ from clifford_ym.yang_mills import (
     eq1_residual,
     eq2_residual,
 )
+from conftest import ExplicitFieldVector, OffsetCovector, ZeroCovector
 
 REL = 1e-14
 

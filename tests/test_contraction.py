@@ -20,14 +20,13 @@ from clifford_ym.contraction import (
     SingularMatrixError,
     build_table,
     contract,
-    grade_project_paired,
     invert_rational_matrix,
     lambdas,
     project,
     table_to_json,
 )
 from clifford_ym import golden
-from conftest import build_field_vector, generator_field_vector
+from conftest import build_field_vector, generator_field_vector, grade_project_paired
 
 
 def test_lambda_values_small_n():
@@ -161,16 +160,15 @@ def test_power_matrix_and_inverse_fill_the_pair_of_their_parity():
 def test_even_projectors_reproduce_grade_projection(rng):
     for (p, q) in [(2, 0), (1, 1), (4, 0), (2, 2)]:
         sig = Signature(p, q)
-        table = build_table(sig.n)
         u = random_multivector(sig, rng)
         vals = tables(sig).to_blades(generator_field_vector(sig).values(np.zeros(sig.n))[0])
         gens = [Multivector(sig, r) for r in vals]
         total = Multivector.zero(sig)
         for k in range(sig.n + 1):
-            pk = project(u, k, table=table)
+            pk = project(u, k)
             ref = grade_project(u, k)
             assert (pk - ref).max_norm() < 1e-12
-            assert (project(u, k, gens, table) - ref).max_norm() < 1e-12
+            assert (project(u, k, gens) - ref).max_norm() < 1e-12
             total = total + pk
         assert (total - u).max_norm() < 1e-12
 
@@ -178,16 +176,15 @@ def test_even_projectors_reproduce_grade_projection(rng):
 def test_odd_projectors_reproduce_paired_projection(rng):
     for (p, q) in [(3, 0), (2, 1), (1, 2), (5, 0), (3, 2)]:
         sig = Signature(p, q)
-        table = build_table(sig.n)
         u = random_multivector(sig, rng)
         vals = tables(sig).to_blades(generator_field_vector(sig).values(np.zeros(sig.n))[0])
         gens = [Multivector(sig, r) for r in vals]
         total = Multivector.zero(sig)
         for k in range((sig.n + 1) // 2):
-            pk = project(u, k, table=table)
+            pk = project(u, k)
             ref = grade_project_paired(u, k)
             assert (pk - ref).max_norm() < 1e-12
-            assert (project(u, k, gens, table) - ref).max_norm() < 1e-12
+            assert (project(u, k, gens) - ref).max_norm() < 1e-12
             total = total + pk
         assert (total - u).max_norm() < 1e-12
 

@@ -23,7 +23,6 @@ from clifford_ym.algebra import (
 )
 from clifford_ym.fields import (
     ExpField,
-    ExplicitFieldVector,
     GaugeElement,
     PolyField,
     _jet_mul,
@@ -31,7 +30,6 @@ from clifford_ym.fields import (
 )
 from clifford_ym.primitive import (
     DerivedConnection,
-    OffsetCovector,
     TransformedConnection,
     curvature_residual,
     gauge_transform,
@@ -44,7 +42,7 @@ from clifford_ym.yang_mills import (
     eq1_residual,
     eq2_residual,
 )
-from conftest import build_field_vector, poly_field
+from conftest import build_field_vector, ExplicitFieldVector, OffsetCovector, poly_field
 from test_golden_reports import RUNS
 from test_golden_reports import run as golden_run
 
@@ -298,7 +296,7 @@ def test_sliced_conjugation_check_equals_the_whole_set_oracle(name):
 def test_verify_and_demo_build_no_dense_tables():
     # The dense 2^n x 2^n blade tables serve Multivector arithmetic only; a
     # verify or demo run reads spinor arrays alone.
-    dense = ("xor", "sign_k", "_left_index")
+    dense = ("xor", "_left_index")
     algebra._tables_cached.cache_clear()
     for spec in RUNS.values():
         report, code = golden_run(spec)
@@ -320,7 +318,7 @@ def _near_unit_rows(sig, rows, rng):
 def test_inverses_build_no_dense_tables(monkeypatch):
     # inverse_rows inverts the spinor blocks, and a gauge element that is not
     # exp(bivector) inverts through it: neither builds a 2^n x 2^n table.
-    dense = ("xor", "sign_k", "_left_index")
+    dense = ("xor", "_left_index")
     algebra._tables_cached.cache_clear()
     rng = np.random.default_rng(11)
     sig = Signature(5, 5)

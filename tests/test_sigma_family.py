@@ -15,7 +15,6 @@ from clifford_ym.algebra import random_multivector, tables
 from clifford_ym.fields import PolyField
 from clifford_ym.primitive import (
     DerivedConnection,
-    OffsetCovector,
     TransformedConnection,
     TransformedFieldVector,
     max_per_point,
@@ -29,6 +28,7 @@ from clifford_ym.yang_mills import (
     eq2_residual,
     verify_solution,
 )
+from conftest import OffsetCovector
 
 SIGMAS = (1.0, -1.0, 0.5, 1j, 0.5 - 0.5j, -0.3 + 0.8j)
 
