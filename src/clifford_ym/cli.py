@@ -43,22 +43,16 @@ def _fmt_fraction(f) -> str:
 
 
 def _print_tables_text(table) -> None:
-    n = table.n
-    print(f"n = {n}")
+    print(f"n = {table.n}")
     print("lambda:", " ".join(str(v) for v in table.lambdas))
-    if table.even:
-        names = [("A", table.a), ("B", table.b)]
-        weight_name = "r"
-    else:
-        names = [("D", table.d), ("G", table.g)]
-        weight_name = "s"
-    for name, rows in names:
+    power, inverse, weights = table.names
+    for name, rows in ((power, table.power), (inverse, table.inverse)):
         print(f"{name}:")
         for row in rows:
             print("  " + "  ".join(_fmt_fraction(v) for v in row))
     mus = ["-" if m is None else _fmt_fraction(m) for m in table.mus]
     print("mu:", " ".join(mus))
-    print(f"{weight_name}:", " ".join(_fmt_fraction(w) for w in table.weights))
+    print(f"{weights}:", " ".join(_fmt_fraction(w) for w in table.weights))
 
 
 def cmd_tables(args) -> int:

@@ -2,17 +2,19 @@
 
 The contraction F(U) = e^a U e_a (sum over a, index lowered with the metric)
 preserves grade and acts on grade k as the scalar lambda_k = (-1)^k (n - 2k).
-Powers of F therefore give linear combinations of grade projections with a
-Vandermonde coefficient matrix, which this module inverts in exact rational
-arithmetic to express projections through contractions:
+Each projection onto an eigenspace of F is its Lagrange polynomial in F
+over the distinct eigenvalues, in exact rationals:
 
-  even n:  pi_k(U)            = sum_l b_kl F^l(U),       B = A^-1
-  odd n:   pi_k(U) + pi_{n-k}(U) = sum_l g_kl F^l(U),    G = D^-1
+  even n:  pi_k(U)               = sum_l b_kl F^l(U),   B = A^-1
+  odd n:   pi_k(U) + pi_{n-k}(U) = sum_l g_kl F^l(U),   G = D^-1
 
-(odd n has the degeneracy lambda_k = lambda_{n-k}, so only the paired
-projections are reachable and the full Vandermonde system is singular).
+Row k of B or G holds the coefficients of prod_{j != k} (x - lambda_j) /
+(lambda_k - lambda_j), which inverts the power matrix A[k][l] = lambda_l ** k
+(D for odd n, whose degeneracy lambda_k = lambda_{n-k} leaves the nodes
+lambda_0..lambda_{(n-1)/2} and only the paired projections). ContractionTable
+holds the one (power, inverse) pair, named (A, B) or (D, G) by parity.
 
-The same tables produce the connection weights used by the field-equation
+The same rows produce the connection weights used by the field-equation
 solver: mu_k = 1/(n - lambda_k) where defined, and the collapsed weights
 r_l = sum_k mu_k b_kl (even n) or s_l = sum_k mu_k g_kl (odd n, k up to
 (n-1)/2).
@@ -43,10 +45,6 @@ from .algebra import (
     tables,
 )
 from .fields import _jet_mul
-
-
-class SingularMatrixError(CliffordError):
-    """Exact elimination hit a structurally singular matrix."""
 
 
 def lambdas(n: int) -> tuple[int, ...]:
@@ -113,47 +111,34 @@ def contraction_series(u, coeffs, step):
     return acc
 
 
-def invert_rational_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gaussian elimination over Fraction entries.
-
-    Pivots on the first nonzero entry in each column; raises
-    SingularMatrixError when no pivot exists.
-    """
-    m = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)]
-           for i, row in enumerate(rows)]
-    if any(len(row) != 2 * m for row in aug):
-        raise SingularMatrixError("matrix is not square")
-    for col in range(m):
-        pivot_row = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError(f"no pivot in column {col}")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv_pivot = 1 / aug[col][col]
-        aug[col] = [x * inv_pivot for x in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]
+def lagrange_row(nodes: tuple[int, ...], k: int) -> tuple[Fraction, ...]:
+    """Coefficients c_0..c_{m-1} of prod_{j != k} (x - x_j)/(x_k - x_j) over
+    the m distinct nodes: sum_l c_l x_j ** l is 1 at j = k and 0 elsewhere,
+    so this is row k of the inverse of the power matrix [x_l ** k]."""
+    coeffs = [Fraction(1)]
+    for j, xj in enumerate(nodes):
+        if j != k:
+            scale = Fraction(1, nodes[k] - xj)
+            coeffs = [(lo - xj * hi) * scale for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
 class ContractionTable:
     """Exact projection and connection coefficients for one dimension n.
 
-    For even n, a and b are the (n+1)x(n+1) power matrix and its inverse;
-    for odd n they are None and d/g hold the (n+1)/2-sized paired system.
-    mus[k] = 1/(n - lambda_k) or None where n - lambda_k = 0 (k = 0 always;
-    also k = n for odd n). weights holds r_l (even) or s_l (odd).
+    power is the power matrix [lambda_l ** k] over the distinct eigenvalues
+    (n + 1 of them for even n, (n + 1)/2 for odd n) and inverse its inverse,
+    whose row k reproduces pi_k (even) or pi_k + pi_{n-k} (odd); names gives
+    their published letters and that of the weights. mus[k] = 1/(n -
+    lambda_k) or None where n - lambda_k = 0 (k = 0 always; also k = n for
+    odd n). weights holds r_l (even) or s_l (odd).
     """
 
     n: int
     lambdas: tuple[int, ...]
-    a: tuple[tuple[int, ...], ...] | None
-    b: tuple[tuple[Fraction, ...], ...] | None
-    d: tuple[tuple[int, ...], ...] | None
-    g: tuple[tuple[Fraction, ...], ...] | None
+    power: tuple[tuple[int, ...], ...]
+    inverse: tuple[tuple[Fraction, ...], ...]
     mus: tuple[Fraction | None, ...]
     weights: tuple[Fraction, ...]
 
@@ -162,15 +147,20 @@ class ContractionTable:
         return self.n % 2 == 0
 
     @property
+    def names(self) -> tuple[str, str, str]:
+        """Letters of (power, inverse, weights): A, B, r for even n, D, G, s for odd n."""
+        return ("A", "B", "r") if self.even else ("D", "G", "s")
+
+    @property
     def max_k(self) -> int:
         """Largest valid projection label: n for even n, (n-1)/2 paired for odd."""
-        return self.n if self.even else (self.n - 1) // 2
+        return len(self.inverse) - 1
 
     def projector_row(self, k: int) -> tuple[Fraction, ...]:
         """Coefficients of F^0..F^L reproducing pi_k (even) or pi_{k,n-k} (odd)."""
         if not 0 <= k <= self.max_k:
             raise CliffordError(f"projection label {k} out of range 0..{self.max_k}")
-        return self.b[k] if self.even else self.g[k]
+        return self.inverse[k]
 
 
 @lru_cache(maxsize=None)
@@ -180,18 +170,13 @@ def build_table(n: int) -> ContractionTable:
         raise CliffordError(f"dimension must be >= 1, got {n}")
     lam = lambdas(n)
     mus = tuple(None if n - lk == 0 else Fraction(1, n - lk) for lk in lam)
-    # Odd n has lambda_k = lambda_{n-k}, so its system uses the distinct
-    # values lambda_0..lambda_{(n-1)/2} and solves for the paired projections.
-    size = n + 1 if n % 2 == 0 else (n + 1) // 2
-    power = [[lam[l] ** k for l in range(size)] for k in range(size)]
-    inverse = invert_rational_matrix([[Fraction(x) for x in row] for row in power])
-    weights = tuple(
-        sum((mus[k] * inverse[k][l] for k in range(1, size)), Fraction(0))
-        for l in range(size)
-    )
-    pair = (tuple(tuple(row) for row in power), tuple(tuple(row) for row in inverse))
-    a, b, d, g = pair + (None, None) if n % 2 == 0 else (None, None) + pair
-    return ContractionTable(n=n, lambdas=lam, a=a, b=b, d=d, g=g, mus=mus, weights=weights)
+    nodes = lam[:n + 1 if n % 2 == 0 else (n + 1) // 2]
+    inverse = tuple(lagrange_row(nodes, k) for k in range(len(nodes)))
+    weights = tuple(sum((mus[k] * row[l] for k, row in enumerate(inverse) if k), Fraction(0))
+                    for l in range(len(nodes)))
+    power = tuple(tuple(x ** k for x in nodes) for k in range(len(nodes)))
+    return ContractionTable(n=n, lambdas=lam, power=power, inverse=inverse,
+                            mus=mus, weights=weights)
 
 
 def project(u: Multivector, k: int, vectors=None) -> Multivector:
@@ -215,18 +200,18 @@ def fraction_to_json(x: Fraction) -> dict:
 def table_to_json(table: ContractionTable) -> dict:
     """JSON form with rationals as fraction_to_json dicts to keep exactness."""
     def fmat(rows):
-        return None if rows is None else [[fraction_to_json(Fraction(x)) for x in row] for row in rows]
+        return [[fraction_to_json(Fraction(x)) for x in row] for row in rows]
 
+    power, inverse, weights = table.names
     return {
         "n": table.n,
         "parity": "even" if table.even else "odd",
         "index_convention": "k and l are 0-based; power matrix entry [k][l] equals lambda_l ** k",
         "lambdas": list(table.lambdas),
-        "A": fmat(table.a),
-        "B": fmat(table.b),
-        "D": fmat(table.d),
-        "G": fmat(table.g),
+        **dict.fromkeys("ABDG"),  # the pair of the other parity is null
+        power: fmat(table.power),
+        inverse: fmat(table.inverse),
         "mus": [None if m is None else fraction_to_json(m) for m in table.mus],
-        "weights_kind": "r" if table.even else "s",
+        "weights_kind": weights,
         "weights": [fraction_to_json(w) for w in table.weights],
     }

@@ -2,7 +2,7 @@
 
 These rationals are the published small-dimension tables; they depend only
 on n, never on the split (p, q). They are kept as literal Fractions so any
-drift in the eigenvalue definition, the elimination code, or the weight
+drift in the eigenvalue definition, the Lagrange rows, or the weight
 sums fails loudly and exactly.
 """
 
@@ -54,35 +54,27 @@ LAMBDAS_N3 = (3, -1, -1, 3)
 LAMBDAS_N4 = (4, -2, 0, 2, -4)
 
 
-def _as_fractions(rows):
-    return tuple(tuple(F(x) for x in row) for row in rows)
+# The frozen checks of each n, as (name, value) pairs; the power, inverse and
+# weights are named by the table's letters for its parity (ContractionTable.names).
+GOLDEN = {
+    2: (("lambdas", LAMBDAS_N2), ("A", A_N2), ("B", B_N2), ("r weights", R_N2)),
+    3: (("lambdas", LAMBDAS_N3), ("D", D_N3), ("G", G_N3), ("s weights", S_N3)),
+    4: (("lambdas", LAMBDAS_N4), ("B", B_N4), ("r weights", R_N4)),
+}
 
 
 def compare_table(table: ContractionTable) -> list[tuple[str, bool, str]]:
     """Checks for one table; returns (check name, ok, detail) triples."""
+    if table.n not in GOLDEN:
+        return [(f"n={table.n}", False, "no frozen reference values for this n")]
+    power, inverse, weights = table.names
+    got = {"lambdas": table.lambdas, power: table.power, inverse: table.inverse,
+           f"{weights} weights": tuple(table.weights)}
     checks = []
-
-    def expect(name, got, want):
-        ok = got == want
-        detail = "exact match" if ok else f"got {got!r}, want {want!r}"
-        checks.append((name, ok, detail))
-
-    if table.n == 2:
-        expect("n=2 lambdas", table.lambdas, LAMBDAS_N2)
-        expect("n=2 A", table.a, A_N2)
-        expect("n=2 B", _as_fractions(table.b), B_N2)
-        expect("n=2 r weights", tuple(table.weights), R_N2)
-    elif table.n == 3:
-        expect("n=3 lambdas", table.lambdas, LAMBDAS_N3)
-        expect("n=3 D", table.d, D_N3)
-        expect("n=3 G", _as_fractions(table.g), G_N3)
-        expect("n=3 s weights", tuple(table.weights), S_N3)
-    elif table.n == 4:
-        expect("n=4 lambdas", table.lambdas, LAMBDAS_N4)
-        expect("n=4 B", _as_fractions(table.b), B_N4)
-        expect("n=4 r weights", tuple(table.weights), R_N4)
-    else:
-        checks.append((f"n={table.n}", False, "no frozen reference values for this n"))
+    for name, want in GOLDEN[table.n]:
+        ok = got[name] == want
+        detail = "exact match" if ok else f"got {got[name]!r}, want {want!r}"
+        checks.append((f"n={table.n} {name}", ok, detail))
     return checks
 
 

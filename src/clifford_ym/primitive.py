@@ -46,7 +46,7 @@ from .algebra import (
     Signature,
     tables,
 )
-from .contraction import ContractionTable, build_table, contract_jets, contraction_series
+from .contraction import build_table, contract_jets, contraction_series
 from .fields import (
     CliffordFieldVector,
     GaugeElement,
@@ -54,7 +54,6 @@ from .fields import (
     _as_points,
     _nrows,
     conjugate_jets,
-    sample_points,
 )
 
 
@@ -88,21 +87,22 @@ def _w_jets(hjets: np.ndarray, sig: Signature) -> np.ndarray:
     return tables(sig).block_matmul(eta * hjets[:, :, 1:].swapaxes(1, 2), hjets)
 
 
-def compute_C_jets(hjets: np.ndarray, sig: Signature, table: ContractionTable,
+def compute_C_jets(hjets: np.ndarray, sig: Signature, *,
                    grade_preserving: bool = False) -> np.ndarray:
     """First-order connection jets (P, n, 1 + n, dim) from the first-order
     field-vector jets (P, n, 1 + n, dim).
 
-    C_mu = sum_l w_l F[h]^l(W_mu) with the collapsed table weights w. Pass
-    the field vector's grade_preserving flag: where it holds, F[h] = F, so
-    this is mu_k times the grade-k part of W_mu, one scale per blade, taken
-    in blade coordinates. The gradient rows are exact up to a part
-    symmetric in (mu, nu) (see CovectorField): the one of W_mu, carried
-    through the linear map F[h]^l.
+    C_mu = sum_l w_l F[h]^l(W_mu) with the collapsed weights w of
+    build_table(sig.n). Pass the field vector's grade_preserving flag: where
+    it holds, F[h] = F, so this is mu_k times the grade-k part of W_mu, one
+    scale per blade, taken in blade coordinates. The gradient rows are exact
+    up to a part symmetric in (mu, nu) (see CovectorField): the one of W_mu,
+    carried through the linear map F[h]^l.
     """
     if hjets.shape[2] != _nrows(1, sig.n):
         raise CliffordError("field-vector jets must carry first derivatives")
     wjets = _w_jets(hjets, sig)
+    table = build_table(sig.n)
     if grade_preserving:
         mus = np.array([0.0 if m is None else float(m) for m in table.mus])
         t = tables(sig)
@@ -124,7 +124,6 @@ class DerivedConnection(CovectorField):
     def __init__(self, h: CliffordFieldVector):
         super().__init__(h.sig)
         self.h = h
-        self.table = build_table(h.sig.n)
 
     def jets(self, x, order: int = 1) -> np.ndarray:
         # The inherited memo, overridden so that a profiler can count the
@@ -133,7 +132,8 @@ class DerivedConnection(CovectorField):
 
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         # First order on any request: C is built from the derivatives of h.
-        return compute_C_jets(self.h.jets(x, 1), self.sig, self.table, self.h.grade_preserving)
+        return compute_C_jets(self.h.jets(x, 1), self.sig,
+                              grade_preserving=self.h.grade_preserving)
 
     def flatness(self, h: CliffordFieldVector, x) -> np.ndarray:
         """As CovectorField.flatness, kept in the derived slot for the h of
@@ -269,13 +269,10 @@ class PrimitiveSolution:
 
     def __init__(self, conn: DerivedConnection):
         self.h = conn.h
-        self.table = conn.table
         self.c = conn
 
-    def campaign(self, points=None) -> dict:
+    def campaign(self, points) -> dict:
         """Per-point primitive, curvature and center-leak maxima (point_report)."""
-        if points is None:
-            points = sample_points(self.h.sig.n)
         pts = _as_points(points, self.h.sig.n)
         maxima = {
             "primitive_max": self.c.flatness(self.h, pts),

@@ -43,7 +43,6 @@ from .fields import (
     GaugeElement,
     _as_points,
     _frozen,
-    sample_points,
 )
 from .primitive import (
     CovectorField,
@@ -121,18 +120,16 @@ class YMSolution(CovectorField):
 
 
 def build_solution(h: CliffordFieldVector, c: CovectorField, sigma: complex,
-                   points=None, tol: float = 1e-8) -> YMSolution:
+                   points, tol: float = 1e-8) -> YMSolution:
     """Assemble a YMSolution, refusing pairs that fail the flatness check.
 
     The pair (h, C) must satisfy d_mu h_rho - [C_mu, h_rho] = 0 at the
-    given sample points (default: the standard low-discrepancy set) to
-    within tol in max-norm; a NaN residual fails. Pass an empty point list
-    to skip the check. The per-point maxima come from c.flatness, which a
-    DerivedConnection of h keeps, so a sigma family checks the pair once
-    per point set and compares with tol on every call.
+    given sample points to within tol in max-norm; a NaN residual fails.
+    Pass an empty point list to skip the check. The per-point maxima come
+    from c.flatness, which a DerivedConnection of h keeps, so a sigma
+    family checks the pair once per point set and compares with tol on
+    every call.
     """
-    if points is None:
-        points = sample_points(h.sig.n)
     pts = np.asarray(points, dtype=float)
     if pts.size:
         pts = _as_points(pts, h.sig.n)
@@ -224,7 +221,7 @@ def epsilon_from_residuals(sol: YMSolution, points) -> complex:
     return a / total
 
 
-def gauge_transform_solution(sol: YMSolution, gauge: GaugeElement, points=None) -> YMSolution:
+def gauge_transform_solution(sol: YMSolution, gauge: GaugeElement, points) -> YMSolution:
     """Transformed solution with h -> S^-1 h S and C -> S^-1 C S - S^-1 dS,
     keeping the eps of sol.
 
@@ -234,8 +231,6 @@ def gauge_transform_solution(sol: YMSolution, gauge: GaugeElement, points=None) 
     equation breaches it after the transformation too. Membership of S and flatness of the
     transformed pair are validated at the sample points.
     """
-    if points is None:
-        points = sample_points(sol.n)
     ht, ct = gauge_transform(sol.h, sol.c, gauge, points=points)
     moved = build_solution(ht, ct, sol.sigma, points=points)
     return YMSolution(moved.h, moved.c, moved.sigma, sol.epsilon)

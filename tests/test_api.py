@@ -1,4 +1,5 @@
-"""Public names resolve, and every entry point the benchmark tracer wraps exists.
+"""Public names resolve, every entry point the benchmark tracer wraps exists,
+and no module imports a name it never reads.
 
 ``perfbench/tracer.py`` patches functions and methods by name for a traced
 run; a name that no longer exists makes that run fail. The tracer's tables
@@ -62,3 +63,36 @@ def test_field_vectors_define_compute_jets():
     defining = [cls for cls in subclasses(fields.CliffordFieldVector)
                 if "_compute_jets" in vars(cls)]
     assert fields.FrameGaugeFieldVector in defining
+
+
+def _unused_imports(path):
+    """Names that a module imports and never reads, with their line numbers.
+
+    A name counts as read when it is loaded anywhere in the module, or is
+    listed in a literal ``__all__`` as a re-export; ``from __future__``
+    imports are exempt.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src" / "clifford_ym").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    unused = [f"{path.relative_to(root)}:{line}: {name}"
+              for path in files for line, name in _unused_imports(path)]
+    assert not unused, "imported and never read:\n" + "\n".join(unused)

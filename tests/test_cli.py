@@ -330,8 +330,8 @@ def _nan_generator(original):
 
 
 def _nan_jets(original):
-    def jets(*args):
-        out = original(*args).copy()
+    def jets(*args, **kwargs):
+        out = original(*args, **kwargs).copy()
         out[:, 0, 0, 0] = np.nan
         return out
     return jets

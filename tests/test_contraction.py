@@ -17,10 +17,8 @@ from clifford_ym.algebra import (
 )
 from clifford_ym.contraction import (
     ContractionTable,
-    SingularMatrixError,
     build_table,
     contract,
-    invert_rational_matrix,
     lambdas,
     project,
     table_to_json,
@@ -88,36 +86,23 @@ def test_contract_refuses_vectors_of_another_algebra(rng):
         contract(u, [Multivector.generator(other, a) for a in (1, 2)])
 
 
-def test_rational_inverse_exact():
-    rows = [[Fraction(2), Fraction(1)], [Fraction(7), Fraction(4)]]
-    inv = invert_rational_matrix(rows)
-    assert inv == [[Fraction(4), Fraction(-1)], [Fraction(-7), Fraction(2)]]
-    rng = np.random.default_rng(4)
-    m = [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
-          for _ in range(4)] for _ in range(4)]
-    inv = invert_rational_matrix(m)
-    for i in range(4):
-        for j in range(4):
-            s = sum(m[i][k] * inv[k][j] for k in range(4))
-            assert s == (1 if i == j else 0)
-    with pytest.raises(SingularMatrixError):
-        invert_rational_matrix([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
-
-
 def test_tables_match_frozen_values():
     t2 = build_table(2)
-    assert t2.a == golden.A_N2
-    assert t2.b == golden.B_N2
+    assert t2.names == ("A", "B", "r")
+    assert t2.power == golden.A_N2
+    assert t2.inverse == golden.B_N2
     assert t2.weights == golden.R_N2
     assert t2.lambdas == golden.LAMBDAS_N2
 
     t3 = build_table(3)
-    assert t3.d == golden.D_N3
-    assert t3.g == golden.G_N3
+    assert t3.names == ("D", "G", "s")
+    assert t3.power == golden.D_N3
+    assert t3.inverse == golden.G_N3
     assert t3.weights == golden.S_N3
 
     t4 = build_table(4)
-    assert t4.b == golden.B_N4
+    assert t4.names == ("A", "B", "r")
+    assert t4.inverse == golden.B_N4
     assert t4.weights == golden.R_N4
 
 
@@ -140,16 +125,17 @@ def test_table_n1_degenerate_case():
 
 
 def test_power_matrix_and_inverse_fill_the_pair_of_their_parity():
-    # Even n fills (a, b) with the (n + 1)-sized system, odd n fills (d, g)
-    # with the (n + 1)/2-sized one; power x inverse is exactly the identity.
+    # Even n holds (A, B) with the (n + 1)-sized system, odd n (D, G) with
+    # the (n + 1)/2-sized one; power x inverse is exactly the identity.
     for n in range(1, 13):
         t = build_table(n)
         lam = lambdas(n)
+        power, inverse = t.power, t.inverse
         if n % 2 == 0:
-            size, (power, inverse), unused = n + 1, (t.a, t.b), (t.d, t.g)
+            size, names = n + 1, ("A", "B", "r")
         else:
-            size, (power, inverse), unused = (n + 1) // 2, (t.d, t.g), (t.a, t.b)
-        assert unused == (None, None), n
+            size, names = (n + 1) // 2, ("D", "G", "s")
+        assert t.names == names, n
         assert power == tuple(tuple(lam[l] ** k for l in range(size)) for k in range(size)), n
         assert all(isinstance(v, Fraction) for row in inverse for v in row), n
         product = [[sum((power[i][k] * inverse[k][j] for k in range(size)), Fraction(0))
@@ -230,17 +216,17 @@ def test_golden_checks_pass_and_detect_mutations():
     # A mutated lambda tuple must trip at least one comparison.
     t2 = build_table(2)
     mutated = ContractionTable(
-        n=2, lambdas=(2, 0, 2), a=t2.a, b=t2.b, d=t2.d, g=t2.g,
+        n=2, lambdas=(2, 0, 2), power=t2.power, inverse=t2.inverse,
         mus=t2.mus, weights=t2.weights)
     results = golden.run_golden_checks(tables=[mutated])
     bad = [name for name, ok, _ in results if not ok]
     assert any("lambda" in name for name in bad)
 
     # A single perturbed matrix entry must trip too.
-    rows = [list(r) for r in t2.b]
+    rows = [list(r) for r in t2.inverse]
     rows[0][0] = rows[0][0] + Fraction(1, 1000)
     mutated_b = ContractionTable(
-        n=2, lambdas=t2.lambdas, a=t2.a, b=tuple(tuple(r) for r in rows),
-        d=t2.d, g=t2.g, mus=t2.mus, weights=t2.weights)
+        n=2, lambdas=t2.lambdas, power=t2.power, inverse=tuple(tuple(r) for r in rows),
+        mus=t2.mus, weights=t2.weights)
     results = golden.run_golden_checks(tables=[mutated_b])
     assert any(not ok for _, ok, _ in results)

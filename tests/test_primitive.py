@@ -9,7 +9,6 @@ from clifford_ym.algebra import (
     CliffordError,
     Multivector,
     Signature,
-    commutator,
     geometric_product,
     random_multivector,
     tables,
@@ -83,7 +82,7 @@ def test_both_forms_agree():
         sig, h, points = build_field_vector(p, q, seed=29)
         table = build_table(sig.n)
         hjets = h.jets(points[:3], 1)
-        got = compute_C_jets(hjets, sig, table)
+        got = compute_C_jets(hjets, sig)
         want = _projection_form_C_jets(hjets, sig, table)
         assert got.shape == want.shape == (3, sig.n, 1 + sig.n, sig.dim)
         assert np.abs(got - want).max() < 1e-12
@@ -132,10 +131,9 @@ def test_grade_scale_matches_contraction_chain(p, q):
     # contraction chain it replaces is the oracle, on value and gradient rows.
     sig, h, points = build_field_vector(p, q, seed=73, count=1)
     assert h.grade_preserving
-    table = build_table(sig.n)
     hjets = h.jets(points[1], 1)
-    fast = compute_C_jets(hjets, sig, table, grade_preserving=True)
-    chain = compute_C_jets(hjets, sig, table)
+    fast = compute_C_jets(hjets, sig, grade_preserving=True)
+    chain = compute_C_jets(hjets, sig)
     assert fast.shape == chain.shape == (1, sig.n, 1 + sig.n, sig.dim)
     assert np.abs(fast - chain).max() < 1e-12
 
@@ -160,10 +158,9 @@ def test_vector_gauge_takes_the_contraction_chain(p, q, rng):
     h = FrameGaugeFieldVector(random_frame(sig, rng), gauge)
     h.validate(points)
     assert not h.grade_preserving
-    table = build_table(sig.n)
     hjets = h.jets(points[1], 1)
-    chain = compute_C_jets(hjets, sig, table)
-    scaled = compute_C_jets(hjets, sig, table, grade_preserving=True)
+    chain = compute_C_jets(hjets, sig)
+    scaled = compute_C_jets(hjets, sig, grade_preserving=True)
     assert np.abs(chain - scaled).max() > 1e-3
     # The derived connection must still solve the primitive equation.
     c = DerivedConnection(h)
@@ -361,7 +358,10 @@ def test_transformed_connection_rejects_high_order(rng):
     for order in (0, 1):
         assert t.jets(x, order).shape == (1, sig.n, 1 + order * sig.n, sig.dim)
     with pytest.raises(CliffordError, match="first derivatives"):
-        compute_C_jets(h.jets(x, 0), sig, build_table(sig.n))
+        compute_C_jets(h.jets(x, 0), sig)
+    # The flag is keyword-only, so a stale third positional argument fails.
+    with pytest.raises(TypeError):
+        compute_C_jets(h.jets(x, 1), sig, build_table(sig.n))
 
 
 def test_solution_reports(rng):
@@ -385,7 +385,7 @@ def test_solution_reports_on_a_given_connection():
     sig, h, points = build_field_vector(2, 0, seed=67)
     conn = DerivedConnection(h)
     sol = PrimitiveSolution(conn)
-    assert sol.c is conn and sol.h is h and sol.table is conn.table
+    assert sol.c is conn and sol.h is h
     assert sol.campaign(points[:3]) == solve(h).campaign(points[:3])
 
 

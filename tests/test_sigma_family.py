@@ -14,7 +14,6 @@ from clifford_ym import fields, primitive, runner
 from clifford_ym.algebra import random_multivector, tables
 from clifford_ym.fields import PolyField
 from clifford_ym.primitive import (
-    DerivedConnection,
     TransformedConnection,
     TransformedFieldVector,
     max_per_point,
