@@ -87,6 +87,10 @@ class FieldVectorError(CliffordError):
     """Clifford field vector fails a defining identity at some sample point."""
 
 
+_FRAME_TOL = _VECTOR_TOL = 1e-10  # bounds y eta y^T - eta and the field vector identities
+_MEMBERSHIP_TOL = 1e-9  # bounds the center leak of a gauge element's S^-1 dS
+
+
 def _as_points(x, n: int) -> np.ndarray:
     """Sample points as a (P, n) float array; one point of length n is a batch of one."""
     arr = np.asarray(x, dtype=float)
@@ -352,79 +356,32 @@ def invert_value_jet(sjet: np.ndarray, sig: Signature) -> np.ndarray:
     return out
 
 
-# Numerator coefficients b_0..b_m of the [m/m] Pade approximant to exp, and
-# theta_m, the largest eta for which that approximant meets unit roundoff in
-# double precision (Al-Mohy & Higham 2009, Table 3.1).
-_PADE = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}
-_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
-          9: 2.097847961257068e0, 13: 5.371920351148152e0}
-
-
-def _pade(a: np.ndarray, m: int) -> np.ndarray:
-    """[m/m] Pade approximant (V - U)^-1 (V + U), U and V the odd and even parts,
-    of a matrix or a stack of matrices.
-
-    Even powers up to A^6 are formed; degree 13 nests A^6 to reach A^12
-    (Higham 2005, eq. 2.4).
-    """
-    b = _PADE[m]
-    top = 3 if m == 13 else m // 2
-    powers = [np.eye(a.shape[-1]), a @ a]
-    while len(powers) <= top:
-        powers.append(powers[-1] @ powers[1])
-    u = v = 0.0
-    if m == 13:
-        a6 = powers[3]
-        u = a6 @ (b[13] * a6 + b[11] * powers[2] + b[9] * powers[1])
-        v = a6 @ (b[12] * a6 + b[10] * powers[2] + b[8] * powers[1])
-    for k in range(top + 1):
-        u = u + b[2 * k + 1] * powers[k]
-        v = v + b[2 * k] * powers[k]
-    u = a @ u
-    return np.linalg.solve(v - u, v + u)
+# expm's one Taylor degree: at ||A||_1 <= 1 its remainder is below 2/25!.
+_EXPM_DEGREE = 24
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential of a small real square matrix, or of a stack of them,
-    by scaling and squaring.
+    """Matrix exponential of a small real square matrix, or of a stack of them.
 
-    Degree and scaling follow Al-Mohy & Higham (2009), Algorithm 5.1: the
-    bounds eta use d_k = ||A^k||_1^(1/k), here from exact powers since frame
-    generators are at most n x n, and the overscaling correction ell(A, m)
-    is left out. A stack takes one degree and scaling, those its largest
-    d_k asks for. A matrix whose 1-norm is not finite gives a stack of NaN,
-    and one whose squarings overflow gives inf or NaN entries; the frame
-    checks refuse both.
+    Each matrix A takes its own s = max(0, ceil(log2 ||A||_1)): the Taylor
+    polynomial of degree _EXPM_DEGREE at 2^-s A, squared s times. So a
+    matrix's exponential does not depend on the stack it is in, as ExpField's
+    jets do not depend on their batch. A 1-norm that is not finite gives NaN;
+    squarings that overflow or underflow give a matrix the frame checks refuse.
     """
     a = np.asarray(a, dtype=float)
-    norm = np.max(np.linalg.norm(a, 1, axis=(-2, -1)), initial=0.0)
-    if not np.isfinite(norm):
-        return np.full(a.shape, np.nan)
-    if norm == 0.0:
-        return np.broadcast_to(np.eye(a.shape[-1]), a.shape).copy()
-    # Powers of A / ||A|| cannot overflow, whatever the norm.
-    d = {k: norm * np.max(np.linalg.norm(np.linalg.matrix_power(a / norm, k), 1,
-                                         axis=(-2, -1)), initial=0.0) ** (1.0 / k)
-         for k in (4, 6, 8, 10)}
-    for m, eta in ((3, max(d[4], d[6])), (5, max(d[4], d[6])),
-                   (7, max(d[6], d[8])), (9, max(d[6], d[8]))):
-        if eta <= _THETA[m]:
-            return _pade(a, m)
-    eta = min(max(d[6], d[8]), max(d[8], d[10]))
-    s = max(0, math.ceil(math.log2(eta / _THETA[13])))
-    r = _pade(a / 2.0 ** s, 13)
-    for _ in range(s):
-        r = r @ r
-    return r
+    with np.errstate(all="ignore"):
+        norm = np.linalg.norm(a, 1, axis=(-2, -1))
+        frac, e = np.frexp(norm)  # norm = frac 2^e, frac in [1/2, 1)
+        s = np.maximum(e - (frac == 0.5), 0)[..., None, None]
+        a = np.ldexp(a, -s)
+        eye = np.eye(a.shape[-1])
+        r = eye
+        for k in range(_EXPM_DEGREE, 0, -1):
+            r = eye + (a @ r) / k
+        for i in range(int(s.max(initial=0))):
+            r = np.where(i < s, r @ r, r)
+    return np.where(np.isfinite(norm)[..., None, None], r, np.nan)
 
 
 class FrameField:
@@ -440,15 +397,14 @@ class FrameField:
     construction; field vectors rely on this for their contraction shortcut.
     """
 
-    def __init__(self, sig: Signature, base=None, generator=None,
-                 poly: PolyField | None = None, tol: float = 1e-10):
+    def __init__(self, sig: Signature, base=None, generator=None, poly: PolyField | None = None):
         n = sig.n
         self.base = np.eye(n) if base is None else np.asarray(base, dtype=float)
         if self.base.shape != (n, n):
             raise FrameError(f"frame matrix must be {n}x{n}, got {self.base.shape}")
         res = float(_orthogonality_residual(sig, self.base))
-        if not res <= tol:  # NaN entries fail too
-            raise FrameError(f"matrix fails y eta y^T = eta by {res:.3e} (tol {tol:.1e})")
+        if not res <= _FRAME_TOL:  # NaN entries fail too
+            raise FrameError(f"matrix fails y eta y^T = eta by {res:.3e} (tol {_FRAME_TOL:.1e})")
         if generator is not None:
             generator = np.asarray(generator, dtype=float)
             if generator.shape != (n, n):
@@ -483,15 +439,16 @@ class FrameField:
             return np.broadcast_to(self.base, (len(x),) + self.base.shape).copy(), None
         # The first spinor entry of a field with a scalar part only is that part.
         tj = self.poly.jet(x, order)[:, :, 0].real
-        y = expm(tj[:, 0, None, None] * self.generator) @ self.base
-        dy = np.einsum("pn,pma->pnma", tj[:, 1:], self.generator @ y) if first else None
+        with np.errstate(all="ignore"):  # validate refuses what overflows here
+            y = expm(tj[:, 0, None, None] * self.generator) @ self.base
+            dy = np.einsum("pn,pma->pnma", tj[:, 1:], self.generator @ y) if first else None
         return y, dy
 
-    def validate(self, points, tol: float = 1e-10) -> float:
-        """Max orthogonality residual over the points; raises on breach."""
+    def validate(self, points) -> float:
+        """Max orthogonality residual over the points; raises past _FRAME_TOL."""
         pts = _as_points(points, self.sig.n)
         res = _orthogonality_residual(self.sig, self.matrix(pts))
-        bad = np.flatnonzero(~(res <= tol))  # NaN entries fail too
+        bad = np.flatnonzero(~(res <= _FRAME_TOL))  # NaN entries fail too
         if bad.size:
             p = bad[0]
             raise FrameError(f"frame fails orthogonality at {pts[p].tolist()}: residual {res[p]:.3e}")
@@ -501,7 +458,8 @@ class FrameField:
 def _orthogonality_residual(sig: Signature, y: np.ndarray) -> np.ndarray:
     """max |y eta y^T - eta| over each n x n matrix of y, shape y.shape[:-2]."""
     eta = np.diag(tables(sig).eta)
-    return np.abs(y @ eta @ y.swapaxes(-1, -2) - eta).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(all="ignore"):  # a non-finite y gives a NaN residual, which fails
+        return np.abs(y @ eta @ y.swapaxes(-1, -2) - eta).max(axis=(-2, -1), initial=0.0)
 
 
 def make_frame_field(sig: Signature, spec: dict) -> FrameField:
@@ -538,7 +496,7 @@ def random_frame(sig: Signature, rng: np.random.Generator, scale: float = 0.4) -
     n = sig.n
     s = rng.standard_normal((n, n)) * scale
     s = s - s.T
-    return FrameField(sig, expm(s @ np.diag(tables(sig).eta)), tol=1e-9)
+    return FrameField(sig, expm(s @ np.diag(tables(sig).eta)))
 
 
 class JetStack:
@@ -642,9 +600,10 @@ class GaugeElement(JetStack):
         p = int(np.argmax(leaks))
         return float(leaks[p]), (pts[p] if leaks[p] != 0 else None)
 
-    def validate_membership(self, points, tol: float = 1e-9) -> float:
+    def validate_membership(self, points) -> float:
+        """Worst center leak over the points; raises past _MEMBERSHIP_TOL."""
         leak, where = self.membership_report(points)
-        if not leak <= tol:
+        if not leak <= _MEMBERSHIP_TOL:
             raise GaugeMembershipError(
                 f"gauge element leaves the admissible class: center leak {leak:.3e} "
                 f"at point {None if where is None else where.tolist()}",
@@ -721,8 +680,8 @@ class CliffordFieldVector(JetStack):
     def _derive(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _bracket_grids(self.jets(x, 1), self.sig)
 
-    def validate(self, points, tol: float = 1e-10) -> dict:
-        """Check the defining identities at the points; raise on breach.
+    def validate(self, points) -> dict:
+        """Check the defining identities at the points; raise past _VECTOR_TOL.
 
         Returns {"anticommutation": max residual, "trace_product": max |Tr|,
         "circ_leak": max center leak}.
@@ -743,7 +702,7 @@ class CliffordFieldVector(JetStack):
             "trace_product": worst_trace,
             "circ_leak": float(np.abs(t.to_blades(vals)[..., t.center]).max(initial=0.0)),
         }
-        if not all(v <= tol for v in report.values()):  # NaN fails too
+        if not all(v <= _VECTOR_TOL for v in report.values()):  # NaN fails too
             raise FieldVectorError(
                 "field vector fails its defining identities: "
                 + ", ".join(f"{k}={v:.3e}" for k, v in report.items())
@@ -801,13 +760,16 @@ class FiniteDifferenceVector(CliffordFieldVector):
     """Wraps a field vector so its jets come from finite differences only.
 
     All components share one stencil, so the base vector's values are
-    evaluated once for every stencil point of every sample point.
+    evaluated once for every stencil point of every sample point. The value
+    rows are the base's values, and F[h] at a point reads only them, so the
+    vector carries its base's grade_preserving flag.
     """
 
     def __init__(self, base: CliffordFieldVector, step: float = 1e-5):
         super().__init__(base.sig)
         self.base = base
         self.step = float(step)
+        self.grade_preserving = base.grade_preserving
 
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         return fd_jet(self.base.values, self.sig, x, order, self.step)

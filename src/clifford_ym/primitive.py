@@ -21,10 +21,10 @@ F[h](U) = S^-1 F(S U S^-1) S = F(U): conjugation by exp(B) keeps grades,
 since ad_B does. Then pi[h]_k = pi_k and C_mu is mu_k times the grade-k
 part of W_mu, one scale per blade. Field vectors carry this as the
 structural flag grade_preserving, set from their types, never from a
-numerical probe; every other h (S = exp(vector), finite-difference
-field vectors, any other subclass) takes the contraction chain. The residuals
-are computed from C by the same code either way, so a wrong flag would
-breach a tolerance rather than pass.
+numerical probe; a finite-difference vector carries its base's. The
+contraction chain serves only the vectors not flagged (S = exp(vector), any
+other subclass). The residuals are computed from C by the same code either
+way, so a wrong flag would breach a tolerance rather than pass.
 
 The connection never touches the center (the k = 0 and paired (0, n)
 projections are excluded), and a solving C has zero curvature:

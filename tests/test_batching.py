@@ -128,22 +128,40 @@ def test_point_axis_rows_match_one_point_batches_at_n7():
     _check_point_axis(sig, points, rows=range(len(points)))
 
 
-@pytest.mark.parametrize("p,q,mode", [(2, 0, "exact"), (3, 2, "exact"), (4, 3, "exact"),
-                                     (3, 2, "fd")])
-def test_a_report_on_fewer_points_is_a_prefix_of_one_on_more(p, q, mode):
+def _rotation_frame(n):
+    """exp(t M) with M in the 1-2 plane and t = 3 x^1 + 2.5 (x^2)^2."""
+    gen = np.zeros((n, n))
+    gen[1, 0], gen[0, 1] = 1.0, -1.0
+    e1, e2 = np.eye(n, dtype=int)[:2].tolist()
+    monos = [{"exps": e1, "coeff": [3.0, 0.0]}, {"exps": [2 * v for v in e2], "coeff": [2.5, 0.0]}]
+    return {"kind": "rotation", "generator": gen.tolist(), "poly": {"monomials": monos}}
+
+
+@pytest.mark.parametrize("p,q,mode,frame,counts", [
+    pytest.param(2, 0, "exact", "random", (6, 16), id="2-0-exact"),
+    pytest.param(3, 2, "exact", "random", (6, 16), id="3-2-exact"),
+    pytest.param(4, 3, "exact", "random", (6, 16), id="4-3-exact"),
+    pytest.param(3, 2, "fd", "random", (6, 16), id="3-2-fd"),
+    # A rotation frame's matrices are exponentials of a stack whose norms
+    # differ from point to point.
+    pytest.param(2, 0, "exact", "rotation", (2, 16), id="2-0-exact-rotation"),
+    pytest.param(3, 2, "exact", "rotation", (2, 16), id="3-2-exact-rotation"),
+])
+def test_a_report_on_fewer_points_is_a_prefix_of_one_on_more(p, q, mode, frame, counts):
     # A point's entries do not depend on the batch it is computed in, and
     # the conjugation check reads the first three points of any batch.
     reports = []
-    for count in (6, 16):
+    for count in counts:
         report, code = runner.run_verify(runner.parse_config({
-            "signature": {"p": p, "q": q}, "frame": {"kind": "random"},
+            "signature": {"p": p, "q": q},
+            "frame": _rotation_frame(p + q) if frame == "rotation" else {"kind": "random"},
             "gauge": {"kind": "random", "scale": 0.3},
             "samples": {"count": count}, "seed": 7, "mode": mode,
         }))
         assert code == 0 and report["pass"]
         reports.append(report)
     small, large = reports
-    assert small["per_point"] == large["per_point"][:7]
+    assert small["per_point"] == large["per_point"][:counts[0] + 1]
     assert small["gauge_check"]["conjugation_max"] == large["gauge_check"]["conjugation_max"]
 
 

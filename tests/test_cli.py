@@ -22,7 +22,7 @@ from clifford_ym.cli import (
     EXIT_TOLERANCE,
     main,
 )
-from clifford_ym.fields import FrameField, FrameGaugeFieldVector, PolyField
+from clifford_ym.fields import FrameError, FrameField, FrameGaugeFieldVector, PolyField
 
 
 def run_cli(argv):
@@ -213,6 +213,11 @@ def test_verify_non_bivector_gauge(tmp_path):
     assert code == EXIT_CONFIG
 
 
+# A rotation frame whose angle reaches 1e300 over the sample box.
+ANGLE_OVERFLOW_FRAME = {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0]],
+                        "poly": {"monomials": [{"exps": [1, 0], "coeff": [1e300, 0.0]}]}}
+
+
 @pytest.mark.parametrize("path,value,flags,key", [
     pytest.param(("samples", "count"), "abc", [], "samples.count", id="count-text"),
     pytest.param(("seed",), "x", [], "seed", id="seed-text"),
@@ -237,9 +242,7 @@ def test_verify_non_bivector_gauge(tmp_path):
     pytest.param(("samples", "count"), 1.5, [], "samples.count", id="count-fraction"),
     pytest.param(("samples", "count"), True, [], "samples.count", id="count-bool"),
     pytest.param(("gauge", "terms", 0, "blade"), "e1\u00b2", [], "blade", id="blade-superscript"),
-    pytest.param(("frame",), {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0]],
-                              "poly": {"monomials": [{"exps": [1, 0], "coeff": [1e300, 0.0]}]}},
-                 [], "frame", id="frame-angle-overflow"),
+    pytest.param(("frame",), ANGLE_OVERFLOW_FRAME, [], "frame", id="frame-angle-overflow"),
     pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [0.5, 0], [], "exps",
                  id="exps-fraction"),
     pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [True, 0], [], "exps",
@@ -291,6 +294,18 @@ def test_verify_rejects_malformed_or_non_finite_entries(tmp_path, path, value, f
     assert out == ""
     assert "Traceback" not in err
     assert key in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_frame_angle_overflow_is_refused_without_a_warning(tmp_path):
+    cfg = dict(BASE_CONFIG, frame=ANGLE_OVERFLOW_FRAME)
+    with pytest.raises(FrameError):
+        runner.run_verify(runner.parse_config(cfg))
+    config = tmp_path / "angle.json"
+    config.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["verify", "--config", str(config)])
+    assert code == EXIT_CONFIG and out == ""
+    assert "frame" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("path,value", [

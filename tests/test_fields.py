@@ -1,6 +1,7 @@
 """Polynomial fields, jets, frames, gauge elements, field vectors."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from clifford_ym.algebra import (
     random_multivector,
     tables,
 )
-from clifford_ym import fields
 from clifford_ym.contraction import build_table, project
 from clifford_ym.fields import (
     ExpField,
@@ -669,19 +669,15 @@ def test_scrambled_halton_golden_bits(d, count, seed):
     assert _scrambled_halton(d, 0, seed).shape == (0, d)
 
 
-def test_expm_closed_forms_on_every_pade_branch(monkeypatch):
+def test_expm_closed_forms_across_scalings():
     # exp of a plane rotation generator is (cos, sin), of a boost (cosh, sinh);
-    # the angles reach every Pade degree, and the last one needs squaring.
-    degrees = []
-    pade = fields._pade
-    monkeypatch.setattr(fields, "_pade", lambda a, m: degrees.append(m) or pade(a, m))
+    # the angles take from none to four squarings.
     for t in (1e-3, 0.1, 0.5, 1.5, 4.0, 12.0):
         c, s, ch, sh = np.cos(t), np.sin(t), np.cosh(t), np.sinh(t)
         for gen, ref in (([[0.0, -t], [t, 0.0]], [[c, -s], [s, c]]),
                          ([[0.0, t], [t, 0.0]], [[ch, sh], [sh, ch]])):
             ref = np.array(ref)
             assert np.max(np.abs(expm(gen) - ref)) <= 1e-14 * np.max(np.abs(ref))
-    assert set(degrees) == {3, 5, 7, 9, 13}
 
 
 def test_expm_identities(rng):
@@ -694,9 +690,23 @@ def test_expm_identities(rng):
         d = rng.standard_normal(n)
         assert np.allclose(expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-14, atol=0)
     assert np.isnan(expm([[np.inf, 0.0], [0.0, 0.0]])).all()
-    # A huge angle overflows in the squarings instead of raising.
-    with np.errstate(all="ignore"):
-        assert not np.isfinite(expm([[0.0, 1e300], [-1e300, 0.0]])).all()
+    # A huge angle neither raises nor warns, and its matrix is no frame.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        huge = expm([[0.0, 1e300], [-1e300, 0.0]])
+    with pytest.raises(FrameError):
+        FrameField(Signature(2, 0), huge)
+
+
+def test_expm_of_a_stack_is_the_expm_of_each_member(rng):
+    # Each member takes its own scaling, so mixing norms from 0 to 50
+    # changes no bit of any member.
+    stack = [np.zeros((3, 3))] + [rng.standard_normal((3, 3)) * scale
+                                  for scale in (1e-3, 0.1, 0.6, 2.0, 9.0, 50.0)]
+    got = expm(np.array(stack))
+    for k, a in enumerate(stack):
+        assert np.array_equal(got[k], expm(a)), k
+
 
 def test_random_frame_validates(rng):
     sig = Signature(3, 1)

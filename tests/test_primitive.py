@@ -129,13 +129,18 @@ def test_grade_weights_are_exact():
 def test_grade_scale_matches_contraction_chain(p, q):
     # The runner's field vectors take the per-blade scale m * W; the
     # contraction chain it replaces is the oracle, on value and gradient rows.
+    # On fd jets the chain differentiates F[h] through finite differences of
+    # h, where the exact derivative is zero, so its gradient rows carry the
+    # fd error (2.4e-11 at Cl(3,3)) and are held to that, not to 1e-12.
     sig, h, points = build_field_vector(p, q, seed=73, count=1)
-    assert h.grade_preserving
-    hjets = h.jets(points[1], 1)
-    fast = compute_C_jets(hjets, sig, grade_preserving=True)
-    chain = compute_C_jets(hjets, sig)
-    assert fast.shape == chain.shape == (1, sig.n, 1 + sig.n, sig.dim)
-    assert np.abs(fast - chain).max() < 1e-12
+    for vector, grad_bound in ((h, 1e-12), (FiniteDifferenceVector(h), 1e-9)):
+        assert vector.grade_preserving
+        hjets = vector.jets(points[1], 1)
+        fast = compute_C_jets(hjets, sig, grade_preserving=True)
+        chain = compute_C_jets(hjets, sig)
+        assert fast.shape == chain.shape == (1, sig.n, 1 + sig.n, sig.dim)
+        assert np.abs(fast[:, :, 0] - chain[:, :, 0]).max() < 1e-12
+        assert np.abs(fast[:, :, 1:] - chain[:, :, 1:]).max() < grad_bound
 
 
 def _vector_gauge(sig, rng):
@@ -215,7 +220,8 @@ def test_grade_preserving_is_structural(rng):
     assert h.grade_preserving and bivector.bivector_exp
     assert TransformedFieldVector(h, bivector).grade_preserving
     assert not TransformedFieldVector(h, vector).grade_preserving
-    assert not FiniteDifferenceVector(h).grade_preserving
+    assert FiniteDifferenceVector(h).grade_preserving
+    assert not FiniteDifferenceVector(TransformedFieldVector(h, vector)).grade_preserving
     assert not generator_field_vector(sig).grade_preserving
 
 
