@@ -2,7 +2,7 @@
 
 Basis blades are indexed by bitmask: bit a-1 of the index corresponds to
 the generator e^a, so blade 0 is the unit e, blade 0b101 is e^1 e^3, and
-coefficients live in a dense complex vector of length 2^n with n = p + q.
+coefficients are held in a dense complex vector of length 2^n with n = p + q.
 Generators obey e^a e^b + e^b e^a = 2 eta^{ab} e with eta diagonal,
 +1 for a <= p and -1 for a > p.
 
@@ -51,11 +51,8 @@ class NotInvertible(CliffordError):
 
 
 class SeriesDivergence(CliffordError):
-    """Exponential series failed to converge within the term cap."""
-
-    def __init__(self, message: str, last_term_norm: float):
-        super().__init__(message)
-        self.last_term_norm = last_term_norm
+    """Exponential with no significant bit: a generator whose norm is not
+    finite or too large to scale, or a result that is not finite."""
 
 
 def n_max() -> int:

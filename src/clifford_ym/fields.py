@@ -17,7 +17,9 @@ field vectors and covectors stack their n components into (P, n, rows,
 fields convert their blade coefficients once, at the edges, and jets
 multiply as block matrices by the product rule, so exact derivatives of
 deeply composed fields like y^mu_a(x) S(x)^-1 e^a S(x) come out to machine
-precision, which the residual tolerances need.
+precision, which the residual tolerances need. There is one exponential
+algorithm, _scaled_taylor: ExpField runs it on jets and expm on frame
+matrices.
 """
 
 from __future__ import annotations
@@ -64,6 +66,14 @@ def _real(value, key: str, positive: bool = False) -> float:
         kind = "finite positive" if positive else "finite"
         raise ConfigError(f"{key} must be a {kind} number, got {value!r}")
     return out
+
+
+def _known_keys(spec, keys, prefix: str) -> None:
+    """Refuse the keys of a config object that its reader does not read, so that
+    a misspelled key cannot leave a default in force; a non-object passes."""
+    unknown = [f"{prefix}{k}" for k in spec if k not in keys] if isinstance(spec, dict) else []
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(unknown)}")
 
 
 class DimensionMismatch(CliffordError):
@@ -123,13 +133,6 @@ def _derivative_rows(n: int, order: int) -> np.ndarray:
     """Multi-index of the derivative each jet row holds, shape (rows, n)."""
     rows = np.vstack([np.zeros((1, n), dtype=np.int64), np.eye(n, dtype=np.int64)])
     return rows[:_nrows(order, n)]
-
-
-def _unit_jets(sig: Signature, count: int, order: int) -> np.ndarray:
-    """Jets of the constant field e at count points."""
-    out = np.zeros((count, _nrows(order, sig.n), sig.dim), dtype=np.complex128)
-    out[:, 0] = tables(sig).unit
-    return out
 
 
 def _jet_mul(a: np.ndarray, b: np.ndarray, sig: Signature) -> np.ndarray:
@@ -252,10 +255,12 @@ def poly_rows(sig: Signature, data, key: str, mask: int = 0) -> tuple[np.ndarray
     monos = data.get("monomials") if isinstance(data, dict) else None
     if not isinstance(monos, list):
         raise ConfigError(f"{key} must be an object with a 'monomials' list")
+    _known_keys(data, ("monomials",), f"{key}.")
     exps = np.zeros((len(monos), sig.n), dtype=np.int64)
     coeffs = np.zeros((len(monos), sig.dim), dtype=np.complex128)
     for t, mono in enumerate(monos):
         where = f"{key}.monomials[{t}]"
+        _known_keys(mono, ("exps", "coeff"), f"{where}.")
         e, c = (mono.get("exps"), mono.get("coeff")) if isinstance(mono, dict) else (None, None)
         if not isinstance(e, list) or len(e) != sig.n:
             raise ConfigError(f"{where}.exps must be a list of {sig.n} integers, got {e!r}")
@@ -287,24 +292,42 @@ def fd_jet(valuefn, sig: Signature, x, order: int, step: float) -> np.ndarray:
     return np.stack(rows, axis=-2)
 
 
-# ExpField's series stops at terms below _EXP_TOL and fails past _EXP_MAX_TERMS.
-_EXP_TOL = 1e-14
-_EXP_MAX_TERMS = 64
+# _scaled_taylor's polynomial: degree 12 at norm <= 1/4. The remainder of exp
+# is about (1/4)^13 / 13! = 2.4e-18 and that of its derivative along a
+# direction of norm 1 about (1/4)^12 / 12! = 1.2e-16, both below 2^-52.
+_TAYLOR_DEGREE = 12
+_TAYLOR_THETA = 0.25
+
+
+def _scaled_taylor(a: np.ndarray, norm: np.ndarray, mul, unit) -> np.ndarray:
+    """exp of each item of a stack a (..., r, c) under the product mul, given
+    a submultiplicative norm (...) of each item: the Taylor polynomial of
+    degree _TAYLOR_DEGREE in Horner form at 2^-s a, squared s times, with
+    s = max(0, ceil(log2(norm / _TAYLOR_THETA))) per item (N. J. Higham, SIAM
+    J. Matrix Anal. Appl. 26, 2005). np.where masks each squaring, so an
+    item's exponential does not depend on its stack. A norm that is not
+    finite gives s = 0.
+    """
+    frac, e = np.frexp(norm / _TAYLOR_THETA)  # norm / theta = frac 2^e, frac in [1/2, 1)
+    s = np.maximum(e - (frac == 0.5), 0)[..., None, None]
+    a = a * np.ldexp(1.0, -s)
+    r = unit + a / _TAYLOR_DEGREE
+    for k in range(_TAYLOR_DEGREE - 1, 0, -1):
+        r = unit + mul(a, r) / k
+    for i in range(int(s.max(initial=0))):
+        r = np.where(i < s, mul(r, r), r)
+    return r
 
 
 class ExpField(MultivectorField):
-    """Pointwise exponential of a generator field, with exact series jets.
-
-    The jet of exp(A(x)) is the jet-series sum of A(x)-jet powers over k!,
-    which at order 0 is the value series, term by term. The series runs
-    until every point's term is below _EXP_TOL, and each point stops
-    accumulating at its own first such term, so a point's jet does not
-    depend on the batch it is evaluated in. The value row stops on its own
-    term, so it is the value series at either order; the gradient rows stop
-    on the whole jet's. The stop reads the largest entry of the spinor
-    array, which bounds its largest blade coefficient from above: it can
-    cost an extra term, never stop early. A term that is not finite ends
-    the series at once.
+    """Pointwise exponential of a generator field, with exact jets:
+    _scaled_taylor of the generator's jets under the jet product, each point
+    scaled by the infinity norm of the spinor blocks of its value row. That
+    norm is submultiplicative and reads the value row alone, so a point's
+    jet depends neither on its batch nor on the order asked for. A point
+    whose norm is not finite or past _TAYLOR_THETA 2^52, where 2^s eps >= 1
+    and no bit of the result would be significant, raises SeriesDivergence,
+    and so does a result that is not finite.
     """
 
     def __init__(self, generator: MultivectorField):
@@ -312,30 +335,27 @@ class ExpField(MultivectorField):
         self.generator = generator
 
     def jet(self, x, order: int = 1) -> np.ndarray:
-        a = self.generator.jet(_as_points(x, self.sig.n), order)
-        acc = _unit_jets(self.sig, len(a), order)
-        term = acc
-        live = np.ones(acc.shape[:2] + (1,), dtype=bool)  # per point and row
-        for k in range(1, _EXP_MAX_TERMS + 1):
-            term = _jet_mul(term, a, self.sig) / k
-            np.add(acc, term, out=acc, where=live)
-            mag = np.abs(term)
-            norms = mag.max(axis=(1, 2), initial=0.0)
-            if not np.isfinite(norms).all():
-                raise SeriesDivergence(f"exponential jet series term {k} is not finite", float(norms.max()))
-            live[:, 1:] &= ~(norms < _EXP_TOL)[:, None, None]
-            live[:, 0, 0] &= ~(mag[:, 0].max(axis=1, initial=0.0) < _EXP_TOL)
-            if not live.any():
-                return acc
-        raise SeriesDivergence(
-            f"exponential jet series did not reach tol={_EXP_TOL} within {_EXP_MAX_TERMS} terms",
-            float(norms[live.any(axis=(1, 2))].max()),
-        )
+        x = _as_points(x, self.sig.n)
+        a = self.generator.jet(x, order)
+        t = tables(self.sig)
+        unit = np.outer(np.eye(a.shape[1])[0], t.unit)  # the jets of the constant e
+        cap = _TAYLOR_THETA * 2.0 ** 52
+        with np.errstate(all="ignore"):
+            norm = np.abs(a[:, 0].reshape((-1,) + t.block_shape)).sum(axis=-1).max(axis=(-2, -1))
+            bad = np.flatnonzero(~(norm <= cap))
+            if bad.size:
+                raise SeriesDivergence(f"exponential generator has norm {norm[bad[0]]:.3e} at point "
+                                       f"{x[bad[0]].tolist()}, not a finite number at most {cap:.3e}")
+            out = _scaled_taylor(a, norm, lambda u, v: _jet_mul(u, v, self.sig), unit)
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
+        if bad.size:
+            raise SeriesDivergence(f"exponential is not finite at point {x[bad[0]].tolist()}")
+        return out
 
 
 def exponential(u: Multivector) -> Multivector:
-    """exp(u) by ExpField's series at one point, that of the constant field u;
-    raises SeriesDivergence where the series does."""
+    """exp(u) by ExpField at one point, that of the constant field u; raises
+    SeriesDivergence where ExpField does."""
     s = ExpField(PolyField.constant(u.sig, u)).jet(np.zeros((1, u.sig.n)), 0)[0, 0]
     return Multivector(u.sig, tables(u.sig).to_blades(s), copy=False)
 
@@ -356,31 +376,19 @@ def invert_value_jet(sjet: np.ndarray, sig: Signature) -> np.ndarray:
     return out
 
 
-# expm's one Taylor degree: at ||A||_1 <= 1 its remainder is below 2/25!.
-_EXPM_DEGREE = 24
-
-
 def expm(a) -> np.ndarray:
     """Matrix exponential of a small real square matrix, or of a stack of them.
 
-    Each matrix A takes its own s = max(0, ceil(log2 ||A||_1)): the Taylor
-    polynomial of degree _EXPM_DEGREE at 2^-s A, squared s times. So a
-    matrix's exponential does not depend on the stack it is in, as ExpField's
-    jets do not depend on their batch. A 1-norm that is not finite gives NaN;
-    squarings that overflow or underflow give a matrix the frame checks refuse.
+    _scaled_taylor under np.matmul, each matrix scaled by its own 1-norm,
+    so a matrix's exponential does not depend on the stack it is in, as
+    ExpField's jets do not depend on their batch. A 1-norm that is not
+    finite gives NaN; squarings that overflow or underflow give a matrix the
+    frame checks refuse.
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(all="ignore"):
         norm = np.linalg.norm(a, 1, axis=(-2, -1))
-        frac, e = np.frexp(norm)  # norm = frac 2^e, frac in [1/2, 1)
-        s = np.maximum(e - (frac == 0.5), 0)[..., None, None]
-        a = np.ldexp(a, -s)
-        eye = np.eye(a.shape[-1])
-        r = eye
-        for k in range(_EXPM_DEGREE, 0, -1):
-            r = eye + (a @ r) / k
-        for i in range(int(s.max(initial=0))):
-            r = np.where(i < s, r @ r, r)
+        r = _scaled_taylor(a, norm, np.matmul, np.eye(a.shape[-1]))
     return np.where(np.isfinite(norm)[..., None, None], r, np.nan)
 
 
@@ -466,9 +474,12 @@ def make_frame_field(sig: Signature, spec: dict) -> FrameField:
     """Build a frame from a JSON-style spec: identity, constant, or rotation."""
     kind = spec.get("kind", "identity")
     if kind == "identity":
+        _known_keys(spec, ("kind",), "frame.")
         return FrameField(sig)
     if kind not in ("constant", "rotation"):
         raise FrameError(f"unknown frame kind {kind!r}")
+    _known_keys(spec, ("kind", "matrix") if kind == "constant"
+                else ("kind", "generator", "poly", "base"), "frame.")
 
     def numbers(v):
         arr = np.asarray(v)
@@ -731,7 +742,7 @@ class FrameGaugeFieldVector(CliffordFieldVector):
 
     def __init__(self, frame: FrameField, gauge: GaugeElement):
         if frame.sig != gauge.sig:
-            raise CliffordError("frame and gauge element live in different algebras")
+            raise CliffordError("frame and gauge element belong to different algebras")
         super().__init__(frame.sig)
         self.frame = frame
         self.gauge = gauge

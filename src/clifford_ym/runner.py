@@ -31,6 +31,7 @@ from .fields import (
     GaugeElement,
     PolyField,
     _integer,
+    _known_keys,
     _real,
     conjugate_jets,
     make_frame_field,
@@ -161,18 +162,25 @@ def _as_complex(value, what: str) -> complex:
     raise ConfigError(f"{what} must be a finite number or [re, im] pair, got {value!r}")
 
 
+# The keys of a config root; the objects below it are checked by their readers.
+_CONFIG_KEYS = ("signature", "samples", "seed", "sigma", "mode", "tolerances",
+                "epsilon_override", "frame", "gauge", "output", "fd_step")
+
+
 def parse_config(data: dict, sigma_override: complex | None = None,
                  seed_override: int | None = None, fd: bool = False) -> RunConfig:
     """Resolve a config dict plus command-line overrides into a RunConfig.
 
-    Every malformed, non-finite or out-of-range entry raises ConfigError
-    naming its key.
+    Every malformed, non-finite or out-of-range entry and every unread key
+    raises ConfigError naming its key.
     """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
+    _known_keys(data, _CONFIG_KEYS, "")
     sig_spec = data.get("signature")
     if not isinstance(sig_spec, dict) or "p" not in sig_spec or "q" not in sig_spec:
         raise ConfigError("config needs signature: {\"p\": .., \"q\": ..}")
+    _known_keys(sig_spec, ("p", "q"), "signature.")
     p = _integer(sig_spec["p"], "signature.p")
     q = _integer(sig_spec["q"], "signature.q")
     if p < 0 or q < 0:
@@ -184,6 +192,7 @@ def parse_config(data: dict, sigma_override: complex | None = None,
     samples = data.get("samples", {})
     if not isinstance(samples, dict):
         raise ConfigError("samples must be an object")
+    _known_keys(samples, ("count", "box", "seed"), "samples.")
     count = _integer(samples.get("count", 16), "samples.count")
     if count < 1:
         raise ConfigError("samples.count must be positive")
@@ -225,9 +234,8 @@ def parse_config(data: dict, sigma_override: complex | None = None,
     extra = data.get("tolerances", {})
     if not isinstance(extra, dict):
         raise ConfigError("tolerances must be an object")
+    _known_keys(extra, tolerances, "tolerances.")
     for key, val in extra.items():
-        if key not in tolerances:
-            raise ConfigError(f"unknown tolerance {key!r}")
         tolerances[key] = _real(val, f"tolerances.{key}", positive=True)
 
     epsilon_override = data.get("epsilon_override")
@@ -255,12 +263,14 @@ def parse_config(data: dict, sigma_override: complex | None = None,
 def _gauge_generator(sig: Signature, spec: dict, rng: np.random.Generator) -> PolyField:
     kind = spec.get("kind", "exp_bivector")
     if kind == "random":
+        _known_keys(spec, ("kind", "scale"), "gauge.")
         scale = _real(spec.get("scale", 0.3), "gauge.scale")
         if scale < 0:  # 0 is the identity gauge
             raise ConfigError(f"gauge.scale must be nonnegative, got {scale!r}")
         return random_bivector_poly_field(sig, rng, scale=scale)
     if kind != "exp_bivector":
         raise ConfigError(f"unknown gauge kind {kind!r}")
+    _known_keys(spec, ("kind", "terms"), "gauge.")
     terms = spec.get("terms", [])
     if not isinstance(terms, (list, tuple)):
         raise ConfigError("gauge.terms must be a list")
@@ -268,6 +278,7 @@ def _gauge_generator(sig: Signature, spec: dict, rng: np.random.Generator) -> Po
     for k, term in enumerate(terms):
         if not isinstance(term, dict) or "blade" not in term or "poly" not in term:
             raise ConfigError("each gauge term needs 'blade' and 'poly'")
+        _known_keys(term, ("blade", "poly"), f"gauge.terms[{k}].")
         e, c = poly_rows(sig, term["poly"], f"gauge.terms[{k}].poly",
                          parse_blade(term["blade"], sig.n))
         exps.append(e)
@@ -283,6 +294,7 @@ def build_case(cfg: RunConfig) -> dict:
         np.random.default_rng(s) for s in streams)
 
     if cfg.frame_spec.get("kind") == "random":
+        _known_keys(cfg.frame_spec, ("kind", "scale"), "frame.")
         frame = random_frame(sig, rng_frame,
                              scale=_real(cfg.frame_spec.get("scale", 0.4), "frame.scale"))
     else:

@@ -85,7 +85,7 @@ class YMSolution(CovectorField):
     given. Evaluates the antisymmetric G^munu = -sigma^2 [h^mu, h^nu] (and
     its lowered form) at arrays of points.
 
-    The flux of the second equation lives in the derived slot of B's
+    The flux of the second equation is kept in the derived slot of B's
     memo, so the residuals and the eps solve share it, and G^munu is
     formed on request from the sigma-free K^munu that h keeps
     (bracket_grids), so a family of solutions over one h holds K once

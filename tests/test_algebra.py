@@ -384,11 +384,25 @@ def test_exponential_inverse_pairing(rng):
     assert (geometric_product(s, sinv) - Multivector.unit(sig)).max_norm() < 1e-13
 
 
+@pytest.mark.parametrize("t", [10.0, 30.0, 100.0])
+def test_exponential_of_a_large_angle(t):
+    # Scaling and squaring keeps exp(t e12) = cos t + sin t e12 in Cl(2,0)
+    # accurate far past the angles an unscaled series reaches.
+    sig = Signature(2, 0)
+    e12 = Multivector.blade(sig, (1, 2))
+    want = math.cos(t) * Multivector.unit(sig) + math.sin(t) * e12
+    assert (exponential(t * e12) - want).max_norm() < 1e-13
+
+
 def test_exponential_divergence_guard():
     sig = Signature(2, 0)
-    with pytest.raises(SeriesDivergence) as err:
-        exponential(Multivector.scalar(sig, 500.0))
-    assert err.value.last_term_norm > 0
+    got = exponential(Multivector.scalar(sig, 500.0)).coeffs
+    assert abs(got[0] - math.exp(500.0)) <= 1e-13 * math.exp(500.0) and not got[1:].any()
+    with pytest.raises(SeriesDivergence, match="exponential is not finite"):
+        exponential(Multivector.scalar(sig, 1000.0))
+    # Past 2^52 times the scaling threshold 1/4 no bit of the result would be significant.
+    with pytest.raises(SeriesDivergence, match="exponential generator has norm"):
+        exponential(2.0 ** 51 * Multivector.blade(sig, (1, 2)))
 
 
 def _dense_exponential(u):

@@ -280,6 +280,30 @@ ANGLE_OVERFLOW_FRAME = {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0
     pytest.param(("tolerances",), {"eq1": True}, [], "tolerances.eq1", id="tolerance-bool"),
     pytest.param(("frame",), {"kind": "constant", "matrix": [[10 ** 400, 0], [0, 1]]}, [],
                  "matrix", id="frame-matrix-huge-integer"),
+    # A key that nothing reads is refused at every level, rather than leaving
+    # a default in force.
+    pytest.param(("sigmaa",), 5, [], "sigmaa", id="unknown-root-key"),
+    pytest.param(("tolerance",), {"eq2": 1e-30}, [], "tolerance", id="unknown-root-tolerance"),
+    pytest.param(("signature", "r"), 1, [], "signature.r", id="unknown-signature-key"),
+    pytest.param(("samples", "cout"), 999, [], "samples.cout", id="unknown-samples-key"),
+    pytest.param(("tolerances",), {"eq3": 1e-3}, [], "tolerances.eq3", id="unknown-tolerance"),
+    pytest.param(("frame", "scale"), 99, [], "frame.scale", id="unknown-identity-frame-key"),
+    pytest.param(("frame",), {"kind": "random", "scal": 99}, [], "frame.scal",
+                 id="unknown-random-frame-key"),
+    pytest.param(("frame",), {"kind": "constant", "matrix": [[1, 0], [0, 1]], "scale": 2}, [],
+                 "frame.scale", id="unknown-constant-frame-key"),
+    pytest.param(("frame",), {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0]],
+                              "poly": {"monomials": [{"exps": [1, 0], "coeff": [0.5, 0.0]}]},
+                              "angle": 1}, [], "frame.angle", id="unknown-rotation-frame-key"),
+    pytest.param(("gauge",), {"kind": "random", "sacle": 5}, [], "gauge.sacle",
+                 id="unknown-random-gauge-key"),
+    pytest.param(("gauge", "term"), [], [], "gauge.term", id="unknown-gauge-key"),
+    pytest.param(("gauge", "terms", 0, "blades"), "e1", [], "gauge.terms[0].blades",
+                 id="unknown-gauge-term-key"),
+    pytest.param(("gauge", "terms", 0, "poly", "monomial"), [], [],
+                 "gauge.terms[0].poly.monomial", id="unknown-polynomial-key"),
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exp"), [0, 1], [],
+                 "gauge.terms[0].poly.monomials[0].exp", id="unknown-monomial-key"),
 ])
 def test_verify_rejects_malformed_or_non_finite_entries(tmp_path, path, value, flags, key):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -314,6 +338,9 @@ def test_frame_angle_overflow_is_refused_without_a_warning(tmp_path):
                  id="exps-int64-max"),
     # Scale 0 draws the identity gauge.
     pytest.param(("gauge",), {"kind": "random", "scale": 0}, id="gauge-scale-zero"),
+    # A rotation angle of up to 30 radians, e12 (30 x^1 - 0.2 (x^2)^2).
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "coeff"), [30.0, 0.0],
+                 id="gauge-angle-30"),
 ])
 def test_verify_accepts_boundary_entries(tmp_path, path, value):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -356,7 +383,7 @@ def _nan_jets(original):
 NAN_STAGES = {
     "frame": (FrameField, "jets", _nan_frame, "frame fails orthogonality"),
     "gauge-generator": (runner, "_gauge_generator", _nan_generator,
-                        "exponential jet series term 1 is not finite"),
+                        "exponential generator has norm nan"),
     "h-jets": (FrameGaugeFieldVector, "_compute_jets", _nan_jets,
                "field vector fails its defining identities"),
     "c-jets": (primitive, "compute_C_jets", _nan_jets,

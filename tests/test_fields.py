@@ -706,6 +706,16 @@ def test_expm_of_a_stack_is_the_expm_of_each_member(rng):
     got = expm(np.array(stack))
     for k, a in enumerate(stack):
         assert np.array_equal(got[k], expm(a)), k
+    # ExpField's jets take the same per-point scaling: at gauge scale 3 the
+    # points need from 4 to 7 squarings, and each gets its one-point jets.
+    sig = Signature(3, 2)
+    gen = random_bivector_poly_field(sig, np.random.default_rng(5), scale=3.0)
+    x = sample_points(sig.n, count=8, box=(-2.0, 2.0), seed=1)
+    blocks = np.abs(gen.jet(x, 0)[:, 0].reshape((len(x),) + tables(sig).block_shape))
+    assert len(set(np.ceil(np.log2(4 * blocks.sum(axis=-1).max(axis=(1, 2)))))) >= 3
+    got = ExpField(gen).jet(x, 1)
+    for k in range(len(x)):
+        assert np.array_equal(got[k], ExpField(gen).jet(x[k], 1)[0]), k
 
 
 def test_random_frame_validates(rng):

@@ -42,8 +42,8 @@ def _relative_error(got, ref):
 
 # scipy's expm is itself off by up to 1.4e-14 (frame generators, n = 10) and
 # 2.2e-13 (the boost below, |t| <= 3.6) against a 40-digit reference, where
-# the package's stays within 2.0e-15 (frame generators up to n = 12) and
-# 4.5e-16 (the boost); agreement is asked to that margin, and the package's
+# the package's stays within 5.3e-15 (frame generators up to n = 12) and
+# 1.2e-15 (the boost); agreement is asked to that margin, and the package's
 # own accuracy to 1e-14 against closed forms.
 @pytest.mark.parametrize("n", range(2, 11))
 def test_expm_matches_scipy_on_frame_generators(n):
