@@ -32,7 +32,6 @@ from .fields import (
     GaugeElement,
     PolyField,
     exponential,
-    make_frame_field,
     make_gauge_element,
     random_bivector_poly_field,
     sample_points,
@@ -44,6 +43,7 @@ from .primitive import (
     primitive_residual,
     solve,
 )
+from .runner import make_frame_field
 from .yang_mills import (
     NotASolution,
     YMSolution,

@@ -39,43 +39,6 @@ from .algebra import (
 )
 
 
-class ConfigError(CliffordError):
-    """Malformed or out-of-range run configuration."""
-
-
-def _integer(value, key: str) -> int:
-    """An integer config entry; booleans, fractional numbers and strings are refused,
-    not truncated or parsed."""
-    if (isinstance(value, (bool, str))
-            or (isinstance(value, float) and not value.is_integer())):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-
-
-def _real(value, key: str, positive: bool = False) -> float:
-    """A finite number (and > 0 when positive) from a config entry; booleans and
-    strings are refused, not converted or parsed."""
-    try:
-        out = math.nan if isinstance(value, (bool, str)) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        out = math.nan
-    if not math.isfinite(out) or (positive and out <= 0):
-        kind = "finite positive" if positive else "finite"
-        raise ConfigError(f"{key} must be a {kind} number, got {value!r}")
-    return out
-
-
-def _known_keys(spec, keys, prefix: str) -> None:
-    """Refuse the keys of a config object that its reader does not read, so that
-    a misspelled key cannot leave a default in force; a non-object passes."""
-    unknown = [f"{prefix}{k}" for k in spec if k not in keys] if isinstance(spec, dict) else []
-    if unknown:
-        raise ConfigError(f"unknown config key {', '.join(unknown)}")
-
-
 class DimensionMismatch(CliffordError):
     """Point length does not match the field's coordinate dimension."""
 
@@ -242,36 +205,6 @@ class PolyField(MultivectorField):
     def grades_present(self) -> tuple[int, ...]:
         g = tables(self.sig).grades
         return tuple(sorted(set(g[self.coeffs.any(axis=0)].tolist())))
-
-
-def poly_rows(sig: Signature, data, key: str, mask: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent rows (T, n) and coefficient rows (T, dim), on blade mask, of
-    a JSON polynomial {"monomials": [{"exps": [n integers], "coeff": [re, im]}, ...]}.
-
-    Exponents follow the integer rule of config entries and lie in
-    0..2^63 - 1; a coefficient is a list of two finite numbers. Anything
-    else raises ConfigError naming key.
-    """
-    monos = data.get("monomials") if isinstance(data, dict) else None
-    if not isinstance(monos, list):
-        raise ConfigError(f"{key} must be an object with a 'monomials' list")
-    _known_keys(data, ("monomials",), f"{key}.")
-    exps = np.zeros((len(monos), sig.n), dtype=np.int64)
-    coeffs = np.zeros((len(monos), sig.dim), dtype=np.complex128)
-    for t, mono in enumerate(monos):
-        where = f"{key}.monomials[{t}]"
-        _known_keys(mono, ("exps", "coeff"), f"{where}.")
-        e, c = (mono.get("exps"), mono.get("coeff")) if isinstance(mono, dict) else (None, None)
-        if not isinstance(e, list) or len(e) != sig.n:
-            raise ConfigError(f"{where}.exps must be a list of {sig.n} integers, got {e!r}")
-        if not isinstance(c, list) or len(c) != 2:
-            raise ConfigError(f"{where}.coeff must be a [re, im] pair, got {c!r}")
-        row = [_integer(v, f"{where}.exps") for v in e]
-        if not all(0 <= v <= np.iinfo(np.int64).max for v in row):
-            raise ConfigError(f"{where}.exps must lie in 0..2^63 - 1, got {e!r}")
-        exps[t] = row
-        coeffs[t, mask] = complex(_real(c[0], f"{where}.coeff"), _real(c[1], f"{where}.coeff"))
-    return exps, coeffs
 
 
 def fd_jet(valuefn, sig: Signature, x, order: int, step: float) -> np.ndarray:
@@ -468,38 +401,6 @@ def _orthogonality_residual(sig: Signature, y: np.ndarray) -> np.ndarray:
     eta = np.diag(tables(sig).eta)
     with np.errstate(all="ignore"):  # a non-finite y gives a NaN residual, which fails
         return np.abs(y @ eta @ y.swapaxes(-1, -2) - eta).max(axis=(-2, -1), initial=0.0)
-
-
-def make_frame_field(sig: Signature, spec: dict) -> FrameField:
-    """Build a frame from a JSON-style spec: identity, constant, or rotation."""
-    kind = spec.get("kind", "identity")
-    if kind == "identity":
-        _known_keys(spec, ("kind",), "frame.")
-        return FrameField(sig)
-    if kind not in ("constant", "rotation"):
-        raise FrameError(f"unknown frame kind {kind!r}")
-    _known_keys(spec, ("kind", "matrix") if kind == "constant"
-                else ("kind", "generator", "poly", "base"), "frame.")
-
-    def numbers(v):
-        arr = np.asarray(v)
-        if arr.dtype.kind not in "iuf":  # a float cast would parse strings
-            raise ValueError(f"entries must be numbers, got {v!r}")
-        return arr.astype(float)
-
-    def entry(key, parse=numbers):
-        if key not in spec:
-            raise FrameError(f"{kind} frame spec needs a {key!r} entry")
-        try:
-            return parse(spec[key])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FrameError(f"frame {key} is malformed: {exc}") from None
-
-    if kind == "constant":
-        return FrameField(sig, entry("matrix"))
-    poly = entry("poly", lambda v: PolyField(sig, *poly_rows(sig, v, "frame.poly")))
-    base = entry("base") if spec.get("base") is not None else None
-    return FrameField(sig, base, entry("generator"), poly)
 
 
 def random_frame(sig: Signature, rng: np.random.Generator, scale: float = 0.4) -> FrameField:
@@ -757,13 +658,18 @@ class FrameGaugeFieldVector(CliffordFieldVector):
         # k[p, a] = S^-1 e^a S; the spinor gamma_a has one unit-modulus
         # entry per row and column, so right-multiplying by it is exact.
         t = tables(sig)
-        k = _jet_mul(t.batch_product(wj, t.generators).swapaxes(1, 2), sj[:, None], sig)
-        # h^mu = sum_a y^mu_a k_a, summed in order of a.
-        h = y[:, :, 0, None, None] * k[:, None, 0]
-        for a in range(1, n):
-            h += y[:, :, a, None, None] * k[:, None, a]
-        if dy is not None:
-            h[:, :, 1:] += np.einsum("pvua,pak->puvk", dy, k[:, :, 0])
+        with np.errstate(all="ignore"):  # a finite but large S can overflow here; refused below
+            k = _jet_mul(t.batch_product(wj, t.generators).swapaxes(1, 2), sj[:, None], sig)
+            # h^mu = sum_a y^mu_a k_a, summed in order of a.
+            h = y[:, :, 0, None, None] * k[:, None, 0]
+            for a in range(1, n):
+                h += y[:, :, a, None, None] * k[:, None, a]
+            if dy is not None:
+                h[:, :, 1:] += np.einsum("pvua,pak->puvk", dy, k[:, :, 0])
+        bad = np.flatnonzero(~np.isfinite(h).all(axis=(1, 2, 3)))
+        if bad.size:
+            raise FieldVectorError(f"field vector h = y S^-1 e S has non-finite jets at point "
+                                   f"{x[bad[0]].tolist()}")
         return h
 
 

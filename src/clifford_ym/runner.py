@@ -1,22 +1,26 @@
-"""Verification campaigns: config parsing, case construction, reports.
+"""Verification campaigns: the config reader, case construction, reports.
 
 A run is described by a JSON config (signature, frame, gauge, samples)
-plus a handful of scalars (sigma, seed, derivative mode, tolerances).
-The runner builds the field vector, derives its connection, assembles
-the Yang-Mills solution, measures every residual at the sample points,
+plus a handful of scalars (sigma, seed, derivative mode). parse_config is
+its one reader: it refuses every malformed entry and resolves the rest,
+the frame and the gauge generator included, into a RunConfig. The runner
+then builds the field vector, derives its connection, assembles the
+Yang-Mills solution, measures every residual at the sample points,
 applies a random gauge transformation as an invariance check, and folds
-everything into one deterministic report.
+everything into one deterministic report, held to the fixed tolerances of
+the run's mode.
 """
 
 from __future__ import annotations
 
 import cmath
-import copy
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
+    CliffordError,
     Multivector,
     Signature,
     n_max,
@@ -25,18 +29,14 @@ from .algebra import (
 from . import golden
 from .contraction import contraction_series, fraction_to_json, lambdas
 from .fields import (
-    ConfigError,
     FiniteDifferenceVector,
+    FrameError,
+    FrameField,
     FrameGaugeFieldVector,
     GaugeElement,
     PolyField,
-    _integer,
-    _known_keys,
-    _real,
     conjugate_jets,
-    make_frame_field,
     make_gauge_element,
-    poly_rows,
     random_bivector_poly_field,
     random_frame,
     sample_points,
@@ -94,40 +94,109 @@ FD_TOLERANCES = {
     "epsilon_rel": 1e-6,
 }
 
+# The tolerances of each mode; no config entry moves them.
+_TOLERANCES = {"exact": EXACT_TOLERANCES, "fd": FD_TOLERANCES}
+
 
 # Work cap of a run: sample points (count plus the origin) times the 2^n
 # blades of the algebra. It bounds the work any config can ask for.
 MAX_POINT_BLADES = 1 << 16
 
 
+class ConfigError(CliffordError):
+    """Malformed or out-of-range run configuration."""
+
+
 @dataclass
 class RunConfig:
-    """Fully resolved verification run parameters.
-
-    seed drives every randomized choice through spawned child streams
-    (frame, gauge generator, invariance-check gauge, perturbation), so a
-    config plus seed pins the whole run. sample_seed tracks samples.seed
-    when the config sets one explicitly, otherwise it follows seed.
+    """A run as parse_config resolves it. seed pins every random choice
+    (see _streams); sample_seed is samples.seed when the config sets one,
+    otherwise seed. frame and generator hold no memo, so one RunConfig
+    serves any number of runs.
     """
 
     p: int
     q: int
-    sigma: complex = 1.0 + 0.0j
-    seed: int = 0
-    sample_seed: int = 0
-    count: int = 16
-    box: tuple[float, float] = (-1.0, 1.0)
-    mode: str = "exact"
-    fd_step: float = 1e-5
-    tolerances: dict = field(default_factory=lambda: dict(EXACT_TOLERANCES))
-    frame_spec: dict = field(default_factory=lambda: {"kind": "identity"})
-    gauge_spec: dict = field(default_factory=lambda: {"kind": "exp_bivector", "terms": []})
-    epsilon_override: complex | None = None
-    output: str | None = None
+    frame: FrameField
+    generator: PolyField  # A of the run's gauge element S = exp(A)
+    sigma: complex
+    seed: int
+    sample_seed: int
+    count: int
+    box: tuple[float, float]
+    mode: str
+    fd_step: float
+    epsilon_override: complex | None
+    output: str | None
 
     @property
     def n(self) -> int:
         return self.p + self.q
+
+
+def _streams(seed: int) -> list[np.random.Generator]:
+    """The four random streams of a run: the frame and the gauge generator,
+    which parse_config draws, and the check gauge and the perturbation,
+    which build_case draws."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)]
+
+
+def _object(spec, key: str, keys) -> dict:
+    """spec, the config object at key ("" for the root), once it is known to
+    be an object whose keys are all among keys: a key that nothing reads is
+    refused, so that a misspelled key cannot leave a default in force."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{key or 'config root'} must be an object")
+    unknown = [f"{key}.{k}" if key else f"{k}" for k in spec if k not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(unknown)}")
+    return spec
+
+
+def _kind(spec, key: str, kinds: dict) -> str:
+    """The kind of the config object at key, the first of kinds when it names
+    none, with the object's keys checked against those its kind reads."""
+    default = next(iter(kinds))
+    kind = spec.get("kind", default) if isinstance(spec, dict) else default
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError(f"unknown {key} kind {kind!r}")
+    _object(spec, key, kinds[kind])
+    return kind
+
+
+def _integer(value, key: str) -> int:
+    """An integer config entry; booleans, fractional numbers and strings are refused,
+    not truncated or parsed."""
+    if (isinstance(value, (bool, str))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _real(value, key: str, positive: bool = False) -> float:
+    """A finite number (and > 0 when positive) from a config entry; booleans and
+    strings are refused, not converted or parsed."""
+    try:
+        out = math.nan if isinstance(value, (bool, str)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if not math.isfinite(out) or (positive and out <= 0):
+        kind = "finite positive" if positive else "finite"
+        raise ConfigError(f"{key} must be a {kind} number, got {value!r}")
+    return out
+
+
+def _as_complex(value, what: str) -> complex:
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_real(value[0], what), _real(value[1], what))
+    if isinstance(value, complex) and cmath.isfinite(value):
+        return value
+    if isinstance(value, (int, float)):
+        return complex(_real(value, what))
+    raise ConfigError(f"{what} must be a finite number or [re, im] pair, got {value!r}")
 
 
 def parse_blade(label: str, n: int) -> int:
@@ -152,47 +221,124 @@ def parse_blade(label: str, n: int) -> int:
     return mask
 
 
-def _as_complex(value, what: str) -> complex:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_real(value[0], what), _real(value[1], what))
-    if isinstance(value, complex) and cmath.isfinite(value):
-        return value
-    if isinstance(value, (int, float)):
-        return complex(_real(value, what))
-    raise ConfigError(f"{what} must be a finite number or [re, im] pair, got {value!r}")
+def poly_rows(sig: Signature, data, key: str, mask: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent rows (T, n) and coefficient rows (T, dim), on blade mask, of
+    a JSON polynomial {"monomials": [{"exps": [n integers], "coeff": [re, im]}, ...]}.
+
+    Exponents follow the integer rule of config entries and lie in
+    0..2^63 - 1; a coefficient is a list of two finite numbers. Anything
+    else raises ConfigError naming key.
+    """
+    monos = _object(data, key, ("monomials",)).get("monomials")
+    if not isinstance(monos, list):
+        raise ConfigError(f"{key} must be an object with a 'monomials' list")
+    exps = np.zeros((len(monos), sig.n), dtype=np.int64)
+    coeffs = np.zeros((len(monos), sig.dim), dtype=np.complex128)
+    for t, mono in enumerate(monos):
+        where = f"{key}.monomials[{t}]"
+        mono = _object(mono, where, ("exps", "coeff"))
+        e, c = mono.get("exps"), mono.get("coeff")
+        if not isinstance(e, list) or len(e) != sig.n:
+            raise ConfigError(f"{where}.exps must be a list of {sig.n} integers, got {e!r}")
+        if not isinstance(c, list) or len(c) != 2:
+            raise ConfigError(f"{where}.coeff must be a [re, im] pair, got {c!r}")
+        row = [_integer(v, f"{where}.exps") for v in e]
+        if not all(0 <= v <= np.iinfo(np.int64).max for v in row):
+            raise ConfigError(f"{where}.exps must lie in 0..2^63 - 1, got {e!r}")
+        exps[t] = row
+        coeffs[t, mask] = complex(_real(c[0], f"{where}.coeff"), _real(c[1], f"{where}.coeff"))
+    return exps, coeffs
 
 
-# The keys of a config root; the objects below it are checked by their readers.
-_CONFIG_KEYS = ("signature", "samples", "seed", "sigma", "mode", "tolerances",
-                "epsilon_override", "frame", "gauge", "output", "fd_step")
+# The keys each kind of frame and gauge object reads; the first kind is the default.
+_FRAME_KINDS = {"identity": ("kind",), "constant": ("kind", "matrix"),
+                "rotation": ("kind", "generator", "poly", "base"), "random": ("kind", "scale")}
+_GAUGE_KINDS = {"exp_bivector": ("kind", "terms"), "random": ("kind", "scale")}
+
+
+def make_frame_field(sig: Signature, spec, rng=None) -> FrameField:
+    """A frame from its config object: identity, constant (a matrix),
+    rotation (a generator, a real scalar poly and an optional base) or
+    random (an optional scale), drawn from rng, a Generator or seed as
+    np.random.default_rng takes it. Any malformed entry, a frame that is
+    not pseudo-orthogonal among them, raises ConfigError.
+    """
+    kind = _kind(spec, "frame", _FRAME_KINDS)
+
+    def matrix(key):
+        try:
+            arr = np.asarray(spec.get(key))
+        except ValueError:  # a ragged list
+            arr = np.asarray(None)
+        if arr.dtype.kind not in "iuf":  # a float cast would parse strings
+            raise ConfigError(f"frame.{key} must be a matrix of numbers, got {spec.get(key)!r}")
+        return arr.astype(float)
+
+    try:
+        if kind == "random":
+            return random_frame(sig, np.random.default_rng(rng),
+                                scale=_real(spec.get("scale", 0.4), "frame.scale"))
+        if kind != "rotation":
+            return FrameField(sig, matrix("matrix") if kind == "constant" else None)
+        poly = PolyField(sig, *poly_rows(sig, spec.get("poly"), "frame.poly"))
+        base = matrix("base") if spec.get("base") is not None else None
+        return FrameField(sig, base, matrix("generator"), poly)
+    except FrameError as exc:
+        raise ConfigError(f"frame: {exc}") from None
+
+
+def _gauge_generator(sig: Signature, spec, rng: np.random.Generator) -> PolyField:
+    """The bivector generator A of the run's gauge element S = exp(A), from its
+    config object: random (an optional nonnegative scale), drawn from rng, or
+    exp_bivector (terms, each a bivector blade and a poly)."""
+    if _kind(spec, "gauge", _GAUGE_KINDS) == "random":
+        scale = _real(spec.get("scale", 0.3), "gauge.scale")
+        if scale < 0:  # 0 is the identity gauge
+            raise ConfigError(f"gauge.scale must be nonnegative, got {scale!r}")
+        return random_bivector_poly_field(sig, rng, scale=scale)
+    terms = spec.get("terms", [])
+    if not isinstance(terms, list):
+        raise ConfigError("gauge.terms must be a list")
+    exps, coeffs = [np.zeros((0, sig.n), dtype=np.int64)], [np.zeros((0, sig.dim))]
+    for k, term in enumerate(terms):
+        where = f"gauge.terms[{k}]"
+        if "blade" not in _object(term, where, ("blade", "poly")) or "poly" not in term:
+            raise ConfigError(f"{where} needs 'blade' and 'poly'")
+        mask = parse_blade(term["blade"], sig.n)
+        if mask.bit_count() != 2:
+            raise ConfigError(f"{where}.blade {term['blade']!r} is not a bivector")
+        e, c = poly_rows(sig, term["poly"], f"{where}.poly", mask)
+        exps.append(e)
+        coeffs.append(c)
+    return PolyField(sig, np.concatenate(exps), np.concatenate(coeffs))
+
+
+# The keys of a config root.
+_CONFIG_KEYS = ("signature", "samples", "seed", "sigma", "mode", "epsilon_override",
+                "frame", "gauge", "output", "fd_step")
 
 
 def parse_config(data: dict, sigma_override: complex | None = None,
                  seed_override: int | None = None, fd: bool = False) -> RunConfig:
-    """Resolve a config dict plus command-line overrides into a RunConfig.
+    """Resolve a config object plus command-line overrides into a RunConfig:
+    the one reader of a run's input.
 
-    Every malformed, non-finite or out-of-range entry and every unread key
-    raises ConfigError naming its key.
+    Every malformed, non-finite or out-of-range entry and every key that
+    nothing reads, at any level, raises ConfigError naming its key, before
+    any case is built. Only what depends on the sample points, such as a
+    rotation frame whose angle overflows there, is refused by build_case.
     """
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    _known_keys(data, _CONFIG_KEYS, "")
-    sig_spec = data.get("signature")
-    if not isinstance(sig_spec, dict) or "p" not in sig_spec or "q" not in sig_spec:
-        raise ConfigError("config needs signature: {\"p\": .., \"q\": ..}")
-    _known_keys(sig_spec, ("p", "q"), "signature.")
-    p = _integer(sig_spec["p"], "signature.p")
-    q = _integer(sig_spec["q"], "signature.q")
+    _object(data, "", _CONFIG_KEYS)
+    sig_spec = _object(data.get("signature"), "signature", ("p", "q"))
+    p = _integer(sig_spec.get("p"), "signature.p")
+    q = _integer(sig_spec.get("q"), "signature.q")
     if p < 0 or q < 0:
         raise ConfigError("signature entries must be nonnegative")
     n = p + q
     if not 2 <= n <= n_max():
         raise ConfigError(f"verification needs 2 <= p+q <= {n_max()}, got {n}")
 
-    samples = data.get("samples", {})
-    if not isinstance(samples, dict):
-        raise ConfigError("samples must be an object")
-    _known_keys(samples, ("count", "box", "seed"), "samples.")
+    samples = _object(data.get("samples", {}), "samples", ("count", "box", "seed"))
     count = _integer(samples.get("count", 16), "samples.count")
     if count < 1:
         raise ConfigError("samples.count must be positive")
@@ -201,9 +347,8 @@ def parse_config(data: dict, sigma_override: complex | None = None,
             f"samples.count must be at most {(MAX_POINT_BLADES >> n) - 1} for n = {n}: "
             f"(count + 1) points x 2^n blades may not exceed {MAX_POINT_BLADES}")
     box = samples.get("box", [-1.0, 1.0])
-    if not isinstance(box, (list, tuple)) or len(box) != 2:
-        raise ConfigError("samples.box must be [lo, hi] with lo < hi")
-    box = (_real(box[0], "samples.box"), _real(box[1], "samples.box"))
+    box = (tuple(_real(v, "samples.box") for v in box)
+           if isinstance(box, list) and len(box) == 2 else (0.0, 0.0))
     if not box[0] < box[1]:
         raise ConfigError("samples.box must be [lo, hi] with lo < hi")
 
@@ -224,110 +369,55 @@ def parse_config(data: dict, sigma_override: complex | None = None,
     if not eps_finite:
         raise ConfigError(f"sigma {sigma!r} gives a non-finite epsilon = 4(n-1) sigma^3")
 
-    mode = str(data.get("mode", "exact"))
-    if fd:
-        mode = "fd"
-    if mode not in ("exact", "fd"):
+    mode = "fd" if fd else str(data.get("mode", "exact"))
+    if mode not in _TOLERANCES:
         raise ConfigError(f"mode must be 'exact' or 'fd', got {mode!r}")
-
-    tolerances = dict(FD_TOLERANCES if mode == "fd" else EXACT_TOLERANCES)
-    extra = data.get("tolerances", {})
-    if not isinstance(extra, dict):
-        raise ConfigError("tolerances must be an object")
-    _known_keys(extra, tolerances, "tolerances.")
-    for key, val in extra.items():
-        tolerances[key] = _real(val, f"tolerances.{key}", positive=True)
 
     epsilon_override = data.get("epsilon_override")
     if epsilon_override is not None:
         epsilon_override = _as_complex(epsilon_override, "epsilon_override")
-
-    frame_spec = data.get("frame", {"kind": "identity"})
-    gauge_spec = data.get("gauge", {"kind": "exp_bivector", "terms": []})
-    if not isinstance(frame_spec, dict) or not isinstance(gauge_spec, dict):
-        raise ConfigError("frame and gauge specs must be objects")
     output = data.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output must be a file path, got {output!r}")
 
+    sig = Signature(p, q)
+    rng_frame, rng_gauge = _streams(seed)[:2]
     return RunConfig(
-        p=p, q=q, sigma=sigma, seed=seed, sample_seed=sample_seed,
-        count=count, box=box, mode=mode,
+        p=p, q=q,
+        frame=make_frame_field(sig, data.get("frame", {}), rng_frame),
+        generator=_gauge_generator(sig, data.get("gauge", {}), rng_gauge),
+        sigma=sigma, seed=seed, sample_seed=sample_seed, count=count, box=box, mode=mode,
         fd_step=_real(data.get("fd_step", 1e-5), "fd_step", positive=True),
-        tolerances=tolerances,
-        frame_spec=copy.deepcopy(frame_spec), gauge_spec=copy.deepcopy(gauge_spec),
         epsilon_override=epsilon_override, output=output,
     )
 
 
-def _gauge_generator(sig: Signature, spec: dict, rng: np.random.Generator) -> PolyField:
-    kind = spec.get("kind", "exp_bivector")
-    if kind == "random":
-        _known_keys(spec, ("kind", "scale"), "gauge.")
-        scale = _real(spec.get("scale", 0.3), "gauge.scale")
-        if scale < 0:  # 0 is the identity gauge
-            raise ConfigError(f"gauge.scale must be nonnegative, got {scale!r}")
-        return random_bivector_poly_field(sig, rng, scale=scale)
-    if kind != "exp_bivector":
-        raise ConfigError(f"unknown gauge kind {kind!r}")
-    _known_keys(spec, ("kind", "terms"), "gauge.")
-    terms = spec.get("terms", [])
-    if not isinstance(terms, (list, tuple)):
-        raise ConfigError("gauge.terms must be a list")
-    exps, coeffs = [np.zeros((0, sig.n), dtype=np.int64)], [np.zeros((0, sig.dim))]
-    for k, term in enumerate(terms):
-        if not isinstance(term, dict) or "blade" not in term or "poly" not in term:
-            raise ConfigError("each gauge term needs 'blade' and 'poly'")
-        _known_keys(term, ("blade", "poly"), f"gauge.terms[{k}].")
-        e, c = poly_rows(sig, term["poly"], f"gauge.terms[{k}].poly",
-                         parse_blade(term["blade"], sig.n))
-        exps.append(e)
-        coeffs.append(c)
-    return PolyField(sig, np.concatenate(exps), np.concatenate(coeffs))
-
-
 def build_case(cfg: RunConfig) -> dict:
-    """Construct every object a verification run needs, seed-deterministically."""
+    """The objects of a run that carry memos, built afresh on every call:
+    the sample points, the gauge element S = exp(cfg.generator), h = y S^-1
+    e S (its finite-difference stand-in in fd mode) and its connection C,
+    and, from streams 2 and 3 of the seed, the invariance check's gauge
+    element and the perturbation of C_0. The frame and h are validated at
+    the points."""
     sig = Signature(cfg.p, cfg.q)
-    streams = np.random.SeedSequence(cfg.seed).spawn(4)
-    rng_frame, rng_gauge, rng_gauge2, rng_perturb = (
-        np.random.default_rng(s) for s in streams)
-
-    if cfg.frame_spec.get("kind") == "random":
-        _known_keys(cfg.frame_spec, ("kind", "scale"), "frame.")
-        frame = random_frame(sig, rng_frame,
-                             scale=_real(cfg.frame_spec.get("scale", 0.4), "frame.scale"))
-    else:
-        frame = make_frame_field(sig, cfg.frame_spec)
-    generator = _gauge_generator(sig, cfg.gauge_spec, rng_gauge)
-    gauge = make_gauge_element(generator)
+    rng_check, rng_perturb = _streams(cfg.seed)[2:]
+    gauge = make_gauge_element(cfg.generator)
 
     points = sample_points(sig.n, count=cfg.count, box=cfg.box, seed=cfg.sample_seed)
     # The vector the run reads is the one validated: in fd mode its values
     # come from the stencil, so the exact vector is never evaluated with
     # derivatives at the sample points.
-    h = FrameGaugeFieldVector(frame, gauge)
+    h = FrameGaugeFieldVector(cfg.frame, gauge)
     if cfg.mode == "fd":
         h = FiniteDifferenceVector(h, step=cfg.fd_step)
-    frame.validate(points)
+    cfg.frame.validate(points)
     h.validate(points)
     conn = DerivedConnection(h)
 
-    check_gen = random_bivector_poly_field(sig, rng_gauge2, scale=0.25)
-    check_gauge = make_gauge_element(check_gen)
-    amp = 0.01
-    offset = Multivector(
-        sig, amp * rng_perturb.standard_normal(sig.dim) / np.sqrt(sig.dim))
-    perturbation = PolyField.constant(sig, offset)
-
-    return {
-        "sig": sig,
-        "points": points,
-        "h": h,
-        "conn": conn,
-        "check_gauge": check_gauge,
-        "perturbation": perturbation,
-    }
+    check_gauge = make_gauge_element(random_bivector_poly_field(sig, rng_check, scale=0.25))
+    offset = Multivector(sig, 0.01 * rng_perturb.standard_normal(sig.dim) / np.sqrt(sig.dim))
+    return {"sig": sig, "points": points, "h": h, "conn": conn, "check_gauge": check_gauge,
+            "perturbation": PolyField.constant(sig, offset)}
 
 
 def _c2pair(z: complex) -> list[float]:
@@ -345,9 +435,9 @@ _GAUGE_CHECKS = (("center_leak", "center_leak"), ("primitive_max", "gauge"),
 _DEMO_CHECKS = (("explicit_formula_max_dev", "primitive"),)
 
 
-def _within(values: dict, checks, tol: dict) -> bool:
-    """Whether every checked value is at most its tolerance; a NaN is not."""
-    return all(values[key] <= tol[tol_key] for key, tol_key in checks)
+def _within(values: dict, checks, mode: str) -> bool:
+    """Whether every checked value is at most its tolerance in mode; a NaN is not."""
+    return all(values[key] <= _TOLERANCES[mode][tol_key] for key, tol_key in checks)
 
 
 def _gauge_check(case: dict, cfg: RunConfig, epsilon: complex) -> dict:
@@ -387,7 +477,7 @@ def _gauge_check(case: dict, cfg: RunConfig, epsilon: complex) -> dict:
     report = {"center_leak": leak, "primitive_max": prim_max,
               **{key: ym[key] for key in ("eq1_max", "eq2_max", "conservation_max")},
               "conjugation_max": conj_max}
-    report["pass"] = _within(report, _GAUGE_CHECKS, cfg.tolerances)
+    report["pass"] = _within(report, _GAUGE_CHECKS, cfg.mode)
     return report
 
 
@@ -399,7 +489,6 @@ def run_verify(cfg: RunConfig) -> tuple[dict, int]:
 def _certify(case: dict, cfg: RunConfig) -> tuple[dict, int]:
     """The report and exit code of run_verify for a case built from cfg."""
     points = case["points"]
-    tol = cfg.tolerances
 
     prim = PrimitiveSolution(case["conn"]).campaign(points)
 
@@ -435,9 +524,9 @@ def _certify(case: dict, cfg: RunConfig) -> tuple[dict, int]:
         "conservation_max": ym["conservation_max"],
         "gauge_check": gauge_check,
         "per_point": [{**a, **b} for a, b in zip(prim["per_point"], ym["per_point"])],
-        "tolerances": dict(tol),
+        "tolerances": dict(_TOLERANCES[cfg.mode]),
     }
-    report["pass"] = ok = _within(report, _RUN_CHECKS, tol) and gauge_check["pass"]
+    report["pass"] = ok = _within(report, _RUN_CHECKS, cfg.mode) and gauge_check["pass"]
     return report, (0 if ok else 3)
 
 
@@ -483,9 +572,9 @@ def run_demo(n: int, seed: int = 12345) -> tuple[dict, int]:
     """
     if n not in (2, 3, 4):
         raise ConfigError(f"demo supports n in (2, 3, 4), got {n}")
-    cfg = RunConfig(p=n, q=0, sigma=1.0, seed=seed, sample_seed=seed,
-                    count=8, frame_spec={"kind": "random"},
-                    gauge_spec={"kind": "random", "scale": 0.3})
+    cfg = parse_config({"signature": {"p": n, "q": 0}, "frame": {"kind": "random"},
+                        "gauge": {"kind": "random", "scale": 0.3}, "samples": {"count": 8},
+                        "seed": seed})
     case = build_case(cfg)
 
     # Both sides on the case's whole point set, compared at its first four
@@ -498,7 +587,7 @@ def run_demo(n: int, seed: int = 12345) -> tuple[dict, int]:
     report["explicit_weights"] = [fraction_to_json(f) for f in _GOLDEN_WEIGHTS[n]]
     report["explicit_formula_max_dev"] = explicit_dev
     report["lambdas"] = list(lambdas(n))
-    if not _within(report, _DEMO_CHECKS, cfg.tolerances):
+    if not _within(report, _DEMO_CHECKS, cfg.mode):
         report["pass"] = False
         code = 3
     return report, code

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import clifford_ym
-from clifford_ym import primitive, runner
+from clifford_ym import primitive, runner, yang_mills
+from clifford_ym.algebra import Signature, tables
 from clifford_ym.cli import (
     EXIT_CONFIG,
     EXIT_GOLDEN,
@@ -22,7 +23,16 @@ from clifford_ym.cli import (
     EXIT_TOLERANCE,
     main,
 )
-from clifford_ym.fields import FrameError, FrameField, FrameGaugeFieldVector, PolyField
+from clifford_ym.fields import (
+    FieldVectorError,
+    FrameError,
+    FrameField,
+    FrameGaugeFieldVector,
+    GaugeElement,
+    PolyField,
+)
+from clifford_ym.primitive import TransformedConnection, TransformedFieldVector
+from clifford_ym.yang_mills import YMSolution
 
 
 def run_cli(argv):
@@ -218,12 +228,21 @@ ANGLE_OVERFLOW_FRAME = {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0
                         "poly": {"monomials": [{"exps": [1, 0], "coeff": [1e300, 0.0]}]}}
 
 
-@pytest.mark.parametrize("path,value,flags,key", [
+def with_entry(path, value):
+    """A copy of BASE_CONFIG with the entry at path set to value."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    target = cfg
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = value
+    return cfg
+
+
+MALFORMED_ENTRIES = [
     pytest.param(("samples", "count"), "abc", [], "samples.count", id="count-text"),
     pytest.param(("seed",), "x", [], "seed", id="seed-text"),
     pytest.param(("fd_step",), "x", [], "fd_step", id="fd_step-text"),
     pytest.param(("samples", "box"), ["a", 1], [], "samples.box", id="box-text"),
-    pytest.param(("tolerances",), {"eq1": "abc"}, [], "tolerances.eq1", id="tolerance-text"),
     pytest.param(("frame",), {"kind": "constant", "matrix": "x"}, [], "matrix",
                  id="frame-matrix-text"),
     pytest.param(("sigma",), [float("nan"), 0.0], [], "sigma", id="sigma-nan"),
@@ -231,7 +250,6 @@ ANGLE_OVERFLOW_FRAME = {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0
     pytest.param(("sigma",), [1.0, 0.0], ["--sigma", "1e110"], "sigma",
                  id="sigma-flag-epsilon-overflow"),
     pytest.param(("sigma",), [1.0, 0.0], ["--sigma", "3e102"], "sigma", id="sigma-flux-overflow"),
-    pytest.param(("tolerances",), {"eq1": "nan"}, [], "tolerances.eq1", id="tolerance-nan"),
     pytest.param(("epsilon_override",), [float("nan"), 0.0], [], "epsilon_override",
                  id="epsilon_override-nan"),
     pytest.param(("samples", "box"), [0.0, float("inf")], [], "samples.box", id="box-inf"),
@@ -265,8 +283,6 @@ ANGLE_OVERFLOW_FRAME = {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0
                  id="exps-numeric-strings"),
     pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "coeff"), ["0.3", "0"], [],
                  "coeff", id="coeff-numeric-strings"),
-    pytest.param(("tolerances",), {"eq1": "1e-7"}, [], "tolerances.eq1",
-                 id="tolerance-numeric-string"),
     pytest.param(("fd_step",), "1e-5", [], "fd_step", id="fd_step-numeric-string"),
     pytest.param(("frame",), {"kind": "constant", "matrix": [["1", "0"], ["0", "1"]]}, [],
                  "matrix", id="frame-matrix-numeric-strings"),
@@ -277,7 +293,6 @@ ANGLE_OVERFLOW_FRAME = {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0
                               "base": [["1", "0"], ["0", "1"]],
                               "poly": {"monomials": [{"exps": [1, 0], "coeff": [0.5, 0.0]}]}},
                  [], "base", id="frame-base-numeric-strings"),
-    pytest.param(("tolerances",), {"eq1": True}, [], "tolerances.eq1", id="tolerance-bool"),
     pytest.param(("frame",), {"kind": "constant", "matrix": [[10 ** 400, 0], [0, 1]]}, [],
                  "matrix", id="frame-matrix-huge-integer"),
     # A key that nothing reads is refused at every level, rather than leaving
@@ -286,7 +301,9 @@ ANGLE_OVERFLOW_FRAME = {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0
     pytest.param(("tolerance",), {"eq2": 1e-30}, [], "tolerance", id="unknown-root-tolerance"),
     pytest.param(("signature", "r"), 1, [], "signature.r", id="unknown-signature-key"),
     pytest.param(("samples", "cout"), 999, [], "samples.cout", id="unknown-samples-key"),
-    pytest.param(("tolerances",), {"eq3": 1e-3}, [], "tolerances.eq3", id="unknown-tolerance"),
+    # The tolerances come from the mode alone: no config entry moves them.
+    pytest.param(("tolerances",), {"eq2": 1e300}, [], "unknown config key tolerances",
+                 id="unknown-tolerance"),
     pytest.param(("frame", "scale"), 99, [], "frame.scale", id="unknown-identity-frame-key"),
     pytest.param(("frame",), {"kind": "random", "scal": 99}, [], "frame.scal",
                  id="unknown-random-frame-key"),
@@ -304,15 +321,13 @@ ANGLE_OVERFLOW_FRAME = {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0
                  "gauge.terms[0].poly.monomial", id="unknown-polynomial-key"),
     pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exp"), [0, 1], [],
                  "gauge.terms[0].poly.monomials[0].exp", id="unknown-monomial-key"),
-])
+]
+
+
+@pytest.mark.parametrize("path,value,flags,key", MALFORMED_ENTRIES)
 def test_verify_rejects_malformed_or_non_finite_entries(tmp_path, path, value, flags, key):
-    cfg = json.loads(json.dumps(BASE_CONFIG))
-    target = cfg
-    for part in path[:-1]:
-        target = target[part]
-    target[path[-1]] = value
     config = tmp_path / "bad_entry.json"
-    config.write_text(json.dumps(cfg))  # NaN and Infinity as JSON literals
+    config.write_text(json.dumps(with_entry(path, value)))  # NaN and Infinity as JSON literals
     code, out, err = run_cli(["verify", "--config", str(config), *flags])
     assert code == EXIT_CONFIG
     assert out == ""
@@ -332,6 +347,64 @@ def test_frame_angle_overflow_is_refused_without_a_warning(tmp_path):
     assert "frame" in err and "Traceback" not in err
 
 
+# Every frame and gauge entry of MALFORMED_ENTRIES, and a gauge term on a
+# vector blade, is refused by parse_config alone, before any case is built.
+# A frame angle overflows only at the sample points, so build_case refuses it.
+PARSE_REFUSALS = [
+    *(case for case in MALFORMED_ENTRIES
+      if case.values[0][0] in ("frame", "gauge") and case.id != "frame-angle-overflow"),
+    pytest.param(("gauge", "terms", 0, "blade"), "e1", [], "not a bivector", id="vector-blade"),
+]
+
+
+@pytest.mark.parametrize("path,value,flags,key", PARSE_REFUSALS)
+def test_parse_config_alone_refuses_malformed_frame_and_gauge_entries(path, value, flags, key):
+    with pytest.raises(runner.ConfigError) as refusal:
+        runner.parse_config(with_entry(path, value))
+    assert key in str(refusal.value)
+
+
+def test_tolerance_overrides_are_refused(tmp_path):
+    # An epsilon_override of 5 breaches eq2 by about 1 (exit 3). Bounds of
+    # 1e300 on eq2, gauge and conservation once certified that breach; the
+    # key that carried them is refused, so the bounds follow the mode alone.
+    cfg = {"signature": {"p": 2, "q": 0}, "frame": {"kind": "random"},
+           "gauge": {"kind": "random", "scale": 0.3}, "samples": {"count": 4},
+           "seed": 1, "epsilon_override": [5.0, 0.0]}
+    lever = {"eq2": 1e300, "gauge": 1e300, "conservation": 1e300}
+    path = tmp_path / "lever.json"
+    for extra, exit_code in (({}, EXIT_TOLERANCE), ({"tolerances": lever}, EXIT_CONFIG)):
+        path.write_text(json.dumps({**cfg, **extra}))
+        code, out, err = run_cli(["verify", "--config", str(path)])
+        assert code == exit_code
+    assert out == "" and "unknown config key tolerances" in err
+
+
+# A gauge whose exponential is finite (about 1e153) but whose S^-1 e^a S
+# overflows in the gradient rows: 385i x^1 on e12, in Cl(2,1).
+OVERFLOW_GAUGE_CONFIG = {
+    "signature": {"p": 2, "q": 1}, "samples": {"count": 4, "seed": 3}, "seed": 5,
+    "sigma": [1.0, 0.5],
+    "frame": {"kind": "rotation", "generator": [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+              "poly": {"monomials": [{"exps": [1, 0, 1], "coeff": [0.5, 0.0]}]}},
+    "gauge": {"kind": "exp_bivector", "terms": [{
+        "blade": "e12", "poly": {"monomials": [{"exps": [1, 0, 0], "coeff": [0.0, 385.0]}]}}]},
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_field_vector_jets_are_refused_without_a_warning(tmp_path):
+    # Refused where the jets of h are formed, naming h and the point, not
+    # later under the name of the flux sums of the second equation.
+    with pytest.raises(FieldVectorError, match=r"h = y S\^-1 e S has non-finite jets at point \["):
+        runner.build_case(runner.parse_config(OVERFLOW_GAUGE_CONFIG))
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(OVERFLOW_GAUGE_CONFIG))
+    code, out, err = run_cli(["verify", "--config", str(config)])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "field vector" in err and "flux" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("path,value", [
     # The largest exponent poly_rows and PolyField accept, 2^63 - 1.
     pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [2 ** 63 - 1, 0],
@@ -343,13 +416,8 @@ def test_frame_angle_overflow_is_refused_without_a_warning(tmp_path):
                  id="gauge-angle-30"),
 ])
 def test_verify_accepts_boundary_entries(tmp_path, path, value):
-    cfg = json.loads(json.dumps(BASE_CONFIG))
-    target = cfg
-    for part in path[:-1]:
-        target = target[part]
-    target[path[-1]] = value
     config = tmp_path / "boundary.json"
-    config.write_text(json.dumps(cfg))
+    config.write_text(json.dumps(with_entry(path, value)))
     code, out, err = run_cli(["verify", "--config", str(config)])
     assert (code, err) == (EXIT_OK, "")
     assert json.loads(out)["pass"] is True
@@ -401,6 +469,119 @@ def test_verify_fails_closed_on_nan_at_each_stage(config_file, monkeypatch, stag
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err and "np.float64" not in err
+
+
+# The spinor arrays of the unit (central) and of e1 in Cl(2,0), the algebra
+# of BASE_CONFIG and of demo --n 2.
+UNIT, E1 = tables(Signature(2, 0)).to_spinor(np.eye(4))[:2]
+
+
+def _add(index, blade):
+    """A wrapper that adds delta * blade to the array the original returns, at index."""
+    def wrap(original, delta):
+        def shifted(*args, **kwargs):
+            out = np.array(original(*args, **kwargs))
+            out[index] += delta * blade
+            return out
+        return shifted
+    return wrap
+
+
+def _times(original, delta):
+    """A wrapper that scales what the original returns by 1 + delta."""
+    return lambda *args: original(*args) * (1 + delta)
+
+
+def _gauge_epsilon(original, delta):
+    """A wrapper of runner._gauge_check that scales the epsilon it is handed by 1 + delta."""
+    return lambda case, cfg, epsilon: original(case, cfg, epsilon * (1 + delta))
+
+
+# Jet arrays are (P, n, rows, dim): [:, 0, 0] is the value of component 1 and
+# [:, 0, 2] its derivative along x^2.
+VALUE, GRADIENT, DIVERGENCE = (slice(None), 0, 0), (slice(None), 0, 2), (slice(None), 0, 1)
+
+# One named defect per certified (report key, tolerance key) pair of
+# runner._RUN_CHECKS, _GAUGE_CHECKS (report keys under "gauge_check.") and
+# _DEMO_CHECKS: (patched object, attribute, wrapper, delta), with delta the
+# smallest that trips the pair on BASE_CONFIG (demo --n 2 for the demo's),
+# found by bisection and rounded to two digits.
+DEFECTS = {
+    # C_1 off by delta e1.
+    ("primitive_max", "primitive"): (primitive, "compute_C_jets", _add(VALUE, E1), 5e-9),
+    # d_2 C_1 off by delta e1, which the curl of C reads.
+    ("curvature_max", "curvature"): (primitive, "compute_C_jets", _add(GRADIENT, E1), 1e-7),
+    # Every C_mu off by delta times the unit, which commutes with everything.
+    ("center_leak_max", "center_leak"): (primitive, "compute_C_jets",
+                                         _add((slice(None), slice(None), 0), UNIT), 1e-9),
+    # G off by a factor 1 + delta.
+    ("eq1_max", "eq1"): (YMSolution, "g_upper", _times, 5e-8),
+    # The solution's epsilon off by a factor 1 + delta.
+    ("eq2_max", "eq2"): (yang_mills, "epsilon_value", _times, 2.5e-8),
+    # d_1 h^1 off by delta times the unit: the divergence of h, which the
+    # current J = eps h carries.
+    ("conservation_max", "conservation"): (FrameGaugeFieldVector, "_compute_jets",
+                                           _add(DIVERGENCE, UNIT), 2.5e-8),
+    # The solved epsilon off by a factor 1 + delta.
+    ("epsilon_rel_error", "epsilon_rel"): (runner, "epsilon_from_residuals", _times, 1e-10),
+    # The check gauge's S^-1 dS off by delta times the unit.
+    ("gauge_check.center_leak", "center_leak"): (GaugeElement, "connection",
+                                                 _add(..., UNIT), 1e-9),
+    # The transformed C_1 off by delta e1.
+    ("gauge_check.primitive_max", "gauge"): (TransformedConnection, "_compute_jets",
+                                             _add(VALUE, E1), 5.1e-7),
+    # d_2 of the transformed C_1 off by delta e1.
+    ("gauge_check.eq1_max", "gauge"): (TransformedConnection, "_compute_jets",
+                                       _add(GRADIENT, E1), 1e-6),
+    # The epsilon of the transformed solution off by a factor 1 + delta.
+    ("gauge_check.eq2_max", "gauge"): (runner, "_gauge_check", _gauge_epsilon, 2.6e-7),
+    # d_1 of the transformed h^1 off by delta times the unit.
+    ("gauge_check.conservation_max", "gauge"): (TransformedFieldVector, "_compute_jets",
+                                                _add(DIVERGENCE, UNIT), 2.5e-7),
+    # The transformed perturbed C_1 of the conjugation check off by delta e1.
+    ("gauge_check.conjugation_max", "conjugation"): (runner, "transform_connection",
+                                                     _add(VALUE, E1), 5.5e-10),
+    # The literal formula's C_1 off by delta e1.
+    ("explicit_formula_max_dev", "primitive"): (runner, "explicit_connection",
+                                                _add((slice(None), 0), E1), 1e-8),
+}
+
+
+def _run_with_defect(pair, delta, monkeypatch):
+    """(value of the pair's report key, its tolerance, exit code) with the
+    pair's defect injected at delta."""
+    target, name, wrap, _ = DEFECTS[pair]
+    with monkeypatch.context() as patch:
+        patch.setattr(target, name, wrap(getattr(target, name), delta))
+        if pair[0] == "explicit_formula_max_dev":
+            report, code = runner.run_demo(2)
+        else:
+            report, code = runner.run_verify(runner.parse_config(BASE_CONFIG))
+    key = pair[0].split(".")
+    value = report[key[0]] if len(key) == 1 else report[key[0]][key[1]]
+    return value, report["tolerances"][pair[1]], code
+
+
+def test_every_certified_pair_has_a_defect():
+    gauge = {("gauge_check." + key, tol) for key, tol in runner._GAUGE_CHECKS}
+    assert set(DEFECTS) == {*runner._RUN_CHECKS, *gauge, *runner._DEMO_CHECKS}
+
+
+@pytest.mark.parametrize("pair", DEFECTS, ids="/".join)
+def test_each_certified_pair_trips_on_its_defect(pair, monkeypatch):
+    """A run with the pair's defect exits 3 with the pair's key over its
+    tolerance.
+
+    DEFECTS records the smallest delta that trips each pair, from 1e-10
+    (epsilon_rel) to 1e-6 (gauge_check.eq1_max); the run at ten times it
+    trips, and the run at a tenth of it leaves the key within its
+    tolerance, so the record holds to a factor of ten either way.
+    """
+    delta = DEFECTS[pair][3]
+    value, tol, code = _run_with_defect(pair, 10 * delta, monkeypatch)
+    assert code == EXIT_TOLERANCE and value > tol
+    value, tol, _ = _run_with_defect(pair, delta / 10, monkeypatch)
+    assert value <= tol
 
 
 @pytest.mark.parametrize("sigma", ["1e4", "1e100"])

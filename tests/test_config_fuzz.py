@@ -1,9 +1,10 @@
-"""Property-based fuzzing of parse_config, of the specs build_case reads,
-and of whole verify campaigns.
+"""Property-based fuzzing of parse_config, of the cases build_case builds
+from its frame and gauge, and of whole verify campaigns.
 
 Whatever JSON object a config file holds, parse_config either resolves it
-into a RunConfig or refuses it with ConfigError, and build_case either
-builds the frame and gauge specs or refuses them with a CliffordError. The
+into a RunConfig, frame and gauge generator included, or refuses it with
+ConfigError, and build_case either builds the case at the sample points or
+refuses it with a CliffordError. The
 command line maps both refusals to exit 2; any other exception would
 surface as a traceback. A whole campaign exits 0, 2 or 3 and prints the
 same report when run again.
@@ -31,7 +32,6 @@ VALID = {
     "sigma": [1.0, 0.5],
     "mode": "exact",
     "fd_step": 1e-5,
-    "tolerances": {"eq1": 1e-9, "primitive": 1e-9},
     "epsilon_override": [2.0, 0.0],
     "frame": {"kind": "rotation", "generator": [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
               "poly": {"monomials": [{"exps": [1, 0, 1], "coeff": [0.5, 0.0]}]}},
@@ -43,7 +43,7 @@ VALID = {
 # Keys the parser looks for, so arbitrary objects reach past the first check.
 KEYS = sorted({"p", "q", "count", "box", "kind", "scale", "matrix", "base", "generator",
                "terms", "blade", "monomials", "exps", "coeff"}
-              | set(VALID) | set(VALID["tolerances"]))
+              | set(VALID))
 
 SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=6)
            | st.floats(allow_nan=True, allow_infinity=True))

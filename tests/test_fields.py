@@ -35,13 +35,12 @@ from clifford_ym.fields import (
     expm,
     fd_jet,
     invert_value_jet,
-    make_frame_field,
     make_gauge_element,
-    poly_rows,
     random_bivector_poly_field,
     random_frame,
     sample_points,
 )
+from clifford_ym.runner import make_frame_field, poly_rows
 from conftest import (
     ExplicitFieldVector,
     build_field_vector,

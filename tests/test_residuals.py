@@ -286,9 +286,10 @@ def test_sliced_conjugation_check_equals_the_whole_set_oracle(name):
     if "verify" in spec:
         cfg = runner.parse_config(spec["verify"])
     else:  # the run inside runner.run_demo
-        cfg = runner.RunConfig(p=spec["demo"], q=0, sigma=1.0, seed=12345, sample_seed=12345,
-                               count=8, frame_spec={"kind": "random"},
-                               gauge_spec={"kind": "random", "scale": 0.3})
+        cfg = runner.parse_config({"signature": {"p": spec["demo"], "q": 0},
+                                   "frame": {"kind": "random"},
+                                   "gauge": {"kind": "random", "scale": 0.3},
+                                   "samples": {"count": 8}, "seed": 12345})
     report, _ = golden_run(spec)
     assert report["gauge_check"]["conjugation_max"] == _whole_set_conjugation_max(cfg)
 

@@ -7,6 +7,8 @@ array to a cold computation on fresh objects, and check that the reuse
 never certifies a pair it was not computed for.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,32 @@ def test_covector_entry_serves_values_from_the_jets_once_computed():
     assert np.abs(values - jets[:, :, 0]).max() <= 1e-14
     assert np.shares_memory(tc.jets(points, 1), jets)  # read from the entry
     assert not values.flags.writeable and not jets.flags.writeable
+
+
+def _sweep_text(cfg):
+    """The sigma sweep over one build_case of cfg, as JSON text."""
+    case = runner.build_case(cfg)
+    points = case["points"]
+    entries = []
+    for sigma in SIGMAS:
+        sol = build_solution(case["h"], case["conn"], sigma, points=points)
+        eps = epsilon_from_residuals(sol, points)
+        entries.append([verify_solution(sol, points), [eps.real, eps.imag]])
+    return json.dumps(entries, sort_keys=True)
+
+
+def test_one_run_config_serves_repeated_runs_bit_for_bit():
+    # A RunConfig holds the frame and gauge generator it resolved; every
+    # object with a memo is built per case, so no state passes from one run
+    # or sweep to the next, and each repeats a fresh config's bits.
+    spec = {"signature": {"p": 3, "q": 1}, "frame": {"kind": "random"},
+            "gauge": {"kind": "random", "scale": 0.3}, "samples": {"count": 4}, "seed": 11}
+    cfg = runner.parse_config(spec)
+    runs, sweeps = [], []
+    for _ in range(2):
+        runs.append(json.dumps(runner.run_verify(cfg), sort_keys=True))
+        sweeps.append(_sweep_text(cfg))
+    fresh = runner.parse_config(spec)
+    assert runs == [json.dumps(runner.run_verify(fresh), sort_keys=True)] * 2
+    assert sweeps == [_sweep_text(fresh)] * 2
+    assert json.loads(runs[0])[1] == 0
