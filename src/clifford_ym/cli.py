@@ -18,24 +18,12 @@ import sys
 from .algebra import CliffordError, n_max
 from .contraction import build_table, table_to_json
 from .golden import run_golden_checks
-from .runner import ConfigError, parse_config, run_demo, run_verify
+from .runner import parse_config, run_demo, run_verify
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TOLERANCE = 3
 EXIT_GOLDEN = 4
-
-
-def _parse_sigma(text: str) -> complex:
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]))
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise ConfigError(f"sigma must be RE or RE,IM, got {text!r}")
 
 
 def _fmt_fraction(f) -> str:
@@ -75,11 +63,10 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting, huge integers
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    sigma = _parse_sigma(args.sigma) if args.sigma is not None else None
-    cfg = parse_config(data, sigma_override=sigma, seed_override=args.seed, fd=args.fd)
+    cfg = parse_config(data)
     report, code = run_verify(cfg)
     text = json.dumps(report, indent=2, sort_keys=True)
     if cfg.output:
@@ -142,10 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification campaign")
     p_verify.add_argument("--config", required=True, help="JSON config path")
-    p_verify.add_argument("--sigma", default=None, help="override sigma, RE or RE,IM")
-    p_verify.add_argument("--seed", type=int, default=None, help="override seed")
-    p_verify.add_argument("--fd", action="store_true",
-                          help="finite-difference derivatives instead of exact jets")
     p_verify.set_defaults(func=cmd_verify)
 
     p_golden = sub.add_parser("golden", help="check tables against frozen values")

@@ -199,8 +199,10 @@ class PolyField(MultivectorField):
         rows = _nrows(order, self.sig.n)
         # Monomial values per point, row and monomial: (P, R, T) @ (T, dim). The
         # value row is a product of its own, so its bits do not depend on the order.
-        mono = self._factors[:rows] * np.prod(x[:, None, None, :] ** self._powers[:rows], axis=-1)
-        return np.concatenate([mono[:, :1] @ self._spinor, mono[:, 1:] @ self._spinor], axis=1)
+        with np.errstate(all="ignore"):  # a non-finite jet is refused where it is read
+            mono = self._factors[:rows] * np.prod(x[:, None, None, :] ** self._powers[:rows],
+                                                  axis=-1)
+            return np.concatenate([mono[:, :1] @ self._spinor, mono[:, 1:] @ self._spinor], axis=1)
 
     def grades_present(self) -> tuple[int, ...]:
         g = tables(self.sig).grades

@@ -1,9 +1,9 @@
 """Verification campaigns: the config reader, case construction, reports.
 
-A run is described by a JSON config (signature, frame, gauge, samples)
-plus a handful of scalars (sigma, seed, derivative mode). parse_config is
-its one reader: it refuses every malformed entry and resolves the rest,
-the frame and the gauge generator included, into a RunConfig. The runner
+A run is described by one JSON config (signature, frame, gauge, samples,
+sigma, seed, derivative mode). parse_config is its one reader: it refuses
+every malformed entry and resolves the rest, the frame and the gauge
+generator included, into a RunConfig. The runner
 then builds the field vector, derives its connection, assembles the
 Yang-Mills solution, measures every residual at the sample points,
 applies a random gauge transformation as an invariance check, and folds
@@ -109,10 +109,9 @@ class ConfigError(CliffordError):
 
 @dataclass
 class RunConfig:
-    """A run as parse_config resolves it. seed pins every random choice
-    (see _streams); sample_seed is samples.seed when the config sets one,
-    otherwise seed. frame and generator hold no memo, so one RunConfig
-    serves any number of runs.
+    """A run as parse_config resolves it. seed pins every random choice:
+    the sample points and the four streams of _streams. frame and generator
+    hold no memo, so one RunConfig serves any number of runs.
     """
 
     p: int
@@ -121,11 +120,9 @@ class RunConfig:
     generator: PolyField  # A of the run's gauge element S = exp(A)
     sigma: complex
     seed: int
-    sample_seed: int
     count: int
     box: tuple[float, float]
     mode: str
-    fd_step: float
     epsilon_override: complex | None
     output: str | None
 
@@ -176,24 +173,21 @@ def _integer(value, key: str) -> int:
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
 
 
-def _real(value, key: str, positive: bool = False) -> float:
-    """A finite number (and > 0 when positive) from a config entry; booleans and
-    strings are refused, not converted or parsed."""
+def _real(value, key: str) -> float:
+    """A finite number from a config entry; booleans and strings are refused,
+    not converted or parsed."""
     try:
         out = math.nan if isinstance(value, (bool, str)) else float(value)
     except (TypeError, ValueError, OverflowError):
         out = math.nan
-    if not math.isfinite(out) or (positive and out <= 0):
-        kind = "finite positive" if positive else "finite"
-        raise ConfigError(f"{key} must be a {kind} number, got {value!r}")
+    if not math.isfinite(out):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return out
 
 
 def _as_complex(value, what: str) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_real(value[0], what), _real(value[1], what))
-    if isinstance(value, complex) and cmath.isfinite(value):
-        return value
     if isinstance(value, (int, float)):
         return complex(_real(value, what))
     raise ConfigError(f"{what} must be a finite number or [re, im] pair, got {value!r}")
@@ -315,13 +309,11 @@ def _gauge_generator(sig: Signature, spec, rng: np.random.Generator) -> PolyFiel
 
 # The keys of a config root.
 _CONFIG_KEYS = ("signature", "samples", "seed", "sigma", "mode", "epsilon_override",
-                "frame", "gauge", "output", "fd_step")
+                "frame", "gauge", "output")
 
 
-def parse_config(data: dict, sigma_override: complex | None = None,
-                 seed_override: int | None = None, fd: bool = False) -> RunConfig:
-    """Resolve a config object plus command-line overrides into a RunConfig:
-    the one reader of a run's input.
+def parse_config(data: dict) -> RunConfig:
+    """Resolve a config object into a RunConfig: the one reader of a run's input.
 
     Every malformed, non-finite or out-of-range entry and every key that
     nothing reads, at any level, raises ConfigError naming its key, before
@@ -338,7 +330,7 @@ def parse_config(data: dict, sigma_override: complex | None = None,
     if not 2 <= n <= n_max():
         raise ConfigError(f"verification needs 2 <= p+q <= {n_max()}, got {n}")
 
-    samples = _object(data.get("samples", {}), "samples", ("count", "box", "seed"))
+    samples = _object(data.get("samples", {}), "samples", ("count", "box"))
     count = _integer(samples.get("count", 16), "samples.count")
     if count < 1:
         raise ConfigError("samples.count must be positive")
@@ -349,19 +341,14 @@ def parse_config(data: dict, sigma_override: complex | None = None,
     box = samples.get("box", [-1.0, 1.0])
     box = (tuple(_real(v, "samples.box") for v in box)
            if isinstance(box, list) and len(box) == 2 else (0.0, 0.0))
-    if not box[0] < box[1]:
-        raise ConfigError("samples.box must be [lo, hi] with lo < hi")
+    if not (box[0] < box[1] and math.isfinite(box[1] - box[0])):
+        raise ConfigError("samples.box must be [lo, hi] with lo < hi and a finite width")
 
-    if seed_override is not None:
-        seed = sample_seed = _integer(seed_override, "seed")
-    else:
-        seed = _integer(data.get("seed", samples.get("seed", 0)), "seed")
-        sample_seed = _integer(samples.get("seed", seed), "samples.seed")
-    if seed < 0 or sample_seed < 0:
-        raise ConfigError("seed and samples.seed must be nonnegative")
+    seed = _integer(data.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
 
-    sigma = _as_complex(data.get("sigma", 1.0) if sigma_override is None else sigma_override,
-                        "sigma")
+    sigma = _as_complex(data.get("sigma", 1.0), "sigma")
     try:
         eps_finite = cmath.isfinite(epsilon_value(n, sigma))
     except OverflowError:
@@ -369,7 +356,7 @@ def parse_config(data: dict, sigma_override: complex | None = None,
     if not eps_finite:
         raise ConfigError(f"sigma {sigma!r} gives a non-finite epsilon = 4(n-1) sigma^3")
 
-    mode = "fd" if fd else str(data.get("mode", "exact"))
+    mode = str(data.get("mode", "exact"))
     if mode not in _TOLERANCES:
         raise ConfigError(f"mode must be 'exact' or 'fd', got {mode!r}")
 
@@ -377,7 +364,7 @@ def parse_config(data: dict, sigma_override: complex | None = None,
     if epsilon_override is not None:
         epsilon_override = _as_complex(epsilon_override, "epsilon_override")
     output = data.get("output")
-    if output is not None and not isinstance(output, str):
+    if output is not None and not (isinstance(output, str) and "\0" not in output):
         raise ConfigError(f"output must be a file path, got {output!r}")
 
     sig = Signature(p, q)
@@ -386,8 +373,7 @@ def parse_config(data: dict, sigma_override: complex | None = None,
         p=p, q=q,
         frame=make_frame_field(sig, data.get("frame", {}), rng_frame),
         generator=_gauge_generator(sig, data.get("gauge", {}), rng_gauge),
-        sigma=sigma, seed=seed, sample_seed=sample_seed, count=count, box=box, mode=mode,
-        fd_step=_real(data.get("fd_step", 1e-5), "fd_step", positive=True),
+        sigma=sigma, seed=seed, count=count, box=box, mode=mode,
         epsilon_override=epsilon_override, output=output,
     )
 
@@ -403,13 +389,13 @@ def build_case(cfg: RunConfig) -> dict:
     rng_check, rng_perturb = _streams(cfg.seed)[2:]
     gauge = make_gauge_element(cfg.generator)
 
-    points = sample_points(sig.n, count=cfg.count, box=cfg.box, seed=cfg.sample_seed)
+    points = sample_points(sig.n, count=cfg.count, box=cfg.box, seed=cfg.seed)
     # The vector the run reads is the one validated: in fd mode its values
     # come from the stencil, so the exact vector is never evaluated with
     # derivatives at the sample points.
     h = FrameGaugeFieldVector(cfg.frame, gauge)
     if cfg.mode == "fd":
-        h = FiniteDifferenceVector(h, step=cfg.fd_step)
+        h = FiniteDifferenceVector(h)
     cfg.frame.validate(points)
     h.validate(points)
     conn = DerivedConnection(h)

@@ -206,10 +206,11 @@ def epsilon_from_residuals(sol: YMSolution, points) -> complex:
     flux = sol.derived(pts).reshape(len(pts), -1)
     hv = sol.h.jets(pts, 1)[:, :, 0].reshape(len(pts), -1)
     blocks, d, _ = tables(sol.sig).block_shape
-    proj = np.einsum("pk,pk->p", hv.conj(), flux) / (blocks * d)
-    norms = np.einsum("pk,pk->p", hv.conj(), hv) / (blocks * d)
-    a = complex(proj.sum())
-    total = float(norms.sum().real)
+    with np.errstate(all="ignore"):  # non-finite sums are refused below
+        proj = np.einsum("pk,pk->p", hv.conj(), flux) / (blocks * d)
+        norms = np.einsum("pk,pk->p", hv.conj(), hv) / (blocks * d)
+        a = complex(proj.sum())
+        total = float(norms.sum().real)
     if not (cmath.isfinite(a) and np.isfinite(total)):
         raise CliffordError(
             f"the flux sums of the second equation are not finite (sigma = {sol.sigma}): "

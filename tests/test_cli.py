@@ -55,7 +55,8 @@ BASE_CONFIG = {
             ]},
         }],
     },
-    "samples": {"count": 6, "seed": 3, "box": [-1.0, 1.0]},
+    "samples": {"count": 6, "box": [-1.0, 1.0]},
+    "seed": 3,
     "sigma": [1.0, 0.0],
 }
 
@@ -166,17 +167,24 @@ def test_verify_deterministic_output(config_file):
     assert out1 == out2
 
 
-def test_verify_seed_changes_report(config_file):
-    _, out1, _ = run_cli(["verify", "--config", config_file, "--seed", "1"])
-    _, out2, _ = run_cli(["verify", "--config", config_file, "--seed", "2"])
+def verify_with(tmp_path, **entries):
+    """run_cli on verify of BASE_CONFIG with the given root entries replaced."""
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, **entries)))
+    return run_cli(["verify", "--config", str(path)])
+
+
+def test_verify_seed_changes_report(tmp_path):
+    _, out1, _ = verify_with(tmp_path, seed=1)
+    _, out2, _ = verify_with(tmp_path, seed=2)
     r1, r2 = json.loads(out1), json.loads(out2)
     assert r1["seed"] == 1 and r2["seed"] == 2
     assert r1["per_point"] != r2["per_point"]
     assert r1["pass"] and r2["pass"]
 
 
-def test_verify_sigma_override(config_file):
-    code, out, _ = run_cli(["verify", "--config", config_file, "--sigma", "0,1"])
+def test_verify_sigma_override(tmp_path):
+    code, out, _ = verify_with(tmp_path, sigma=[0.0, 1.0])
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["sigma"] == [0.0, 1.0]
@@ -185,8 +193,8 @@ def test_verify_sigma_override(config_file):
     assert report["pass"] is True
 
 
-def test_verify_fd_mode(config_file):
-    code, out, _ = run_cli(["verify", "--config", config_file, "--fd"])
+def test_verify_fd_mode(tmp_path):
+    code, out, _ = verify_with(tmp_path, mode="fd")
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["mode"] == "fd"
@@ -204,6 +212,33 @@ def test_verify_malformed_json(tmp_path):
     path.write_text("{not json")
     code, _, err = run_cli(["verify", "--config", str(path)])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b'{"seed": "\xff"}', id="non-utf8"),
+    pytest.param(b"[" * 100_000, id="nested-100000-deep"),
+    pytest.param(b'{"seed": ' + b"9" * 5000 + b"}", id="integer-5000-digits"),
+])
+def test_verify_unreadable_config_fails_closed(tmp_path, content):
+    # UnicodeDecodeError, RecursionError and the ValueError of Python's
+    # limit on integer-string conversion, each a refusal rather than a traceback.
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(["verify", "--config", str(path)])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: config is not valid JSON: ")
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--sigma", "0,1"], ["--fd"]],
+                         ids=lambda flag: flag[0])
+def test_verify_takes_no_setter_but_its_config(config_file, flag):
+    # seed, sigma and mode are set in the config alone: a flag is a usage error.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", config_file, *flag])
+    assert (exc.value.code, out.getvalue()) == (EXIT_CONFIG, "")
+    assert f"unrecognized arguments: {' '.join(flag)}" in err.getvalue()
 
 
 def test_verify_bad_signature(tmp_path):
@@ -239,96 +274,98 @@ def with_entry(path, value):
 
 
 MALFORMED_ENTRIES = [
-    pytest.param(("samples", "count"), "abc", [], "samples.count", id="count-text"),
-    pytest.param(("seed",), "x", [], "seed", id="seed-text"),
-    pytest.param(("fd_step",), "x", [], "fd_step", id="fd_step-text"),
-    pytest.param(("samples", "box"), ["a", 1], [], "samples.box", id="box-text"),
-    pytest.param(("frame",), {"kind": "constant", "matrix": "x"}, [], "matrix",
+    pytest.param(("samples", "count"), "abc", "samples.count", id="count-text"),
+    pytest.param(("seed",), "x", "seed", id="seed-text"),
+    pytest.param(("samples", "box"), ["a", 1], "samples.box", id="box-text"),
+    pytest.param(("frame",), {"kind": "constant", "matrix": "x"}, "matrix",
                  id="frame-matrix-text"),
-    pytest.param(("sigma",), [float("nan"), 0.0], [], "sigma", id="sigma-nan"),
-    pytest.param(("sigma",), [1e110, 0.0], [], "sigma", id="sigma-epsilon-overflow"),
-    pytest.param(("sigma",), [1.0, 0.0], ["--sigma", "1e110"], "sigma",
-                 id="sigma-flag-epsilon-overflow"),
-    pytest.param(("sigma",), [1.0, 0.0], ["--sigma", "3e102"], "sigma", id="sigma-flux-overflow"),
-    pytest.param(("epsilon_override",), [float("nan"), 0.0], [], "epsilon_override",
+    pytest.param(("sigma",), [float("nan"), 0.0], "sigma", id="sigma-nan"),
+    pytest.param(("sigma",), [1e110, 0.0], "sigma", id="sigma-epsilon-overflow"),
+    pytest.param(("sigma",), [3e102, 0.0], "sigma", id="sigma-flux-overflow"),
+    pytest.param(("epsilon_override",), [float("nan"), 0.0], "epsilon_override",
                  id="epsilon_override-nan"),
-    pytest.param(("samples", "box"), [0.0, float("inf")], [], "samples.box", id="box-inf"),
-    pytest.param(("fd_step",), 0, ["--fd"], "fd_step", id="fd_step-zero"),
-    pytest.param(("fd_step",), -1, ["--fd"], "fd_step", id="fd_step-negative"),
-    pytest.param(("samples", "count"), 10 ** 400, [], "samples.count", id="count-huge"),
-    pytest.param(("samples", "count"), 1e8, [], "samples.count", id="count-over-cap"),
-    pytest.param(("samples", "count"), 1.5, [], "samples.count", id="count-fraction"),
-    pytest.param(("samples", "count"), True, [], "samples.count", id="count-bool"),
-    pytest.param(("gauge", "terms", 0, "blade"), "e1\u00b2", [], "blade", id="blade-superscript"),
-    pytest.param(("frame",), ANGLE_OVERFLOW_FRAME, [], "frame", id="frame-angle-overflow"),
-    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [0.5, 0], [], "exps",
+    pytest.param(("samples", "box"), [0.0, float("inf")], "samples.box", id="box-inf"),
+    # hi - lo overflows, so every point after the origin would be [inf, inf].
+    pytest.param(("samples", "box"), [-1e308, 1e308], "samples.box", id="box-width-overflow"),
+    # open() would refuse it with a ValueError, after the whole run.
+    pytest.param(("output",), "a\u0000b", "output must be a file path", id="output-nul"),
+    pytest.param(("samples", "count"), 10 ** 400, "samples.count", id="count-huge"),
+    pytest.param(("samples", "count"), 1e8, "samples.count", id="count-over-cap"),
+    pytest.param(("samples", "count"), 1.5, "samples.count", id="count-fraction"),
+    pytest.param(("samples", "count"), True, "samples.count", id="count-bool"),
+    pytest.param(("gauge", "terms", 0, "blade"), "e1\u00b2", "blade", id="blade-superscript"),
+    pytest.param(("frame",), ANGLE_OVERFLOW_FRAME, "frame", id="frame-angle-overflow"),
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [0.5, 0], "exps",
                  id="exps-fraction"),
-    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [True, 0], [], "exps",
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [True, 0], "exps",
                  id="exps-bool"),
-    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [10 ** 30, 0], [],
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [10 ** 30, 0],
                  "exps", id="exps-past-int64"),
-    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [2 ** 63, 0], [],
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [2 ** 63, 0],
                  "exps", id="exps-2^63"),
-    pytest.param(("gauge",), {"kind": "random", "scale": -0.3}, [], "gauge.scale",
+    pytest.param(("gauge",), {"kind": "random", "scale": -0.3}, "gauge.scale",
                  id="gauge-scale-negative"),
-    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "coeff"), "12", [], "coeff",
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "coeff"), "12", "coeff",
                  id="coeff-string"),
     pytest.param(("frame",), {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0]],
                               "poly": {"monomials": [{"exps": [1.9, 0], "coeff": [0.5, 0.0]}]}},
-                 [], "exps", id="frame-exps-fraction"),
+                 "exps", id="frame-exps-fraction"),
     # Numbers given as strings are refused, not parsed.
-    pytest.param(("signature", "p"), "2", [], "signature.p", id="p-numeric-string"),
-    pytest.param(("samples", "count"), "3", [], "samples.count", id="count-numeric-string"),
-    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), ["1", "0"], [], "exps",
+    pytest.param(("signature", "p"), "2", "signature.p", id="p-numeric-string"),
+    pytest.param(("samples", "count"), "3", "samples.count", id="count-numeric-string"),
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), ["1", "0"], "exps",
                  id="exps-numeric-strings"),
-    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "coeff"), ["0.3", "0"], [],
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "coeff"), ["0.3", "0"],
                  "coeff", id="coeff-numeric-strings"),
-    pytest.param(("fd_step",), "1e-5", [], "fd_step", id="fd_step-numeric-string"),
-    pytest.param(("frame",), {"kind": "constant", "matrix": [["1", "0"], ["0", "1"]]}, [],
+    pytest.param(("frame",), {"kind": "constant", "matrix": [["1", "0"], ["0", "1"]]},
                  "matrix", id="frame-matrix-numeric-strings"),
     pytest.param(("frame",), {"kind": "rotation", "generator": [["0", "1"], ["-1", "0"]],
                               "poly": {"monomials": [{"exps": [1, 0], "coeff": [0.5, 0.0]}]}},
-                 [], "generator", id="frame-generator-numeric-strings"),
+                 "generator", id="frame-generator-numeric-strings"),
     pytest.param(("frame",), {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0]],
                               "base": [["1", "0"], ["0", "1"]],
                               "poly": {"monomials": [{"exps": [1, 0], "coeff": [0.5, 0.0]}]}},
-                 [], "base", id="frame-base-numeric-strings"),
-    pytest.param(("frame",), {"kind": "constant", "matrix": [[10 ** 400, 0], [0, 1]]}, [],
+                 "base", id="frame-base-numeric-strings"),
+    pytest.param(("frame",), {"kind": "constant", "matrix": [[10 ** 400, 0], [0, 1]]},
                  "matrix", id="frame-matrix-huge-integer"),
     # A key that nothing reads is refused at every level, rather than leaving
     # a default in force.
-    pytest.param(("sigmaa",), 5, [], "sigmaa", id="unknown-root-key"),
-    pytest.param(("tolerance",), {"eq2": 1e-30}, [], "tolerance", id="unknown-root-tolerance"),
-    pytest.param(("signature", "r"), 1, [], "signature.r", id="unknown-signature-key"),
-    pytest.param(("samples", "cout"), 999, [], "samples.cout", id="unknown-samples-key"),
+    pytest.param(("sigmaa",), 5, "sigmaa", id="unknown-root-key"),
+    pytest.param(("tolerance",), {"eq2": 1e-30}, "tolerance", id="unknown-root-tolerance"),
+    pytest.param(("signature", "r"), 1, "signature.r", id="unknown-signature-key"),
+    pytest.param(("samples", "cout"), 999, "samples.cout", id="unknown-samples-key"),
+    # The sample points follow seed, and fd mode takes the default step.
+    pytest.param(("samples", "seed"), 3, "unknown config key samples.seed",
+                 id="unknown-samples-seed"),
+    pytest.param(("fd_step",), 1e-5, "unknown config key fd_step", id="unknown-fd_step"),
     # The tolerances come from the mode alone: no config entry moves them.
-    pytest.param(("tolerances",), {"eq2": 1e300}, [], "unknown config key tolerances",
+    pytest.param(("tolerances",), {"eq2": 1e300}, "unknown config key tolerances",
                  id="unknown-tolerance"),
-    pytest.param(("frame", "scale"), 99, [], "frame.scale", id="unknown-identity-frame-key"),
-    pytest.param(("frame",), {"kind": "random", "scal": 99}, [], "frame.scal",
+    pytest.param(("frame", "scale"), 99, "frame.scale", id="unknown-identity-frame-key"),
+    pytest.param(("frame",), {"kind": "random", "scal": 99}, "frame.scal",
                  id="unknown-random-frame-key"),
-    pytest.param(("frame",), {"kind": "constant", "matrix": [[1, 0], [0, 1]], "scale": 2}, [],
+    pytest.param(("frame",), {"kind": "constant", "matrix": [[1, 0], [0, 1]], "scale": 2},
                  "frame.scale", id="unknown-constant-frame-key"),
     pytest.param(("frame",), {"kind": "rotation", "generator": [[0.0, 1.0], [-1.0, 0.0]],
                               "poly": {"monomials": [{"exps": [1, 0], "coeff": [0.5, 0.0]}]},
-                              "angle": 1}, [], "frame.angle", id="unknown-rotation-frame-key"),
-    pytest.param(("gauge",), {"kind": "random", "sacle": 5}, [], "gauge.sacle",
+                              "angle": 1}, "frame.angle", id="unknown-rotation-frame-key"),
+    pytest.param(("gauge",), {"kind": "random", "sacle": 5}, "gauge.sacle",
                  id="unknown-random-gauge-key"),
-    pytest.param(("gauge", "term"), [], [], "gauge.term", id="unknown-gauge-key"),
-    pytest.param(("gauge", "terms", 0, "blades"), "e1", [], "gauge.terms[0].blades",
+    pytest.param(("gauge", "term"), [], "gauge.term", id="unknown-gauge-key"),
+    pytest.param(("gauge", "terms", 0, "blades"), "e1", "gauge.terms[0].blades",
                  id="unknown-gauge-term-key"),
-    pytest.param(("gauge", "terms", 0, "poly", "monomial"), [], [],
+    pytest.param(("gauge", "terms", 0, "poly", "monomial"), [],
                  "gauge.terms[0].poly.monomial", id="unknown-polynomial-key"),
-    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exp"), [0, 1], [],
+    pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exp"), [0, 1],
                  "gauge.terms[0].poly.monomials[0].exp", id="unknown-monomial-key"),
 ]
 
 
-@pytest.mark.parametrize("path,value,flags,key", MALFORMED_ENTRIES)
-def test_verify_rejects_malformed_or_non_finite_entries(tmp_path, path, value, flags, key):
+@pytest.mark.parametrize("path,value,key", MALFORMED_ENTRIES)
+def test_verify_rejects_malformed_or_non_finite_entries(tmp_path, path, value, key):
     config = tmp_path / "bad_entry.json"
     config.write_text(json.dumps(with_entry(path, value)))  # NaN and Infinity as JSON literals
-    code, out, err = run_cli(["verify", "--config", str(config), *flags])
+    code, out, err = run_cli(["verify", "--config", str(config)])
     assert code == EXIT_CONFIG
     assert out == ""
     assert "Traceback" not in err
@@ -347,18 +384,29 @@ def test_frame_angle_overflow_is_refused_without_a_warning(tmp_path):
     assert "frame" in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_generator_overflow_at_the_sample_points_is_refused_without_a_warning(tmp_path):
+    # -0.2 (x^2)^2 overflows on this box: PolyField.jet gives non-finite
+    # rows without a warning, and ExpField refuses them, naming the point.
+    config = tmp_path / "far_box.json"
+    config.write_text(json.dumps(with_entry(("samples", "box"), [1e300, 1e301])))
+    code, out, err = run_cli(["verify", "--config", str(config)])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: exponential generator has norm ") and " at point [" in err
+
+
 # Every frame and gauge entry of MALFORMED_ENTRIES, and a gauge term on a
 # vector blade, is refused by parse_config alone, before any case is built.
 # A frame angle overflows only at the sample points, so build_case refuses it.
 PARSE_REFUSALS = [
     *(case for case in MALFORMED_ENTRIES
       if case.values[0][0] in ("frame", "gauge") and case.id != "frame-angle-overflow"),
-    pytest.param(("gauge", "terms", 0, "blade"), "e1", [], "not a bivector", id="vector-blade"),
+    pytest.param(("gauge", "terms", 0, "blade"), "e1", "not a bivector", id="vector-blade"),
 ]
 
 
-@pytest.mark.parametrize("path,value,flags,key", PARSE_REFUSALS)
-def test_parse_config_alone_refuses_malformed_frame_and_gauge_entries(path, value, flags, key):
+@pytest.mark.parametrize("path,value,key", PARSE_REFUSALS)
+def test_parse_config_alone_refuses_malformed_frame_and_gauge_entries(path, value, key):
     with pytest.raises(runner.ConfigError) as refusal:
         runner.parse_config(with_entry(path, value))
     assert key in str(refusal.value)
@@ -383,7 +431,7 @@ def test_tolerance_overrides_are_refused(tmp_path):
 # A gauge whose exponential is finite (about 1e153) but whose S^-1 e^a S
 # overflows in the gradient rows: 385i x^1 on e12, in Cl(2,1).
 OVERFLOW_GAUGE_CONFIG = {
-    "signature": {"p": 2, "q": 1}, "samples": {"count": 4, "seed": 3}, "seed": 5,
+    "signature": {"p": 2, "q": 1}, "samples": {"count": 4}, "seed": 3,
     "sigma": [1.0, 0.5],
     "frame": {"kind": "rotation", "generator": [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
               "poly": {"monomials": [{"exps": [1, 0, 1], "coeff": [0.5, 0.0]}]}},
@@ -585,11 +633,11 @@ def test_each_certified_pair_trips_on_its_defect(pair, monkeypatch):
 
 
 @pytest.mark.parametrize("sigma", ["1e4", "1e100"])
-def test_verify_solves_epsilon_at_large_sigma(config_file, sigma):
+def test_verify_solves_epsilon_at_large_sigma(tmp_path, sigma):
     # eps = 4 sigma^3 is solved to roundoff; the absolute residual
     # tolerances then fail (eq2 at 1e4; at 1e100 conservation overflows to
     # NaN as well), a tolerance breach rather than a refused config.
-    code, out, err = run_cli(["verify", "--config", config_file, "--sigma", sigma])
+    code, out, err = verify_with(tmp_path, sigma=[float(sigma), 0.0])
     assert code == EXIT_TOLERANCE
     assert "Traceback" not in err
     report = json.loads(out)

@@ -23,6 +23,7 @@ from clifford_ym.algebra import (
 )
 from clifford_ym.fields import (
     ExpField,
+    FiniteDifferenceVector,
     GaugeElement,
     PolyField,
     _jet_mul,
@@ -206,20 +207,22 @@ def test_first_order_curl_matches_central_differences_of_values(p, q, mode):
     # Covector jets hold d_nu X_mu only up to a part symmetric in (mu, nu);
     # their curl must still be the curl of the values, to the O(delta^2)
     # error of the central differences. In fd mode the derivative rows of
-    # h are themselves central differences of step fd_step, and the values
-    # of C are built from them, so the check runs at delta = fd_step = 1e-4:
-    # there the nested mixed differences of h it forms are symmetric in
-    # (mu, nu), and at a different step they differ from the jets by
-    # O(fd_step^2); a smaller fd_step would also leave roundoff of
-    # eps / (fd_step delta) in the differences.
+    # h are themselves central differences of a step, and the values of C
+    # are built from them, so the check runs at delta = step = 1e-4: there
+    # the nested mixed differences of h it forms are symmetric in (mu, nu),
+    # and at a different step they differ from the jets by O(step^2); the
+    # default step of 1e-5 would also leave roundoff of eps / (step delta)
+    # in the differences.
     fine = 1e-4
     cfg = runner.parse_config({
         "signature": {"p": p, "q": q}, "frame": {"kind": "random"},
-        "gauge": {"kind": "random", "scale": 0.3}, "samples": {"count": 2},
-        "seed": 31, "mode": mode, "fd_step": fine,
+        "gauge": {"kind": "random", "scale": 0.3}, "samples": {"count": 2}, "seed": 31,
     })
     case = runner.build_case(cfg)
     h, conn, x = case["h"], case["conn"], case["points"]
+    if mode == "fd":
+        h = FiniteDifferenceVector(h, step=fine)
+        conn = DerivedConnection(h)
     perturbed = OffsetCovector(conn, {0: case["perturbation"]})
     covectors = {
         "derived": conn,

@@ -179,7 +179,7 @@ def test_covectors_compute_each_order_once_per_point_set(monkeypatch):
     # Every jet the run computes, and every request to a gauge element, is
     # at the run's own point set: the conjugation check slices, it never
     # evaluates at 3 points.
-    points = fields.sample_points(cfg.n, count=cfg.count, box=cfg.box, seed=cfg.sample_seed)
+    points = fields.sample_points(cfg.n, count=cfg.count, box=cfg.box, seed=cfg.seed)
     assert seen and all(np.array_equal(x, points) for x in seen)
     by_object = {}
     for name, obj, order in calls:
