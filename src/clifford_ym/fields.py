@@ -202,7 +202,9 @@ class PolyField(MultivectorField):
         with np.errstate(all="ignore"):  # a non-finite jet is refused where it is read
             mono = self._factors[:rows] * np.prod(x[:, None, None, :] ** self._powers[:rows],
                                                   axis=-1)
-            return np.concatenate([mono[:, :1] @ self._spinor, mono[:, 1:] @ self._spinor], axis=1)
+            jet = np.concatenate([mono[:, :1] @ self._spinor, mono[:, 1:] @ self._spinor], axis=1)
+        # A row with an overflowed monomial is inf, not the NaN of inf times a zero coefficient.
+        return np.where(np.isfinite(mono).all(axis=-1)[..., None], jet, np.inf)
 
     def grades_present(self) -> tuple[int, ...]:
         g = tables(self.sig).grades

@@ -184,12 +184,6 @@ def curvature_residual(c: CovectorField, x) -> np.ndarray:
     return tables(c.sig).to_blades(field_strength(c, x))
 
 
-def connection_center_leak(c: CovectorField, x) -> np.ndarray:
-    """Largest central coefficient of the C_mu at each point, shape (P,)."""
-    t = tables(c.sig)
-    return max_per_point(t.to_blades(c.values(x))[..., t.center])
-
-
 class TransformedFieldVector(CliffordFieldVector):
     """Conjugated field vector S^-1 h^mu S, grade-preserving when h is and
     conjugation by S keeps grades."""
@@ -247,21 +241,37 @@ def gauge_transform(h: CliffordFieldVector, c: CovectorField, gauge: GaugeElemen
 
 
 def max_per_point(r: np.ndarray) -> np.ndarray:
-    """Max-norm of a residual array over everything but its point axis."""
-    return np.abs(r).reshape(len(r), math.prod(r.shape[1:])).max(axis=1, initial=0.0)
+    """Max-norm of a residual array over everything but its point axis; a
+    residual with no entries at a point has no max-norm and raises."""
+    return np.abs(r).reshape(len(r), math.prod(r.shape[1:])).max(axis=1)
 
 
-def point_report(points: np.ndarray, maxima: dict) -> dict:
-    """The one report shape of per-point arrays of maxima: {"samples": P,
-    key: largest value, ..., "per_point": [{"point": [...], key: value, ...}]}."""
-    report = {"samples": len(points)}
-    entries = [{"point": x} for x in points.tolist()]
-    for key, vals in maxima.items():
+def point_report(s, points, rows) -> dict:
+    """The one reducer: each row (key, residual) gives the blade array
+    residual(s, points), reduced at once by max_per_point, into {"samples": P,
+    key: largest value, ..., "per_point": [{"point": [...], key: value, ...}]}.
+    A non-finite maximum is reported and fails its check; an empty residual raises."""
+    pts = _as_points(points, s.h.sig.n)
+    report = {"samples": len(pts)}
+    entries = [{"point": x} for x in pts.tolist()]
+    for key, residual in rows:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = residual(s, pts)
+            if not r.size:
+                raise CliffordError(f"the {key} residual has no entries to certify")
+            vals = max_per_point(r)
         report[key] = float(np.max(vals))  # np.max keeps a NaN
         for entry, v in zip(entries, vals.tolist()):
             entry[key] = v
     report["per_point"] = entries
     return report
+
+
+# The certified residuals of a pair (h, C), free of sigma, as point_report
+# rows for any s with .h and .c; center_leak reads the central part of C.
+PAIR_ROWS = (("primitive_max", lambda s, x: primitive_residual(s.h, s.c, x)),
+             ("curvature_max", lambda s, x: curvature_residual(s.c, x)),
+             ("center_leak", lambda s, x: (t := tables(s.c.sig)).to_blades(s.c.values(x))[..., t.center]))
 
 
 class PrimitiveSolution:
@@ -272,14 +282,8 @@ class PrimitiveSolution:
         self.c = conn
 
     def campaign(self, points) -> dict:
-        """Per-point primitive, curvature and center-leak maxima (point_report)."""
-        pts = _as_points(points, self.h.sig.n)
-        maxima = {
-            "primitive_max": self.c.flatness(self.h, pts),
-            "curvature_max": max_per_point(curvature_residual(self.c, pts)),
-            "center_leak": connection_center_leak(self.c, pts),
-        }
-        return point_report(pts, maxima)
+        """The point_report of PAIR_ROWS."""
+        return point_report(self, points, PAIR_ROWS)
 
 
 def solve(h: CliffordFieldVector) -> PrimitiveSolution:

@@ -3,12 +3,12 @@
 A run is described by one JSON config (signature, frame, gauge, samples,
 sigma, seed, derivative mode). parse_config is its one reader: it refuses
 every malformed entry and resolves the rest, the frame and the gauge
-generator included, into a RunConfig. The runner
-then builds the field vector, derives its connection, assembles the
-Yang-Mills solution, measures every residual at the sample points,
-applies a random gauge transformation as an invariance check, and folds
-everything into one deterministic report, held to the fixed tolerances of
-the run's mode.
+generator included, into a RunConfig. The runner then builds the field
+vector, derives its connection and assembles the Yang-Mills solution. One
+point_report call reduces the residual rows of the solution and of the pair
+(h, C) at the sample points, and one more those of a random gauge transform
+of both, the invariance check. Everything folds into one deterministic
+report, each value held to the fixed tolerance _CHECKS names in the run's mode.
 """
 
 from __future__ import annotations
@@ -42,18 +42,19 @@ from .fields import (
     sample_points,
 )
 from .primitive import (
+    PAIR_ROWS,
     DerivedConnection,
-    PrimitiveSolution,
     flatness_residual,
     gauge_transform,
-    primitive_residual,
+    max_per_point,
+    point_report,
     transform_connection,
 )
 from .yang_mills import (
+    SOLUTION_ROWS,
     YMSolution,
     epsilon_from_residuals,
     epsilon_value,
-    verify_solution,
 )
 
 __all__ = [
@@ -410,20 +411,28 @@ def _c2pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-# The certified quantities, as (report key, tolerance key) pairs: those of a
-# run, of its gauge check, and the demo's comparison with the literal formula.
-_RUN_CHECKS = (("primitive_max", "primitive"), ("curvature_max", "curvature"),
-               ("center_leak_max", "center_leak"), ("eq1_max", "eq1"), ("eq2_max", "eq2"),
-               ("conservation_max", "conservation"), ("epsilon_rel_error", "epsilon_rel"))
-_GAUGE_CHECKS = (("center_leak", "center_leak"), ("primitive_max", "gauge"),
-                 ("eq1_max", "gauge"), ("eq2_max", "gauge"), ("conservation_max", "gauge"),
-                 ("conjugation_max", "conjugation"))
-_DEMO_CHECKS = (("explicit_formula_max_dev", "primitive"),)
+# The residual rows a run and its gauge check reduce by point_report. The
+# solution rows go first, so that each covector computes its first-order
+# jets before the primitive row reads their values.
+_RUN_ROWS = SOLUTION_ROWS + PAIR_ROWS
+_GAUGE_ROWS = SOLUTION_ROWS + PAIR_ROWS[:1]
+
+# The certified quantities of each scope, as (report key, tolerance key)
+# pairs: a run's, its gauge check's (every row held to "gauge"), and the
+# demo's comparison with the literal formula.
+_CHECKS = {
+    "run": (("primitive_max", "primitive"), ("curvature_max", "curvature"),
+            ("center_leak_max", "center_leak"), ("eq1_max", "eq1"), ("eq2_max", "eq2"),
+            ("conservation_max", "conservation"), ("epsilon_rel_error", "epsilon_rel")),
+    "gauge_check": (("center_leak", "center_leak"), *((key, "gauge") for key, _ in _GAUGE_ROWS),
+                    ("conjugation_max", "conjugation")),
+    "demo": (("explicit_formula_max_dev", "primitive"),),
+}
 
 
-def _within(values: dict, checks, mode: str) -> bool:
-    """Whether every checked value is at most its tolerance in mode; a NaN is not."""
-    return all(values[key] <= _TOLERANCES[mode][tol_key] for key, tol_key in checks)
+def _within(values: dict, scope: str, mode: str) -> bool:
+    """Whether every value checked in scope is within its tolerance in mode; a NaN is not."""
+    return all(values[key] <= _TOLERANCES[mode][tol_key] for key, tol_key in _CHECKS[scope])
 
 
 def _gauge_check(case: dict, cfg: RunConfig, epsilon: complex) -> dict:
@@ -441,12 +450,9 @@ def _gauge_check(case: dict, cfg: RunConfig, epsilon: complex) -> dict:
     gauge2: GaugeElement = case["check_gauge"]
     leak, _ = gauge2.membership_report(points)
 
-    # The residuals bring the transformed connection to first order, and
-    # the primitive residual reads the value rows of the same jets.
     h, c, sig = case["h"], case["conn"], case["sig"]
     ht, ct = gauge_transform(h, c, gauge2)
-    ym = verify_solution(YMSolution(ht, ct, cfg.sigma, epsilon), points)
-    prim_max = float(np.abs(primitive_residual(ht, ct, points)).max())
+    residuals = point_report(YMSolution(ht, ct, cfg.sigma, epsilon), points, _GAUGE_ROWS)
     del ct  # its jet entry is not held through the conjugation check
 
     t = tables(sig)
@@ -458,12 +464,10 @@ def _gauge_check(case: dict, cfg: RunConfig, epsilon: complex) -> dict:
     got = flatness_residual(ht.jets(points, 1)[:3], ct_pert, sig)
     want = t.to_blades(conjugate_jets(wj[:, None, None], t.to_spinor(ref)[..., None, :],
                                       sj[:, None, None, :1], sig)[..., 0, :])
-    conj_max = float(np.abs(got - want).max())
 
-    report = {"center_leak": leak, "primitive_max": prim_max,
-              **{key: ym[key] for key in ("eq1_max", "eq2_max", "conservation_max")},
-              "conjugation_max": conj_max}
-    report["pass"] = _within(report, _GAUGE_CHECKS, cfg.mode)
+    report = {key: residuals[key] for key, _ in _GAUGE_ROWS}
+    report.update(center_leak=leak, conjugation_max=float(np.max(max_per_point(got - want))))
+    report["pass"] = _within(report, "gauge_check", cfg.mode)
     return report
 
 
@@ -475,11 +479,9 @@ def run_verify(cfg: RunConfig) -> tuple[dict, int]:
 def _certify(case: dict, cfg: RunConfig) -> tuple[dict, int]:
     """The report and exit code of run_verify for a case built from cfg."""
     points = case["points"]
-
-    prim = PrimitiveSolution(case["conn"]).campaign(points)
-
     sol = YMSolution(case["h"], case["conn"], cfg.sigma, cfg.epsilon_override)
-    ym = verify_solution(sol, points)
+    residuals = point_report(sol, points, _RUN_ROWS)
+    residuals["center_leak_max"] = residuals.pop("center_leak")  # per point: center_leak
     eps_solved = epsilon_from_residuals(sol, points)
     epsilon = sol.epsilon
     del sol  # B's jets and flux are not held through the gauge check
@@ -498,21 +500,14 @@ def _certify(case: dict, cfg: RunConfig) -> tuple[dict, int]:
         "epsilon_rel_error": float(eps_rel),
         "epsilon_override": (None if cfg.epsilon_override is None
                              else _c2pair(cfg.epsilon_override)),
-        "samples": int(len(points)),
         "seed": int(cfg.seed),
         "mode": cfg.mode,
         "box": [cfg.box[0], cfg.box[1]],
-        "primitive_max": prim["primitive_max"],
-        "curvature_max": prim["curvature_max"],
-        "center_leak_max": prim["center_leak"],
-        "eq1_max": ym["eq1_max"],
-        "eq2_max": ym["eq2_max"],
-        "conservation_max": ym["conservation_max"],
+        **residuals,
         "gauge_check": gauge_check,
-        "per_point": [{**a, **b} for a, b in zip(prim["per_point"], ym["per_point"])],
         "tolerances": dict(_TOLERANCES[cfg.mode]),
     }
-    report["pass"] = ok = _within(report, _RUN_CHECKS, cfg.mode) and gauge_check["pass"]
+    report["pass"] = ok = _within(report, "run", cfg.mode) and gauge_check["pass"]
     return report, (0 if ok else 3)
 
 
@@ -567,13 +562,13 @@ def run_demo(n: int, seed: int = 12345) -> tuple[dict, int]:
     # points in blade coordinates.
     derived = case["conn"].values(case["points"])[:4]
     literal = explicit_connection(case["h"], case["points"], n)[:4]
-    explicit_dev = float(np.abs(tables(case["sig"]).to_blades(derived - literal)).max())
+    explicit_dev = float(np.max(max_per_point(tables(case["sig"]).to_blades(derived - literal))))
 
     report, code = _certify(case, cfg)
     report["explicit_weights"] = [fraction_to_json(f) for f in _GOLDEN_WEIGHTS[n]]
     report["explicit_formula_max_dev"] = explicit_dev
     report["lambdas"] = list(lambdas(n))
-    if not _within(report, _DEMO_CHECKS, cfg.mode):
+    if not _within(report, "demo", cfg.mode):
         report["pass"] = False
         code = 3
     return report, code

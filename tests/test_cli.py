@@ -395,6 +395,17 @@ def test_generator_overflow_at_the_sample_points_is_refused_without_a_warning(tm
     assert err.startswith("error: exponential generator has norm ") and " at point [" in err
 
 
+def test_an_overflowed_generator_is_named_inf(tmp_path):
+    # On this box -0.2 (x^2)^2 overflows to inf, and inf times the zero
+    # coefficients of the generator's spinor would read as a norm of NaN.
+    config = tmp_path / "far_box.json"
+    config.write_text(json.dumps(with_entry(("samples", "box"), [1e300, 1e301])))
+    code, out, err = run_cli(["verify", "--config", str(config)])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: exponential generator has norm inf at point [")
+    assert "nan" not in err
+
+
 # Every frame and gauge entry of MALFORMED_ENTRIES, and a gauge term on a
 # vector blade, is refused by parse_config alone, before any case is built.
 # A frame angle overflows only at the sample points, so build_case refuses it.
@@ -550,8 +561,8 @@ def _gauge_epsilon(original, delta):
 VALUE, GRADIENT, DIVERGENCE = (slice(None), 0, 0), (slice(None), 0, 2), (slice(None), 0, 1)
 
 # One named defect per certified (report key, tolerance key) pair of
-# runner._RUN_CHECKS, _GAUGE_CHECKS (report keys under "gauge_check.") and
-# _DEMO_CHECKS: (patched object, attribute, wrapper, delta), with delta the
+# the scopes of runner._CHECKS (report keys of the gauge check under
+# "gauge_check."): (patched object, attribute, wrapper, delta), with delta the
 # smallest that trips the pair on BASE_CONFIG (demo --n 2 for the demo's),
 # found by bisection and rounded to two digits.
 DEFECTS = {
@@ -611,8 +622,22 @@ def _run_with_defect(pair, delta, monkeypatch):
 
 
 def test_every_certified_pair_has_a_defect():
-    gauge = {("gauge_check." + key, tol) for key, tol in runner._GAUGE_CHECKS}
-    assert set(DEFECTS) == {*runner._RUN_CHECKS, *gauge, *runner._DEMO_CHECKS}
+    assert set(DEFECTS) == {(f"{scope}.{key}" if scope == "gauge_check" else key, tol)
+                            for scope, checks in runner._CHECKS.items() for key, tol in checks}
+
+
+def test_a_residual_with_no_entries_is_refused(config_file, monkeypatch):
+    # A residual sliced to size zero has no maximum to certify: the reducer
+    # refuses it, naming its report key, rather than reading it as 0.0.
+    def empty(s, x):
+        return yang_mills.conservation_residual(s, x)[..., :0]
+
+    rows = tuple((key, empty if key == "conservation_max" else residual)
+                 for key, residual in runner._RUN_ROWS)
+    monkeypatch.setattr(runner, "_RUN_ROWS", rows)
+    code, out, err = run_cli(["verify", "--config", config_file])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: ") and "conservation_max" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("pair", DEFECTS, ids="/".join)

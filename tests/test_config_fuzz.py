@@ -10,6 +10,7 @@ surface as a traceback. A whole campaign exits 0, 2 or 3 and prints the
 same report when run again.
 """
 
+import collections
 import contextlib
 import copy
 import io
@@ -211,20 +212,45 @@ def _verify(path):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", "--config", str(path)])
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
-@FUZZ
-@given(campaigns())
-# A gauge generator that overflows to inf at the fd stencil points: refused
-# by ExpField, naming the point.
-@example({"signature": {"p": 2, "q": 0}, "frame": {"kind": "random", "scale": 0.4},
-          "gauge": {"kind": "exp_bivector", "terms": [{"blade": "e12", "poly": {
-              "monomials": [{"exps": [3, 3], "coeff": [1e308, 0.0]}]}}]},
-          "samples": {"count": 2, "box": [-2.0, -1.0]}, "seed": 1, "sigma": [1.0, 0.0],
-          "mode": "fd"})
-def test_campaigns_exit_cleanly_and_repeat(config_path, data):
-    config_path.write_text(json.dumps(data))  # NaN and Infinity as JSON literals
-    code, out = _verify(config_path)
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_TOLERANCE)
-    assert _verify(config_path) == (code, out)
+# Refusal stages the campaign must reach, each named by a fragment of its
+# message: parse_config's epsilon of an overflowing sigma, and ExpField's
+# generator norm.
+REACHED_REFUSALS = {"sigma-epsilon": "gives a non-finite epsilon",
+                    "generator-norm": "exponential generator has norm"}
+
+
+def test_campaigns_exit_cleanly_and_repeat(config_path):
+    """Every campaign exits 0, 2 or 3 and prints the same report when run
+    again, and the campaign reaches both verdicts and each stage of
+    REACHED_REFUSALS: the draws of campaigns() decide which stages a
+    derandomized run reaches, so a change to them cannot drop one unseen."""
+    tally = collections.Counter()
+
+    @FUZZ
+    @given(campaigns())
+    # A gauge generator that overflows to inf at the fd stencil points: refused
+    # by ExpField, naming the point.
+    @example({"signature": {"p": 2, "q": 0}, "frame": {"kind": "random", "scale": 0.4},
+              "gauge": {"kind": "exp_bivector", "terms": [{"blade": "e12", "poly": {
+                  "monomials": [{"exps": [3, 3], "coeff": [1e308, 0.0]}]}}]},
+              "samples": {"count": 2, "box": [-2.0, -1.0]}, "seed": 1, "sigma": [1.0, 0.0],
+              "mode": "fd"})
+    # A sigma whose epsilon = 4(n-1) sigma^3 overflows: refused by parse_config.
+    @example({"signature": {"p": 1, "q": 1}, "frame": {"kind": "random", "scale": 0.4},
+              "gauge": {"kind": "random", "scale": 0.3},
+              "samples": {"count": 2, "box": [-1.0, 1.0]}, "seed": 1, "sigma": [1e110, 0.0],
+              "mode": "exact"})
+    def campaign(data):
+        config_path.write_text(json.dumps(data))  # NaN and Infinity as JSON literals
+        code, out, err = _verify(config_path)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_TOLERANCE)
+        assert _verify(config_path)[:2] == (code, out)
+        tally[code, next((stage for stage, text in REACHED_REFUSALS.items() if text in err),
+                         None)] += 1
+
+    campaign()
+    assert {(EXIT_OK, None), (EXIT_TOLERANCE, None),
+            *((EXIT_CONFIG, stage) for stage in REACHED_REFUSALS)} <= set(tally), tally

@@ -37,7 +37,6 @@ from clifford_ym.primitive import (
     TransformedFieldVector,
     _w_jets,
     compute_C_jets,
-    connection_center_leak,
     curvature_residual,
     gauge_transform,
     primitive_residual,
@@ -298,8 +297,7 @@ def test_zero_covector_for_constant_vectors():
 
 def test_connection_center_leak_small(rng):
     sig, h, points = build_field_vector(2, 1, seed=47)
-    c = DerivedConnection(h)
-    leaks = connection_center_leak(c, points[:3])
+    leaks = np.array([e["center_leak"] for e in solve(h).campaign(points[:3])["per_point"]])
     assert leaks.shape == (3,)
     assert leaks.max() < 1e-10
 
