@@ -50,11 +50,6 @@ class FrameError(CliffordError):
 class GaugeMembershipError(CliffordError):
     """Gauge element leaves the admissible class at some sample point."""
 
-    def __init__(self, message: str, point=None, leak: float | None = None):
-        super().__init__(message)
-        self.point = point
-        self.leak = leak
-
 
 class FieldVectorError(CliffordError):
     """Clifford field vector fails a defining identity at some sample point."""
@@ -76,6 +71,27 @@ def _as_points(x, n: int) -> np.ndarray:
 
 def _same_points(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a, b)
+
+
+def max_per_point(r: np.ndarray) -> np.ndarray:
+    """Max-norm of a residual array over everything but its point axis; a
+    residual with no entries at a point has no max-norm and raises."""
+    return np.abs(r).reshape(len(r), math.prod(r.shape[1:])).max(axis=1)
+
+
+def refuse_past(per_point: np.ndarray, tol: float, points: np.ndarray, error: type,
+                what: str) -> float:
+    """The largest of the per-point values (P,) at the points (P, n): the one
+    refusal path of a per-point check. Past tol, and at a NaN, which counts as
+    the worst, it raises error as "<what> <value> at point [...] (bound tol)",
+    naming the worst point; with no point to check it raises CliffordError."""
+    if not len(per_point):
+        raise CliffordError(f"no point to check against the bound {tol:.1e}: {what} ...")
+    p = int(np.argmax(per_point))  # the first NaN, if there is one
+    worst = float(per_point[p])
+    if not worst <= tol:
+        raise error(f"{what} {worst:.3e} at point {points[p].tolist()} (bound {tol:.1e})")
+    return worst
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -279,10 +295,8 @@ class ExpField(MultivectorField):
         cap = _TAYLOR_THETA * 2.0 ** 52
         with np.errstate(all="ignore"):
             norm = np.abs(a[:, 0].reshape((-1,) + t.block_shape)).sum(axis=-1).max(axis=(-2, -1))
-            bad = np.flatnonzero(~(norm <= cap))
-            if bad.size:
-                raise SeriesDivergence(f"exponential generator has norm {norm[bad[0]]:.3e} at point "
-                                       f"{x[bad[0]].tolist()}, not a finite number at most {cap:.3e}")
+            if len(x):  # an empty batch has an empty exponential
+                refuse_past(norm, cap, x, SeriesDivergence, "exponential generator has norm")
             out = _scaled_taylor(a, norm, lambda u, v: _jet_mul(u, v, self.sig), unit)
         bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
         if bad.size:
@@ -390,21 +404,17 @@ class FrameField:
         return y, dy
 
     def validate(self, points) -> float:
-        """Max orthogonality residual over the points; raises past _FRAME_TOL."""
+        """Max orthogonality residual over the points; refuse_past _FRAME_TOL."""
         pts = _as_points(points, self.sig.n)
         res = _orthogonality_residual(self.sig, self.matrix(pts))
-        bad = np.flatnonzero(~(res <= _FRAME_TOL))  # NaN entries fail too
-        if bad.size:
-            p = bad[0]
-            raise FrameError(f"frame fails orthogonality at {pts[p].tolist()}: residual {res[p]:.3e}")
-        return float(res.max(initial=0.0))
+        return refuse_past(res, _FRAME_TOL, pts, FrameError, "frame fails orthogonality by")
 
 
 def _orthogonality_residual(sig: Signature, y: np.ndarray) -> np.ndarray:
     """max |y eta y^T - eta| over each n x n matrix of y, shape y.shape[:-2]."""
     eta = np.diag(tables(sig).eta)
     with np.errstate(all="ignore"):  # a non-finite y gives a NaN residual, which fails
-        return np.abs(y @ eta @ y.swapaxes(-1, -2) - eta).max(axis=(-2, -1), initial=0.0)
+        return np.abs(y @ eta @ y.swapaxes(-1, -2) - eta).max(axis=(-2, -1))
 
 
 def random_frame(sig: Signature, rng: np.random.Generator, scale: float = 0.4) -> FrameField:
@@ -506,26 +516,16 @@ class GaugeElement(JetStack):
         sj = self.jets(x, 1)
         return tables(self.sig).product(self.inv_jets(x, 0), sj[:, 1:])
 
-    def membership_report(self, points) -> tuple[float, np.ndarray | None]:
-        """Worst center leak of S^-1 dS over the points, with its argmax."""
-        pts = _as_points(points, self.sig.n)
-        if not len(pts):
-            return 0.0, None
+    def center_leaks(self, x) -> np.ndarray:
+        """Max-norm of the central part of S^-1 d_mu S at each of the points x, shape (P,)."""
         t = tables(self.sig)
-        leaks = np.abs(t.to_blades(self.connection(pts))[..., t.center]).max(axis=(1, 2))
-        p = int(np.argmax(leaks))
-        return float(leaks[p]), (pts[p] if leaks[p] != 0 else None)
+        return max_per_point(t.to_blades(self.connection(x))[..., t.center])
 
     def validate_membership(self, points) -> float:
-        """Worst center leak over the points; raises past _MEMBERSHIP_TOL."""
-        leak, where = self.membership_report(points)
-        if not leak <= _MEMBERSHIP_TOL:
-            raise GaugeMembershipError(
-                f"gauge element leaves the admissible class: center leak {leak:.3e} "
-                f"at point {None if where is None else where.tolist()}",
-                point=where, leak=leak,
-            )
-        return leak
+        """Worst center leak over the points; refuse_past _MEMBERSHIP_TOL."""
+        pts = _as_points(points, self.sig.n)
+        return refuse_past(self.center_leaks(pts), _MEMBERSHIP_TOL, pts, GaugeMembershipError,
+                           "gauge element leaves the admissible class: center leak")
 
 
 def make_gauge_element(a_field: PolyField) -> GaugeElement:
@@ -597,33 +597,26 @@ class CliffordFieldVector(JetStack):
         return _bracket_grids(self.jets(x, 1), self.sig)
 
     def validate(self, points) -> dict:
-        """Check the defining identities at the points; raise past _VECTOR_TOL.
-
-        Returns {"anticommutation": max residual, "trace_product": max |Tr|,
-        "circ_leak": max center leak}.
-        """
+        """Check the defining identities at the points, each refuse_past _VECTOR_TOL in
+        turn; returns their maxima {"anticommutation": max residual, "trace_product":
+        max |Tr| (0.0 for even n, where it is not checked), "circ_leak": max center leak}."""
+        pts = _as_points(points, self.n)
         t = tables(self.sig)
-        vals = self.jets(points, 1)[:, :, 0]
+        vals = self.jets(pts, 1)[:, :, 0]
         prods = t.batch_product(vals, vals)  # prods[p, mu, nu] = h^mu h^nu
         anti = t.to_blades(prods + prods.swapaxes(1, 2))
         anti[:, range(self.n), range(self.n), 0] -= 2.0 * t.eta
-        worst_trace = 0.0
+        trace = np.zeros(len(pts))
         if self.n % 2 == 1:
             prod = vals[:, 0]
             for mu in range(1, self.n):
                 prod = t.product(prod, vals[:, mu])
-            worst_trace = float(np.abs(t.to_blades(prod)[:, 0]).max(initial=0.0))
-        report = {
-            "anticommutation": float(np.abs(anti).max(initial=0.0)),
-            "trace_product": worst_trace,
-            "circ_leak": float(np.abs(t.to_blades(vals)[..., t.center]).max(initial=0.0)),
-        }
-        if not all(v <= _VECTOR_TOL for v in report.values()):  # NaN fails too
-            raise FieldVectorError(
-                "field vector fails its defining identities: "
-                + ", ".join(f"{k}={v:.3e}" for k, v in report.items())
-            )
-        return report
+            trace = np.abs(t.to_blades(prod)[:, 0])
+        checks = {"anticommutation": max_per_point(anti), "trace_product": trace,
+                  "circ_leak": max_per_point(t.to_blades(vals)[..., t.center])}
+        return {key: refuse_past(v, _VECTOR_TOL, pts, FieldVectorError,
+                                 f"field vector fails its defining identities: {key}")
+                for key, v in checks.items()}
 
 
 def _bracket_grids(hjets: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:

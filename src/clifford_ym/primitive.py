@@ -37,8 +37,6 @@ tolerances they are held to, are blade max-norms.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .algebra import (
@@ -54,6 +52,7 @@ from .fields import (
     _as_points,
     _nrows,
     conjugate_jets,
+    max_per_point,
 )
 
 
@@ -238,12 +237,6 @@ def gauge_transform(h: CliffordFieldVector, c: CovectorField, gauge: GaugeElemen
     if points is not None:
         gauge.validate_membership(points)
     return TransformedFieldVector(h, gauge), TransformedConnection(c, gauge)
-
-
-def max_per_point(r: np.ndarray) -> np.ndarray:
-    """Max-norm of a residual array over everything but its point axis; a
-    residual with no entries at a point has no max-norm and raises."""
-    return np.abs(r).reshape(len(r), math.prod(r.shape[1:])).max(axis=1)
 
 
 def point_report(s, points, rows) -> dict:

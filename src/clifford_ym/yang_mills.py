@@ -43,6 +43,7 @@ from .fields import (
     GaugeElement,
     _as_points,
     _frozen,
+    refuse_past,
 )
 from .primitive import (
     CovectorField,
@@ -126,19 +127,14 @@ def build_solution(h: CliffordFieldVector, c: CovectorField, sigma: complex,
     given sample points to within tol in max-norm; a NaN residual fails.
     Pass an empty point list to skip the check. The per-point maxima come
     from c.flatness, which a DerivedConnection of h keeps, so a sigma
-    family checks the pair once per point set and compares with tol on
-    every call.
+    family checks the pair once per point set, and refuse_past compares
+    them with tol on every call, naming the worst point.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size:
         pts = _as_points(pts, h.sig.n)
-        per_point = c.flatness(h, pts)
-        bad = np.flatnonzero(~(per_point <= tol))
-        if bad.size:
-            p = bad[0]
-            raise NotASolution(
-                f"pair fails the flatness check: residual {per_point[p]:.3e} > {tol:.1e} "
-                f"at point {pts[p].tolist()}")
+        refuse_past(c.flatness(h, pts), tol, pts, NotASolution,
+                    "pair fails the flatness check: residual")
     return YMSolution(h, c, sigma)
 
 

@@ -15,7 +15,7 @@ import pytest
 
 import clifford_ym
 from clifford_ym import primitive, runner, yang_mills
-from clifford_ym.algebra import Signature, tables
+from clifford_ym.algebra import SeriesDivergence, Signature, tables
 from clifford_ym.cli import (
     EXIT_CONFIG,
     EXIT_GOLDEN,
@@ -24,15 +24,21 @@ from clifford_ym.cli import (
     main,
 )
 from clifford_ym.fields import (
+    ExpField,
     FieldVectorError,
     FrameError,
     FrameField,
     FrameGaugeFieldVector,
     GaugeElement,
+    GaugeMembershipError,
     PolyField,
+    make_gauge_element,
+    max_per_point,
+    sample_points,
 )
 from clifford_ym.primitive import TransformedConnection, TransformedFieldVector
 from clifford_ym.yang_mills import YMSolution
+from conftest import OffsetCovector
 
 
 def run_cli(argv):
@@ -289,11 +295,16 @@ MALFORMED_ENTRIES = [
     pytest.param(("samples", "box"), [-1e308, 1e308], "samples.box", id="box-width-overflow"),
     # open() would refuse it with a ValueError, after the whole run.
     pytest.param(("output",), "a\u0000b", "output must be a file path", id="output-nul"),
+    # An empty path would be skipped, and the run would write no file.
+    pytest.param(("output",), "", "output must be a file path", id="output-empty"),
     pytest.param(("samples", "count"), 10 ** 400, "samples.count", id="count-huge"),
     pytest.param(("samples", "count"), 1e8, "samples.count", id="count-over-cap"),
     pytest.param(("samples", "count"), 1.5, "samples.count", id="count-fraction"),
     pytest.param(("samples", "count"), True, "samples.count", id="count-bool"),
     pytest.param(("gauge", "terms", 0, "blade"), "e1\u00b2", "blade", id="blade-superscript"),
+    # e2 e1 = -e12: a bitmask cannot carry the sign, so the order is refused.
+    pytest.param(("gauge", "terms", 0, "blade"), "e21", "strictly increasing",
+                 id="blade-decreasing"),
     pytest.param(("frame",), ANGLE_OVERFLOW_FRAME, "frame", id="frame-angle-overflow"),
     pytest.param(("gauge", "terms", 0, "poly", "monomials", 0, "exps"), [0.5, 0], "exps",
                  id="exps-fraction"),
@@ -404,6 +415,83 @@ def test_an_overflowed_generator_is_named_inf(tmp_path):
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("error: exponential generator has norm inf at point [")
     assert "nan" not in err
+
+
+# The Cl(3,2) field vector of a random frame and a gauge at scale 1.0 on the
+# box [-3, 3]: y S^-1 e^a S loses anticommutation to roundoff past 1e-10.
+FAR_FIELD_VECTOR_CONFIG = {"signature": {"p": 3, "q": 2}, "frame": {"kind": "random"},
+                           "gauge": {"kind": "random", "scale": 1.0},
+                           "samples": {"count": 4, "box": [-3.0, 3.0]}, "seed": 7}
+
+
+def _config_refusal(cfg, worst):
+    """A run of cfg, its sample points and the index of the point it must name."""
+    points = sample_points(cfg["signature"]["p"] + cfg["signature"]["q"],
+                           cfg["samples"]["count"], cfg["samples"]["box"], cfg["seed"])
+    return cfg, points, worst
+
+
+def _membership_refusal():
+    # S = exp((x^1)^2) on the scalar blade: S^-1 dS = 2 x^1 dx^1 is central,
+    # so the leak at a point is |2 x^1| and the worst point has the largest |x^1|.
+    sig, points = Signature(2, 0), sample_points(2, 6, seed=3)
+    bad = GaugeElement(ExpField(PolyField(sig, [[2, 0]], [[1.0, 0.0, 0.0, 0.0]])))
+    return (lambda: bad.validate_membership(points)), points, int(np.argmax(abs(points[:, 0])))
+
+
+def _flatness_refusal():
+    # C_0 shifted by 0.01 x^1 e1: the worst point is where that shift breaks
+    # the primitive equation most.
+    sig, points = Signature(2, 0), sample_points(2, 6, seed=3)
+    h = FrameGaugeFieldVector(FrameField(sig), make_gauge_element(
+        PolyField(sig, [[1, 0]], [[0.0, 0.0, 0.0, 0.3]])))
+    broken = OffsetCovector(primitive.DerivedConnection(h),
+                            {0: PolyField(sig, [[1, 0]], [[0.0, 0.01, 0.0, 0.0]])})
+    residual = max_per_point(primitive.primitive_residual(h, broken, points))
+    return ((lambda: yang_mills.build_solution(h, broken, 1.0, points)), points,
+            int(np.argmax(residual)))
+
+
+# The five per-point threshold refusals, all through fields.refuse_past:
+# (what is refused, a config or a call, with the sample points and the index
+# of the worst one; the exception; the check's prefix; the value; the bound).
+# A config is refused by the CLI too. A NaN counts as the worst value: the
+# overflowed frame's residual is 1.0 at points 1 and 2 and NaN at point 3,
+# which is named. The generator's norm is inf at every point but the origin,
+# and the first of them is named.
+REFUSALS = {
+    "frame": (lambda: _config_refusal(dict(BASE_CONFIG, frame=ANGLE_OVERFLOW_FRAME), 3),
+              FrameError, "frame fails orthogonality by", "nan", "1.0e-10"),
+    "field-vector": (lambda: _config_refusal(FAR_FIELD_VECTOR_CONFIG, 2), FieldVectorError,
+                     "field vector fails its defining identities: anticommutation",
+                     "2.664e-06", "1.0e-10"),
+    "membership": (_membership_refusal, GaugeMembershipError,
+                   "gauge element leaves the admissible class: center leak", "1.831e+00",
+                   "1.0e-09"),
+    "flatness": (_flatness_refusal, yang_mills.NotASolution,
+                 "pair fails the flatness check: residual", "1.562e-02", "1.0e-08"),
+    "generator-norm": (lambda: _config_refusal(with_entry(("samples", "box"), [1e300, 1e301]), 1),
+                       SeriesDivergence, "exponential generator has norm", "inf", "1.1e+15"),
+}
+
+
+@pytest.mark.parametrize("check", REFUSALS)
+def test_each_refusal_names_its_worst_point_value_and_bound(tmp_path, check):
+    make, error, prefix, value, bound = REFUSALS[check]
+    target, points, worst = make()
+    expected = f"{prefix} {value} at point {points[worst].tolist()} (bound {bound})"
+    assert "np.float64" not in expected  # the point prints as plain floats
+    with pytest.raises(error) as err:
+        if isinstance(target, dict):
+            runner.run_verify(runner.parse_config(target))
+        else:
+            target()
+    assert str(err.value) == expected
+    if isinstance(target, dict):
+        config = tmp_path / "refused.json"
+        config.write_text(json.dumps(target))
+        assert run_cli(["verify", "--config", str(config)]) == (EXIT_CONFIG, "",
+                                                                f"error: {expected}\n")
 
 
 # Every frame and gauge entry of MALFORMED_ENTRIES, and a gauge term on a

@@ -436,6 +436,11 @@ def test_validate_reports_and_raises(rng):
     with pytest.raises(FieldVectorError):
         bad.validate(points)
 
+    # No point is no certificate: each validator refuses an empty point set.
+    for validate in (h.frame.validate, h.validate, h.gauge.validate_membership):
+        with pytest.raises(CliffordError, match="no point to check"):
+            validate(points[:0])
+
 
 def test_finite_difference_vector_tracks_exact(rng):
     sig, h, points = build_field_vector(2, 0, seed=5)

@@ -147,7 +147,7 @@ def test_build_solution_rejects_non_solutions(rng):
 
 def test_build_solution_refuses_a_nan_primitive_residual(rng):
     # A NaN residual is no pass: the flatness check must refuse it and
-    # name the first point where it fails.
+    # name the worst point, the first NaN.
     sig = Signature(2, 0)
     gauge = make_gauge_element(random_bivector_poly_field(sig, rng, scale=0.3))
     points = sample_points(2, count=4, seed=3)
