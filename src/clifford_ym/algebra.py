@@ -33,6 +33,9 @@ DEFAULT_N_MAX = 10
 # rather than np.matmul; see _Tables.
 BROADCAST_MAX_D = 2
 
+# Largest 1-norm condition number of L(u) that the inverses accept.
+MAX_CONDITION = 1e12
+
 
 class CliffordError(Exception):
     """Base class for algebra errors."""
@@ -102,10 +105,6 @@ class Signature:
         return f"Cl({self.p},{self.q})"
 
 
-def _popcount(a: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(a)
-
-
 class _Tables:
     """Cached per-signature tables: the metric diagonal eta, the block-spinor
     kernels and reversion, grades and reversion signs, and the dense
@@ -150,7 +149,7 @@ class _Tables:
     def __init__(self, sig: Signature):
         self.sig = sig
         self.eta = np.array(sig.metric(), dtype=float)
-        self.grades = _popcount(np.arange(sig.dim, dtype=np.int64))
+        self.grades = np.bitwise_count(np.arange(sig.dim, dtype=np.int64))
         self.reversion_signs = np.where((self.grades * (self.grades - 1) // 2) % 2 == 0, 1.0, -1.0)
         self._build_spinor_tables()
 
@@ -168,11 +167,11 @@ class _Tables:
         # Reordering swaps: generators of j must pass the higher generators of i.
         swaps = np.zeros((dim, dim), dtype=np.int64)
         for s in range(1, n):
-            swaps += _popcount((i >> s) & j)
+            swaps += np.bitwise_count((i >> s) & j)
         neg_mask = 0
         for a in range(self.sig.p, n):
             neg_mask |= 1 << a
-        negs = _popcount(i & j & neg_mask)
+        negs = np.bitwise_count(i & j & neg_mask)
         return np.where((swaps + negs) % 2 == 0, 1.0, -1.0)
 
     @cached_property
@@ -213,10 +212,10 @@ class _Tables:
                 # that is not the metric sign of generator a.
                 low = dim // 2 - 1
                 gx[a], gz[a] = x[low], z[low]
-                square = (k[low] + _popcount(x[low] & z[low])) % 2
+                square = (k[low] + np.bitwise_count(x[low] & z[low])) % 2
                 gk[a] = k[low] + (square != (a >= sig.p))
             has = (blade >> a) & 1 == 1
-            k = np.where(has, k + gk[a] + 2 * _popcount(z & gx[a]), k)
+            k = np.where(has, k + gk[a] + 2 * np.bitwise_count(z & gx[a]), k)
             x = np.where(has, x ^ gx[a], x)
             z = np.where(has, z ^ gz[a], z)
         phase = np.array([1, 1j, -1, -1j])[k % 4]
@@ -231,7 +230,7 @@ class _Tables:
         # coefficients times the Hadamard matrix give rows x, and entry
         # [i, j] of the block is row i ^ j at column j.
         r, c = np.divmod(np.arange(d * d), d)
-        self._hadamard = np.where(_popcount(r & c) % 2 == 0, 1.0, -1.0).reshape(d, d)
+        self._hadamard = np.where(np.bitwise_count(r & c) % 2 == 0, 1.0, -1.0).reshape(d, d)
         self._shift = (d * d * np.arange(blocks)[:, None] + (r ^ c) * d + c).ravel()
         self.unit = np.tile(np.eye(d, dtype=np.complex128).ravel(), blocks)
         gens = (blade == 1 << np.arange(n)[:, None]).astype(np.complex128)
@@ -488,9 +487,9 @@ def grade_project(u: Multivector, k: int) -> Multivector:
     return Multivector(u.sig, out, copy=False)
 
 
-def grades_present(u: Multivector, tol: float = 0.0) -> tuple[int, ...]:
+def grades_present(u: Multivector) -> tuple[int, ...]:
     g = tables(u.sig).grades
-    return tuple(sorted({int(k) for k in g[np.abs(u.coeffs) > tol]}))
+    return tuple(sorted({int(k) for k in g[np.abs(u.coeffs) > 0]}))
 
 
 def trace(u: Multivector) -> complex:
@@ -530,21 +529,20 @@ def center_leak(u: Multivector) -> float:
     return center_project(u).max_norm()
 
 
-def inverse(u: Multivector, max_condition: float = 1e12) -> Multivector:
+def inverse(u: Multivector) -> Multivector:
     """Multiplicative inverse, block by block in the spinor basis (inverse_rows)."""
-    return Multivector(u.sig, inverse_rows(u.sig, u.coeffs[None], max_condition)[0], copy=False)
+    return Multivector(u.sig, inverse_rows(u.sig, u.coeffs[None])[0], copy=False)
 
 
-def inverse_rows(sig: Signature, u: np.ndarray, max_condition: float = 1e12) -> np.ndarray:
+def inverse_rows(sig: Signature, u: np.ndarray) -> np.ndarray:
     """Blade rows of the inverses of the blade rows u (invert_spinor_rows)."""
     u = np.asarray(u)
     with np.errstate(all="ignore"):  # a non-finite row is refused, not warned about
         s = tables(sig).to_spinor(u)
-    return invert_spinor_rows(sig, s, u, max_condition)[1]
+    return invert_spinor_rows(sig, s, u)[1]
 
 
-def invert_spinor_rows(sig: Signature, s: np.ndarray, u: np.ndarray,
-                       max_condition: float = 1e12) -> tuple[np.ndarray, np.ndarray]:
+def invert_spinor_rows(sig: Signature, s: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of the spinor rows s (..., 2^n), whose blade rows are u, as
     spinor and as blade rows.
 
@@ -555,7 +553,7 @@ def invert_spinor_rows(sig: Signature, s: np.ndarray, u: np.ndarray,
     a signed permutation of u and L(u)^-1 = L(u^-1), so it is
     ||u||_1 ||u^-1||_1 over blade coefficients. Raises NotInvertible when a
     row has a non-finite coefficient, is zero, has a singular block or no
-    finite inverse, or when that condition number exceeds max_condition.
+    finite inverse, or when that condition number exceeds MAX_CONDITION.
     """
     if not np.all(np.isfinite(u)):
         raise NotInvertible("element has a non-finite coefficient")
@@ -572,9 +570,9 @@ def invert_spinor_rows(sig: Signature, s: np.ndarray, u: np.ndarray,
             raise NotInvertible("element has no finite inverse")
         w = t.to_blades(inv)
         cond = unorm * np.abs(w).sum(axis=-1)
-    if not np.all(cond <= max_condition):
-        worst = float(np.max(np.where(cond <= max_condition, 0.0, cond)))
-        raise NotInvertible(f"condition number {worst:.3e} exceeds max_condition={max_condition:.3e}")
+    if not np.all(cond <= MAX_CONDITION):
+        worst = float(np.max(np.where(cond <= MAX_CONDITION, 0.0, cond)))
+        raise NotInvertible(f"condition number {worst:.3e} exceeds {MAX_CONDITION:.3e}")
     return inv, w
 
 

@@ -18,7 +18,7 @@ import sys
 from .algebra import CliffordError, n_max
 from .contraction import build_table, table_to_json
 from .golden import run_golden_checks
-from .runner import parse_config, run_demo, run_verify
+from .runner import breaches, parse_config, run_demo, run_verify
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,6 +78,7 @@ def cmd_verify(args) -> int:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     print(text)
+    sys.stderr.writelines(f"breach: {b}\n" for b in breaches(report))
     return code
 
 
@@ -113,6 +114,7 @@ def cmd_demo(args) -> int:
     print(f"  gauge check: eq2 {gc['eq2_max']:.3e}, conjugation "
           f"{gc['conjugation_max']:.3e}, leak {gc['center_leak']:.3e}")
     print("PASS" if report["pass"] else "FAIL")
+    sys.stderr.writelines(f"breach: {b}\n" for b in breaches(report))
     return code
 
 

@@ -57,6 +57,7 @@ class FieldVectorError(CliffordError):
 
 _FRAME_TOL = _VECTOR_TOL = 1e-10  # bounds y eta y^T - eta and the field vector identities
 _MEMBERSHIP_TOL = 1e-9  # bounds the center leak of a gauge element's S^-1 dS
+FD_STEP = 1e-5  # the central-difference step of FiniteDifferenceVector
 
 
 def _as_points(x, n: int) -> np.ndarray:
@@ -108,10 +109,9 @@ def _nrows(order: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _derivative_rows(n: int, order: int) -> np.ndarray:
-    """Multi-index of the derivative each jet row holds, shape (rows, n)."""
-    rows = np.vstack([np.zeros((1, n), dtype=np.int64), np.eye(n, dtype=np.int64)])
-    return rows[:_nrows(order, n)]
+def _derivative_rows(n: int) -> np.ndarray:
+    """Multi-index of the derivative each first-order jet row holds, shape (1 + n, n)."""
+    return np.vstack([np.zeros((1, n), dtype=np.int64), np.eye(n, dtype=np.int64)])
 
 
 def _jet_mul(a: np.ndarray, b: np.ndarray, sig: Signature) -> np.ndarray:
@@ -166,7 +166,7 @@ class PolyField(MultivectorField):
     canonical form: rows in increasing lexicographic order, repeated rows
     summed in input order, all-zero rows dropped.
 
-    Jet row r holds the derivative D^d (d = _derivative_rows(n, 1)[r], zero
+    Jet row r holds the derivative D^d (d = _derivative_rows(n)[r], zero
     or a unit vector), and D^d x^E = c x^(E - d) with c = E_i for d = e_i
     and c = 1 for d = 0, which is 0 exactly when some E_i < d_i. The
     constructor keeps those factors (1 + n, T) and exponents (1 + n, T, n)
@@ -200,7 +200,7 @@ class PolyField(MultivectorField):
         keep = coeffs.any(axis=1)
         self.exps = exps[first][keep]
         self.coeffs = coeffs[keep]
-        d = _derivative_rows(n, 1)[:, None, :]
+        d = _derivative_rows(n)[:, None, :]
         self._factors = np.where(d > 0, self.exps, 1).prod(axis=-1).astype(float)
         # Clipped so that a vanishing term never evaluates 0 ** -1.
         self._powers = np.maximum(self.exps - d, 0)
@@ -493,23 +493,20 @@ class GaugeElement(JetStack):
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
         return self.s_field.jet(x, order)
 
-    def _memo_jet(self, x, order: int, inverse_side: bool) -> np.ndarray:
-        # Every request for S or S^-1 passes here, so that a profiler can
-        # count them, and the computes under them, in one place.
-        sjet = super().jets(x, order)
-        if not inverse_side:
-            return sjet
-        if self.bivector_exp:
-            return _frozen(tables(self.sig).reverse(sjet))
-        return _frozen(invert_value_jet(sjet, self.sig))
+    # Every request for S or S^-1 reads the memo here once, so that a
+    # profiler can count them, and the computes under them, in one place.
+    _memo_jet = JetStack.jets
 
     def jets(self, x, order: int = 1) -> np.ndarray:
         """Jets of S at the points x, shape (P, rows, dim)."""
-        return self._memo_jet(x, order, False)
+        return self._memo_jet(x, order)
 
     def inv_jets(self, x, order: int = 1) -> np.ndarray:
         """Jets of S^-1 at the points x, shape (P, rows, dim)."""
-        return self._memo_jet(x, order, True)
+        sjet = self._memo_jet(x, order)
+        if self.bivector_exp:
+            return _frozen(tables(self.sig).reverse(sjet))
+        return _frozen(invert_value_jet(sjet, self.sig))
 
     def connection(self, x) -> np.ndarray:
         """S^-1 d_mu S at the points x, shape (P, n, dim)."""
@@ -543,18 +540,18 @@ def make_gauge_element(a_field: PolyField) -> GaugeElement:
 
 
 def random_bivector_poly_field(sig: Signature, rng: np.random.Generator,
-                               scale: float = 0.25, degree: int = 2) -> PolyField:
-    """Random bivector-valued polynomial generator with bounded coefficients.
+                               scale: float = 0.25) -> PolyField:
+    """Random quadratic bivector-valued generator with bounded coefficients.
 
-    Per bivector blade, in blade order: a constant, the n linear terms and,
-    for degree >= 2, the quadratic terms x^i x^j (i <= j, row-major) at half
-    the amplitude, all drawn from one uniform draw.
+    Per bivector blade, in blade order: a constant, the n linear terms and
+    the quadratic terms x^i x^j (i <= j, row-major) at half the amplitude,
+    all drawn from one uniform draw.
     """
     n = sig.n
     masks = np.flatnonzero(tables(sig).grades == 2)
     amp = scale / max(1.0, np.sqrt(len(masks)))
     eye = np.eye(n, dtype=np.int64)
-    i, j = np.triu_indices(n) if degree >= 2 else ([], [])
+    i, j = np.triu_indices(n)
     exps = np.concatenate([np.zeros((1, n), dtype=np.int64), eye, eye[i] + eye[j]])
     draws = rng.uniform(-amp, amp, size=(len(masks), len(exps)))
     draws[:, 1 + n:] *= 0.5
@@ -679,14 +676,13 @@ class FiniteDifferenceVector(CliffordFieldVector):
     vector carries its base's grade_preserving flag.
     """
 
-    def __init__(self, base: CliffordFieldVector, step: float = 1e-5):
+    def __init__(self, base: CliffordFieldVector):
         super().__init__(base.sig)
         self.base = base
-        self.step = float(step)
         self.grade_preserving = base.grade_preserving
 
     def _compute_jets(self, x: np.ndarray, order: int) -> np.ndarray:
-        return fd_jet(self.base.values, self.sig, x, order, self.step)
+        return fd_jet(self.base.values, self.sig, x, order, FD_STEP)
 
 
 def _first_primes(count: int) -> list[int]:

@@ -78,11 +78,6 @@ def compare_table(table: ContractionTable) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def run_golden_checks(tables=None) -> list[tuple[str, bool, str]]:
-    """Compare freshly built (or injected) tables for n = 2, 3, 4."""
-    if tables is None:
-        tables = [build_table(n) for n in (2, 3, 4)]
-    results = []
-    for table in tables:
-        results.extend(compare_table(table))
-    return results
+def run_golden_checks() -> list[tuple[str, bool, str]]:
+    """Compare freshly built tables for n = 2, 3, 4."""
+    return [check for n in (2, 3, 4) for check in compare_table(build_table(n))]

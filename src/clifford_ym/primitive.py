@@ -231,11 +231,8 @@ class TransformedConnection(CovectorField):
                                     self.gauge.inv_jets(x, order), self.sig)
 
 
-def gauge_transform(h: CliffordFieldVector, c: CovectorField, gauge: GaugeElement, points=None):
-    """Transformed field objects (S^-1 h S, S^-1 C S - S^-1 dS). Membership
-    of the gauge element is validated when points are supplied."""
-    if points is not None:
-        gauge.validate_membership(points)
+def gauge_transform(h: CliffordFieldVector, c: CovectorField, gauge: GaugeElement):
+    """Transformed field objects (S^-1 h S, S^-1 C S - S^-1 dS)."""
     return TransformedFieldVector(h, gauge), TransformedConnection(c, gauge)
 
 

@@ -226,7 +226,8 @@ def gauge_transform_solution(sol: YMSolution, gauge: GaugeElement, points) -> YM
     equation breaches it after the transformation too. Membership of S and flatness of the
     transformed pair are validated at the sample points.
     """
-    ht, ct = gauge_transform(sol.h, sol.c, gauge, points=points)
+    gauge.validate_membership(points)
+    ht, ct = gauge_transform(sol.h, sol.c, gauge)
     moved = build_solution(ht, ct, sol.sigma, points=points)
     return YMSolution(moved.h, moved.c, moved.sigma, sol.epsilon)
 

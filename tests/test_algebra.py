@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from clifford_ym import exponential
+from clifford_ym import algebra, exponential
 from clifford_ym.algebra import (
     CliffordError,
     DimensionLimitError,
@@ -458,13 +458,15 @@ def test_inverse_refuses_non_finite_elements(bad):
             inverse(Multivector(sig, coeffs))
 
 
-def test_inverse_refuses_ill_conditioned_and_overflowing_elements():
+def test_inverse_refuses_ill_conditioned_and_overflowing_elements(monkeypatch):
     sig = Signature(2, 0)
     e1 = Multivector.generator(sig, 1)
     # (1 + a e1)^-1 = (1 - a e1) / (1 - a^2): the 1-norm condition number
     # of L is (1 + a) / (1 - a) for 0 < a < 1, about 2e13 here.
     nearly = Multivector.unit(sig) + (1.0 - 1e-13) * e1
-    inverse(nearly, max_condition=1e14)
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "MAX_CONDITION", 1e14)
+        inverse(nearly)
     with pytest.raises(NotInvertible, match="condition"):
         inverse(nearly)
     # Well conditioned, but the inverse of a subnormal element overflows.
@@ -473,7 +475,7 @@ def test_inverse_refuses_ill_conditioned_and_overflowing_elements():
 
 
 @pytest.mark.parametrize("p,q", [(p, n - p) for n in range(1, 9) for p in range(n + 1)])
-def test_block_inverse_matches_the_dense_operator(p, q):
+def test_block_inverse_matches_the_dense_operator(p, q, monkeypatch):
     # The oracle: u^-1 is the first column of L(u)^-1, and the condition
     # bound is the 1-norm ||L(u)||_1 ||L(u)^-1||_1 of the dense operator.
     sig = Signature(p, q)
@@ -488,9 +490,11 @@ def test_block_inverse_matches_the_dense_operator(p, q):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     cond = np.linalg.norm(mat, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
     worst = float(cond.max())
-    inverse_rows(sig, u, max_condition=worst * (1 + 1e-12))
+    monkeypatch.setattr(algebra, "MAX_CONDITION", worst * (1 + 1e-12))
+    inverse_rows(sig, u)
+    monkeypatch.setattr(algebra, "MAX_CONDITION", worst * (1 - 1e-12))
     with pytest.raises(NotInvertible, match="condition"):
-        inverse_rows(sig, u, max_condition=worst * (1 - 1e-12))
+        inverse_rows(sig, u)
 
 
 def test_signature_mismatch_raises(rng):

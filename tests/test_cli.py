@@ -124,8 +124,8 @@ def test_golden_detects_mismatch(monkeypatch):
 
 
 def test_verify_runs_and_passes(config_file):
-    code, out, _ = run_cli(["verify", "--config", config_file])
-    assert code == EXIT_OK
+    code, out, err = run_cli(["verify", "--config", config_file])
+    assert (code, err) == (EXIT_OK, "")  # a pass names no breach
     report = json.loads(out)
     assert report["pass"] is True
     assert report["signature"] == {"p": 2, "q": 0}
@@ -345,7 +345,7 @@ MALFORMED_ENTRIES = [
     pytest.param(("tolerance",), {"eq2": 1e-30}, "tolerance", id="unknown-root-tolerance"),
     pytest.param(("signature", "r"), 1, "signature.r", id="unknown-signature-key"),
     pytest.param(("samples", "cout"), 999, "samples.cout", id="unknown-samples-key"),
-    # The sample points follow seed, and fd mode takes the default step.
+    # The sample points follow seed, and fd mode takes fields.FD_STEP.
     pytest.param(("samples", "seed"), 3, "unknown config key samples.seed",
                  id="unknown-samples-seed"),
     pytest.param(("fd_step",), 1e-5, "unknown config key fd_step", id="unknown-fd_step"),
@@ -695,8 +695,9 @@ DEFECTS = {
 
 
 def _run_with_defect(pair, delta, monkeypatch):
-    """(value of the pair's report key, its tolerance, exit code) with the
-    pair's defect injected at delta."""
+    """(value of the pair's report key, its tolerance, exit code, the
+    (report key, tolerance key) pairs runner.breaches names) with the pair's
+    defect injected at delta."""
     target, name, wrap, _ = DEFECTS[pair]
     with monkeypatch.context() as patch:
         patch.setattr(target, name, wrap(getattr(target, name), delta))
@@ -706,7 +707,8 @@ def _run_with_defect(pair, delta, monkeypatch):
             report, code = runner.run_verify(runner.parse_config(BASE_CONFIG))
     key = pair[0].split(".")
     value = report[key[0]] if len(key) == 1 else report[key[0]][key[1]]
-    return value, report["tolerances"][pair[1]], code
+    breached = {(line.split()[0], line.split()[-1].strip("()")) for line in runner.breaches(report)}
+    return value, report["tolerances"][pair[1]], code, breached
 
 
 def test_every_certified_pair_has_a_defect():
@@ -736,13 +738,39 @@ def test_each_certified_pair_trips_on_its_defect(pair, monkeypatch):
     DEFECTS records the smallest delta that trips each pair, from 1e-10
     (epsilon_rel) to 1e-6 (gauge_check.eq1_max); the run at ten times it
     trips, and the run at a tenth of it leaves the key within its
-    tolerance, so the record holds to a factor of ten either way.
+    tolerance, so the record holds to a factor of ten either way. The
+    failed verdict names the pair among its breaches, and the passed one
+    does not.
     """
     delta = DEFECTS[pair][3]
-    value, tol, code = _run_with_defect(pair, 10 * delta, monkeypatch)
-    assert code == EXIT_TOLERANCE and value > tol
-    value, tol, _ = _run_with_defect(pair, delta / 10, monkeypatch)
-    assert value <= tol
+    value, tol, code, breached = _run_with_defect(pair, 10 * delta, monkeypatch)
+    assert code == EXIT_TOLERANCE and value > tol and pair in breached
+    value, tol, _, breached = _run_with_defect(pair, delta / 10, monkeypatch)
+    assert value <= tol and pair not in breached
+
+
+# Common-mode controls: a shared kernel halved after build_case, on Cl(3,2)
+# x 17 points, and the exact set of report keys the verdict then breaches.
+HALVED_KERNELS = {
+    "commutator_grid": {"primitive_max", "curvature_max", "eq1_max", "eq2_max",
+                        "epsilon_rel_error", "gauge_check.eq1_max", "gauge_check.eq2_max",
+                        "gauge_check.primitive_max", "gauge_check.conjugation_max"},
+    "commutator_sum": {"eq2_max", "conservation_max", "epsilon_rel_error",
+                       "gauge_check.eq2_max", "gauge_check.conservation_max"},
+}
+
+
+@pytest.mark.parametrize("kernel", HALVED_KERNELS)
+def test_halved_commutator_kernel_breaches_the_keys_it_feeds(kernel, monkeypatch):
+    cfg = runner.parse_config({"signature": {"p": 3, "q": 2}, "frame": {"kind": "random"},
+                               "gauge": {"kind": "random"}, "samples": {"count": 16}, "seed": 7})
+    case = runner.build_case(cfg)
+    table = type(tables(case["sig"]))
+    original = getattr(table, kernel)
+    monkeypatch.setattr(table, kernel, lambda self, *args: 0.5 * original(self, *args))
+    report, code = runner._certify(case, cfg)
+    assert code == EXIT_TOLERANCE
+    assert {line.split()[0] for line in runner.breaches(report)} == HALVED_KERNELS[kernel]
 
 
 @pytest.mark.parametrize("sigma", ["1e4", "1e100"])
@@ -762,11 +790,18 @@ def test_verify_epsilon_override_breaches_tolerance(tmp_path):
     cfg = dict(BASE_CONFIG, epsilon_override=[13.0, 0.0])
     path = tmp_path / "forced_eps.json"
     path.write_text(json.dumps(cfg))
-    code, out, _ = run_cli(["verify", "--config", str(path)])
+    code, out, err = run_cli(["verify", "--config", str(path)])
     assert code == EXIT_TOLERANCE
     report = json.loads(out)
     assert report["pass"] is False
     assert report["epsilon"] == [13.0, 0.0]
+    # stderr has one line per breach, "breach: <key> <value> > <bound> (<tolerance
+    # key>)", with the values of the report on stdout.
+    lines = err.splitlines()
+    keys = [line.split()[1] for line in lines]
+    assert "eq2_max" in keys and "gauge_check.eq2_max" in keys
+    assert f"breach: eq2_max {report['eq2_max']:.3e} > 1.0e-07 (eq2)" in lines
+    assert lines == [f"breach: {line}" for line in runner.breaches(report)]
     assert report["eq2_max"] > 1.0
     # The override reaches the transformed solution of the gauge check,
     # while the eps solve is still held to the formula 4(n-1) sigma^3.
@@ -801,8 +836,8 @@ def test_verify_unwritable_output_fails_closed(tmp_path, where):
 
 
 def test_demo_passes():
-    code, out, _ = run_cli(["demo", "--n", "2"])
-    assert code == EXIT_OK
+    code, out, err = run_cli(["demo", "--n", "2"])
+    assert (code, err) == (EXIT_OK, "")
     assert "PASS" in out
     assert "lambda" in out
 

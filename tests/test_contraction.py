@@ -218,7 +218,7 @@ def test_golden_checks_pass_and_detect_mutations():
     mutated = ContractionTable(
         n=2, lambdas=(2, 0, 2), power=t2.power, inverse=t2.inverse,
         mus=t2.mus, weights=t2.weights)
-    results = golden.run_golden_checks(tables=[mutated])
+    results = golden.compare_table(mutated)
     bad = [name for name, ok, _ in results if not ok]
     assert any("lambda" in name for name in bad)
 
@@ -228,5 +228,5 @@ def test_golden_checks_pass_and_detect_mutations():
     mutated_b = ContractionTable(
         n=2, lambdas=t2.lambdas, power=t2.power, inverse=tuple(tuple(r) for r in rows),
         mus=t2.mus, weights=t2.weights)
-    results = golden.run_golden_checks(tables=[mutated_b])
+    results = golden.compare_table(mutated_b)
     assert any(not ok for _, ok, _ in results)

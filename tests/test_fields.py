@@ -68,7 +68,7 @@ def test_polynomial_json_round_trip():
 
 def test_mvjet_product_rule_matches_finite_differences(rng):
     sig = Signature(2, 1)
-    a = random_bivector_poly_field(sig, rng, scale=0.5, degree=2)
+    a = random_bivector_poly_field(sig, rng, scale=0.5)
     mv = random_multivector(sig, rng)
     b = PolyField.constant(sig, mv)
     x = np.array([0.2, -0.4, 0.6])
@@ -137,7 +137,13 @@ def test_polyfield_jets_match_polynomial_oracle(n, rng):
 
 def test_polyfield_partial_is_exact_derivative(rng):
     sig = Signature(3, 0)
-    f = random_bivector_poly_field(sig, rng, scale=1.0, degree=3)
+    # A random quadratic generator plus a cube along every axis, as criterion
+    # 8 gives each of its fields a cubic term: a central difference is exact
+    # on a quadratic.
+    quadratic = random_bivector_poly_field(sig, rng, scale=1.0)
+    cubic = poly_field(sig, (3, (3, 0, 0), 0.7), (5, (0, 3, 0), -1.1), (6, (0, 0, 3), -1.3))
+    f = PolyField(sig, np.concatenate([quadratic.exps, cubic.exps]),
+                  np.concatenate([quadratic.coeffs, cubic.coeffs]))
     x = np.array([0.1, 0.5, -0.2])
     for mu in range(3):
         step = 1e-5
@@ -170,7 +176,7 @@ def test_polyfield_accepts_exponents_up_to_the_int64_maximum():
 
 def test_expfield_jets_match_finite_differences(rng):
     sig = Signature(3, 0)
-    gen = random_bivector_poly_field(sig, rng, scale=0.4, degree=2)
+    gen = random_bivector_poly_field(sig, rng, scale=0.4)
     s = ExpField(gen)
     x = np.array([0.3, -0.1, 0.2])
     jet = s.jet(x, 1)[0]
@@ -196,7 +202,7 @@ def test_expfield_scalar_series_oracle():
 
 def test_invert_value_jet_matches_fd_of_inverse(rng):
     sig = Signature(2, 0)
-    gen = random_bivector_poly_field(sig, rng, scale=0.5, degree=2)
+    gen = random_bivector_poly_field(sig, rng, scale=0.5)
     s = ExpField(gen)
     x = np.array([0.25, -0.6])
     t = tables(sig)
@@ -444,7 +450,7 @@ def test_validate_reports_and_raises(rng):
 
 def test_finite_difference_vector_tracks_exact(rng):
     sig, h, points = build_field_vector(2, 0, seed=5)
-    fd = FiniteDifferenceVector(h, step=1e-5)
+    fd = FiniteDifferenceVector(h)
     x = points[0]
     exact = h.jets(x, 1)[0]
     approx = fd.jets(x, 1)[0]
@@ -455,7 +461,7 @@ def test_finite_difference_vector_tracks_exact(rng):
             assert np.abs(exact[rho, 1 + mu] - approx[rho, 1 + mu]).max() < 1e-8
 
 
-def _bivector_rows_term_by_term(sig, rng, scale=0.25, degree=2):
+def _bivector_rows_term_by_term(sig, rng, scale=0.25):
     """random_bivector_poly_field's rows, its terms drawn one rng.uniform call
     at a time and its rows sorted here."""
     n = sig.n
@@ -468,13 +474,12 @@ def _bivector_rows_term_by_term(sig, rng, scale=0.25, degree=2):
             exps = [0] * n
             exps[mu] = 1
             terms[tuple(exps), mask] = rng.uniform(-amp, amp)
-        if degree >= 2:
-            for i in range(n):
-                for j in range(i, n):
-                    exps = [0] * n
-                    exps[i] += 1
-                    exps[j] += 1
-                    terms[tuple(exps), mask] = rng.uniform(-amp, amp) * 0.5
+        for i in range(n):
+            for j in range(i, n):
+                exps = [0] * n
+                exps[i] += 1
+                exps[j] += 1
+                terms[tuple(exps), mask] = rng.uniform(-amp, amp) * 0.5
     monos = sorted({exps for exps, _ in terms})
     coeffs = np.zeros((len(monos), sig.dim), dtype=complex)
     for (exps, mask), value in terms.items():
@@ -488,10 +493,9 @@ def test_random_bivector_field_matches_term_by_term_draws(p, q, seed):
     # One uniform draw for every term consumes the stream in the same order.
     sig = Signature(p, q)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    for degree in (2, 1):
-        field = random_bivector_poly_field(sig, ours, degree=degree)
-        exps, coeffs = _bivector_rows_term_by_term(sig, theirs, degree=degree)
-        assert np.array_equal(field.exps, exps) and np.array_equal(field.coeffs, coeffs)
+    field = random_bivector_poly_field(sig, ours)
+    exps, coeffs = _bivector_rows_term_by_term(sig, theirs)
+    assert np.array_equal(field.exps, exps) and np.array_equal(field.coeffs, coeffs)
     assert ours.uniform() == theirs.uniform()
 
 

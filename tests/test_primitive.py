@@ -314,7 +314,8 @@ def test_gauge_transform_conjugation_law(rng):
     sig, h, points = build_field_vector(2, 1, seed=53)
     c = DerivedConnection(h)
     gauge = make_gauge_element(random_bivector_poly_field(sig, rng, scale=0.25))
-    h2, c2 = gauge_transform(h, c, gauge, points=points)
+    gauge.validate_membership(points)
+    h2, c2 = gauge_transform(h, c, gauge)
 
     x = points[2]
     vals, tvals = h.values(x)[0], h2.values(x)[0]
@@ -338,12 +339,12 @@ def test_gauge_transform_membership_enforced(rng):
     bad_gen = PolyField(sig, [[1, 0]], [[1.0, 0.0, 0.0, 0.0]])  # x^1 on the scalar blade
     bad = GaugeElement(ExpField(bad_gen))
     with pytest.raises(GaugeMembershipError) as err:
-        gauge_transform(h, c, bad, points=points)
+        bad.validate_membership(points)
     # The point prints as plain floats, and it is one of the sample points.
     named = json.loads(str(err.value).split(" at point ")[1].split(" (bound")[0])
     assert named in points.tolist()
     assert "np.float64" not in str(err.value)
-    # Without points there is nothing to check against, so it goes through.
+    # gauge_transform only constructs the transformed pair: it checks nothing.
     gauge_transform(h, c, bad)
 
 

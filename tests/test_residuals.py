@@ -12,7 +12,7 @@ returned.
 import numpy as np
 import pytest
 
-from clifford_ym import algebra, runner
+from clifford_ym import algebra, fields, runner
 from clifford_ym.algebra import (
     Multivector,
     Signature,
@@ -203,7 +203,7 @@ def _curl_from_values(c, x, delta):
 
 @pytest.mark.parametrize("mode", ["exact", "fd"])
 @pytest.mark.parametrize("p,q", SIGNATURES)
-def test_first_order_curl_matches_central_differences_of_values(p, q, mode):
+def test_first_order_curl_matches_central_differences_of_values(p, q, mode, monkeypatch):
     # Covector jets hold d_nu X_mu only up to a part symmetric in (mu, nu);
     # their curl must still be the curl of the values, to the O(delta^2)
     # error of the central differences. In fd mode the derivative rows of
@@ -211,7 +211,7 @@ def test_first_order_curl_matches_central_differences_of_values(p, q, mode):
     # are built from them, so the check runs at delta = step = 1e-4: there
     # the nested mixed differences of h it forms are symmetric in (mu, nu),
     # and at a different step they differ from the jets by O(step^2); the
-    # default step of 1e-5 would also leave roundoff of eps / (step delta)
+    # fields.FD_STEP of 1e-5 would also leave roundoff of eps / (step delta)
     # in the differences.
     fine = 1e-4
     cfg = runner.parse_config({
@@ -221,7 +221,8 @@ def test_first_order_curl_matches_central_differences_of_values(p, q, mode):
     case = runner.build_case(cfg)
     h, conn, x = case["h"], case["conn"], case["points"]
     if mode == "fd":
-        h = FiniteDifferenceVector(h, step=fine)
+        monkeypatch.setattr(fields, "FD_STEP", fine)
+        h = FiniteDifferenceVector(h)
         conn = DerivedConnection(h)
     perturbed = OffsetCovector(conn, {0: case["perturbation"]})
     covectors = {
